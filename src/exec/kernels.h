@@ -50,9 +50,10 @@ enum class DerefKernel : uint8_t {
 enum class PagingMode : uint8_t {
   kNone,      ///< no hints: the kernel sees naked faults (the A/B baseline)
   kAdvise,    ///< madvise intents: SEQUENTIAL/RANDOM per pass, WILLNEED
-              ///< ahead of a band, DONTNEED on retirement, POPULATE_WRITE
-              ///< pre-fault of anonymous temporaries about to be filled
-  kPopulate,  ///< kAdvise plus MAP_POPULATE at temporary-creation time
+              ///< ahead of a band, POPULATE_WRITE pre-fault of temporaries
+              ///< about to be filled (skipped once a block is populated)
+  kPopulate,  ///< kAdvise plus MAP_POPULATE when a temporary's block is
+              ///< freshly mapped
 };
 
 const char* KernelName(DerefKernel kernel);

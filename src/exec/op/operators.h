@@ -144,9 +144,9 @@ template <Backend B>
 class Operator {
  public:
   virtual ~Operator() = default;
-  virtual void Open(B& ex) {}
+  virtual void Open(B& /*ex*/) {}
   virtual void Push(B& ex, uint32_t slot, uint32_t partition, Batch& b) = 0;
-  virtual void Close(B& ex) {}
+  virtual void Close(B& /*ex*/) {}
 
   void set_next(Operator* n) { next_ = n; }
 
@@ -296,7 +296,7 @@ class GroupByOp final : public Operator<B> {
     rows_[slot] += b.n;
   }
 
-  void Close(B& ex) override {
+  void Close(B& /*ex*/) override {
     std::map<uint64_t, std::vector<uint64_t>> merged;
     for (const auto& table : tables_) {
       for (const auto& [key, accs] : table) {

@@ -365,9 +365,9 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
 /// morsels are independent and one hot partner — a Zipf-skewed RP_{i,j} —
 /// spreads across every worker instead of serializing the phase. Band
 /// hints bracket each phase: the partner band is about to be read
-/// (kWillNeed), and once the phase barrier has passed, band t is dead —
-/// hand its pages back (kDontNeed) so the RP footprint shrinks as the pass
-/// progresses. The retirement must sit outside the morsel bodies:
+/// (kWillNeed), and once the phase barrier has passed, band t is dead
+/// (kDontNeed; the real backend keeps an arena-owned band's pages for the
+/// next join). The retirement must sit outside the morsel bodies:
 /// independent morsels of one band may still be running concurrently.
 template <Backend B>
 void ProbePhases(B& ex, bool sync) {
@@ -631,11 +631,11 @@ void ProbeChainTable(B& ex, uint32_t i,
 
 /// The per-bucket build+probe loop over RS_i's K contiguous bands, with
 /// streaming band hints: the bucket after this one is the next band to
-/// stream in (kWillNeed); the band just processed is dead (kDontNeed), so
-/// RS_i shrinks as the loop advances instead of all at once at
-/// DeleteSegment. The chain table serves the scalar path only — the
-/// batched path probes the RS band in place, the prefetch pipeline's
-/// look-ahead subsuming the grouping the chains provide. `skip_empty` and
+/// stream in (kWillNeed); the band just processed is dead (kDontNeed; the
+/// real backend keeps an arena-owned band's pages for the next join). The
+/// chain table serves the scalar path only — the batched path probes the
+/// RS band in place, the prefetch pipeline's look-ahead subsuming the
+/// grouping the chains provide. `skip_empty` and
 /// `bucket_spans` preserve the drivers' historical differences: hybrid
 /// hash skips empty spill buckets and emits no per-bucket spans; Grace
 /// does the opposite.

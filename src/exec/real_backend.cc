@@ -1,13 +1,9 @@
 #include "exec/real_backend.h"
 
-#include <sys/mman.h>
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 
 namespace mmjoin::exec {
 
@@ -146,11 +142,11 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
 }
 
 RealBackend::~RealBackend() {
+  // Temporaries a failed driver left behind go back to the arena, too.
   for (auto& seg : owned_) {
-    if (seg->live && seg->owned && seg->base) {
-      if (::munmap(seg->base, seg->map_bytes) != 0) {
-        std::perror("mmjoin: munmap in RealBackend destructor");
-      }
+    if (seg->live) {
+      TempArena::Global().Release(
+          TempBlock{seg->base, seg->map_bytes, seg->populated, false});
       seg->live = false;
     }
   }
@@ -159,25 +155,26 @@ RealBackend::~RealBackend() {
 StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
                                                       uint32_t disk,
                                                       uint64_t bytes) {
-  const uint64_t page = mc_.page_size;
-  const uint64_t map_bytes =
-      std::max<uint64_t>(1, (bytes + page - 1) / page) * page;
-  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
-  // paging=populate pre-faults at map time; paging=advise instead leaves
-  // pre-faulting to the drivers' POPULATE_WRITE intents so only temporaries
-  // that are about to be filled pay for their pages up front.
-  if (paging_ == PagingMode::kPopulate) flags |= MAP_POPULATE;
-  void* base = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE, flags, -1,
-                      0);
-  if (base == MAP_FAILED) {
-    return Status::IOError("mmap failed for segment " + name);
+  // paging=populate pre-faults a fresh block at map time; paging=advise
+  // instead leaves pre-faulting to the drivers' POPULATE_WRITE intents so
+  // only temporaries that are about to be filled pay for their pages up
+  // front. A reused block comes back as it was released.
+  StatusOr<TempBlock> acquired = TempArena::Global().Acquire(
+      bytes, paging_ == PagingMode::kPopulate);
+  if (!acquired.ok()) {
+    return Status::IOError("segment " + name + ": " +
+                           acquired.status().message());
   }
-  if (numa_ == NumaMode::kInterleave) {
-    // Must happen before the first touch (including MAP_POPULATE above —
-    // mbind on an already-populated range would need MPOL_MF_MOVE): with
-    // MAP_POPULATE the pages land per the pre-set policy only on kernels
-    // honoring it at fault time, so interleave composes best with
-    // paging=none|advise. Single-node hosts: applied=false, a counted
+  const TempBlock block = *acquired;
+  void* base = block.base;
+  const uint64_t map_bytes = block.bytes;
+  // Interleave and huge-page advice shape a block's first touch, so they
+  // apply to fresh blocks only: a reused block's pages are already placed.
+  if (block.fresh && numa_ == NumaMode::kInterleave) {
+    // mbind on an already-populated range would need MPOL_MF_MOVE: with
+    // the arena's MAP_POPULATE the pages land per the pre-set policy only
+    // on kernels honoring it at fault time, so interleave composes best
+    // with paging=none|advise. Single-node hosts: applied=false, a counted
     // no-op, never an error.
     bool applied = false;
     const Status st =
@@ -189,7 +186,7 @@ StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
       if (numa_status_.ok()) numa_status_ = st;
     }
   }
-  if (huge_pages_) {
+  if (block.fresh && huge_pages_) {
     // Effective only under THP mode `madvise`; failure (e.g. THP compiled
     // out) is telemetry, never an error on the join path.
     uint64_t advised = 0;
@@ -209,6 +206,7 @@ StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
   seg->bytes = bytes;
   seg->map_bytes = map_bytes;
   seg->owned = true;
+  seg->populated = block.populated;
   Seg handle = seg.get();
   {
     std::lock_guard<std::mutex> lock(segs_mu_);
@@ -223,14 +221,10 @@ Status RealBackend::DeleteSegment(Seg seg) {
   }
   std::lock_guard<std::mutex> lock(segs_mu_);
   if (!seg->live) return Status::InvalidArgument("segment already deleted");
-  uint8_t* base = seg->base;
-  const uint64_t map_bytes = seg->map_bytes;
+  TempArena::Global().Release(
+      TempBlock{seg->base, seg->map_bytes, seg->populated, false});
   seg->base = nullptr;
   seg->live = false;
-  if (::munmap(base, map_bytes) != 0) {
-    return Status::IOError("munmap failed for segment " + seg->name + ": " +
-                           std::strerror(errno));
-  }
   return Status::OK();
 }
 
@@ -254,30 +248,18 @@ void RealBackend::PlaceSegment(uint32_t /*i*/, Seg seg, uint32_t node) {
   }
 }
 
-void RealBackend::DropSegment(uint32_t /*i*/, Seg seg, bool discard) {
-  // discard=true is deleteMap semantics: the drivers only use it on data
-  // that is dead (always immediately before DeleteSegment), so handing the
-  // pages back early is safe. discard=false is a write-back hint — a no-op
-  // for anonymous memory.
-  if (discard && seg->owned && seg->live) {
-    if (::madvise(seg->base, seg->map_bytes, MADV_DONTNEED) != 0) {
-      // The drop is an optimization; failing to hand pages back early only
-      // costs memory. Record it like any other advice failure.
-      advise_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(paging_mu_);
-      if (paging_status_.ok()) {
-        paging_status_ = Status::IOError("madvise(DONTNEED) failed for " +
-                                         seg->name + ": " +
-                                         std::strerror(errno));
-      }
-    }
-  }
-}
-
 void RealBackend::AdviseRange(uint32_t i, Seg seg, uint64_t offset,
                               uint64_t length, AccessIntent intent) {
   if (paging_ == PagingMode::kNone || seg == nullptr || !seg->live ||
       seg->base == nullptr || length == 0) {
+    return;
+  }
+  if (seg->owned && (intent == AccessIntent::kDontNeed ||
+                     (intent == AccessIntent::kPopulateWrite &&
+                      seg->populated))) {
+    // The arena keeps an owned temporary's pages for the next join, so
+    // there is nothing to hand back, and nothing to pre-fault once every
+    // page is resident.
     return;
   }
   if (numa_ == NumaMode::kLocal && seg->owned &&
@@ -304,6 +286,9 @@ void RealBackend::AdviseRange(uint32_t i, Seg seg, uint64_t offset,
     advise_errors_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(paging_mu_);
     if (paging_status_.ok()) paging_status_ = st;
+  } else if (seg->owned && intent == AccessIntent::kPopulateWrite &&
+             advised >= seg->map_bytes) {
+    seg->populated = true;
   }
   if (trace_) {
     const double now = clock_ms(i);
@@ -324,10 +309,9 @@ Status RealBackend::CreateRpSegments() {
   if (numa_ == NumaMode::kLocal) {
     // First-touch placement: partition i's worker writes one byte per page
     // of RP_i before any pass fills it, so the band's pages land on the
-    // node of the worker that will produce (and later consume) them. The
-    // pages are untouched zero-fill at this point, so writing zero is
-    // invisible to the join. On a single-node host this is just a
-    // pre-fault — counted, harmless.
+    // node of the worker that will produce (and later consume) them. No
+    // pass has written RP_i yet, so writing zero is invisible to the join.
+    // On a single-node host this is just a pre-fault — counted, harmless.
     const uint64_t page = mc_.page_size;
     ForEachPartition([&](uint32_t i) {
       const double start = tracing() ? clock_ms(i) : 0;
@@ -337,6 +321,7 @@ Status RealBackend::CreateRpSegments() {
         seg->base[off] = 0;
         ++pages;
       }
+      seg->populated = true;
       first_touch_pages_.fetch_add(pages, std::memory_order_relaxed);
       if (tracing()) {
         Span(i, "numa-first-touch", "numa", start,

@@ -19,9 +19,14 @@
 //                     barrier, giving later steps happens-before over all
 //                     earlier cross-partition writes
 //   SyncClocks        no-op (the thread join above is the barrier)
-//   CreateSegment     anonymous private mmap(2) for temporaries; the
+//   CreateSegment     a block of the process-wide temporaries arena
+//                     (exec/temp_arena.h): reused resident when an idle one
+//                     fits, a fresh anonymous mmap(2) otherwise; the
 //                     workload's R_i/S_i arrive as non-owned views into
 //                     their file-backed segments
+//   DeleteSegment     hands the block back to the arena, pages resident
+//   DropSegment       no-op: discard would return the arena's pages to the
+//                     kernel (the simulator still charges deleteMap)
 //   clock_ms/Span     wall-clock milliseconds since construction; trace
 //                     emission is mutex-guarded (obs::TraceRecorder itself
 //                     is single-threaded), tracks: pid = partition,
@@ -37,8 +42,8 @@
 //                     staging partition-pass appends, flushed as bulk runs
 //                     (optionally with non-temporal stores); scatter=direct
 //                     forwards every tuple immediately — the A/B baseline
-//   NUMA placement    numa=interleave mbinds owned temporaries round-robin
-//                     across nodes before first touch; numa=local
+//   NUMA placement    numa=interleave mbinds freshly mapped temporaries
+//                     round-robin across nodes before first touch; numa=local
 //                     pre-faults each RP band on its owning worker
 //                     (exec/numa.h; counted no-ops on single-node hosts)
 //
@@ -66,6 +71,7 @@
 #include "exec/numa.h"
 #include "exec/scatter.h"
 #include "exec/scheduler.h"
+#include "exec/temp_arena.h"
 #include "join/join_common.h"
 #include "mmap/mm_relation.h"
 #include "obs/trace.h"
@@ -82,17 +88,21 @@ namespace real_internal {
 extern thread_local uint32_t worker_slot;
 }  // namespace real_internal
 
-/// One mapped area known to the RealBackend: either an owned anonymous
-/// mapping (a temporary the backend created) or a non-owned view into the
-/// workload's file-backed segments. Heap-allocated with a stable address —
-/// the `RealSeg*` itself is the backend's segment handle.
+/// One mapped area known to the RealBackend: either an owned temporaries-
+/// arena block (a temporary the backend created) or a non-owned view into
+/// the workload's file-backed segments. Heap-allocated with a stable
+/// address — the `RealSeg*` itself is the backend's segment handle.
 struct RealSeg {
   std::string name;
   uint8_t* base = nullptr;
   uint64_t bytes = 0;      ///< logical size
-  uint64_t map_bytes = 0;  ///< page-rounded mapping size (owned only)
-  bool owned = false;      ///< true: anonymous mmap to munmap on delete
+  uint64_t map_bytes = 0;  ///< whole arena block size (owned only)
+  bool owned = false;      ///< true: arena block to release on delete
   bool live = true;
+  /// Owned only: every page of the block is resident, so a kPopulateWrite
+  /// intent has nothing left to do. Travels with the block through the
+  /// arena.
+  bool populated = false;
 };
 
 /// Execution tunables of the real backend.
@@ -115,10 +125,10 @@ struct RealBackendOptions {
   uint32_t prefetch_distance = 0;
   /// mmap paging policy (DESIGN.md §7.2): kNone issues no hints, kAdvise
   /// maps driver AccessIntents onto madvise(2), kPopulate additionally maps
-  /// temporaries with MAP_POPULATE.
+  /// fresh temporaries with MAP_POPULATE.
   PagingMode paging = PagingMode::kAdvise;
-  /// Request MADV_HUGEPAGE on owned temporaries (effective only when the
-  /// system THP mode is `madvise`); independent of `paging`.
+  /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
+  /// when the system THP mode is `madvise`); independent of `paging`.
   bool huge_pages = false;
   /// How partition passes move tuples to their destination bands
   /// (exec/scatter.h). kDirect keeps the per-tuple appends byte-for-byte —
@@ -185,7 +195,8 @@ class RealBackend {
   }
 
   // ---- segments -----------------------------------------------------------
-  /// Anonymous private mapping of `bytes` (page-rounded). `disk` is carried
+  /// A temporaries-arena block of at least `bytes`; its contents are
+  /// undefined (possibly another join's stale tuples). `disk` is carried
   /// in the name only — placement is the kernel's business here.
   StatusOr<Seg> CreateSegment(const std::string& name, uint32_t disk,
                               uint64_t bytes);
@@ -271,7 +282,10 @@ class RealBackend {
   }
   void ChargeCpu(uint32_t /*i*/, double /*ms*/) {}
   void ChargeSetup(uint32_t /*i*/, double /*ms*/) {}
-  void DropSegment(uint32_t i, Seg seg, bool discard);
+  /// deleteMap's discard would hand the pages back to the kernel, and
+  /// owned temporaries go back to the arena resident instead; on workload
+  /// views neither discard nor write-back has anything to do. A no-op.
+  void DropSegment(uint32_t /*i*/, Seg /*seg*/, bool /*discard*/) {}
 
   /// Immediate dereference: threads share the address space, so there is
   /// no G buffer — the pointer is chased the moment it is requested. The
@@ -310,8 +324,10 @@ class RealBackend {
 
   // ---- paging policy ------------------------------------------------------
   /// Maps the driver's declared access intent onto madvise(2) for (a range
-  /// of) a segment. No-op under paging=none. Failures never surface to the
-  /// join path (advice cannot affect results): they are counted in
+  /// of) a segment. No-op under paging=none. On owned temporaries kDontNeed
+  /// is a no-op (the arena keeps their pages) and kPopulateWrite is skipped
+  /// once the block is populated. Failures never surface to the join path
+  /// (advice cannot affect results): they are counted in
   /// join.paging.advise_errors and the first one is kept in DeferredError().
   void AdviseSegment(uint32_t i, Seg seg, AccessIntent intent) {
     AdviseRange(i, seg, 0, seg->owned ? seg->map_bytes : seg->bytes, intent);

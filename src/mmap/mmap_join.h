@@ -88,11 +88,13 @@ struct MmJoinOptions {
   /// mmap paging policy: `kNone` issues no hints; `kAdvise` (default) maps
   /// the drivers' declared access intents onto madvise(2) — SEQUENTIAL
   /// scans, RANDOM probes, POPULATE_WRITE pre-faulting of temporaries,
-  /// WILLNEED/DONTNEED band streaming; `kPopulate` additionally maps
-  /// temporaries with MAP_POPULATE. Hints never affect results.
+  /// WILLNEED/DONTNEED band streaming (DONTNEED is a no-op on the
+  /// temporaries, whose pages the process-wide arena keeps); `kPopulate`
+  /// additionally maps fresh temporaries with MAP_POPULATE. Hints never
+  /// affect results.
   exec::PagingMode paging = exec::PagingMode::kAdvise;
-  /// Request MADV_HUGEPAGE on temporaries (effective only when the system
-  /// THP mode is `madvise`); independent of `paging`.
+  /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
+  /// when the system THP mode is `madvise`); independent of `paging`.
   bool huge_pages = false;
   /// Partition-pass scatter policy: `kDirect` writes each routed tuple
   /// straight to its RP/RS destination (the A/B baseline); `kBuffered`

@@ -8,6 +8,8 @@
 
 #include "join/grace.h"
 #include "join/hybrid_hash.h"
+#include "join/index_nl.h"
+#include "join/mpsm.h"
 #include "join/nested_loops.h"
 #include "join/oracle.h"
 #include "join/sort_merge.h"
@@ -33,6 +35,10 @@ StatusOr<JoinRunResult> RunAlgorithm(Algorithm a, sim::SimEnv* env,
       return join::RunGrace(env, w, p);
     case Algorithm::kHybridHash:
       return join::RunHybridHash(env, w, p);
+    case Algorithm::kIndexNestedLoops:
+      return join::RunIndexNestedLoops(env, w, p);
+    case Algorithm::kMpsm:
+      return join::RunMpsm(env, w, p);
   }
   return Status::InvalidArgument("bad algorithm");
 }
@@ -80,9 +86,10 @@ TEST_P(JoinCorrectnessTest, MatchesOracle) {
 
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
-  const Algorithm algorithms[] = {Algorithm::kNestedLoops,
-                                  Algorithm::kSortMerge, Algorithm::kGrace,
-                                  Algorithm::kHybridHash};
+  const Algorithm algorithms[] = {
+      Algorithm::kNestedLoops, Algorithm::kSortMerge,
+      Algorithm::kGrace,       Algorithm::kHybridHash,
+      Algorithm::kMpsm,        Algorithm::kIndexNestedLoops};
   const uint64_t sizes[] = {256, 4096, 20000};
   const uint32_t disk_counts[] = {1, 2, 4};
   const double thetas[] = {0.0, 0.6};
@@ -141,7 +148,8 @@ TEST(JoinCorrectnessEdge, TinyMemory) {
   p.m_rproc_bytes = 4 * mc.page_size;  // four frames
   p.m_sproc_bytes = 4 * mc.page_size;
   for (auto a : {Algorithm::kNestedLoops, Algorithm::kSortMerge,
-                 Algorithm::kGrace, Algorithm::kHybridHash}) {
+                 Algorithm::kGrace, Algorithm::kHybridHash, Algorithm::kMpsm,
+                 Algorithm::kIndexNestedLoops}) {
     auto r = RunAlgorithm(a, &env, *w, p);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->verified) << join::AlgorithmName(a);
@@ -192,7 +200,8 @@ TEST(JoinCorrectnessEdge, PhaseSyncInvariance) {
   ASSERT_TRUE(w.ok());
 
   for (auto a : {Algorithm::kNestedLoops, Algorithm::kSortMerge,
-                 Algorithm::kGrace, Algorithm::kHybridHash}) {
+                 Algorithm::kGrace, Algorithm::kHybridHash, Algorithm::kMpsm,
+                 Algorithm::kIndexNestedLoops}) {
     JoinParams on, off;
     on.phase_sync = true;
     off.phase_sync = false;

@@ -1,6 +1,6 @@
 // The real-mmap join engine: correctness against the expected join, parity
 // with the simulated workload (same seed => same join), parallel vs serial
-// equivalence, and lifecycle hygiene.
+// equivalence, exactness on recycled temporaries, and lifecycle hygiene.
 #include "mmap/mmap_join.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "exec/temp_arena.h"
 #include "mmap/mm_relation.h"
 #include "obs/trace.h"
 #include "rel/generator.h"
@@ -250,6 +251,48 @@ TEST_F(MmapJoinTest, AllAlgorithmsAgreeOnChecksum) {
   EXPECT_EQ(gr->output_checksum, hh->output_checksum);
   EXPECT_TRUE(nl->verified && sm->verified && gr->verified &&
               hh->verified);
+}
+
+TEST_F(MmapJoinTest, DriversStayExactOnRecycledTemporaries) {
+  // Temporaries come from the process-wide arena, so each driver receives
+  // blocks that still hold another driver's tuples. All six drivers back to
+  // back, twice and in two orders, stay exact only if no driver reads a
+  // temporary before writing it.
+  exec::TempArena::Global().Trim(0);  // the first run maps fresh blocks
+  const MmWorkload w = Build(1 << 17, 4, 0.5);
+  using JoinFn = StatusOr<MmJoinResult> (*)(const MmWorkload&,
+                                            const MmJoinOptions&);
+  struct Driver {
+    const char* name;
+    JoinFn fn;
+  };
+  const Driver drivers[] = {
+      {"nested-loops", MmNestedLoops}, {"sort-merge", MmSortMerge},
+      {"mpsm", MmMpsm},                {"grace", MmGrace},
+      {"hybrid-hash", MmHybridHash},   {"index-nl", MmIndexNestedLoops}};
+  const std::vector<std::vector<int>> orders = {{0, 1, 2, 3, 4, 5},
+                                                {5, 3, 1, 4, 2, 0}};
+  std::vector<uint64_t> nl_setup_faults;
+  for (const std::vector<int>& order : orders) {
+    for (int k : order) {
+      auto r = drivers[k].fn(w, MmJoinOptions{});
+      ASSERT_TRUE(r.ok()) << drivers[k].name << ": " << r.status().ToString();
+      EXPECT_TRUE(r->verified) << drivers[k].name;
+      EXPECT_EQ(r->output_count, w.expected_output_count) << drivers[k].name;
+      EXPECT_EQ(r->output_checksum, w.expected_checksum) << drivers[k].name;
+      if (k == 0) {
+        ASSERT_EQ(r->run.passes.front().label, "setup");
+        nl_setup_faults.push_back(r->run.passes.front().faults);
+      }
+    }
+  }
+  // The first nested-loops run pre-faults its fresh RP blocks in setup;
+  // the second gets them back populated and skips the pre-fault.
+  ASSERT_EQ(nl_setup_faults.size(), 2u);
+  EXPECT_GT(nl_setup_faults[0], 1000u);
+  EXPECT_LT(nl_setup_faults[1] * 100, nl_setup_faults[0])
+      << "first setup faults " << nl_setup_faults[0] << ", second "
+      << nl_setup_faults[1];
 }
 
 }  // namespace

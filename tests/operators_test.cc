@@ -20,7 +20,9 @@
 
 #include "join/grace.h"
 #include "join/hybrid_hash.h"
+#include "join/index_nl.h"
 #include "join/join_common.h"
+#include "join/mpsm.h"
 #include "join/nested_loops.h"
 #include "join/sort_merge.h"
 #include "mmap/mm_relation.h"
@@ -306,9 +308,8 @@ struct AlgoCase {
   join::Algorithm algorithm;
 };
 
-// Every refactored driver: sim and real, static and stealing schedules,
-// one identical count/checksum. This is the 4 joins × 2 backends × 2
-// schedules matrix from the operator-layer refactor.
+// Every driver: sim and real, static and stealing schedules, one identical
+// count/checksum — the 6 joins × 2 backends × 2 schedules matrix.
 class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
  protected:
   void SetUp() override {
@@ -338,6 +339,10 @@ class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
         return join::RunGrace(&env, *workload, join::JoinParams{});
       case join::Algorithm::kHybridHash:
         return join::RunHybridHash(&env, *workload, join::JoinParams{});
+      case join::Algorithm::kIndexNestedLoops:
+        return join::RunIndexNestedLoops(&env, *workload, join::JoinParams{});
+      case join::Algorithm::kMpsm:
+        return join::RunMpsm(&env, *workload, join::JoinParams{});
     }
     return Status::InvalidArgument("bad algorithm");
   }
@@ -358,6 +363,10 @@ class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
         return mm::MmGrace(*workload, options);
       case join::Algorithm::kHybridHash:
         return mm::MmHybridHash(*workload, options);
+      case join::Algorithm::kIndexNestedLoops:
+        return mm::MmIndexNestedLoops(*workload, options);
+      case join::Algorithm::kMpsm:
+        return mm::MmMpsm(*workload, options);
     }
     return Status::InvalidArgument("bad algorithm");
   }
@@ -391,7 +400,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(AlgoCase{"nested_loops", join::Algorithm::kNestedLoops},
                       AlgoCase{"sort_merge", join::Algorithm::kSortMerge},
                       AlgoCase{"grace", join::Algorithm::kGrace},
-                      AlgoCase{"hybrid_hash", join::Algorithm::kHybridHash}),
+                      AlgoCase{"hybrid_hash", join::Algorithm::kHybridHash},
+                      AlgoCase{"mpsm", join::Algorithm::kMpsm},
+                      AlgoCase{"index_nl", join::Algorithm::kIndexNestedLoops}),
     [](const ::testing::TestParamInfo<AlgoCase>& info) {
       return std::string(info.param.name);
     });

@@ -138,7 +138,9 @@ TEST(PlannerTest, LargerMemoryBudgetNeverRaisesHybridHashCost) {
       if (c.algorithm == join::Algorithm::kHybridHash) hybrid_ms = c.predicted_ms;
     }
     ASSERT_GT(hybrid_ms, 0.0);
-    if (!first) EXPECT_LE(hybrid_ms, prev) << "budget " << mb << " MiB";
+    if (!first) {
+      EXPECT_LE(hybrid_ms, prev) << "budget " << mb << " MiB";
+    }
     prev = hybrid_ms;
     first = false;
   }

@@ -336,7 +336,9 @@ TEST_F(ScatterJoinIdentityTest, NumaModesFallBackGracefullyAndVerify) {
         EXPECT_EQ(r->run.numa_first_touch_pages, 0u);
       } else {
         EXPECT_EQ(r->run.numa_nodes, nodes);
-        if (nodes <= 1) EXPECT_EQ(r->run.numa_mbind_calls, 0u);
+        if (nodes <= 1) {
+          EXPECT_EQ(r->run.numa_mbind_calls, 0u);
+        }
         if (numa == NumaMode::kLocal) {
           // First touch runs even on one node (it is just a pre-fault).
           EXPECT_GT(r->run.numa_first_touch_pages, 0u);
