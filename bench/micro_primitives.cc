@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "disk/disk_model.h"
+#include "exec/kernels.h"
 #include "heap/heapsort.h"
 #include "heap/merge_heap.h"
 #include "opt/calibration.h"
@@ -45,6 +46,24 @@ void BM_HeapSort(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_HeapSort)->Range(1 << 10, 1 << 16);
+
+// The real backend's run sort: (position, packed sptr) refs of one
+// partition's run, as op::SortRunInPlace hands them to SortRefs.
+void BM_RadixSortRefs(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  Rng rng(1);
+  std::vector<exec::SRef> original(n);
+  for (uint64_t k = 0; k < n; ++k) {
+    original[k] = exec::SRef{k, rel::SPtr{3, rng.Uniform(n)}.Pack()};
+  }
+  for (auto _ : state) {
+    std::vector<exec::SRef> v = original;
+    exec::RadixSortRefs(v.data(), n, exec::SortKey::kSptr);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_RadixSortRefs)->Range(1 << 10, 1 << 16);
 
 void BM_MergeHeapDeleteInsert(benchmark::State& state) {
   const size_t fanin = static_cast<size_t>(state.range(0));

@@ -17,10 +17,11 @@
 // differs between the two worlds: byte access (page-cache touch vs direct
 // mapped pointer), cost charging (virtual clock vs no-op), the S-object
 // fetch protocol (G-buffer exchange vs immediate dereference), barriers
-// (clock sync vs thread join), and span/metric emission (simulated vs wall
-// time). The drivers own everything that *is* the algorithm: pass
-// structure, staggered phase schedule, RP/RS layout, sorting, hashing and
-// bucket logic.
+// (clock sync vs thread join), span/metric emission (simulated vs wall
+// time), and sorting (the counted heapsort vs a radix sort). The drivers
+// own everything that *is* the algorithm: pass structure, staggered phase
+// schedule, RP/RS layout, what is sorted by which key, hashing and bucket
+// logic.
 #ifndef MMJOIN_EXEC_BACKEND_H_
 #define MMJOIN_EXEC_BACKEND_H_
 
@@ -57,8 +58,9 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
                            const std::vector<uint64_t>& counts,
                            void (*fn)(uint32_t),
                            void (*range_fn)(uint32_t, uint64_t, uint64_t),
-                           const SRef* refs, AccessIntent intent,
-                           ScatterSink sink, const rel::RObject* run) {
+                           const SRef* refs, SRef* sort_refs, SortKey key,
+                           AccessIntent intent, ScatterSink sink,
+                           const rel::RObject* run) {
   typename B::Seg;
 
   // ---- shape & parameters ------------------------------------------------
@@ -136,6 +138,15 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.BatchedProbe() } -> std::convertible_to<bool>;
   { b.RequestSBatch(i, refs, len) };
   { b.ProbeRun(i, seg, off, len) };
+
+  // ---- sorting (DESIGN.md §7.9) --------------------------------------------
+  // SortRefs sorts sort_refs[0..len) in place by `key`, on behalf of
+  // partition i. The simulator heapsorts and charges the counted compares,
+  // swaps and transfers — the paper's §6.1 cost model; the real backend
+  // radix-sorts (exec::RadixSortRefs) and charges nothing. Ties under
+  // kSptr may land in either order: every consumer is order-free within
+  // one S-pointer.
+  { b.SortRefs(i, sort_refs, len, key) };
 
   // ---- paging policy ------------------------------------------------------
   // Declarative hints about the imminent access pattern of a (range of a)

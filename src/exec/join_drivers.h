@@ -31,9 +31,11 @@
 //     implicit key levels) and probed per S tuple — S's identity IS the
 //     probe key, so unmatched S objects are never touched.
 //   Mpsm (EXT-9, after Albutiu/Kemper/Neumann): pass 0 range-partitions R
-//     by S-pointer into one band per NUMA node; pass 1 heapsorts each
-//     band's IRUN runs strictly node-locally; pass 2 has each partition
-//     binary-search its key range out of EVERY node's runs and merge-join
+//     by S-pointer into one band per NUMA node; pass 1 sorts each band's
+//     IRUN runs strictly node-locally (op::SortRunInPlace, i.e. the
+//     backend's SortRefs: counted heapsort on the simulator, radix sort
+//     on the real backend); pass 2 has each partition binary-search its
+//     key range out of EVERY node's runs and merge-join
 //     the slices against one sequential sweep of S_i — remote bands are
 //     only ever scanned sequentially, never probed randomly. The pointer
 //     join sorts only R (S's placement IS the sort key), so unlike the
@@ -238,7 +240,7 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   }
   ex.MarkPass("pass1");
 
-  // ---- Pass 2: heapsort runs of IRUN objects, merge, final merge-join. ----
+  // ---- Pass 2: sort runs of IRUN objects, merge, final merge-join. ----
   uint64_t max_rs = 0;
   for (uint32_t i = 0; i < d; ++i) max_rs = std::max(max_rs, rs_objects[i]);
   const join::SortMergePlan overall =
@@ -285,7 +287,7 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
 
 /// MPSM adapted to the pointer join. R is range-partitioned by packed
 /// S-pointer into one contiguous *band* per NUMA node (pass 0), each band
-/// is heapsorted into IRUN-object runs by that node's own workers
+/// is sorted into IRUN-object runs by that node's own workers
 /// (pass 1), and each S partition's key range is then carved out of every
 /// node's runs by binary search and k-way merge-joined against one
 /// sequential sweep of S_i (pass 2). Cross-node traffic is confined to
@@ -413,7 +415,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
   if (sync) ex.SyncClocks();
   ex.MarkPass("pass0");
 
-  // ---- Pass 1: heapsort each band's IRUN runs, strictly node-locally. ----
+  // ---- Pass 1: sort each band's IRUN runs, strictly node-locally. ----
   // One IRUN for every band (sized off the largest) keeps run boundaries
   // a pure function of the plan, so pass 2 can locate any run by
   // arithmetic. Work is expressed in RUN units on partition slots: node
@@ -563,7 +565,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
       }
     }
     if (!fetch.empty()) ex.RequestSBatch(p, fetch.data(), fetch.size());
-    op::ChargeHeapCost(ex, p, heap.cost());
+    ex.ChargeCpu(p, mc.HeapCostMs(heap.cost()));
     ex.FlushSRequests(p);
     if (ex.tracing()) {
       ex.Span(p, "slice-merge-join", "heap", merge_start_ms,
@@ -1067,10 +1069,10 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   ex.MarkPass("pass1");
 
   // ---- Index build: pack RS_i's buckets into the sorted leaf array, ----
-  // then derive the key levels. Per-bucket heapsorts keyed by
-  // (sptr, r_id) — a total order, so the leaf content (and with it the
-  // probe behavior) is identical on every backend and schedule. The RS
-  // bands stream with the same hints as the Grace bucket loop.
+  // then derive the key levels. Per-bucket sorts keyed by (sptr, r_id) —
+  // a total order, so the leaf content (and with it the probe behavior)
+  // is identical on every backend and schedule. The RS bands stream with
+  // the same kWillNeed look-ahead as the Grace bucket loop.
   std::vector<Status> partition_status(d);
   ex.ForEachPartition(rs_objects, [&](uint32_t i) {
     uint64_t out = 0;
@@ -1081,8 +1083,6 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
       }
       op::SortIndexRun(ex, i, rs_segs[i], layout.Offset(i, b),
                        layout.Count(i, b), ix_segs[i], out);
-      ex.AdviseRange(i, rs_segs[i], layout.Offset(i, b),
-                     layout.Count(i, b) * r, AccessIntent::kDontNeed);
       out += layout.Count(i, b);
     }
     op::BuildIndexLevels(ex, i, ix_segs[i], ix_layout[i]);

@@ -1,7 +1,10 @@
 #include "exec/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace mmjoin::exec {
 
@@ -131,6 +134,54 @@ void ProbeObjectsScalar(const rel::RObject* objs, uint64_t n,
   tally->digest += digest;
   tally->requests += n;
   tally->batches += 1;
+}
+
+namespace {
+
+/// Digit d < 8 is byte d of sptr (least significant first); with r_id,
+/// digit 8 + d is byte d of r_id. Stable passes run least significant
+/// first: r_id's bytes, then sptr's.
+template <bool kWithRid>
+void RadixSort(SRef* refs, uint64_t n) {
+  constexpr int kDigits = kWithRid ? 16 : 8;
+  auto digit = [](const SRef& e, int d) {
+    const uint64_t word = d < 8 ? e.sptr : e.r_id;
+    return static_cast<uint32_t>(word >> (8 * (d % 8))) & 0xff;
+  };
+
+  std::array<std::array<uint64_t, 256>, kDigits> hist{};
+  for (uint64_t k = 0; k < n; ++k) {
+    for (int d = 0; d < kDigits; ++d) ++hist[d][digit(refs[k], d)];
+  }
+
+  std::vector<SRef> scratch(n);
+  SRef* src = refs;
+  SRef* dst = scratch.data();
+  for (int pass = 0; pass < kDigits; ++pass) {
+    const int d = kWithRid ? (pass + 8) % 16 : pass;
+    const std::array<uint64_t, 256>& h = hist[d];
+    if (h[digit(src[0], d)] == n) continue;  // every key agrees on it
+    std::array<uint64_t, 256> next;
+    uint64_t sum = 0;
+    for (uint32_t b = 0; b < 256; ++b) {
+      next[b] = sum;
+      sum += h[b];
+    }
+    for (uint64_t k = 0; k < n; ++k) dst[next[digit(src[k], d)]++] = src[k];
+    std::swap(src, dst);
+  }
+  if (src != refs) std::memcpy(refs, src, n * sizeof(SRef));
+}
+
+}  // namespace
+
+void RadixSortRefs(SRef* refs, uint64_t n, SortKey key) {
+  if (n < 2) return;
+  if (key == SortKey::kSptrThenRid) {
+    RadixSort<true>(refs, n);
+  } else {
+    RadixSort<false>(refs, n);
+  }
 }
 
 }  // namespace mmjoin::exec

@@ -31,6 +31,10 @@
 // The scalar reference loops (ProbeRefsScalar/ProbeObjectsScalar) are kept
 // callable so tests can A/B the kernels directly; the backend-level A/B
 // switch is RealBackendOptions::kernel.
+//
+// One sort primitive sits next to them: RadixSortRefs, the real backend's
+// SortRefs (exec/backend.h) — a stable LSB radix sort of 16-byte SRefs,
+// in place of the simulator's counted heapsort through a comparator.
 #ifndef MMJOIN_EXEC_KERNELS_H_
 #define MMJOIN_EXEC_KERNELS_H_
 
@@ -74,6 +78,20 @@ struct SRef {
   uint64_t sptr = 0;  ///< rel::SPtr::Pack form
 };
 static_assert(sizeof(SRef) == 16, "SRef must stay two words");
+
+/// Sort order of an SRef array (exec::Backend::SortRefs).
+enum class SortKey : uint8_t {
+  kSptr,         ///< packed S-pointer alone (sort-merge/MPSM runs)
+  kSptrThenRid,  ///< (sptr, r_id): a total order (index-nl leaves)
+};
+
+/// Stable LSB radix sort of refs[0..n) by `key`, 8-bit digits. One read
+/// pass builds every digit's histogram; digits on which all keys agree
+/// (the partition bits of one run, the high index bytes) are skipped, so a
+/// run typically costs ~3 scatter passes. kSptrThenRid sorts by r_id
+/// first, then stably by sptr. Ties under kSptr keep their input order.
+/// Charges nothing: the real backend's sort (DESIGN.md §7.9).
+void RadixSortRefs(SRef* refs, uint64_t n, SortKey key);
 
 /// Output + telemetry accumulator of the kernels. count/digest are the join
 /// result contribution; the rest feeds join.kernel.* metrics.

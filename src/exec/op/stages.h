@@ -19,7 +19,9 @@
 //   PhasedRepartition D-1 staggered phases moving RP_{i,j} into RS_j
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
 //   ProbeStage       own-partition S-fetch staging (scalar or batched)
-//   SortRuns         heapsort IRUN-object runs of RS_i in place
+//   SortRuns         sort IRUN-object runs of RS_i in place by S-pointer
+//                    (through the backend's SortRefs: counted heapsort on
+//                    the simulator, radix sort on the real backend)
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
@@ -27,6 +29,7 @@
 //   BucketLayout     contiguous bucket regions + one-writer bump cursors
 //   IndexLayout      implicit static B+-tree over a sorted SRef leaf array
 //   SortIndexRun     per-bucket leaf packing of the index-NL driver
+//                    (SortRefs by (sptr, r_id))
 //   BuildIndexLevels derive the internal key levels bottom-up
 //   ProbeIndex       exact-match descent + duplicate-run emission
 #ifndef MMJOIN_EXEC_OP_STAGES_H_
@@ -40,7 +43,6 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "heap/heapsort.h"
 #include "heap/merge_heap.h"
 #include "join/grace.h"
 #include "join/join_common.h"
@@ -49,15 +51,6 @@
 namespace mmjoin::exec::op {
 
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
-
-/// Charges counted heap primitives at the machine's per-primitive costs.
-template <Backend B>
-void ChargeHeapCost(B& ex, uint32_t i, const HeapCost& cost) {
-  const sim::MachineConfig& mc = ex.mc();
-  ex.ChargeCpu(i, static_cast<double>(cost.compares) * mc.compare_ms +
-                      static_cast<double>(cost.swaps) * mc.swap_ms +
-                      static_cast<double>(cost.transfers) * mc.transfer_ms);
-}
 
 /// |RS_i| = sum_j |R_{j,i}|: everything pointing into S_i.
 template <Backend B>
@@ -363,12 +356,10 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
 /// D-1 staggered probe-only phases over the RP_{i,j}: ReadR + RequestS
 /// touch no shared output target (the real backend tallies per worker), so
 /// morsels are independent and one hot partner — a Zipf-skewed RP_{i,j} —
-/// spreads across every worker instead of serializing the phase. Band
-/// hints bracket each phase: the partner band is about to be read
-/// (kWillNeed), and once the phase barrier has passed, band t is dead
-/// (kDontNeed; the real backend keeps an arena-owned band's pages for the
-/// next join). The retirement must sit outside the morsel bodies:
-/// independent morsels of one band may still be running concurrently.
+/// spreads across every worker instead of serializing the phase. Each
+/// phase opens with a kWillNeed hint on the partner band it is about to
+/// read. A dead band is not retired: RP is an arena-owned temporary whose
+/// pages the real backend keeps for the next join.
 template <Backend B>
 void ProbePhases(B& ex, bool sync) {
   const uint32_t d = ex.D();
@@ -406,12 +397,6 @@ void ProbePhases(B& ex, bool sync) {
         },
         /*independent=*/true);
     if (sync) ex.SyncClocks();
-    for (uint32_t i = 0; i < d; ++i) {
-      const uint32_t j = join::PhaseOffset(i, t, d);
-      ex.AdviseRange(i, ex.rp_seg(i), ex.RpSubOffset(i, j),
-                     ex.RpSubCount(i, j) * sizeof(rel::RObject),
-                     AccessIntent::kDontNeed);
-    }
   }
   ex.MarkPass("pass1");
 }
@@ -421,40 +406,33 @@ void ProbePhases(B& ex, bool sync) {
 // ---------------------------------------------------------------------------
 
 /// Sorts one run of `len` objects at object offset `start` of `seg` in
-/// place, by S-pointer: read the run in, heapsort an array of pointers,
-/// permute the objects (one MTpp move per object), write back. The single-
-/// run body of SortRuns, exposed so MPSM's pass 1 can sort individual
-/// node-band runs as independent morsels.
+/// place, by S-pointer: read the run in, sort (run position, sptr) refs
+/// through the backend's SortRefs — the position rides in r_id — then
+/// permute the objects (one MTpp move per object) and write back. The
+/// single-run body of SortRuns, exposed so MPSM's pass 1 can sort
+/// individual node-band runs as independent morsels.
 template <Backend B>
 void SortRunInPlace(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
                     uint64_t len) {
   const uint64_t r = sizeof(rel::RObject);
   std::vector<rel::RObject> buffer(len);
+  std::vector<SRef> refs(len);
   for (uint64_t k = 0; k < len; ++k) {
     const void* src = ex.Read(i, seg, (start + k) * r, r);
     std::memcpy(&buffer[k], src, r);
+    refs[k] = SRef{k, buffer[k].sptr};
   }
-  std::vector<uint64_t> idx(len);
-  for (uint64_t k = 0; k < len; ++k) idx[k] = k;
-  HeapCost cost;
-  HeapSort(
-      &idx,
-      [&buffer](uint64_t a, uint64_t b) {
-        return buffer[a].sptr < buffer[b].sptr;
-      },
-      &cost);
-  ChargeHeapCost(ex, i, cost);
+  ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
   // Move the objects into sorted order (one MTpp move per object).
   for (uint64_t k = 0; k < len; ++k) {
     void* dst = ex.Write(i, seg, (start + k) * r, r);
-    std::memcpy(dst, &buffer[idx[k]], r);
+    std::memcpy(dst, &buffer[refs[k].r_id], r);
   }
   ex.ChargeCpu(i, static_cast<double>(len * r) * ex.mc().mt_pp_ms);
 }
 
-/// Sorts RS_i into IRUN-object runs in place: read each run in, heapsort
-/// an array of pointers, permute the objects (one MTpp move per object),
-/// write back. Returns the run count.
+/// Sorts RS_i into IRUN-object runs in place (SortRunInPlace per run).
+/// Returns the run count.
 template <Backend B>
 uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
                   uint64_t irun) {
@@ -543,7 +521,7 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       ++out;
     }
     if (!fetch.empty()) ex.RequestSBatch(i, fetch.data(), fetch.size());
-    ChargeHeapCost(ex, i, heap.cost());
+    ex.ChargeCpu(i, mc.HeapCostMs(heap.cost()));
     return out;
   };
 
@@ -629,11 +607,11 @@ void ProbeChainTable(B& ex, uint32_t i,
   }
 }
 
-/// The per-bucket build+probe loop over RS_i's K contiguous bands, with
-/// streaming band hints: the bucket after this one is the next band to
-/// stream in (kWillNeed); the band just processed is dead (kDontNeed; the
-/// real backend keeps an arena-owned band's pages for the next join). The
-/// chain table serves the scalar path only — the batched path probes the
+/// The per-bucket build+probe loop over RS_i's K contiguous bands, with a
+/// streaming band hint: the bucket after this one is the next band to
+/// stream in (kWillNeed). A processed band is not retired: RS_i is an
+/// arena-owned temporary whose pages the real backend keeps. The chain
+/// table serves the scalar path only — the batched path probes the
 /// RS band in place, the prefetch pipeline's look-ahead subsuming the
 /// grouping the chains provide. `skip_empty` and
 /// `bucket_spans` preserve the drivers' historical differences: hybrid
@@ -665,7 +643,6 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
       ProbeChainTable(ex, i, table);
     }
     ex.FlushSRequests(i);
-    ex.AdviseRange(i, rs_seg, base, count * r, AccessIntent::kDontNeed);
     if (bucket_spans && ex.tracing()) {
       ex.Span(i, "bucket " + std::to_string(b), "bucket", bucket_start_ms,
               {obs::Arg("objects", count)});
@@ -723,10 +700,10 @@ class IndexLayout {
 };
 
 /// Packs one monotone bucket band of RS_i into the index's leaf array:
-/// reads each object's 16-byte (id, sptr) prefix, heapsorts by
-/// (sptr, r_id) — a total order, so the leaf content is independent of
-/// arrival order and therefore of backend and schedule — and writes the
-/// run at leaf offset `out` (entries). Monotone buckets concatenate into
+/// reads each object's 16-byte (id, sptr) prefix, sorts the refs by
+/// (sptr, r_id) through the backend's SortRefs — a total order, so the
+/// leaf content is independent of arrival order and therefore of backend
+/// and schedule — and writes the run at leaf offset `out` (entries). Monotone buckets concatenate into
 /// a globally sorted leaf array, exactly like the Grace bucket map
 /// guarantees for the partitioning drivers.
 template <Backend B>
@@ -739,21 +716,9 @@ void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
     const void* src = ex.Read(i, rs_seg, base + k * r, sizeof(SRef));
     std::memcpy(&refs[k], src, sizeof(SRef));  // RObject starts (id, sptr)
   }
-  std::vector<uint64_t> idx(count);
-  for (uint64_t k = 0; k < count; ++k) idx[k] = k;
-  HeapCost cost;
-  HeapSort(
-      &idx,
-      [&refs](uint64_t a, uint64_t b) {
-        if (refs[a].sptr != refs[b].sptr) return refs[a].sptr < refs[b].sptr;
-        return refs[a].r_id < refs[b].r_id;
-      },
-      &cost);
-  ChargeHeapCost(ex, i, cost);
-  std::vector<SRef> sorted(count);
-  for (uint64_t k = 0; k < count; ++k) sorted[k] = refs[idx[k]];
+  ex.SortRefs(i, refs.data(), count, SortKey::kSptrThenRid);
   void* dst = ex.Write(i, ix_seg, out * sizeof(SRef), count * sizeof(SRef));
-  std::memcpy(dst, sorted.data(), count * sizeof(SRef));
+  std::memcpy(dst, refs.data(), count * sizeof(SRef));
   ex.ChargeCpu(i, static_cast<double>(count * sizeof(SRef)) *
                       ex.mc().mt_pp_ms);
 }

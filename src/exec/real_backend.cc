@@ -254,12 +254,9 @@ void RealBackend::AdviseRange(uint32_t i, Seg seg, uint64_t offset,
       seg->base == nullptr || length == 0) {
     return;
   }
-  if (seg->owned && (intent == AccessIntent::kDontNeed ||
-                     (intent == AccessIntent::kPopulateWrite &&
-                      seg->populated))) {
-    // The arena keeps an owned temporary's pages for the next join, so
-    // there is nothing to hand back, and nothing to pre-fault once every
-    // page is resident.
+  if (seg->owned && intent == AccessIntent::kPopulateWrite &&
+      seg->populated) {
+    // Every page of the arena block is already resident.
     return;
   }
   if (numa_ == NumaMode::kLocal && seg->owned &&

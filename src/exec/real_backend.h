@@ -322,11 +322,17 @@ class RealBackend {
                  &tallies_[real_internal::worker_slot]);
   }
 
+  /// Stable radix sort (exec/kernels.h); charges nothing.
+  void SortRefs(uint32_t /*i*/, SRef* refs, uint64_t n, SortKey key) {
+    RadixSortRefs(refs, n, key);
+  }
+
   // ---- paging policy ------------------------------------------------------
   /// Maps the driver's declared access intent onto madvise(2) for (a range
-  /// of) a segment. No-op under paging=none. On owned temporaries kDontNeed
-  /// is a no-op (the arena keeps their pages) and kPopulateWrite is skipped
-  /// once the block is populated. Failures never surface to the join path
+  /// of) a segment. No-op under paging=none. On owned temporaries
+  /// kPopulateWrite is skipped once the block is populated. No driver
+  /// retires arena-owned bands with kDontNeed: the arena keeps their pages
+  /// for the next join. Failures never surface to the join path
   /// (advice cannot affect results): they are counted in
   /// join.paging.advise_errors and the first one is kept in DeferredError().
   void AdviseSegment(uint32_t i, Seg seg, AccessIntent intent) {

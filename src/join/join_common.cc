@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+
+#include "heap/heapsort.h"
 
 namespace mmjoin::join {
 
@@ -145,6 +148,27 @@ void JoinExecution::FlushSRequests(uint32_t i) {
   const uint64_t batch = gbufs_[i]->Flush(rprocs_[i].get());
   if (batch > 0) ServiceSBatch(i, batch);
   assert(pending_[i].empty());
+}
+
+void JoinExecution::SortRefs(uint32_t i, exec::SRef* refs, uint64_t n,
+                             exec::SortKey key) {
+  std::vector<uint64_t> idx(n);
+  std::iota(idx.begin(), idx.end(), uint64_t{0});
+  const bool by_rid = key == exec::SortKey::kSptrThenRid;
+  HeapCost cost;
+  HeapSort(
+      &idx,
+      [refs, by_rid](uint64_t a, uint64_t b) {
+        if (!by_rid || refs[a].sptr != refs[b].sptr) {
+          return refs[a].sptr < refs[b].sptr;
+        }
+        return refs[a].r_id < refs[b].r_id;
+      },
+      &cost);
+  ChargeCpu(i, mc().HeapCostMs(cost));
+  std::vector<exec::SRef> sorted(n);
+  for (uint64_t k = 0; k < n; ++k) sorted[k] = refs[idx[k]];
+  std::copy(sorted.begin(), sorted.end(), refs);
 }
 
 void JoinExecution::MarkPass(const std::string& label) {

@@ -335,6 +335,11 @@ class JoinExecution {
       RequestS(i, obj->id, obj->sptr);
     }
   }
+  /// Sorts refs[0..n) by `key` the way the paper's §6.1 does: heapsort
+  /// (Floyd build + Munro bounce) over an index array, charging the
+  /// counted compares, swaps and transfers at the machine's per-primitive
+  /// costs, then permutes refs into that order.
+  void SortRefs(uint32_t i, exec::SRef* refs, uint64_t n, exec::SortKey key);
   /// Paging intents are meaningless to the simulated page cache (its
   /// replacement policy is the model under study): no-ops.
   void AdviseSegment(uint32_t /*i*/, Seg /*seg*/, exec::AccessIntent /*in*/) {}

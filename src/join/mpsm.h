@@ -2,7 +2,7 @@
 // Albutiu/Kemper/Neumann's MPSM).
 //
 // Pass 0 range-partitions R by packed S-pointer into one band per NUMA
-// node; pass 1 heapsorts each band's IRUN runs strictly node-locally;
+// node; pass 1 sorts each band's IRUN runs strictly node-locally;
 // pass 2 binary-searches each S partition's key range out of every
 // node's runs and merge-joins the slices against one sequential sweep of
 // S_i — remote bands are only ever scanned sequentially. Because the

@@ -3,7 +3,8 @@
 // Passes 0/1 partition R exactly as nested loops does, except that objects
 // are *written out* to RS_i — the set of all R objects whose S-pointer lands
 // in partition S_i — instead of being joined. Each RS_i is then sorted by
-// the S-pointer (heapsort runs of IRUN objects, then NRUN-way merge passes
+// the S-pointer (sorted runs of IRUN objects — the paper's heapsort on the
+// simulator, a radix sort on the real backend — then NRUN-way merge passes
 // with a delete-insert heap); because the join attribute is a virtual
 // pointer, S_i itself never needs sorting. The final merge pass streams the
 // sorted RS_i against a single sequential scan of S_i.

@@ -88,8 +88,8 @@ struct MmJoinOptions {
   /// mmap paging policy: `kNone` issues no hints; `kAdvise` (default) maps
   /// the drivers' declared access intents onto madvise(2) — SEQUENTIAL
   /// scans, RANDOM probes, POPULATE_WRITE pre-faulting of temporaries,
-  /// WILLNEED/DONTNEED band streaming (DONTNEED is a no-op on the
-  /// temporaries, whose pages the process-wide arena keeps); `kPopulate`
+  /// WILLNEED one band ahead (bands are never retired with DONTNEED: the
+  /// process-wide arena keeps the temporaries' pages); `kPopulate`
   /// additionally maps fresh temporaries with MAP_POPULATE. Hints never
   /// affect results.
   exec::PagingMode paging = exec::PagingMode::kAdvise;
@@ -185,7 +185,7 @@ StatusOr<MmJoinResult> MmSortMerge(const MmWorkload& workload,
                                    const MmJoinOptions& options = {});
 
 /// NUMA-affine massively-parallel sort-merge (MPSM): range-partition R
-/// into one band per NUMA node, heapsort runs strictly node-locally, then
+/// into one band per NUMA node, sort runs strictly node-locally, then
 /// merge-join each partition's key-range slices out of every node's runs —
 /// remote bands are only ever scanned sequentially. Same pass structure
 /// and bit-identical output as MmSortMerge; on single-node hosts it

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "disk/disk_model.h"
+#include "heap/heap_cost.h"
 
 namespace mmjoin::sim {
 
@@ -53,6 +54,13 @@ struct MachineConfig {
   /// deleteMap(P): destroy a mapping of P blocks and its data.
   double DeleteMapMs(uint64_t blocks) const {
     return delete_map_base_ms + delete_map_per_block_ms * double(blocks);
+  }
+
+  /// CPU time of counted heap primitives (the §6.3 sort/merge terms).
+  double HeapCostMs(const HeapCost& cost) const {
+    return static_cast<double>(cost.compares) * compare_ms +
+           static_cast<double>(cost.swaps) * swap_ms +
+           static_cast<double>(cost.transfers) * transfer_ms;
   }
 
   /// The configuration used throughout the paper's validation (section 8):

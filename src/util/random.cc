@@ -66,7 +66,7 @@ double Zeta(uint64_t n, double theta) {
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta, uint64_t seed)
     : n_(n), theta_(theta), rng_(seed) {
   assert(n > 0);
-  assert(theta >= 0 && theta < 1.0);
+  assert(theta >= 0 && theta != 1.0);
   zetan_ = Zeta(n, theta);
   zeta2_ = Zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);

@@ -35,9 +35,12 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Zipf-distributed values over {0, .., n-1} with parameter theta in [0, 1).
-/// theta = 0 degenerates to uniform. Uses the standard CDF-inversion
-/// approximation of Gray et al. (precomputed harmonic normalizer).
+/// Zipf-distributed values over {0, .., n-1} with parameter theta >= 0,
+/// theta != 1. theta = 0 degenerates to uniform. Uses the standard
+/// CDF-inversion approximation of Gray et al. (precomputed harmonic
+/// normalizer). The inversion's exponent 1/(1-theta) is singular only at
+/// theta = 1; for theta > 1 it turns negative and still yields density
+/// ∝ v^-theta (the workloads use theta = 1.1).
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta, uint64_t seed);
