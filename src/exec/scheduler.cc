@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -54,6 +55,23 @@ uint32_t EffectiveWorkers(uint32_t partitions, bool parallel,
   uint32_t bound = max_threads;
   if (bound == 0) bound = std::max(1u, std::thread::hardware_concurrency());
   return std::max(1u, std::min(partitions, bound));
+}
+
+void ParallelFor(uint32_t units, uint32_t workers,
+                 const std::function<void(uint32_t)>& fn) {
+  std::atomic<uint32_t> next{0};
+  const auto drain = [&] {
+    for (uint32_t u; (u = next.fetch_add(1, std::memory_order_relaxed)) <
+                     units;) {
+      fn(u);
+    }
+  };
+  const uint32_t spawned = std::max(1u, std::min(workers, units)) - 1;
+  std::vector<std::thread> threads;
+  threads.reserve(spawned);
+  for (uint32_t t = 0; t < spawned; ++t) threads.emplace_back(drain);
+  drain();
+  for (std::thread& t : threads) t.join();
 }
 
 std::vector<MorselChain> BuildChains(const std::vector<uint64_t>& counts,

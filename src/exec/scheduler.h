@@ -75,6 +75,17 @@ inline constexpr double kDefaultSkewSplitFactor = 4.0;
 uint32_t EffectiveWorkers(uint32_t partitions, bool parallel,
                           uint32_t max_threads);
 
+/// Runs fn(u) exactly once for every unit u in [0, units) on `workers`
+/// threads — the caller plus workers-1 spawned ones (never more threads
+/// than units) — handing units out through one atomic counter, and
+/// returns once every unit has run and every spawned thread is joined.
+/// For short fan-outs of independent units outside the join drivers: the
+/// durable store's batch checksum verify and its warm index probe. Bodies
+/// that fill per-unit slots need no further synchronization; the joins
+/// order their writes before the caller's reads.
+void ParallelFor(uint32_t units, uint32_t workers,
+                 const std::function<void(uint32_t)>& fn);
+
 /// Tunables of chain construction and the worker pool.
 struct SchedulerOptions {
   uint32_t workers = 1;

@@ -311,8 +311,18 @@ StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
                                     const std::string& prefix) {
   MMJOIN_ASSIGN_OR_RETURN(Segment meta_seg,
                           manager->OpenSealedSegment(prefix + "_meta"));
+  // A sealed manifest can still be a foreign or hand-made one: every
+  // offset it records must stay inside the allocated part of `_meta`.
+  const uint64_t meta_bump = meta_seg.header()->bump;
+  const auto in_meta = [&](uint64_t off, uint64_t bytes) {
+    return off >= sizeof(SegmentHeader) && off <= meta_bump &&
+           bytes <= meta_bump - off;
+  };
   if (meta_seg.root() == 0) {
     return Status::IOError("store manifest missing root: " + prefix);
+  }
+  if (!in_meta(meta_seg.root(), sizeof(StoreManifest))) {
+    return Status::IOError("store manifest root out of range: " + prefix);
   }
   const auto* man =
       static_cast<const StoreManifest*>(meta_seg.Resolve(meta_seg.root()));
@@ -321,6 +331,13 @@ StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
   }
   const uint32_t d = man->num_partitions;
   if (d == 0) return Status::IOError("store manifest has no partitions");
+  const uint64_t row_bytes = uint64_t{d} * sizeof(uint64_t);
+  if (!in_meta(man->r_count_off, row_bytes) ||
+      !in_meta(man->s_count_off, row_bytes) ||
+      !in_meta(man->counts_off, uint64_t{d} * row_bytes)) {
+    return Status::IOError("store manifest count arrays out of range: " +
+                           prefix);
+  }
 
   MmWorkload w;
   w.config.r_objects = man->r_objects;
@@ -351,29 +368,53 @@ StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
     }
   }
 
-  // Reattach every partition through the sealed path; the object array
-  // base is the segment root the build recorded.
-  for (uint32_t i = 0; i < d; ++i) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        Segment seg,
-        manager->OpenSealedSegment(prefix + "_s" + std::to_string(i)));
-    if (seg.root() == 0) {
-      return Status::IOError("store segment missing object root: " +
-                             seg.path());
+  // Reattach every partition through the sealed path in one batch — S
+  // first, then R, so the first failure is the one a serial open would
+  // meet. The object array base is the segment root the build recorded.
+  std::vector<std::string> names;
+  names.reserve(2 * d);
+  for (const char* kind : {"_s", "_r"}) {
+    for (uint32_t i = 0; i < d; ++i) {
+      names.push_back(prefix + kind + std::to_string(i));
     }
-    w.s_base[i] = seg.root();
-    w.s_segs.push_back(std::move(seg));
+  }
+  MMJOIN_ASSIGN_OR_RETURN(std::vector<Segment> segs,
+                          manager->OpenSealedSegments(names));
+  // Each segment is sealed, but possibly another store's: its object array
+  // must hold the manifest's count, and the counts must add up, before a
+  // driver or probe indexes into it.
+  uint64_t r_total = 0, s_total = 0;
+  for (uint32_t k = 0; k < 2 * d; ++k) {
+    const uint32_t i = k % d;
+    const bool is_s = k < d;
+    const uint64_t n = is_s ? w.s_count[i] : w.r_count[i];
+    const uint64_t object_bytes =
+        is_s ? sizeof(rel::SObject) : sizeof(rel::RObject);
+    const uint64_t root = segs[k].root();
+    const uint64_t bump = segs[k].header()->bump;
+    if (root < sizeof(SegmentHeader) || root > bump ||
+        n > (bump - root) / object_bytes) {
+      return Status::IOError("store segment does not hold the manifest's " +
+                             std::to_string(n) + " objects: " +
+                             segs[k].path());
+    }
+    (is_s ? s_total : r_total) += n;
+    (is_s ? w.s_base : w.r_base)[i] = root;
   }
   for (uint32_t i = 0; i < d; ++i) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        Segment seg,
-        manager->OpenSealedSegment(prefix + "_r" + std::to_string(i)));
-    if (seg.root() == 0) {
-      return Status::IOError("store segment missing object root: " +
-                             seg.path());
+    uint64_t row = 0;
+    for (uint32_t j = 0; j < d; ++j) row += w.counts[i][j];
+    if (row != w.r_count[i]) {
+      return Status::IOError("store manifest counts disagree with R_" +
+                             std::to_string(i) + ": " + prefix);
     }
-    w.r_base[i] = seg.root();
-    w.r_segs.push_back(std::move(seg));
+  }
+  if (r_total != w.config.r_objects || s_total != w.config.s_objects) {
+    return Status::IOError(
+        "store manifest partition counts do not add up: " + prefix);
+  }
+  for (uint32_t k = 0; k < 2 * d; ++k) {
+    (k < d ? w.s_segs : w.r_segs).push_back(std::move(segs[k]));
   }
   return w;
 }

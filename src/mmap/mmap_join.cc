@@ -238,7 +238,6 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
                                     const std::string& prefix,
                                     const MmWorkload& workload,
                                     const MmJoinOptions& options) {
-  (void)options;  // serial by construction; no scheduling knobs apply
   if (manager == nullptr) {
     return Status::InvalidArgument("null segment manager");
   }
@@ -250,7 +249,6 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t faults0 = minflt();
   MmJoinResult out;
-  out.threads_used = 1;
 
   // Setup: attach the sealed tree. OpenSealedSegment re-verifies the
   // header and payload checksums, so a torn index refuses right here.
@@ -281,25 +279,40 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
   uint64_t faults_at = faults0;
   mark("setup", &faults_at);
 
-  // One exact-match descent per S tuple; the postings run replays the
-  // join output (r_ids ascending — deterministic checksum input order,
-  // though the checksum is order-independent anyway).
+  // S is stored in join-key order and the tree is keyed by packed
+  // S-pointers, so partition i's matches are exactly the entries in
+  // [SPtr{i,0}, SPtr{i,last}], visited in S order: one leaf-chain merge
+  // per partition instead of a root-to-leaf descent per S tuple. The
+  // postings run of each entry replays the join output.
+  const uint32_t workers =
+      exec::EffectiveWorkers(d, options.parallel, options.max_threads);
+  std::vector<uint64_t> part_count(d, 0), part_checksum(d, 0),
+      part_matches(d, 0);
+  exec::ParallelFor(d, workers, [&](uint32_t i) {
+    const uint64_t n = workload.s_count[i];
+    if (n == 0) return;
+    const rel::SObject* s = workload.SObjects(i);
+    uint64_t count = 0, checksum = 0;
+    part_matches[i] = tree.Scan(
+        rel::SPtr{i, 0}.Pack(), rel::SPtr{i, n - 1}.Pack(),
+        [&](uint64_t key, uint64_t value) {
+          const uint64_t s_key = s[rel::SPtr::Unpack(key).index].key;
+          const auto* post =
+              static_cast<const uint64_t*>(ix_seg.Resolve(value));
+          for (uint64_t p = 1; p <= post[0]; ++p) {
+            checksum += rel::OutputDigest(post[p], s_key);
+          }
+          count += post[0];
+        });
+    part_count[i] = count;
+    part_checksum[i] = checksum;
+  });
   uint64_t count = 0, checksum = 0, probes = 0, matches = 0;
   for (uint32_t i = 0; i < d; ++i) {
-    const rel::SObject* s = workload.SObjects(i);
-    for (uint64_t k = 0; k < workload.s_count[i]; ++k) {
-      ++probes;
-      auto found = tree.Find(rel::SPtr{i, k}.Pack());
-      if (!found.ok()) continue;
-      ++matches;
-      const auto* post =
-          static_cast<const uint64_t*>(ix_seg.Resolve(*found));
-      const uint64_t n = post[0];
-      for (uint64_t p = 1; p <= n; ++p) {
-        checksum += rel::OutputDigest(post[p], s[k].key);
-      }
-      count += n;
-    }
+    count += part_count[i];
+    checksum += part_checksum[i];
+    matches += part_matches[i];
+    probes += workload.s_count[i];
   }
   mark("index-probe", &faults_at);
 
@@ -308,7 +321,7 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
   out.run.verified = out.verified =
       count == workload.expected_output_count &&
       checksum == workload.expected_checksum;
-  out.run.threads_used = 1;
+  out.run.threads_used = out.threads_used = workers;
   out.run.index_entries = tree.size();
   out.run.index_probes = probes;
   out.run.index_matches = matches;

@@ -211,13 +211,17 @@ StatusOr<MmJoinResult> MmIndexNestedLoops(const MmWorkload& workload,
                                           const MmJoinOptions& options = {});
 
 /// Warm index probe: joins a PERSISTED store through its `<prefix>_ix`
-/// B+-tree — attach the sealed tree (checksums verified), then one point
-/// lookup per S tuple with the postings run replaying the exact (r_id,
-/// s_key) output. No partition passes and no index build: the bulk build
-/// was paid once at PersistMmWorkload time, which is the store's
-/// build-once/query-many bargain. Serial (the probe sweep is one
-/// sequential S scan); oracle-verified like every driver. The workload
-/// must be the one the store at `prefix` was persisted from.
+/// B+-tree — attach the sealed tree (checksums verified), then merge it
+/// with S: S is in join-key order, so S partition i's matches are the
+/// tree entries in [SPtr{i,0}, SPtr{i,|S_i|-1}], read by one leaf-chain
+/// Scan, each postings run replaying the exact (r_id, s_key) output. No
+/// partition passes and no index build: the bulk build was paid once at
+/// PersistMmWorkload time, which is the store's build-once/query-many
+/// bargain. The partitions run on EffectiveWorkers(D, parallel,
+/// max_threads) threads of its own (`pool` and the other join knobs are
+/// not consulted); count and checksum are identical on any worker count.
+/// Oracle-verified like every driver. The workload must be the one the
+/// store at `prefix` was persisted from.
 StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
                                     const std::string& prefix,
                                     const MmWorkload& workload,

@@ -266,8 +266,7 @@ StatusOr<Segment> Segment::Create(const std::string& path, uint64_t bytes,
   return seg;
 }
 
-StatusOr<Segment> Segment::Open(const std::string& path,
-                                MapTimings* timings) {
+StatusOr<Segment> Segment::Map(const std::string& path, MapTimings* timings) {
   const double t0 = NowSeconds();
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) {
@@ -294,11 +293,18 @@ StatusOr<Segment> Segment::Open(const std::string& path,
   seg.base_ = base;
   seg.size_ = bytes;
   seg.path_ = path;
+  if (timings != nullptr) timings->open_map_s += NowSeconds() - t0;
+  return seg;
+}
+
+StatusOr<Segment> Segment::Open(const std::string& path,
+                                MapTimings* timings) {
+  MMJOIN_ASSIGN_OR_RETURN(Segment seg, Map(path, timings));
   const SegmentHeader* header = seg.header();
-  if (header->magic != SegmentHeader::kMagic || header->size_bytes != bytes) {
+  if (header->magic != SegmentHeader::kMagic ||
+      header->size_bytes != seg.size()) {
     return Status::IOError("bad segment header: " + path);
   }
-  if (timings != nullptr) timings->open_map_s += NowSeconds() - t0;
   return seg;
 }
 
@@ -359,28 +365,38 @@ Status Segment::Seal(MsyncPolicy policy) {
   return Sync(policy);
 }
 
-StatusOr<Segment> Segment::OpenSealed(const std::string& path,
-                                      MapTimings* timings) {
-  MMJOIN_ASSIGN_OR_RETURN(Segment seg, Open(path, timings));
-  const SegmentHeader* h = seg.header();
+Status Segment::VerifySealed() const {
+  assert(mapped());
+  const SegmentHeader* h = header();
+  // The header checksum vouches for magic and size, so it goes first: a
+  // truncated file keeps a verifying header that no longer matches it.
   if (h->header_checksum != HeaderChecksum(*h)) {
     return Status::IOError("segment header checksum mismatch (torn write?): " +
-                           path);
+                           path_);
+  }
+  if (h->magic != SegmentHeader::kMagic) {
+    return Status::IOError("bad segment header: " + path_);
+  }
+  if (h->size_bytes != size_) {
+    return Status::IOError(
+        "segment size disagrees with its checksummed header (truncated?): " +
+        path_);
   }
   if (h->clean != 1) {
     return Status::IOError(
-        "segment not sealed (checksum missing — crashed mid-write?): " + path);
+        "segment not sealed (checksum missing — crashed mid-write?): " +
+        path_);
   }
-  if (h->bump < sizeof(SegmentHeader) || h->bump > seg.size()) {
-    return Status::IOError("sealed segment bump out of range: " + path);
+  if (h->bump < sizeof(SegmentHeader) || h->bump > size_) {
+    return Status::IOError("sealed segment bump out of range: " + path_);
   }
-  const uint64_t payload = Checksum64(
-      reinterpret_cast<const char*>(seg.base()) + sizeof(SegmentHeader),
-      h->bump - sizeof(SegmentHeader));
+  const uint64_t payload =
+      Checksum64(static_cast<const char*>(base_) + sizeof(SegmentHeader),
+                 h->bump - sizeof(SegmentHeader));
   if (payload != h->payload_checksum) {
-    return Status::IOError("segment payload checksum mismatch: " + path);
+    return Status::IOError("segment payload checksum mismatch: " + path_);
   }
-  return seg;
+  return Status::OK();
 }
 
 Status Segment::Advise(AccessIntent intent, uint64_t* advised_bytes) {

@@ -133,7 +133,7 @@ StatusOr<MsyncPolicy> ParseMsyncPolicy(const std::string& name);
 /// The generation/clean/checksum quartet is the durable-store handshake:
 /// Seal() checksums the payload, bumps the generation and marks the
 /// segment clean; any subsequent mutation (Allocate, set_root, explicit
-/// MarkDirty) clears `clean`. OpenSealed() refuses a segment whose header
+/// MarkDirty) clears `clean`. VerifySealed() refuses a segment whose header
 /// or payload checksum does not verify or whose `clean` flag is down —
 /// which is exactly the state a crash mid-write leaves behind, so torn
 /// stores are detected at attach time instead of corrupting a join.
@@ -176,13 +176,20 @@ class Segment {
   static StatusOr<Segment> Open(const std::string& path,
                                 MapTimings* timings = nullptr);
 
-  /// openMap for durable stores: maps an existing segment file and
-  /// additionally requires it to be SEALED — `clean` up, header checksum
-  /// verifying, payload checksum matching a fresh recomputation. A torn
-  /// segment (crash mid-write, bit rot, truncation) is refused with an
-  /// IOError naming the failing checksum.
-  static StatusOr<Segment> OpenSealed(const std::string& path,
-                                      MapTimings* timings = nullptr);
+  /// openMap without header checks: maps an existing segment file that is
+  /// at least one header long and validates nothing else. The durable
+  /// attach path (SegmentManager::OpenSealedSegments) maps a batch this way
+  /// and then runs VerifySealed() on every segment before trusting a byte.
+  static StatusOr<Segment> Map(const std::string& path,
+                               MapTimings* timings = nullptr);
+
+  /// The durable-store check: requires the mapped segment to be SEALED —
+  /// header checksum verifying, magic and size matching the file, `clean`
+  /// up, payload checksum matching a fresh recomputation. A torn segment
+  /// (crash mid-write, bit rot, truncation) is refused with an IOError
+  /// naming the failing checksum. Read-only, so distinct segments can be
+  /// verified concurrently.
+  Status VerifySealed() const;
 
   /// deleteMap: destroys a segment file (and its data).
   static Status Delete(const std::string& path,
@@ -230,7 +237,7 @@ class Segment {
   /// Seals the segment for durable attach: checksums the payload
   /// ([header end, bump)), bumps the generation, raises `clean`, checksums
   /// the header, then syncs under `policy`. After a successful Seal the
-  /// file passes OpenSealed until the next mutation.
+  /// file passes VerifySealed until the next mutation.
   Status Seal(MsyncPolicy policy = MsyncPolicy::kNone);
 
   /// Explicitly invalidates the seal (payload mutated through raw

@@ -4,6 +4,8 @@
 
 #include <utility>
 
+#include "exec/scheduler.h"
+
 namespace mmjoin::mm {
 
 SegmentManager::SegmentManager(std::string root_dir)
@@ -34,14 +36,39 @@ StatusOr<Segment> SegmentManager::OpenSegment(const std::string& name) {
   return seg;
 }
 
-StatusOr<Segment> SegmentManager::OpenSealedSegment(const std::string& name) {
-  MapTimings t;
-  auto seg = Segment::OpenSealed(PathFor(name), &t);
-  if (seg.ok()) {
-    samples_.push_back(MapSample{seg->size(), 0, t.open_map_s, 0});
-    sizes_[name] = seg->size();
+StatusOr<std::vector<Segment>> SegmentManager::OpenSealedSegments(
+    const std::vector<std::string>& names) {
+  const uint32_t n = static_cast<uint32_t>(names.size());
+  std::vector<Segment> segs;
+  std::vector<MapTimings> timings(n);
+  std::vector<Status> errors(n);
+  segs.reserve(n);
+  // Map serially up to the first file that cannot be mapped; only the
+  // segments before it can still produce an earlier error.
+  for (uint32_t i = 0; i < n; ++i) {
+    auto seg = Segment::Map(PathFor(names[i]), &timings[i]);
+    if (!seg.ok()) {
+      errors[i] = seg.status();
+      break;
+    }
+    segs.push_back(std::move(seg).value());
   }
-  return seg;
+  const uint32_t mapped = static_cast<uint32_t>(segs.size());
+  exec::ParallelFor(mapped, exec::EffectiveWorkers(mapped, true, 0),
+                    [&](uint32_t i) { errors[i] = segs[i].VerifySealed(); });
+  for (uint32_t i = 0; i < n; ++i) {
+    // Every segment before the first error was mapped and verified.
+    if (!errors[i].ok()) return errors[i];
+    samples_.push_back(MapSample{segs[i].size(), 0, timings[i].open_map_s, 0});
+    sizes_[names[i]] = segs[i].size();
+  }
+  return segs;
+}
+
+StatusOr<Segment> SegmentManager::OpenSealedSegment(const std::string& name) {
+  MMJOIN_ASSIGN_OR_RETURN(std::vector<Segment> segs,
+                          OpenSealedSegments({name}));
+  return std::move(segs.front());
 }
 
 Status SegmentManager::DeleteSegment(const std::string& name) {

@@ -35,9 +35,18 @@ class SegmentManager {
   /// openMap: opens an existing segment `name`.
   StatusOr<Segment> OpenSegment(const std::string& name);
 
-  /// openMap for durable stores: opens segment `name` and requires it to
-  /// be sealed with verifying checksums (Segment::OpenSealed) — the attach
-  /// path of warm restarts, where a torn file must be refused.
+  /// openMap for durable stores: opens every segment in `names` and
+  /// requires each to be sealed with verifying checksums
+  /// (Segment::VerifySealed) — the attach path of warm restarts, where a
+  /// torn file must be refused. The files are mapped one after another
+  /// (the timing bookkeeping is single-threaded), then verified in
+  /// parallel, one segment per unit on up to one thread per core. On
+  /// failure the error is the first one in `names` order — the same error
+  /// a serial open would report, whichever thread finishes first.
+  StatusOr<std::vector<Segment>> OpenSealedSegments(
+      const std::vector<std::string>& names);
+
+  /// OpenSealedSegments for one name.
   StatusOr<Segment> OpenSealedSegment(const std::string& name);
 
   /// deleteMap: destroys segment `name` and its data.

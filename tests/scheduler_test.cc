@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,7 @@ namespace {
 using exec::BuildChains;
 using exec::kAnyNode;
 using exec::Morsel;
+using exec::ParallelFor;
 using exec::MorselChain;
 using exec::Schedule;
 using exec::SchedulerOptions;
@@ -128,6 +130,27 @@ TEST(BuildChainsTest, DeterministicForSameInputs) {
       EXPECT_EQ(a[k].morsels[m].begin, b[k].morsels[m].begin);
       EXPECT_EQ(a[k].morsels[m].end, b[k].morsels[m].end);
     }
+  }
+}
+
+TEST(ParallelForTest, RunsEveryUnitExactlyOnce) {
+  // Zero units, fewer units than workers, more units than workers, and
+  // the caller-only case: every unit runs once, no thread count leaks.
+  for (const auto& [units, workers] :
+       std::vector<std::pair<uint32_t, uint32_t>>{
+           {0, 4}, {1, 4}, {3, 8}, {64, 4}, {17, 1}, {5, 0}}) {
+    std::vector<std::atomic<uint32_t>> runs(units);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    ParallelFor(units, workers, [&](uint32_t u) {
+      runs[u].fetch_add(1);
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    for (uint32_t u = 0; u < units; ++u) {
+      EXPECT_EQ(runs[u].load(), 1u) << units << " units, unit " << u;
+    }
+    EXPECT_LE(threads.size(), std::max(1u, std::min(units, workers)));
   }
 }
 
