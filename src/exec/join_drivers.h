@@ -1,16 +1,17 @@
-// The four parallel pointer-based join drivers, written ONCE against the
+// The six parallel pointer-based join drivers, written ONCE against the
 // exec::Backend concept (see exec/backend.h) and instantiated over both the
 // deterministic costed simulator (join::JoinExecution) and the real mmap
 // runtime (exec::RealBackend).
 //
 // Since the operator-layer refactor each driver is a thin composition of
 // the reusable pass stages in exec/op/stages.h — Partition,
-// PhasedRepartition, ProbePhases, SortRuns, MergeJoinRuns,
-// BuildProbeBuckets — plus the driver's own setup charges, segment layout
-// and routing policy. The stages are an exact structural lift of the
-// historical monolithic drivers: for each driver the sequence of backend
-// operations is bit-identical to the pre-refactor code, on both backends
-// (asserted by tests/cross_backend_test.cc and tests/operators_test.cc).
+// PhasedRepartition, BucketRepartition, ProbePhases, SortRuns,
+// MergeJoinRuns, BuildProbeBuckets — plus the driver's own setup charges,
+// segment layout and routing policy. The stages are an exact structural
+// lift of the historical monolithic drivers: for each driver the sequence
+// of backend operations is bit-identical to the pre-refactor code, on both
+// backends (asserted by tests/cross_backend_test.cc, tests/operators_test.cc
+// and, for the simulator's costs, tests/sim_golden_test.cc).
 //
 // Each driver is a direct transcription of the paper's algorithm:
 //
@@ -49,7 +50,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -111,12 +111,7 @@ StatusOr<join::JoinRunResult> NestedLoops(B& ex,
 
   // ---- Pass 1: D-1 staggered probe-only phases over the RP_{i,j}. ----
   op::ProbePhases(ex, sync);
-
-  // The RP temporaries are scratch: deleteMap discards their dirty pages.
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
-    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
-  }
+  MMJOIN_RETURN_NOT_OK(op::DropRpSegments(ex));
 
   return ex.Finish();
 }
@@ -232,12 +227,7 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
         }
       },
       sync);
-
-  // RP temporaries are finished.
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
-    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
-  }
+  MMJOIN_RETURN_NOT_OK(op::DropRpSegments(ex));
   ex.MarkPass("pass1");
 
   // ---- Pass 2: sort runs of IRUN objects, merge, final merge-join. ----
@@ -599,42 +589,25 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
 // Grace (§7)
 // ---------------------------------------------------------------------------
 
+/// Setup of Grace and hybrid hash: creates RS_i with `layout`'s K
+/// contiguous bucket regions, charges openMap(R_i) + openMap(S_i) +
+/// newMap(RS_i + RP_i) + openMap(RS_i) (the re-attachment for the
+/// bucket-processing pass) serialized over D, and declares the access
+/// pattern: R scans once sequentially, S_i is probed by hash-clustered
+/// chains (probe-heavy), the RS/RP temporaries are about to be filled.
 template <Backend B>
-StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
-  using Seg = typename B::Seg;
+StatusOr<std::vector<typename B::Seg>> SetUpHashBuckets(
+    B& ex, const op::BucketLayout& layout) {
   const uint32_t d = ex.D();
   const sim::MachineConfig& mc = ex.mc();
-  const bool sync = params.phase_sync.value_or(true);
-  const uint64_t r = sizeof(rel::RObject);
-
-  MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
-
-  // |RS_i| and the exact per-bucket populations (computed from workload
-  // metadata so bucket regions can be laid out contiguously).
-  const std::vector<uint64_t> rs_objects = op::RsObjects(ex);
-  uint64_t max_rs = 0;
-  for (uint32_t i = 0; i < d; ++i) max_rs = std::max(max_rs, rs_objects[i]);
-  const join::GracePlan plan =
-      join::PlanGrace(params.m_rproc_bytes, max_rs, params);
-  const uint32_t k_buckets = plan.k_buckets;
-
-  const std::vector<std::vector<uint64_t>> bucket_count =
-      op::CountBuckets(ex, k_buckets, /*resident=*/nullptr);
-
-  // RS_i with K contiguous bucket regions.
-  op::BucketLayout layout;
-  layout.Init(bucket_count);
-  std::vector<Seg> rs_segs(d);
+  std::vector<typename B::Seg> rs_segs(d);
   for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t total = layout.Total(i);
-    assert(total == rs_objects[i]);
     MMJOIN_ASSIGN_OR_RETURN(
-        rs_segs[i], ex.CreateSegment("RS" + std::to_string(i), i,
-                                     std::max<uint64_t>(total, 1) * r));
+        rs_segs[i],
+        ex.CreateSegment("RS" + std::to_string(i), i,
+                         std::max<uint64_t>(layout.Total(i), 1) *
+                             sizeof(rel::RObject)));
   }
-
-  // Setup: openMap(R_i) + openMap(S_i) + newMap(RS_i + RP_i) + openMap(RS_i)
-  // (the re-attachment for the bucket-processing pass), serialized over D.
   for (uint32_t i = 0; i < d; ++i) {
     const uint64_t rs_pages = ex.SegPages(rs_segs[i]);
     const double per_proc = mc.OpenMapMs(ex.SegPages(ex.r_seg(i))) +
@@ -643,8 +616,6 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
                             mc.OpenMapMs(rs_pages);
     ex.ChargeSetupAll(per_proc / d);
   }
-  // R scans once sequentially; S_i is probed by hash-clustered chains
-  // (probe-heavy); the RS/RP temporaries are about to be filled.
   for (uint32_t i = 0; i < d; ++i) {
     ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
     ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kRandom);
@@ -652,92 +623,37 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
   ex.MarkPass("setup");
+  return rs_segs;
+}
 
-  auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,
-                               const rel::RObject* run, uint64_t n) {
-    op::AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, n),
-                  run, n);
-  };
+template <Backend B>
+StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
+  const uint32_t d = ex.D();
+  const bool sync = params.phase_sync.value_or(true);
 
-  // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
-  // The scatter keyspace is D partition destinations (→ RP_{i,dest})
-  // followed by K own-bucket destinations (→ RS_i bucket dest - D). The
-  // density hint stays (end - begin) / d — the D - 1 foreign partition
-  // destinations carry (D - 1)/D of the morsel; the own tuples spread over
-  // K buckets are a 1/D sliver either way.
-  op::Partition(
-      ex, /*extra_dests=*/k_buckets,
-      [&](uint32_t i) {
-        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          if (dest < d) {
-            ex.AppendRpRun(i, dest, run, n);
-          } else {
-            bucket_append_run(i, i, dest - d, run, n);
-          }
-        };
-      },
-      [&](uint32_t i, uint64_t, uint64_t) {
-        return [&ex, &mc, i, d,
-                bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
-                   const rel::RObject& obj, rel::SPtr sp) {
-          ex.ChargeCpu(i, mc.hash_ms);
-          ex.ScatterTo(i, d + bmap.Of(sp.index), obj);
-        };
-      },
-      sync);
+  MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
+  op::BucketedRs rs = op::PlanBucketedRs(ex, params, /*resident=*/nullptr);
+  const uint32_t k_buckets = rs.plan.k_buckets;
+  MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
+                          SetUpHashBuckets(ex, rs.layout));
 
-  // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j's buckets. ----
-  // Every object in RP_{i,j} targets partition j, so the scatter keyspace
-  // is just the K buckets of RS_j.
-  op::PhasedRepartition(
-      ex, rs_segs,
-      [&](uint32_t i, uint32_t j, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, k_buckets, (end - begin) / k_buckets,
-                        [&, i, j](uint32_t dest, const rel::RObject* run,
-                                  uint64_t n) {
-                          bucket_append_run(i, j, dest, run, n);
-                        });
-      },
-      [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
-          uint64_t end) {
-        const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
-        auto hash_to_bucket = [&](const rel::RObject& obj) {
-          const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-          ex.ChargeCpu(i, mc.hash_ms);
-          ex.ScatterTo(i, bmap.Of(sp.index), obj);
-        };
-        if (ex.BatchedProbe()) {
-          for (uint64_t k = begin; k < end; ++k) {
-            hash_to_bucket(*op::ReadRPtr(ex, i, ex.rp_seg(i), base + k * r));
-          }
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject obj =
-                op::ReadR(ex, i, ex.rp_seg(i), base + k * r);
-            hash_to_bucket(obj);
-          }
-        }
-      },
-      sync);
-
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
-    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
-  }
-  ex.MarkPass("pass1");
+  // ---- Passes 0/1: hash R into RS_i's K monotone buckets. ----
+  MMJOIN_RETURN_NOT_OK(op::BucketRepartition(ex, rs_segs, rs.layout,
+                                             k_buckets, /*resident=*/nullptr,
+                                             sync));
 
   // ---- Passes 1+j: per bucket, build the TSIZE-chain table and join. ----
   std::vector<Status> partition_status(d);
-  ex.ForEachPartition(rs_objects, [&](uint32_t i) {
+  ex.ForEachPartition(rs.objects, [&](uint32_t i) {
     // The chain table serves the scalar path only: chains give the
     // one-at-a-time probe loop (and the paper's Sproc) bucket-local S
     // locality. The batched path probes the RS band in place — the
     // pipeline's look-ahead subsumes the grouping, so the table build
     // (one hash + one push per tuple) disappears from the real run.
     std::vector<std::vector<SRef>> table(
-        ex.BatchedProbe() ? 0 : plan.tsize);
-    op::BuildProbeBuckets(ex, i, rs_segs[i], layout, k_buckets, plan.tsize,
-                          table, /*skip_empty=*/false, /*bucket_spans=*/true);
+        ex.BatchedProbe() ? 0 : rs.plan.tsize);
+    op::BuildProbeBuckets(ex, i, rs_segs[i], rs.layout, k_buckets,
+                          rs.plan.tsize, table);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);
     partition_status[i] = ex.DeleteSegment(rs_segs[i]);
   });
@@ -746,7 +662,7 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
 
   join::JoinRunResult result = ex.Finish();
   result.k_buckets = k_buckets;
-  result.tsize = plan.tsize;
+  result.tsize = rs.plan.tsize;
   return result;
 }
 
@@ -757,55 +673,18 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
 template <Backend B>
 StatusOr<join::JoinRunResult> HybridHash(B& ex,
                                          const join::JoinParams& params) {
-  using Seg = typename B::Seg;
   const uint32_t d = ex.D();
-  const sim::MachineConfig& mc = ex.mc();
   const bool sync = params.phase_sync.value_or(true);
-  const uint64_t r = sizeof(rel::RObject);
 
   MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
-
-  const std::vector<uint64_t> rs_objects = op::RsObjects(ex);
-  uint64_t max_rs = 0;
-  for (uint32_t i = 0; i < d; ++i) max_rs = std::max(max_rs, rs_objects[i]);
-  const join::GracePlan plan =
-      join::PlanGrace(params.m_rproc_bytes, max_rs, params);
-  const uint32_t k_buckets = plan.k_buckets;
-
   // Spill-bucket populations. Bucket 0 of RS_i receives only the *remote*
   // contributions (R_{j,i}, j != i); the owner's bucket-0 objects stay in
   // memory. Buckets >= 1 receive everything, as in Grace.
   std::vector<uint64_t> resident_count;
-  const std::vector<std::vector<uint64_t>> bucket_count =
-      op::CountBuckets(ex, k_buckets, &resident_count);
-
-  op::BucketLayout layout;
-  layout.Init(bucket_count);
-  std::vector<Seg> rs_segs(d);
-  for (uint32_t i = 0; i < d; ++i) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        rs_segs[i], ex.CreateSegment("RS" + std::to_string(i), i,
-                                     std::max<uint64_t>(layout.Total(i), 1) *
-                                         r));
-  }
-
-  // Setup charges mirror Grace.
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t rs_pages = ex.SegPages(rs_segs[i]);
-    const double per_proc = mc.OpenMapMs(ex.SegPages(ex.r_seg(i))) +
-                            mc.OpenMapMs(ex.SegPages(ex.s_seg(i))) +
-                            mc.NewMapMs(rs_pages + ex.RpPages(i)) +
-                            mc.OpenMapMs(rs_pages);
-    ex.ChargeSetupAll(per_proc / d);
-  }
-  // Paging intents mirror Grace, too.
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
-    ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kRandom);
-    ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
-    ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
-  }
-  ex.MarkPass("setup");
+  op::BucketedRs rs = op::PlanBucketedRs(ex, params, &resident_count);
+  const uint32_t k_buckets = rs.plan.k_buckets;
+  MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
+                          SetUpHashBuckets(ex, rs.layout));
 
   // The resident tables: per process, (r_id, sptr) entries of its own
   // bucket-0 objects. Table memory is part of M_Rproc (the Grace K rule
@@ -814,116 +693,31 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
   std::vector<std::vector<SRef>> resident(d);
   for (uint32_t i = 0; i < d; ++i) resident[i].reserve(resident_count[i]);
 
-  auto spill_run = [&](uint32_t writer, uint32_t target, uint32_t b,
-                       const rel::RObject* run, uint64_t n) {
-    op::AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, n),
-                  run, n);
-  };
-
-  // ---- Pass 0: partition R_i; own bucket-0 objects stay in memory. ----
-  // The scatter keyspace is D partition destinations (→ RP_{i,dest})
-  // followed by K own-bucket destinations (→ RS_i spill bucket dest - D);
-  // resident bucket-0 entries bypass the scatter path into the in-memory
-  // table.
-  op::Partition(
-      ex, /*extra_dests=*/k_buckets,
-      [&](uint32_t i) {
-        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          if (dest < d) {
-            ex.AppendRpRun(i, dest, run, n);
-          } else {
-            spill_run(i, i, dest - d, run, n);
-          }
-        };
-      },
-      [&](uint32_t i, uint64_t, uint64_t) {
-        return [&ex, &mc, &resident, i, d, r,
-                bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
-                   const rel::RObject& obj, rel::SPtr sp) {
-          if (!ex.BatchedProbe()) ex.ChargeCpu(i, mc.hash_ms);
-          const uint32_t b = bmap.Of(sp.index);
-          if (b == 0) {
-            // Resident: one private move into the table, no disk traffic.
-            resident[i].push_back(SRef{obj.id, obj.sptr});
-            if (!ex.BatchedProbe()) {
-              ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
-            }
-          } else {
-            ex.ScatterTo(i, d + b, obj);
-          }
-        };
-      },
-      sync);
-
-  // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j (all spill). ----
-  // Every object in RP_{i,j} targets partition j, so the scatter keyspace
-  // is just the K buckets of RS_j.
-  op::PhasedRepartition(
-      ex, rs_segs,
-      [&](uint32_t i, uint32_t j, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, k_buckets, (end - begin) / k_buckets,
-                        [&, i, j](uint32_t dest, const rel::RObject* run,
-                                  uint64_t n) {
-                          spill_run(i, j, dest, run, n);
-                        });
-      },
-      [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
-          uint64_t end) {
-        // Every object in RP_{i,j} points into S_j, so the bucket divisor
-        // |S_j| is morsel-constant.
-        const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
-        if (ex.BatchedProbe()) {
-          for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject* obj =
-                op::ReadRPtr(ex, i, ex.rp_seg(i), base + k * r);
-            const rel::SPtr sp = rel::SPtr::Unpack(obj->sptr);
-            ex.ScatterTo(i, bmap.Of(sp.index), *obj);
-          }
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject obj =
-                op::ReadR(ex, i, ex.rp_seg(i), base + k * r);
-            ex.ChargeCpu(i, mc.hash_ms);
-            const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-            ex.ScatterTo(i, bmap.Of(sp.index), obj);
-          }
-        }
-      },
-      sync);
-
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
-    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
-  }
-  ex.MarkPass("pass1");
+  // ---- Passes 0/1: as Grace, but own bucket-0 objects stay in memory. ----
+  MMJOIN_RETURN_NOT_OK(op::BucketRepartition(ex, rs_segs, rs.layout,
+                                             k_buckets, &resident, sync));
 
   // ---- Join: resident table first, then the spilled buckets. ----
   std::vector<Status> partition_status(d);
-  ex.ForEachPartition(rs_objects, [&](uint32_t i) {
+  ex.ForEachPartition(rs.objects, [&](uint32_t i) {
     // Resident bucket 0: already in memory, join directly (S_i bucket-0
     // range is read here, sequentially by chain order). As in Grace, the
-    // chain table serves the scalar path only — the batched path probes
-    // the resident entries / the RS band in place, the pipeline's
-    // look-ahead subsuming the grouping the chains provide.
+    // chain table serves the scalar path only.
     std::vector<std::vector<SRef>> table(
-        ex.BatchedProbe() ? 0 : plan.tsize);
+        ex.BatchedProbe() ? 0 : rs.plan.tsize);
     if (ex.BatchedProbe()) {
       // The resident entries are already one contiguous SRef array.
       ex.RequestSBatch(i, resident[i].data(), resident[i].size());
-      ex.FlushSRequests(i);
     } else {
       for (const SRef& e : resident[i]) {
-        table[rel::SPtr::Unpack(e.sptr).index % plan.tsize].push_back(e);
+        table[rel::SPtr::Unpack(e.sptr).index % rs.plan.tsize].push_back(e);
       }
       op::ProbeChainTable(ex, i, table);
-      ex.FlushSRequests(i);
     }
+    ex.FlushSRequests(i);
 
-    // Spilled buckets, Grace-style (with the same streaming band hints),
-    // except empty spill buckets are skipped and no per-bucket spans are
-    // emitted — the hybrid join loop's historical shape.
-    op::BuildProbeBuckets(ex, i, rs_segs[i], layout, k_buckets, plan.tsize,
-                          table, /*skip_empty=*/true, /*bucket_spans=*/false);
+    op::BuildProbeBuckets(ex, i, rs_segs[i], rs.layout, k_buckets,
+                          rs.plan.tsize, table);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);
     partition_status[i] = ex.DeleteSegment(rs_segs[i]);
   });
@@ -932,7 +726,7 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
 
   join::JoinRunResult result = ex.Finish();
   result.k_buckets = k_buckets;
-  result.tsize = plan.tsize;
+  result.tsize = rs.plan.tsize;
   return result;
 }
 
@@ -954,17 +748,10 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   // Passes 0/1 are Grace's: repartition R into RS_i's monotone buckets so
   // the per-bucket sorts concatenate into one globally sorted leaf array
   // (the bulk leaf build stays within the same M_Rproc bucket budget).
-  const std::vector<uint64_t> rs_objects = op::RsObjects(ex);
-  uint64_t max_rs = 0;
-  for (uint32_t i = 0; i < d; ++i) max_rs = std::max(max_rs, rs_objects[i]);
-  const join::GracePlan plan =
-      join::PlanGrace(params.m_rproc_bytes, max_rs, params);
-  const uint32_t k_buckets = plan.k_buckets;
-
-  const std::vector<std::vector<uint64_t>> bucket_count =
-      op::CountBuckets(ex, k_buckets, /*resident=*/nullptr);
-  op::BucketLayout layout;
-  layout.Init(bucket_count);
+  op::BucketedRs rs = op::PlanBucketedRs(ex, params, /*resident=*/nullptr);
+  const std::vector<uint64_t>& rs_objects = rs.objects;
+  const op::BucketLayout& layout = rs.layout;
+  const uint32_t k_buckets = rs.plan.k_buckets;
 
   std::vector<Seg> rs_segs(d);
   std::vector<Seg> ix_segs(d);
@@ -1002,71 +789,9 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   }
   ex.MarkPass("setup");
 
-  auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,
-                               const rel::RObject* run, uint64_t n) {
-    op::AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, n),
-                  run, n);
-  };
-
-  // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
-  op::Partition(
-      ex, /*extra_dests=*/k_buckets,
-      [&](uint32_t i) {
-        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          if (dest < d) {
-            ex.AppendRpRun(i, dest, run, n);
-          } else {
-            bucket_append_run(i, i, dest - d, run, n);
-          }
-        };
-      },
-      [&](uint32_t i, uint64_t, uint64_t) {
-        return [&ex, &mc, i, d,
-                bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
-                   const rel::RObject& obj, rel::SPtr sp) {
-          ex.ChargeCpu(i, mc.hash_ms);
-          ex.ScatterTo(i, d + bmap.Of(sp.index), obj);
-        };
-      },
-      sync);
-
-  // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j's buckets. ----
-  op::PhasedRepartition(
-      ex, rs_segs,
-      [&](uint32_t i, uint32_t j, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, k_buckets, (end - begin) / k_buckets,
-                        [&, i, j](uint32_t dest, const rel::RObject* run,
-                                  uint64_t n) {
-                          bucket_append_run(i, j, dest, run, n);
-                        });
-      },
-      [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
-          uint64_t end) {
-        const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
-        auto hash_to_bucket = [&](const rel::RObject& obj) {
-          const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-          ex.ChargeCpu(i, mc.hash_ms);
-          ex.ScatterTo(i, bmap.Of(sp.index), obj);
-        };
-        if (ex.BatchedProbe()) {
-          for (uint64_t k = begin; k < end; ++k) {
-            hash_to_bucket(*op::ReadRPtr(ex, i, ex.rp_seg(i), base + k * r));
-          }
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject obj =
-                op::ReadR(ex, i, ex.rp_seg(i), base + k * r);
-            hash_to_bucket(obj);
-          }
-        }
-      },
-      sync);
-
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
-    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
-  }
-  ex.MarkPass("pass1");
+  MMJOIN_RETURN_NOT_OK(op::BucketRepartition(ex, rs_segs, rs.layout,
+                                             k_buckets, /*resident=*/nullptr,
+                                             sync));
 
   // ---- Index build: pack RS_i's buckets into the sorted leaf array, ----
   // then derive the key levels. Per-bucket sorts keyed by (sptr, r_id) —

@@ -1,4 +1,4 @@
-// Reusable pass stages of the four join drivers, lifted out of
+// Reusable pass stages of the six join drivers, lifted out of
 // exec/join_drivers.h so the drivers become thin compositions and new
 // plan shapes (exec/op/operators.h) can reuse the same machinery.
 //
@@ -13,10 +13,12 @@
 // identity tests (tests/cross_backend_test.cc, tests/operators_test.cc)
 // assert exactly that.
 //
-// Stage vocabulary (ISSUE/ROADMAP item 3):
+// Stage vocabulary:
 //   Partition        pass-0 scan of R_i: stage own-partition objects,
 //                    scatter foreign ones to RP_{i,dest}
 //   PhasedRepartition D-1 staggered phases moving RP_{i,j} into RS_j
+//   BucketRepartition passes 0/1 of Grace, hybrid hash and index-NL: hash
+//                    R into RS_i's K monotone buckets, retire RP
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
 //   ProbeStage       own-partition S-fetch staging (scalar or batched)
 //   SortRuns         sort IRUN-object runs of RS_i in place by S-pointer
@@ -108,7 +110,7 @@ const rel::RObject* ReadRPtr(B& ex, uint32_t i, typename B::Seg seg,
 /// prefetch pipeline's fill/drain is amortized, small enough to stay in L2.
 inline constexpr uint64_t kProbeScratch = 8192;
 
-/// The shared pass-0 scan body of all four drivers: reads R_i tuples
+/// The shared pass-0 scan body of every driver but MPSM: reads R_i tuples
 /// [begin, end) — in place on the batched path, by copy (plus the map_ms
 /// charge) on the scalar path — routes each own-partition object to
 /// `own(obj, sp)` and scatters every foreign one to destination
@@ -175,7 +177,6 @@ class BucketLayout {
     const size_t k = d ? counts[0].size() : 0;
     offset_.assign(d, std::vector<uint64_t>(k + 1, 0));
     cursor_.assign(d, std::vector<uint64_t>(k, 0));
-    counts_ = &counts;
     for (size_t i = 0; i < d; ++i) {
       uint64_t total = 0;
       for (size_t b = 0; b < k; ++b) {
@@ -189,7 +190,9 @@ class BucketLayout {
   /// Byte offset of bucket b within RS_i.
   uint64_t Offset(uint32_t i, uint32_t b) const { return offset_[i][b]; }
   /// Objects bound for bucket b of RS_i.
-  uint64_t Count(uint32_t i, uint32_t b) const { return (*counts_)[i][b]; }
+  uint64_t Count(uint32_t i, uint32_t b) const {
+    return (offset_[i][b + 1] - offset_[i][b]) / sizeof(rel::RObject);
+  }
   /// Total objects across RS_i's buckets.
   uint64_t Total(uint32_t i) const {
     const size_t k = offset_[i].size() - 1;
@@ -200,17 +203,16 @@ class BucketLayout {
   uint64_t Claim(uint32_t i, uint32_t b, uint64_t n) {
     const uint64_t slot = cursor_[i][b];
     cursor_[i][b] += n;
-    assert(slot + n <= (*counts_)[i][b]);
+    assert(slot + n <= Count(i, b));
     return offset_[i][b] + slot * sizeof(rel::RObject);
   }
 
  private:
   std::vector<std::vector<uint64_t>> offset_;  // [i][b] bytes, [i][k] end
   std::vector<std::vector<uint64_t>> cursor_;  // [i][b] objects claimed
-  const std::vector<std::vector<uint64_t>>* counts_ = nullptr;
 };
 
-/// Exact per-bucket populations of the Grace/hybrid RS layout, counted
+/// Exact per-bucket populations of the bucketed RS layout, counted
 /// from the raw R partitions (metadata precomputation, not charged — the
 /// counts depend only on the workload and the bucket function). With
 /// `resident` non-null (hybrid hash), own-partition bucket-0 objects are
@@ -237,6 +239,30 @@ std::vector<std::vector<uint64_t>> CountBuckets(
     }
   }
   return bucket_count;
+}
+
+/// RS_i of Grace, hybrid hash and index-NL: |RS_i|, the K/TSIZE plan sized
+/// off the largest RS_i, and the bucket layout (`resident` as CountBuckets).
+struct BucketedRs {
+  std::vector<uint64_t> objects;  // |RS_i|
+  join::GracePlan plan;
+  BucketLayout layout;
+};
+
+template <Backend B>
+BucketedRs PlanBucketedRs(const B& ex, const join::JoinParams& params,
+                          std::vector<uint64_t>* resident) {
+  BucketedRs rs;
+  rs.objects = RsObjects(ex);
+  const uint64_t max_rs =
+      *std::max_element(rs.objects.begin(), rs.objects.end());
+  rs.plan = join::PlanGrace(params.m_rproc_bytes, max_rs, params);
+  rs.layout.Init(CountBuckets(ex, rs.plan.k_buckets, resident));
+  for (uint32_t i = 0; i < ex.D(); ++i) {
+    assert(rs.layout.Total(i) + (resident ? (*resident)[i] : 0) ==
+           rs.objects[i]);
+  }
+  return rs;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +334,7 @@ void Partition(B& ex, uint32_t extra_dests, SinkFactory&& make_sink,
 }
 
 // ---------------------------------------------------------------------------
-// PhasedRepartition (pass 1 of sort-merge / Grace / hybrid hash)
+// PhasedRepartition (pass 1 of sort-merge / Grace / hybrid hash / index-NL)
 // ---------------------------------------------------------------------------
 
 /// D-1 staggered phases moving each RP_{i,j} into RS_j (j = the phase-t
@@ -347,6 +373,108 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
         /*independent=*/false);
     if (sync) ex.SyncClocks();
   }
+}
+
+/// Retires the RP temporaries: they are scratch, so deleteMap discards
+/// their dirty pages.
+template <Backend B>
+Status DropRpSegments(B& ex) {
+  for (uint32_t i = 0; i < ex.D(); ++i) {
+    ex.DropSegment(i, ex.rp_seg(i), /*discard=*/true);
+    MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ex.rp_seg(i)));
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// BucketRepartition (passes 0 and 1 of Grace / hybrid hash / index-NL)
+// ---------------------------------------------------------------------------
+
+/// Hashes all of R into RS_i's K monotone buckets (laid out by `layout`),
+/// retires RP and marks "pass1". Pass 0's scatter keyspace is D partition
+/// destinations (-> RP_{i,dest}) then K buckets (-> RS_i bucket dest - D);
+/// its density hint stays (end - begin) / D, as the own tuples are a 1/D
+/// sliver either way. Pass 1's phases hash RP_{i,j} into RS_j's K buckets.
+/// With `resident` non-null (hybrid hash), own bucket-0 objects go to
+/// resident[i] instead, one private move each; `layout` must then come
+/// from CountBuckets with the same diversion.
+template <Backend B>
+Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
+                         BucketLayout& layout, uint32_t k_buckets,
+                         std::vector<std::vector<SRef>>* resident, bool sync) {
+  const uint32_t d = ex.D();
+  const sim::MachineConfig& mc = ex.mc();
+  const uint64_t r = sizeof(rel::RObject);
+  auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,
+                               const rel::RObject* run, uint64_t n) {
+    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, n), run,
+              n);
+  };
+
+  // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
+  Partition(
+      ex, /*extra_dests=*/k_buckets,
+      [&](uint32_t i) {
+        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
+          if (dest < d) {
+            ex.AppendRpRun(i, dest, run, n);
+          } else {
+            bucket_append_run(i, i, dest - d, run, n);
+          }
+        };
+      },
+      [&](uint32_t i, uint64_t, uint64_t) {
+        return [&ex, &mc, resident, i, d, r,
+                bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
+                   const rel::RObject& obj, rel::SPtr sp) {
+          ex.ChargeCpu(i, mc.hash_ms);
+          const uint32_t b = bmap.Of(sp.index);
+          if (resident != nullptr && b == 0) {
+            (*resident)[i].push_back(SRef{obj.id, obj.sptr});
+            ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
+          } else {
+            ex.ScatterTo(i, d + b, obj);
+          }
+        };
+      },
+      sync);
+
+  // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j's buckets. ----
+  PhasedRepartition(
+      ex, rs_segs,
+      [&](uint32_t i, uint32_t j, uint64_t begin, uint64_t end) {
+        ex.BeginScatter(i, k_buckets, (end - begin) / k_buckets,
+                        [&, i, j](uint32_t dest, const rel::RObject* run,
+                                  uint64_t n) {
+                          bucket_append_run(i, j, dest, run, n);
+                        });
+      },
+      [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
+          uint64_t end) {
+        // Every object in RP_{i,j} points into S_j, so the bucket divisor
+        // |S_j| is morsel-constant.
+        const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
+        const typename B::Seg rp_seg = ex.rp_seg(i);
+        if (ex.BatchedProbe()) {
+          for (uint64_t k = begin; k < end; ++k) {
+            const rel::RObject* obj = ReadRPtr(ex, i, rp_seg, base + k * r);
+            const rel::SPtr sp = rel::SPtr::Unpack(obj->sptr);
+            ex.ScatterTo(i, bmap.Of(sp.index), *obj);
+          }
+        } else {
+          for (uint64_t k = begin; k < end; ++k) {
+            const rel::RObject obj = ReadR(ex, i, rp_seg, base + k * r);
+            ex.ChargeCpu(i, mc.hash_ms);
+            const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
+            ex.ScatterTo(i, bmap.Of(sp.index), obj);
+          }
+        }
+      },
+      sync);
+
+  MMJOIN_RETURN_NOT_OK(DropRpSegments(ex));
+  ex.MarkPass("pass1");
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -613,21 +741,17 @@ void ProbeChainTable(B& ex, uint32_t i,
 /// arena-owned temporary whose pages the real backend keeps. The chain
 /// table serves the scalar path only — the batched path probes the
 /// RS band in place, the prefetch pipeline's look-ahead subsuming the
-/// grouping the chains provide. `skip_empty` and
-/// `bucket_spans` preserve the drivers' historical differences: hybrid
-/// hash skips empty spill buckets and emits no per-bucket spans; Grace
-/// does the opposite.
+/// grouping the chains provide. Empty buckets are skipped.
 template <Backend B>
 void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
                        const BucketLayout& layout, uint32_t k_buckets,
-                       uint64_t tsize, std::vector<std::vector<SRef>>& table,
-                       bool skip_empty, bool bucket_spans) {
+                       uint64_t tsize, std::vector<std::vector<SRef>>& table) {
   const uint64_t r = sizeof(rel::RObject);
   for (uint32_t b = 0; b < k_buckets; ++b) {
-    if (skip_empty && layout.Count(i, b) == 0) continue;
+    const uint64_t count = layout.Count(i, b);
+    if (count == 0) continue;
     for (auto& chain : table) chain.clear();
     const uint64_t base = layout.Offset(i, b);
-    const uint64_t count = layout.Count(i, b);
     const double bucket_start_ms = ex.clock_ms(i);
     if (b + 1 < k_buckets) {
       ex.AdviseRange(i, rs_seg, layout.Offset(i, b + 1),
@@ -643,7 +767,7 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
       ProbeChainTable(ex, i, table);
     }
     ex.FlushSRequests(i);
-    if (bucket_spans && ex.tracing()) {
+    if (ex.tracing()) {
       ex.Span(i, "bucket " + std::to_string(b), "bucket", bucket_start_ms,
               {obs::Arg("objects", count)});
     }

@@ -105,17 +105,11 @@ std::vector<Case> AllCases() {
       }
     }
   }
-  // Asymmetric relation sizes.
-  cases.push_back(
-      Case{Algorithm::kNestedLoops, 5000, 1000, 4, 0.0, 1ull << 20});
-  cases.push_back(
-      Case{Algorithm::kSortMerge, 5000, 1000, 4, 0.0, 1ull << 20});
-  cases.push_back(Case{Algorithm::kGrace, 5000, 1000, 4, 0.0, 1ull << 20});
-  cases.push_back(
-      Case{Algorithm::kNestedLoops, 1000, 5000, 2, 0.0, 256ull << 10});
-  cases.push_back(
-      Case{Algorithm::kSortMerge, 1000, 5000, 2, 0.0, 256ull << 10});
-  cases.push_back(Case{Algorithm::kGrace, 1000, 5000, 2, 0.0, 256ull << 10});
+  // Asymmetric relation sizes (the bucket map divides by |S_j|).
+  for (Algorithm a : algorithms) {
+    cases.push_back(Case{a, 5000, 1000, 4, 0.0, 1ull << 20});
+    cases.push_back(Case{a, 1000, 5000, 2, 0.0, 256ull << 10});
+  }
   return cases;
 }
 

@@ -16,8 +16,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exec/op/stages.h"
 #include "join/grace.h"
 #include "join/hybrid_hash.h"
 #include "join/index_nl.h"
@@ -124,6 +126,64 @@ TEST(PlanSpecTest, GroupsChecksumIsOrderAndContentSensitive) {
   EXPECT_EQ(GroupsChecksum({}), 0u);
   EXPECT_NE(GroupsChecksum(a), GroupsChecksum(mutated));
   EXPECT_EQ(GroupsChecksum(a), GroupsChecksum(a));
+}
+
+// ---------------------------------------------------------------------------
+// BucketLayout: contiguous bucket regions and one-writer bump cursors
+// ---------------------------------------------------------------------------
+
+using exec::op::BucketLayout;
+constexpr uint64_t kObj = sizeof(rel::RObject);
+
+TEST(BucketLayoutTest, OneBucketIsTheFlatLayout) {
+  BucketLayout layout;
+  layout.Init({{5}, {0}, {3}});
+  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(layout.Offset(i, 0), 0u);
+  EXPECT_EQ(layout.Count(0, 0), 5u);
+  EXPECT_EQ(layout.Count(1, 0), 0u);
+  EXPECT_EQ(layout.Count(2, 0), 3u);
+  EXPECT_EQ(layout.Total(0), 5u);
+  EXPECT_EQ(layout.Total(1), 0u);
+  EXPECT_EQ(layout.Total(2), 3u);
+}
+
+TEST(BucketLayoutTest, EmptyBucketsTakeNoSpace) {
+  BucketLayout layout;
+  layout.Init({{0, 4, 0, 2}});
+  EXPECT_EQ(layout.Offset(0, 0), 0u);
+  EXPECT_EQ(layout.Offset(0, 1), 0u);
+  EXPECT_EQ(layout.Offset(0, 2), 4 * kObj);
+  EXPECT_EQ(layout.Offset(0, 3), 4 * kObj);
+  EXPECT_EQ(layout.Count(0, 0), 0u);
+  EXPECT_EQ(layout.Count(0, 1), 4u);
+  EXPECT_EQ(layout.Count(0, 2), 0u);
+  EXPECT_EQ(layout.Count(0, 3), 2u);
+  EXPECT_EQ(layout.Total(0), 6u);
+}
+
+TEST(BucketLayoutTest, ClaimsBumpEachBucketsCursorIndependently) {
+  BucketLayout layout;
+  layout.Init({{3, 2}, {1, 1}});
+  EXPECT_EQ(layout.Claim(0, 1, 1), 3 * kObj);
+  EXPECT_EQ(layout.Claim(0, 0, 2), 0u);
+  EXPECT_EQ(layout.Claim(1, 1, 1), 1 * kObj);
+  EXPECT_EQ(layout.Claim(0, 1, 1), 4 * kObj);
+  EXPECT_EQ(layout.Claim(0, 0, 1), 2 * kObj);
+  EXPECT_EQ(layout.Claim(1, 0, 1), 0u);
+}
+
+TEST(BucketLayoutTest, OutlivesItsCountsVector) {
+  BucketLayout layout;
+  {
+    const std::vector<std::vector<uint64_t>> counts{{7, 0, 9}};
+    layout.Init(counts);
+  }  // the counts are gone; the layout must not refer to them
+  const BucketLayout moved = std::move(layout);
+  EXPECT_EQ(moved.Count(0, 0), 7u);
+  EXPECT_EQ(moved.Count(0, 1), 0u);
+  EXPECT_EQ(moved.Count(0, 2), 9u);
+  EXPECT_EQ(moved.Offset(0, 2), 7 * kObj);
+  EXPECT_EQ(moved.Total(0), 16u);
 }
 
 // ---------------------------------------------------------------------------
