@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "join/drivers.h"
 #include "join/grace.h"
 #include "join/hybrid_hash.h"
 #include "join/index_nl.h"
@@ -36,26 +37,6 @@ inline obs::MetricsRegistry& Metrics() {
 /// Accumulates one join run into Metrics().
 inline void RecordRun(const join::JoinRunResult& result) {
   result.ExportMetrics(&Metrics());
-}
-
-inline StatusOr<join::JoinRunResult> RunAlgorithm(
-    join::Algorithm a, sim::SimEnv* env, const rel::Workload& w,
-    const join::JoinParams& p) {
-  switch (a) {
-    case join::Algorithm::kNestedLoops:
-      return join::RunNestedLoops(env, w, p);
-    case join::Algorithm::kSortMerge:
-      return join::RunSortMerge(env, w, p);
-    case join::Algorithm::kGrace:
-      return join::RunGrace(env, w, p);
-    case join::Algorithm::kHybridHash:
-      return join::RunHybridHash(env, w, p);
-    case join::Algorithm::kIndexNestedLoops:
-      return join::RunIndexNestedLoops(env, w, p);
-    case join::Algorithm::kMpsm:
-      return join::RunMpsm(env, w, p);
-  }
-  return Status::InvalidArgument("bad algorithm");
 }
 
 /// One point of a model-vs-experiment sweep.
@@ -134,7 +115,7 @@ inline std::vector<SweepPoint> RunSweep(const SweepConfig& cfg) {
     params.m_rproc_bytes = mem;
     params.m_sproc_bytes = mem;
 
-    auto result = RunAlgorithm(cfg.algorithm, &env, *workload, params);
+    auto result = join::RunJoin(cfg.algorithm, &env, *workload, params);
     if (!result.ok()) {
       std::fprintf(stderr, "join: %s\n", result.status().ToString().c_str());
       continue;
@@ -170,7 +151,7 @@ inline void PrintPassBreakdown(const SweepConfig& cfg, double frac) {
       frac * static_cast<double>(cfg.relation.r_objects) *
       sizeof(rel::RObject));
   params.m_sproc_bytes = params.m_rproc_bytes;
-  auto result = RunAlgorithm(cfg.algorithm, &env, *workload, params);
+  auto result = join::RunJoin(cfg.algorithm, &env, *workload, params);
   if (!result.ok()) return;
   std::printf("\n# per-pass breakdown at x = %.3f (seconds, faults)\n",
               frac);

@@ -27,12 +27,11 @@ int main() {
 
     double times[3];
     int idx = 0;
-    for (auto a : {join::Algorithm::kNestedLoops,
-                   join::Algorithm::kSortMerge, join::Algorithm::kGrace}) {
+    for (auto a : join::kPaperDrivers) {
       sim::SimEnv env(mc);
       auto w = rel::BuildWorkload(&env, rc);
       if (!w.ok()) return 1;
-      auto r = bench::RunAlgorithm(a, &env, *w, params);
+      auto r = join::RunJoin(a, &env, *w, params);
       if (!r.ok() || !r->verified) {
         std::fprintf(stderr, "run failed/unverified\n");
         return 1;

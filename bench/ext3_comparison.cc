@@ -22,12 +22,11 @@ int main() {
 
     double times[3];
     int idx = 0;
-    for (auto a : {join::Algorithm::kNestedLoops,
-                   join::Algorithm::kSortMerge, join::Algorithm::kGrace}) {
+    for (auto a : join::kPaperDrivers) {
       sim::SimEnv env(mc);
       auto w = rel::BuildWorkload(&env, rc);
       if (!w.ok()) return 1;
-      auto r = bench::RunAlgorithm(a, &env, *w, params);
+      auto r = join::RunJoin(a, &env, *w, params);
       if (!r.ok() || !r->verified) {
         std::fprintf(stderr, "run failed/unverified at x=%.2f\n", x);
         return 1;
@@ -35,13 +34,12 @@ int main() {
       bench::RecordRun(*r);
       times[idx++] = r->elapsed_ms / 1000.0;
     }
-    const char* names[] = {"nested-loops", "sort-merge", "grace"};
     int best = 0;
     for (int i = 1; i < 3; ++i) {
       if (times[i] < times[best]) best = i;
     }
     std::printf("%.2f\t%.2f\t%.2f\t%.2f\t%s\n", x, times[0], times[1],
-                times[2], names[best]);
+                times[2], join::AlgorithmName(join::kPaperDrivers[best]));
   }
   bench::WriteMetricsJson("ext3_comparison");
   return 0;

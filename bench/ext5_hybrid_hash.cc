@@ -28,7 +28,7 @@ int main() {
       sim::SimEnv env(mc);
       auto w = rel::BuildWorkload(&env, rc);
       if (!w.ok()) return 1;
-      auto r = bench::RunAlgorithm(a, &env, *w, params);
+      auto r = join::RunJoin(a, &env, *w, params);
       if (!r.ok() || !r->verified) {
         std::fprintf(stderr, "run failed at x=%.2f\n", x);
         return 1;

@@ -71,26 +71,10 @@ constexpr char kUsage[] =
     "Env knobs: MMJOIN_PLANNER_REPS, MMJOIN_PLANNER_ASSERT,\n"
     "MMJOIN_PLANNER_CAL (see the file header).\n";
 
-struct Driver {
-  const char* name;
-  mm::MmAlgorithm mm;
-  join::Algorithm algo;
-};
-
 // All six, dispatched through MmJoin(algorithm=explicit) — the same entry
 // point auto uses, documented bit-identical to the per-driver functions.
-constexpr Driver kDrivers[] = {
-    {"nested-loops", mm::MmAlgorithm::kNestedLoops,
-     join::Algorithm::kNestedLoops},
-    {"sort-merge", mm::MmAlgorithm::kSortMerge, join::Algorithm::kSortMerge},
-    {"grace", mm::MmAlgorithm::kGrace, join::Algorithm::kGrace},
-    {"hybrid-hash", mm::MmAlgorithm::kHybridHash,
-     join::Algorithm::kHybridHash},
-    {"index-nl", mm::MmAlgorithm::kIndexNestedLoops,
-     join::Algorithm::kIndexNestedLoops},
-    {"mpsm", mm::MmAlgorithm::kMpsm, join::Algorithm::kMpsm},
-};
-constexpr size_t kNumDrivers = sizeof(kDrivers) / sizeof(kDrivers[0]);
+using join::kDrivers;
+constexpr size_t kNumDrivers = join::kNumAlgorithms;
 
 struct Cell {
   uint64_t r, s;
@@ -139,8 +123,7 @@ void TrainCell(mm::SegmentManager* mgr, const Cell& cell,
   join::Algorithm last = join::Algorithm::kNestedLoops;
   for (int rep = 0; rep < 6; ++rep) {
     if (cell.cold) DropPages(&*workload);
-    mm::MmJoinOptions opt;
-    opt.algorithm = mm::MmAlgorithm::kAuto;
+    mm::MmJoinOptions opt;  // algorithm unset: the planner picks
     opt.planner = controller;
     auto result = mm::MmJoin(*workload, opt);
     if (!result.ok()) break;
@@ -177,7 +160,7 @@ CellScore RunCell(mm::SegmentManager* mgr, const Cell& cell,
     for (size_t d = 0; d < kNumDrivers; ++d) {
       if (cell.cold) DropPages(&*workload);
       mm::MmJoinOptions opt;
-      opt.algorithm = kDrivers[d].mm;
+      opt.algorithm = kDrivers[d].algorithm;
       auto r = mm::MmJoin(*workload, opt);
       if (!r.ok()) {
         std::fprintf(stderr, "%s: %s\n", kDrivers[d].name,
@@ -210,8 +193,7 @@ CellScore RunCell(mm::SegmentManager* mgr, const Cell& cell,
   std::optional<mm::MmJoinResult> auto_best;
   for (int rep = 0; rep < reps + 1; ++rep) {
     if (cell.cold) DropPages(&*workload);
-    mm::MmJoinOptions opt;
-    opt.algorithm = mm::MmAlgorithm::kAuto;
+    mm::MmJoinOptions opt;  // algorithm unset: the planner picks
     opt.planner = controller;
     auto r = mm::MmJoin(*workload, opt);
     if (!r.ok()) {
@@ -231,7 +213,7 @@ CellScore RunCell(mm::SegmentManager* mgr, const Cell& cell,
                     auto_best->output_checksum == best[0]->output_checksum;
   size_t pick = kNumDrivers, fastest = 0;
   for (size_t d = 0; d < kNumDrivers; ++d) {
-    if (kDrivers[d].algo == auto_best->algorithm) pick = d;
+    if (kDrivers[d].algorithm == auto_best->algorithm) pick = d;
     if (best[d]->wall_ms < best[fastest]->wall_ms) fastest = d;
   }
   if (pick == kNumDrivers || !same) {

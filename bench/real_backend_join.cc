@@ -86,27 +86,22 @@ constexpr char kUsage[] =
     "TUPLES/KBUCKETS/ONLY, MMJOIN_INDEX_REPS/ASSERT/ONLY,\n"
     "MMJOIN_MPSM_REPS/ASSERT/ONLY (see the file header).\n";
 
-struct Entry {
-  const char* name;
-  StatusOr<mm::MmJoinResult> (*run)(const mm::MmWorkload&,
-                                    const mm::MmJoinOptions&);
-};
-
-constexpr Entry kEntries[] = {
-    {"nested-loops", mm::MmNestedLoops},
-    {"sort-merge", mm::MmSortMerge},
-    {"grace", mm::MmGrace},
-    {"hybrid-hash", mm::MmHybridHash},
+// The four drivers the serial/parallel, schedule and knob tables compare.
+const join::DriverSpec kEntries[] = {
+    join::Driver(join::Algorithm::kNestedLoops),
+    join::Driver(join::Algorithm::kSortMerge),
+    join::Driver(join::Algorithm::kGrace),
+    join::Driver(join::Algorithm::kHybridHash),
 };
 
 int SerialVsParallel(const mm::MmWorkload& workload) {
   std::printf("algorithm\tserial_ms\tparallel_ms\tspeedup\tthreads\t"
               "faults\tverified\n");
-  for (const Entry& e : kEntries) {
+  for (const join::DriverSpec& e : kEntries) {
     mm::MmJoinOptions serial;
     serial.parallel = false;
-    auto ser = e.run(workload, serial);
-    auto par = e.run(workload, mm::MmJoinOptions{});
+    auto ser = e.real(workload, serial);
+    auto par = e.real(workload, mm::MmJoinOptions{});
     if (!ser.ok() || !par.ok()) {
       std::fprintf(stderr, "%s: %s\n", e.name,
                    (ser.ok() ? par : ser).status().ToString().c_str());
@@ -131,16 +126,16 @@ int StaticVsStealing(const char* label, const mm::MmWorkload& workload,
   std::printf("# %s workload, %u workers\n", label, workers);
   std::printf("algorithm\tstatic_ms\tstealing_ms\tspeedup\tmorsels\t"
               "steals\tsteal_fail\tidle_ms\tsame_join\n");
-  for (const Entry& e : kEntries) {
+  for (const join::DriverSpec& e : kEntries) {
     mm::MmJoinOptions stat;
     stat.schedule = exec::Schedule::kStatic;
     stat.max_threads = workers;
-    auto st = e.run(workload, stat);
+    auto st = e.real(workload, stat);
 
     mm::MmJoinOptions steal;
     steal.schedule = exec::Schedule::kStealing;
     steal.max_threads = workers;
-    auto dy = e.run(workload, steal);
+    auto dy = e.real(workload, steal);
 
     if (!st.ok() || !dy.ok()) {
       std::fprintf(stderr, "%s: %s\n", e.name,
@@ -180,7 +175,7 @@ constexpr KernelCombo kCombos[] = {
 
 /// Best-of-`reps` wall clock for one algorithm x combo. Every rep's result
 /// must verify; the returned result carries the best rep's timing.
-StatusOr<mm::MmJoinResult> RunCombo(const Entry& e,
+StatusOr<mm::MmJoinResult> RunCombo(const join::DriverSpec& e,
                                     const mm::MmWorkload& workload,
                                     const KernelCombo& combo, int reps) {
   StatusOr<mm::MmJoinResult> best = Status::Internal("no rep ran");
@@ -188,7 +183,7 @@ StatusOr<mm::MmJoinResult> RunCombo(const Entry& e,
     mm::MmJoinOptions opt;
     opt.kernel = combo.kernel;
     opt.paging = combo.paging;
-    auto r = e.run(workload, opt);
+    auto r = e.real(workload, opt);
     if (!r.ok()) return r;
     if (!best.ok() || r->wall_ms < best->wall_ms) best = std::move(r);
   }
@@ -207,7 +202,7 @@ int KernelsTable(const char* label, const mm::MmWorkload& workload, int reps,
   std::printf("algorithm\tcombo\twall_ms\tspeedup\tbatches\trequests\t"
               "advise_calls\tadvise_mb\tfaults\tsame_join\n");
   for (size_t a = 0; a < 4; ++a) {
-    const Entry& e = kEntries[a];
+    const join::DriverSpec& e = kEntries[a];
     double baseline_ms = 0;
     uint64_t base_count = 0, base_checksum = 0;
     double advise_speedup = 0;
@@ -317,7 +312,7 @@ int ScatterTable(const char* label, const mm::MmWorkload& workload, int reps,
   std::printf("algorithm\tcombo\twall_ms\tpartition_ms\tspeedup\tflushes\t"
               "partial\ttuples\tnuma_nodes\tmbind\tsame_join\n");
   for (size_t a = 0; a < 4; ++a) {
-    const Entry& e = kEntries[a];
+    const join::DriverSpec& e = kEntries[a];
     std::optional<mm::MmJoinResult> best[kNumCombos];
     for (int rep = 0; rep < reps; ++rep) {
       for (size_t c = 0; c < kNumCombos; ++c) {
@@ -326,7 +321,7 @@ int ScatterTable(const char* label, const mm::MmWorkload& workload, int reps,
         opt.numa = kScatterCombos[c].numa;
         opt.scatter_tuples = sc_tuples;
         opt.k_buckets = sc_kb;
-        auto r = e.run(workload, opt);
+        auto r = e.real(workload, opt);
         if (!r.ok()) {
           std::fprintf(stderr, "%s %s: %s\n", e.name, kScatterCombos[c].name,
                        r.status().ToString().c_str());
@@ -430,12 +425,13 @@ int MpsmTable(const char* label, const mm::MmWorkload& workload, int reps,
                     best_sm->output_checksum == best_mp->output_checksum;
   const double speedup =
       best_mp->wall_ms > 0 ? best_sm->wall_ms / best_mp->wall_ms : 0.0;
-  std::printf("sort-merge\t%.2f\t%.2f\t-\t-\t-\t-\t%llu\t%s\n",
-              best_sm->wall_ms, 1.0,
+  std::printf("%s\t%.2f\t%.2f\t-\t-\t-\t-\t%llu\t%s\n",
+              join::AlgorithmName(best_sm->algorithm), best_sm->wall_ms, 1.0,
               static_cast<unsigned long long>(best_sm->run.faults),
               same ? "yes" : "NO");
-  std::printf("mpsm\t%.2f\t%.2f\t%u\t%llu\t%llu\t%llu\t%llu\t%s\n",
-              best_mp->wall_ms, speedup, best_mp->run.mpsm_nodes,
+  std::printf("%s\t%.2f\t%.2f\t%u\t%llu\t%llu\t%llu\t%llu\t%s\n",
+              join::AlgorithmName(best_mp->algorithm), best_mp->wall_ms,
+              speedup, best_mp->run.mpsm_nodes,
               static_cast<unsigned long long>(best_mp->run.mpsm_runs),
               static_cast<unsigned long long>(best_mp->run.mpsm_local_slices),
               static_cast<unsigned long long>(best_mp->run.mpsm_remote_slices),

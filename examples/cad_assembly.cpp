@@ -36,24 +36,14 @@ int main() {
 
   std::printf("%-14s %10s %10s %12s %14s\n", "algorithm", "time_s",
               "faults", "resolved", "verified");
-  for (auto a : {join::Algorithm::kNestedLoops, join::Algorithm::kSortMerge,
-                 join::Algorithm::kGrace}) {
+  for (auto a : join::kPaperDrivers) {
     sim::SimEnv env(machine);
     auto workload = rel::BuildWorkload(&env, relation);
     if (!workload.ok()) {
       std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
       return 1;
     }
-    StatusOr<join::JoinRunResult> result = [&] {
-      switch (a) {
-        case join::Algorithm::kNestedLoops:
-          return join::RunNestedLoops(&env, *workload, params);
-        case join::Algorithm::kSortMerge:
-          return join::RunSortMerge(&env, *workload, params);
-        default:
-          return join::RunGrace(&env, *workload, params);
-      }
-    }();
+    auto result = join::RunJoin(a, &env, *workload, params);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", join::AlgorithmName(a),
                    result.status().ToString().c_str());

@@ -7,9 +7,11 @@
 //       --disks=4 --theta=0.0 --mem-frac=0.05 --model --passes
 //
 // Flags (all optional):
-//   --algorithm=nl|sm|mpsm|grace|hh|inl|auto|all  which join       [all]
-//                                 (--algo is an alias; auto lets the
-//                                 adaptive planner pick the driver)
+//   --algorithm=DRIVER|auto|all   which join                   [all]
+//                                 (DRIVER is a name from join::kDrivers,
+//                                 as the usage text lists; --algo is an
+//                                 alias; auto lets the adaptive planner
+//                                 pick the driver)
 //   --calibration=PATH            planner calibration file for
 //                                 --algorithm=auto (real backend)
 //   --backend=sim|real            costed simulator or real mmap [sim]
@@ -58,10 +60,10 @@ namespace {
 
 using namespace mmjoin;
 
-constexpr char kUsage[] =
-    "usage: mmjoin_cli [flags]\n"
-    "  --algorithm=nl|sm|mpsm|grace|hh|inl|auto|all  which join      [all]\n"
-    "                                (--algo alias; auto = adaptive planner)\n"
+/// The usage text after its --algorithm line, which Usage() builds.
+constexpr char kFlagsUsage[] =
+    "                                which join [all] (--algo alias;\n"
+    "                                auto = adaptive planner)\n"
     "  --calibration=PATH            planner calibration for auto (real)\n"
     "  --backend=sim|real            costed simulator or real mmap [sim]\n"
     "  --r=N --s=N                   relation sizes in objects    [102400]\n"
@@ -126,6 +128,14 @@ struct Flags {
   mm::MsyncPolicy msync = mm::MsyncPolicy::kNone;
   std::string calibration;
 };
+
+const char* Usage() {
+  static const std::string usage =
+      "usage: mmjoin_cli [flags]\n  --algorithm=" +
+      join::AlgorithmNames("|") + "|" + join::kAutoAlgorithmName + "|all\n" +
+      kFlagsUsage;
+  return usage.c_str();
+}
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   const size_t len = std::strlen(name);
@@ -202,10 +212,10 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
       flags->store = v;
     } else if (ParseFlag(argv[i], "--msync", &v)) {
       StatusOr<mm::MsyncPolicy> parsed = mm::ParseMsyncPolicy(v);
-      if (!parsed.ok()) cli::BadFlagValue("mmjoin_cli", argv[i], kUsage);
+      if (!parsed.ok()) cli::BadFlagValue("mmjoin_cli", argv[i], Usage());
       flags->msync = *parsed;
     } else {
-      cli::UnknownFlag("mmjoin_cli", argv[i], kUsage);
+      cli::UnknownFlag("mmjoin_cli", argv[i], Usage());
     }
   }
 }
@@ -220,22 +230,7 @@ int RunOne(join::Algorithm a, const Flags& flags,
                  workload.status().ToString().c_str());
     return 1;
   }
-  StatusOr<join::JoinRunResult> result = [&] {
-    switch (a) {
-      case join::Algorithm::kNestedLoops:
-        return join::RunNestedLoops(&env, *workload, params);
-      case join::Algorithm::kSortMerge:
-        return join::RunSortMerge(&env, *workload, params);
-      case join::Algorithm::kMpsm:
-        return join::RunMpsm(&env, *workload, params);
-      case join::Algorithm::kHybridHash:
-        return join::RunHybridHash(&env, *workload, params);
-      case join::Algorithm::kIndexNestedLoops:
-        return join::RunIndexNestedLoops(&env, *workload, params);
-      default:
-        return join::RunGrace(&env, *workload, params);
-    }
-  }();
+  auto result = join::RunJoin(a, &env, *workload, params);
   if (!result.ok()) {
     std::fprintf(stderr, "%s: %s\n", join::AlgorithmName(a),
                  result.status().ToString().c_str());
@@ -332,22 +327,7 @@ int RunOneReal(join::Algorithm a, const Flags& flags,
   options.k_buckets = params.k_buckets;
   options.tsize = params.tsize;
   options.max_threads = flags.threads;
-  StatusOr<mm::MmJoinResult> result = [&] {
-    switch (a) {
-      case join::Algorithm::kNestedLoops:
-        return mm::MmNestedLoops(workload, options);
-      case join::Algorithm::kSortMerge:
-        return mm::MmSortMerge(workload, options);
-      case join::Algorithm::kMpsm:
-        return mm::MmMpsm(workload, options);
-      case join::Algorithm::kHybridHash:
-        return mm::MmHybridHash(workload, options);
-      case join::Algorithm::kIndexNestedLoops:
-        return mm::MmIndexNestedLoops(workload, options);
-      default:
-        return mm::MmGrace(workload, options);
-    }
-  }();
+  auto result = join::Driver(a).real(workload, options);
   if (!result.ok()) {
     std::fprintf(stderr, "%s: %s\n", join::AlgorithmName(a),
                  result.status().ToString().c_str());
@@ -374,9 +354,10 @@ int RunOneReal(join::Algorithm a, const Flags& flags,
   return 0;
 }
 
-/// --algorithm=auto on the real backend: one MmJoin(kAuto) call through an
-/// AdaptiveController (persistent when --calibration names a file), with
-/// the decision and the model's predicted-vs-actual echoed.
+/// --algorithm=auto on the real backend: one MmJoin call with `algorithm`
+/// unset, through an AdaptiveController (persistent when --calibration
+/// names a file), with the decision and the model's predicted-vs-actual
+/// echoed.
 int RunAutoReal(const Flags& flags, const mm::MmWorkload& workload,
                 const join::JoinParams& params,
                 const mm::MmJoinOptions& real_options) {
@@ -388,7 +369,6 @@ int RunAutoReal(const Flags& flags, const mm::MmWorkload& workload,
   mm::MmJoinOptions options = real_options;
   options.m_rproc_bytes = params.m_rproc_bytes;
   options.max_threads = flags.threads;
-  options.algorithm = mm::MmAlgorithm::kAuto;
   options.planner = &controller;
   auto result = mm::MmJoin(workload, options);
   if (!result.ok()) {
@@ -566,7 +546,7 @@ int RunReal(const std::vector<join::Algorithm>& algorithms, const Flags& flags,
     }
   }
   int rc = 0;
-  if (flags.algorithm == "auto") {
+  if (flags.algorithm == join::kAutoAlgorithmName) {
     rc = RunAutoReal(flags, *workload, params, real_options);
   } else {
     for (auto a : algorithms) {
@@ -625,7 +605,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   params.g_bytes ? params.g_bytes : machine.page_size));
 
-  const bool auto_select = flags.algorithm == "auto";
+  const bool auto_select = flags.algorithm == join::kAutoAlgorithmName;
   model::DttCurves dtt;
   if (flags.show_model || (auto_select && flags.backend == "sim")) {
     dtt = model::MeasureDttCurves(machine.disk);
@@ -633,7 +613,7 @@ int main(int argc, char** argv) {
 
   std::vector<join::Algorithm> algorithms;
   if (auto_select) {
-    // Real backend: resolved inside RunReal via MmJoin(kAuto). Sim
+    // Real backend: resolved inside RunReal by MmJoin's planner. Sim
     // backend: the analytic models rank the four modeled drivers here.
     if (flags.backend == "sim") {
       sim::SimEnv env(machine);
@@ -654,26 +634,15 @@ int main(int argc, char** argv) {
                   join::AlgorithmName(pick));
       algorithms = {pick};
     }
-  } else if (flags.algorithm == "nl") {
-    algorithms = {join::Algorithm::kNestedLoops};
-  } else if (flags.algorithm == "sm") {
-    algorithms = {join::Algorithm::kSortMerge};
-  } else if (flags.algorithm == "mpsm") {
-    algorithms = {join::Algorithm::kMpsm};
-  } else if (flags.algorithm == "grace") {
-    algorithms = {join::Algorithm::kGrace};
-  } else if (flags.algorithm == "hh") {
-    algorithms = {join::Algorithm::kHybridHash};
-  } else if (flags.algorithm == "inl" || flags.algorithm == "index-nl") {
-    algorithms = {join::Algorithm::kIndexNestedLoops};
   } else if (flags.algorithm == "all") {
-    algorithms = {join::Algorithm::kNestedLoops, join::Algorithm::kSortMerge,
-                  join::Algorithm::kMpsm, join::Algorithm::kGrace,
-                  join::Algorithm::kHybridHash,
-                  join::Algorithm::kIndexNestedLoops};
+    for (const join::DriverSpec& d : join::kDrivers) {
+      algorithms.push_back(d.algorithm);
+    }
+  } else if (auto a = join::ParseAlgorithm(flags.algorithm)) {
+    algorithms = {*a};
   } else {
-    std::fprintf(stderr, "bad --algorithm\n");
-    return 2;
+    cli::BadFlagValue("mmjoin_cli", "--algorithm=" + flags.algorithm,
+                      Usage());
   }
 
   if (flags.backend != "sim" && flags.backend != "real") {

@@ -2,9 +2,9 @@
 //
 //   mmjoin_client [--socket=PATH] register NAME R_OBJECTS S_OBJECTS
 //       PARTITIONS [THETA] [SEED]
-//   mmjoin_client [--socket=PATH] query NAME nested-loops|sort-merge|
-//       grace|hybrid-hash|index-nl|mpsm|auto
+//   mmjoin_client [--socket=PATH] query NAME DRIVER|auto
 //       [--priority=low|normal|high] [--trace]
+//       (DRIVER is a name from join::kDrivers, as the usage text lists)
 //   mmjoin_client [--socket=PATH] plan NAME q1|q4|q6
 //       [--priority=low|normal|high] [--trace]
 //   mmjoin_client [--socket=PATH] list | stats | ping | shutdown
@@ -26,13 +26,10 @@ namespace {
 
 using namespace mmjoin;
 
-constexpr char kUsage[] =
-    "usage: mmjoin_client [--socket=PATH] COMMAND [args]\n"
-    "  register NAME R S PARTITIONS [THETA] [SEED]  build + keep resident\n"
-    "  query NAME ALGORITHM [--priority=low|normal|high] [--trace]\n"
-    "      ALGORITHM: nested-loops | sort-merge | grace | hybrid-hash |\n"
-    "                 index-nl | mpsm | auto (adaptive planner picks;\n"
-    "                 the result echoes the chosen driver)\n"
+/// The usage text after its ALGORITHM list, which Usage() builds.
+constexpr char kCommandsUsage[] =
+    "                 (auto: the adaptive planner picks; the result\n"
+    "                 echoes the chosen driver)\n"
     "  plan NAME PLAN [--priority=low|normal|high] [--trace]\n"
     "      PLAN: q1 | q4 | q6 (built-in TPC-H-style plans)\n"
     "  persist NAME [MSYNC]  seal as a durable store (none|async|sync)\n"
@@ -43,6 +40,17 @@ constexpr char kUsage[] =
     "  ping               liveness probe\n"
     "  shutdown           ask the daemon to drain and exit\n"
     "  --socket=PATH      daemon socket      [/tmp/mmjoind.sock]\n";
+
+const char* Usage() {
+  static const std::string usage =
+      "usage: mmjoin_client [--socket=PATH] COMMAND [args]\n"
+      "  register NAME R S PARTITIONS [THETA] [SEED]  build + keep resident\n"
+      "  query NAME ALGORITHM [--priority=low|normal|high] [--trace]\n"
+      "      ALGORITHM: " +
+      join::AlgorithmNames(" | ") + " | " + join::kAutoAlgorithmName + "\n" +
+      kCommandsUsage;
+  return usage.c_str();
+}
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   const size_t len = std::strlen(name);
@@ -158,26 +166,26 @@ int main(int argc, char** argv) {
       } else if (v == "high") {
         req.priority = exec::QueryPriority::kHigh;
       } else {
-        cli::BadFlagValue("mmjoin_client", argv[a], kUsage);
+        cli::BadFlagValue("mmjoin_client", argv[a], Usage());
       }
     } else if (std::strcmp(argv[a], "--trace") == 0) {
       req.trace = true;
     } else if (cli::IsFlagLike(argv[a])) {
-      cli::UnknownFlag("mmjoin_client", argv[a], kUsage);
+      cli::UnknownFlag("mmjoin_client", argv[a], Usage());
     } else {
       positional.push_back(argv[a]);
     }
   }
-  if (positional.empty()) cli::UnknownFlag("mmjoin_client", "", kUsage);
+  if (positional.empty()) cli::UnknownFlag("mmjoin_client", "", Usage());
   const std::string& command = positional[0];
   auto need = [&](size_t n) {
     if (positional.size() != 1 + n) {
-      cli::UnknownFlag("mmjoin_client", command, kUsage);
+      cli::UnknownFlag("mmjoin_client", command, Usage());
     }
   };
   if (command == "register") {
     if (positional.size() < 5 || positional.size() > 7) {
-      cli::UnknownFlag("mmjoin_client", command, kUsage);
+      cli::UnknownFlag("mmjoin_client", command, Usage());
     }
     req.op = svc::RequestOp::kRegister;
     req.name = positional[1];
@@ -193,42 +201,32 @@ int main(int argc, char** argv) {
       req.seed = std::strtoull(positional[6].c_str(), nullptr, 10);
     }
     if (req.r_objects == 0 || req.s_objects == 0 || req.partitions == 0) {
-      cli::BadFlagValue("mmjoin_client", "register sizes", kUsage);
+      cli::BadFlagValue("mmjoin_client", "register sizes", Usage());
     }
   } else if (command == "query") {
     if (positional.size() != 3) {
-      cli::UnknownFlag("mmjoin_client", command, kUsage);
+      cli::UnknownFlag("mmjoin_client", command, Usage());
     }
     req.op = svc::RequestOp::kQuery;
     req.name = positional[1];
     const std::string& algo = positional[2];
-    if (algo == "nested-loops") {
-      req.algorithm = join::Algorithm::kNestedLoops;
-    } else if (algo == "sort-merge") {
-      req.algorithm = join::Algorithm::kSortMerge;
-    } else if (algo == "grace") {
-      req.algorithm = join::Algorithm::kGrace;
-    } else if (algo == "hybrid-hash") {
-      req.algorithm = join::Algorithm::kHybridHash;
-    } else if (algo == "index-nl") {
-      req.algorithm = join::Algorithm::kIndexNestedLoops;
-    } else if (algo == "mpsm") {
-      req.algorithm = join::Algorithm::kMpsm;
-    } else if (algo == "auto") {
+    if (auto a = join::ParseAlgorithm(algo)) {
+      req.algorithm = *a;
+    } else if (algo == join::kAutoAlgorithmName) {
       req.algorithm_auto = true;
     } else {
-      cli::BadFlagValue("mmjoin_client", algo, kUsage);
+      cli::BadFlagValue("mmjoin_client", algo, Usage());
     }
   } else if (command == "plan") {
     if (positional.size() != 3) {
-      cli::UnknownFlag("mmjoin_client", command, kUsage);
+      cli::UnknownFlag("mmjoin_client", command, Usage());
     }
     req.op = svc::RequestOp::kRunPlan;
     req.name = positional[1];
     req.plan = positional[2];
   } else if (command == "persist") {
     if (positional.size() < 2 || positional.size() > 3) {
-      cli::UnknownFlag("mmjoin_client", command, kUsage);
+      cli::UnknownFlag("mmjoin_client", command, Usage());
     }
     req.op = svc::RequestOp::kPersist;
     req.name = positional[1];
@@ -254,7 +252,7 @@ int main(int argc, char** argv) {
     need(0);
     req.op = svc::RequestOp::kShutdown;
   } else {
-    cli::UnknownFlag("mmjoin_client", command, kUsage);
+    cli::UnknownFlag("mmjoin_client", command, Usage());
   }
 
   svc::Client client;

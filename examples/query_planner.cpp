@@ -16,8 +16,7 @@ using namespace mmjoin;
 const char* Plan(const model::ModelInputs& inputs, double* predicted_s) {
   double best = 1e300;
   join::Algorithm winner = join::Algorithm::kNestedLoops;
-  for (auto a : {join::Algorithm::kNestedLoops, join::Algorithm::kSortMerge,
-                 join::Algorithm::kGrace}) {
+  for (auto a : join::kPaperDrivers) {
     const double t = model::Predict(a, inputs).total_ms();
     if (t < best) {
       best = t;
@@ -63,23 +62,12 @@ int main() {
 
     // Ground truth: run all three.
     double actual[3];
-    const char* names[3] = {"nested-loops", "sort-merge", "grace"};
     int idx = 0;
-    for (auto a : {join::Algorithm::kNestedLoops,
-                   join::Algorithm::kSortMerge, join::Algorithm::kGrace}) {
+    for (auto a : join::kPaperDrivers) {
       sim::SimEnv env(machine);
       auto w = rel::BuildWorkload(&env, relation);
       if (!w.ok()) return 1;
-      StatusOr<join::JoinRunResult> r = [&] {
-        switch (a) {
-          case join::Algorithm::kNestedLoops:
-            return join::RunNestedLoops(&env, *w, params);
-          case join::Algorithm::kSortMerge:
-            return join::RunSortMerge(&env, *w, params);
-          default:
-            return join::RunGrace(&env, *w, params);
-        }
-      }();
+      auto r = join::RunJoin(a, &env, *w, params);
       if (!r.ok() || !r->verified) {
         std::fprintf(stderr, "execution failed at x=%.2f\n", x);
         return 1;
@@ -90,12 +78,13 @@ int main() {
     for (int i = 1; i < 3; ++i) {
       if (actual[i] < actual[best]) best = i;
     }
-    const bool right = std::string(pick) == names[best];
+    const char* best_name = join::AlgorithmName(join::kPaperDrivers[best]);
+    const bool right = std::string(pick) == best_name;
     correct += right;
     ++total;
     std::printf("%-8.2f %-14s %12.2f | %12.2f %12.2f %12.2f %-14s %5s\n", x,
                 pick, predicted_s, actual[0], actual[1], actual[2],
-                names[best], right ? "yes" : "no");
+                best_name, right ? "yes" : "no");
   }
   std::printf("\nplanner picked the true winner in %d/%d configurations\n",
               correct, total);

@@ -47,31 +47,19 @@ int main() {
 
   std::printf("\n%-14s %14s %14s %10s %9s\n", "algorithm", "experiment(s)",
               "model(s)", "verified", "faults");
-  struct Entry {
-    join::Algorithm algorithm;
-    StatusOr<join::JoinRunResult> (*run)(sim::SimEnv*, const rel::Workload&,
-                                         const join::JoinParams&);
-  };
-  const Entry entries[] = {
-      {join::Algorithm::kNestedLoops, join::RunNestedLoops},
-      {join::Algorithm::kSortMerge, join::RunSortMerge},
-      {join::Algorithm::kGrace, join::RunGrace},
-  };
-  for (const Entry& e : entries) {
+  for (join::Algorithm a : join::kPaperDrivers) {
     // Fresh environment per run so no cache state leaks between algorithms.
     sim::SimEnv run_env(machine);
     auto w = rel::BuildWorkload(&run_env, relation);
     if (!w.ok()) return 1;
-    auto result = e.run(&run_env, *w, params);
+    auto result = join::RunJoin(a, &run_env, *w, params);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", join::AlgorithmName(e.algorithm),
+      std::fprintf(stderr, "%s: %s\n", join::AlgorithmName(a),
                    result.status().ToString().c_str());
       return 1;
     }
-    const model::CostBreakdown predicted =
-        model::Predict(e.algorithm, inputs);
-    std::printf("%-14s %14.2f %14.2f %10s %9llu\n",
-                join::AlgorithmName(e.algorithm),
+    const model::CostBreakdown predicted = model::Predict(a, inputs);
+    std::printf("%-14s %14.2f %14.2f %10s %9llu\n", join::AlgorithmName(a),
                 result->elapsed_ms / 1000.0, predicted.total_ms() / 1000.0,
                 result->verified ? "yes" : "NO",
                 static_cast<unsigned long long>(result->faults));

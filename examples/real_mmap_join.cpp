@@ -44,25 +44,16 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-14s %10s %10s %12s %10s\n", "algorithm", "mode",
               "wall_ms", "tuples", "verified");
-  struct Entry {
-    const char* name;
-    StatusOr<mm::MmJoinResult> (*run)(const mm::MmWorkload&,
-                                      const mm::MmJoinOptions&);
-  };
-  const Entry entries[] = {
-      {"nested-loops", mm::MmNestedLoops},
-      {"sort-merge", mm::MmSortMerge},
-      {"grace", mm::MmGrace},
-      {"hybrid-hash", mm::MmHybridHash},
-  };
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
-  for (const Entry& e : entries) {
+  for (auto a : {join::Algorithm::kNestedLoops, join::Algorithm::kSortMerge,
+                 join::Algorithm::kGrace, join::Algorithm::kHybridHash}) {
+    const join::DriverSpec& e = join::Driver(a);
     for (bool parallel : {false, true}) {
       mm::MmJoinOptions options;
       options.parallel = parallel;
       if (parallel) options.trace = &trace;  // trace the parallel runs
-      auto result = e.run(*workload, options);
+      auto result = e.real(*workload, options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s: %s\n", e.name,
                      result.status().ToString().c_str());

@@ -13,6 +13,7 @@
 // Tracing never charges simulated time, so the elapsed times printed here
 // are identical to an untraced run (obs_integration_test asserts this).
 #include <cstdio>
+#include <string>
 
 #include "mmjoin/mmjoin.h"
 
@@ -32,20 +33,12 @@ int main() {
       0.10 * relation.r_objects * sizeof(rel::RObject));
   params.m_sproc_bytes = params.m_rproc_bytes;
 
-  struct Entry {
-    const char* file;
-    StatusOr<join::JoinRunResult> (*run)(sim::SimEnv*, const rel::Workload&,
-                                         const join::JoinParams&);
-  };
-  const Entry entries[] = {
-      {"nested-loops.trace.json", join::RunNestedLoops},
-      {"sort-merge.trace.json", join::RunSortMerge},
-      {"grace.trace.json", join::RunGrace},
-  };
 
   std::printf("%-24s %10s %9s %8s\n", "trace", "elapsed_s", "faults",
               "events");
-  for (const Entry& e : entries) {
+  for (join::Algorithm a : join::kPaperDrivers) {
+    const std::string file =
+        std::string(join::AlgorithmName(a)) + ".trace.json";
     sim::SimEnv env(machine);
     obs::TraceRecorder trace;
     env.set_trace(&trace);
@@ -56,9 +49,9 @@ int main() {
                    workload.status().ToString().c_str());
       return 1;
     }
-    auto result = e.run(&env, *workload, params);
+    auto result = join::RunJoin(a, &env, *workload, params);
     if (!result.ok() || !result->verified) {
-      std::fprintf(stderr, "%s: run failed or unverified\n", e.file);
+      std::fprintf(stderr, "%s: run failed or unverified\n", file.c_str());
       return 1;
     }
 
@@ -66,24 +59,25 @@ int main() {
     // account for every fault the run reported.
     auto parsed = obs::JsonParse(trace.ToJson());
     if (!parsed.ok()) {
-      std::fprintf(stderr, "%s: export is not valid JSON: %s\n", e.file,
+      std::fprintf(stderr, "%s: export is not valid JSON: %s\n", file.c_str(),
                    parsed.status().ToString().c_str());
       return 1;
     }
     if (trace.CountEvents("fault") != result->faults) {
       std::fprintf(stderr, "%s: trace has %llu fault events, run reports %llu\n",
-                   e.file,
+                   file.c_str(),
                    static_cast<unsigned long long>(trace.CountEvents("fault")),
                    static_cast<unsigned long long>(result->faults));
       return 1;
     }
 
-    Status written = trace.WriteFile(e.file);
+    Status written = trace.WriteFile(file);
     if (!written.ok()) {
-      std::fprintf(stderr, "%s: %s\n", e.file, written.ToString().c_str());
+      std::fprintf(stderr, "%s: %s\n", file.c_str(),
+                   written.ToString().c_str());
       return 1;
     }
-    std::printf("%-24s %10.2f %9llu %8llu\n", e.file,
+    std::printf("%-24s %10.2f %9llu %8llu\n", file.c_str(),
                 result->elapsed_ms / 1000.0,
                 static_cast<unsigned long long>(result->faults),
                 static_cast<unsigned long long>(trace.size()));

@@ -8,7 +8,7 @@
 #include "disk/band_measure.h"     // Fig. 1(a) measurement harness
 #include "disk/disk_array.h"       // simulated multi-disk substrate
 #include "exec/backend.h"          // execution-backend concept + RP layout
-#include "exec/join_drivers.h"     // the four drivers, written once
+#include "exec/join_drivers.h"     // the six drivers, written once
 #include "exec/kernels.h"          // batched prefetch dereference kernels
 #include "exec/op/operators.h"     // push-based plan operators
 #include "exec/op/plan.h"          // plan specs, executor, built-in plans
@@ -16,6 +16,7 @@
 #include "exec/real_backend.h"     // real-mmap backend (threads, wall time)
 #include "heap/heapsort.h"         // Floyd build + heapsort (Munro)
 #include "heap/merge_heap.h"       // delete-insert k-way merge heap
+#include "join/drivers.h"          // the driver table: names + entries
 #include "join/grace.h"            // parallel pointer-based Grace join
 #include "join/hybrid_hash.h"      // pointer-based hybrid-hash (EXT-5)
 #include "join/index_nl.h"         // index nested-loops over B+-tree (EXT-8)

@@ -29,7 +29,7 @@ fi
 STORE="$(mktemp -d)"
 trap 'rm -rf "$STORE"' EXIT
 run_cli() {
-  "$CLI" --backend=real --algorithm=inl --r="$OBJECTS" --s="$OBJECTS" \
+  "$CLI" --backend=real --algorithm=index-nl --r="$OBJECTS" --s="$OBJECTS" \
     --theta=1.1 --store="$STORE" "$@"
 }
 

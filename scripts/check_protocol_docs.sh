@@ -2,10 +2,11 @@
 # Protocol-docs coverage gate: every wire vocabulary string in
 # src/service/protocol.h (the kRequestOps / kResponseOps / kErrorCodes
 # tables — the single source of truth for the mmjoind protocol), every
-# algorithm name in src/service/protocol.cc (kAlgorithmNames — the
-# query.algorithm vocabulary), and every built-in plan name in
-# src/exec/op/plan.h (kPlanNames — the run_plan vocabulary) must appear
-# in docs/PROTOCOL.md, and the operator docs must exist at all.
+# driver name in src/join/drivers.cc (the kDrivers table) plus the
+# request-side `auto` — together the query.algorithm vocabulary — and
+# every built-in plan name in src/exec/op/plan.h (kPlanNames — the
+# run_plan vocabulary) must appear in docs/PROTOCOL.md, and the operator
+# docs must exist at all.
 # Wired into ctest as `check_protocol_docs` so adding a message without
 # documenting it fails the tier-1 suite, not a reviewer's memory.
 #
@@ -25,12 +26,13 @@ for doc in docs/PROTOCOL.md docs/OPERATIONS.md; do
 done
 [ "$fail" -eq 0 ] || exit 1
 
-# Pull the quoted strings out of the three constexpr arrays. The arrays
-# are `inline constexpr const char* kFoo[] = { "a", "b", ... };` — collect
-# every "..." token between the opening brace and the closing `};`.
+# Pull the quoted strings out of a constexpr array. The arrays are
+# `inline constexpr const char* kFoo[] = { "a", "b", ... };`, or rows of
+# kDrivers, whose one string is the driver name — collect every "..."
+# token between the opening brace and the closing `};`.
 tokens() {
   awk -v table="$1" '
-    $0 ~ "constexpr const char\\* " table "\\[\\]" { in_table = 1 }
+    $0 ~ "constexpr [^=]*[ *]" table "\\[" { in_table = 1 }
     in_table {
       line = $0
       while (match(line, /"[^"]+"/)) {
@@ -42,18 +44,23 @@ tokens() {
   ' "$2"
 }
 
+# The spec marks wire strings as code spans; require the exact token in
+# backticks so prose coincidences ("internal", "list") cannot satisfy the
+# check.
+check_token() {
+  local token=$1 source=$2
+  if ! grep -q "\`$token\`" "$SPEC"; then
+    echo "check_protocol_docs: $source string '$token' not documented in $SPEC"
+    missing=1
+  fi
+}
+
 check_table() {
   local table=$1 header=$2
   local found_any=0
   while IFS= read -r token; do
     found_any=1
-    # The spec marks wire strings as code spans; require the exact token
-    # in backticks so prose coincidences ("internal", "list") cannot
-    # satisfy the check.
-    if ! grep -q "\`$token\`" "$SPEC"; then
-      echo "check_protocol_docs: $table string '$token' not documented in $SPEC"
-      missing=1
-    fi
+    check_token "$token" "$table"
   done < <(tokens "$table" "$header")
   if [ "$found_any" -eq 0 ]; then
     echo "check_protocol_docs: could not extract $table from $header"
@@ -65,8 +72,10 @@ missing=0
 for table in kRequestOps kResponseOps kErrorCodes; do
   check_table "$table" "$HEADER"
 done
-# The query op's algorithm vocabulary lives in the codec, not the header.
-check_table kAlgorithmNames src/service/protocol.cc
+# The query op's algorithm vocabulary: the driver table's names, plus the
+# request-side "auto" (join::kAutoAlgorithmName) that asks the planner.
+check_table kDrivers src/join/drivers.cc
+check_token auto kAutoAlgorithmName
 # The run_plan op's plan-name vocabulary lives with the operator layer.
 check_table kPlanNames src/exec/op/plan.h
 

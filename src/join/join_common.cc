@@ -10,24 +10,6 @@
 
 namespace mmjoin::join {
 
-const char* AlgorithmName(Algorithm a) {
-  switch (a) {
-    case Algorithm::kNestedLoops:
-      return "nested-loops";
-    case Algorithm::kSortMerge:
-      return "sort-merge";
-    case Algorithm::kGrace:
-      return "grace";
-    case Algorithm::kHybridHash:
-      return "hybrid-hash";
-    case Algorithm::kIndexNestedLoops:
-      return "index-nl";
-    case Algorithm::kMpsm:
-      return "mpsm";
-  }
-  return "?";
-}
-
 JoinExecution::JoinExecution(sim::SimEnv* env, const rel::Workload& workload,
                              const JoinParams& params)
     : env_(env),

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,8 @@
 
 namespace mmjoin::join {
 
-/// Which algorithm a driver runs (used by the comparison benches).
+/// Which algorithm a driver runs. Each value has one row in
+/// join::kDrivers (join/drivers.h), which holds its name and entry points.
 enum class Algorithm {
   kNestedLoops,
   kSortMerge,
@@ -32,7 +34,20 @@ enum class Algorithm {
   kMpsm,
 };
 
+/// Number of Algorithm values, which is the number of kDrivers rows.
+inline constexpr uint32_t kNumAlgorithms = 6;
+
+/// The request-side name that asks the planner to pick the driver. It
+/// names no driver: results always carry the driver that ran.
+inline constexpr const char* kAutoAlgorithmName = "auto";
+
+/// The driver's name from its kDrivers row, as the protocol, the CLIs,
+/// calibration files and metrics spell it; "?" for a value outside the
+/// enum.
 const char* AlgorithmName(Algorithm a);
+
+/// The driver named `name`; nullopt for any other string, "auto" included.
+std::optional<Algorithm> ParseAlgorithm(std::string_view name);
 
 /// Tunable parameters of a join execution. Fields left at 0 (or nullopt)
 /// are derived automatically per the paper's parameter-choice sections.

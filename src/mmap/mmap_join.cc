@@ -9,6 +9,7 @@
 #include "exec/join_drivers.h"
 #include "exec/real_backend.h"
 #include "exec/scheduler.h"
+#include "join/drivers.h"
 #include "mmap/btree.h"
 #include "opt/adaptive.h"
 
@@ -61,7 +62,8 @@ MmJoinResult ToResult(join::JoinRunResult run) {
 
 template <StatusOr<join::JoinRunResult> (*Driver)(exec::RealBackend&,
                                                   const join::JoinParams&)>
-StatusOr<MmJoinResult> Run(const MmWorkload& workload,
+StatusOr<MmJoinResult> Run(join::Algorithm algorithm,
+                           const MmWorkload& workload,
                            const MmJoinOptions& options) {
   const uint32_t d = workload.config.num_partitions;
   if (workload.r_segs.size() != d || workload.s_segs.size() != d) {
@@ -71,48 +73,10 @@ StatusOr<MmJoinResult> Run(const MmWorkload& workload,
   exec::RealBackend backend(workload, params, ToBackendOptions(options));
   MMJOIN_ASSIGN_OR_RETURN(join::JoinRunResult run, Driver(backend, params));
   MmJoinResult result = ToResult(std::move(run));
+  result.algorithm = algorithm;
   result.paging_status = backend.DeferredError();
   result.numa_status = backend.NumaDeferredError();
   return result;
-}
-
-/// join::Algorithm for an explicit (non-auto) MmAlgorithm.
-join::Algorithm ToJoinAlgorithm(MmAlgorithm a) {
-  switch (a) {
-    case MmAlgorithm::kNestedLoops:
-      return join::Algorithm::kNestedLoops;
-    case MmAlgorithm::kSortMerge:
-      return join::Algorithm::kSortMerge;
-    case MmAlgorithm::kMpsm:
-      return join::Algorithm::kMpsm;
-    case MmAlgorithm::kGrace:
-      return join::Algorithm::kGrace;
-    case MmAlgorithm::kHybridHash:
-      return join::Algorithm::kHybridHash;
-    case MmAlgorithm::kIndexNestedLoops:
-    case MmAlgorithm::kAuto:
-      return join::Algorithm::kIndexNestedLoops;
-  }
-  return join::Algorithm::kNestedLoops;
-}
-
-StatusOr<MmJoinResult> Dispatch(join::Algorithm a, const MmWorkload& workload,
-                                const MmJoinOptions& options) {
-  switch (a) {
-    case join::Algorithm::kNestedLoops:
-      return MmNestedLoops(workload, options);
-    case join::Algorithm::kSortMerge:
-      return MmSortMerge(workload, options);
-    case join::Algorithm::kMpsm:
-      return MmMpsm(workload, options);
-    case join::Algorithm::kGrace:
-      return MmGrace(workload, options);
-    case join::Algorithm::kHybridHash:
-      return MmHybridHash(workload, options);
-    case join::Algorithm::kIndexNestedLoops:
-      return MmIndexNestedLoops(workload, options);
-  }
-  return Status::InvalidArgument("bad algorithm");
 }
 
 /// Planner inputs from what the workload already knows: counts for the
@@ -162,12 +126,8 @@ opt::PlannerInputs ToPlannerInputs(const MmWorkload& workload,
 
 StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
                               const MmJoinOptions& options) {
-  if (options.algorithm != MmAlgorithm::kAuto) {
-    const join::Algorithm a = ToJoinAlgorithm(options.algorithm);
-    MMJOIN_ASSIGN_OR_RETURN(MmJoinResult result,
-                            Dispatch(a, workload, options));
-    result.algorithm = a;
-    return result;
+  if (options.algorithm) {
+    return join::Driver(*options.algorithm).real(workload, options);
   }
 
   opt::AdaptiveController* controller =
@@ -178,7 +138,6 @@ StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
   // The planner's knob vector replaces the performance knobs; scheduling
   // identity (pool, priority, trace, threads) stays the caller's.
   MmJoinOptions resolved = options;
-  resolved.algorithm = MmAlgorithm::kAuto;  // not consulted by Dispatch
   resolved.kernel = decision.kernel;
   resolved.prefetch_distance = decision.prefetch_distance;
   resolved.scatter = decision.scatter;
@@ -187,9 +146,9 @@ StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
   resolved.k_buckets = decision.k_buckets;
   resolved.tsize = decision.tsize;
 
-  MMJOIN_ASSIGN_OR_RETURN(MmJoinResult result,
-                          Dispatch(decision.algorithm, workload, resolved));
-  result.algorithm = decision.algorithm;
+  MMJOIN_ASSIGN_OR_RETURN(
+      MmJoinResult result,
+      join::Driver(decision.algorithm).real(workload, resolved));
   result.auto_selected = true;
   result.planner_note = decision.explanation;
   result.run.planner_auto = true;
@@ -206,32 +165,38 @@ StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
 
 StatusOr<MmJoinResult> MmNestedLoops(const MmWorkload& workload,
                                      const MmJoinOptions& options) {
-  return Run<&exec::NestedLoops<exec::RealBackend>>(workload, options);
+  return Run<&exec::NestedLoops<exec::RealBackend>>(
+      join::Algorithm::kNestedLoops, workload, options);
 }
 
 StatusOr<MmJoinResult> MmSortMerge(const MmWorkload& workload,
                                    const MmJoinOptions& options) {
-  return Run<&exec::SortMerge<exec::RealBackend>>(workload, options);
+  return Run<&exec::SortMerge<exec::RealBackend>>(
+      join::Algorithm::kSortMerge, workload, options);
 }
 
 StatusOr<MmJoinResult> MmMpsm(const MmWorkload& workload,
                               const MmJoinOptions& options) {
-  return Run<&exec::Mpsm<exec::RealBackend>>(workload, options);
+  return Run<&exec::Mpsm<exec::RealBackend>>(
+      join::Algorithm::kMpsm, workload, options);
 }
 
 StatusOr<MmJoinResult> MmGrace(const MmWorkload& workload,
                                const MmJoinOptions& options) {
-  return Run<&exec::Grace<exec::RealBackend>>(workload, options);
+  return Run<&exec::Grace<exec::RealBackend>>(
+      join::Algorithm::kGrace, workload, options);
 }
 
 StatusOr<MmJoinResult> MmHybridHash(const MmWorkload& workload,
                                     const MmJoinOptions& options) {
-  return Run<&exec::HybridHash<exec::RealBackend>>(workload, options);
+  return Run<&exec::HybridHash<exec::RealBackend>>(
+      join::Algorithm::kHybridHash, workload, options);
 }
 
 StatusOr<MmJoinResult> MmIndexNestedLoops(const MmWorkload& workload,
                                           const MmJoinOptions& options) {
-  return Run<&exec::IndexNestedLoops<exec::RealBackend>>(workload, options);
+  return Run<&exec::IndexNestedLoops<exec::RealBackend>>(
+      join::Algorithm::kIndexNestedLoops, workload, options);
 }
 
 StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,

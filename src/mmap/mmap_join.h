@@ -11,6 +11,7 @@
 #define MMJOIN_MMAP_MMAP_JOIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,31 +32,25 @@ class AdaptiveController;
 
 namespace mmjoin::mm {
 
-/// Driver selection for MmJoin(). kAuto resolves through the adaptive
-/// planner (src/opt/planner.h): relation stats, a mincore residency probe
-/// and the machine calibration rank all six drivers by corrected
-/// wall-clock cost. Explicit values dispatch to the matching Mm* entry
-/// point unchanged — MmJoin(algorithm=X) is bit-identical to MmX().
-enum class MmAlgorithm : uint8_t {
-  kAuto,
-  kNestedLoops,
-  kSortMerge,
-  kMpsm,
-  kGrace,
-  kHybridHash,
-  kIndexNestedLoops,
-};
+/// The driver enum is join::Algorithm. This alias remains because code
+/// built against this header, such as perfbench/, spells drivers as
+/// mm::MmAlgorithm::kX.
+using MmAlgorithm = join::Algorithm;
 
 /// Tunables for the real joins. Zeros mean "derive a sensible default".
 /// Field-by-field documentation lives in docs/PARAMETERS.md.
 struct MmJoinOptions {
-  /// Driver MmJoin() runs; ignored by the per-driver entry points. Under
-  /// kAuto the planner also overwrites the performance-knob fields
-  /// (kernel, prefetch_distance, scatter, paging, numa, k_buckets, tsize)
-  /// with its derived vector — results are knob-invariant by contract, so
-  /// auto output stays bit-identical to any explicit-knob run.
-  MmAlgorithm algorithm = MmAlgorithm::kAuto;
-  /// Planner state for kAuto: calibration + learned per-driver EWMA
+  /// Driver MmJoin() runs; ignored by the per-driver entry points. Unset,
+  /// the adaptive planner (src/opt/planner.h) picks it: relation stats, a
+  /// mincore residency probe and the machine calibration rank all six
+  /// drivers by corrected wall-clock cost. The planner then also
+  /// overwrites the performance-knob fields (kernel, prefetch_distance,
+  /// scatter, paging, numa, k_buckets, tsize) with its derived vector —
+  /// results are knob-invariant by contract, so auto output stays
+  /// bit-identical to any explicit-knob run. A set value runs that
+  /// driver's entry point unchanged: MmJoin(algorithm=X) is MmX().
+  std::optional<join::Algorithm> algorithm;
+  /// Planner state when `algorithm` is unset: calibration + learned EWMA
   /// corrections (opt/adaptive.h). nullptr = a process-local controller
   /// with host-default calibration and no persistence.
   opt::AdaptiveController* planner = nullptr;
@@ -138,11 +133,11 @@ struct MmJoinResult {
   uint64_t output_checksum = 0;
   bool verified = false;  ///< matched the workload's expected join
   uint32_t threads_used = 0;
-  /// Driver that actually ran (the planner's pick under MmJoin(kAuto),
-  /// the requested one otherwise) and whether the planner chose it.
+  /// Driver that ran (the planner's pick when MmJoin's `algorithm` is
+  /// unset) and whether the planner chose it.
   join::Algorithm algorithm = join::Algorithm::kNestedLoops;
   bool auto_selected = false;
-  /// Planner one-liner under kAuto ("picked grace: ..."); empty otherwise.
+  /// Planner one-liner when it chose ("picked grace: ..."); empty otherwise.
   /// Predicted-vs-actual numbers live in run.model_predicted_ms /
   /// run.model_error_pct and the join.model.* metrics.
   std::string planner_note;
@@ -165,10 +160,11 @@ struct MmJoinResult {
   }
 };
 
-/// The adaptive entry point: runs `options.algorithm`, resolving kAuto
-/// through the planner (relation stats + residency probe + calibration),
-/// then records predicted-vs-actual into the result (run.model_*) and
-/// feeds the pair back into the controller's EWMA correction. Output
+/// The adaptive entry point: runs `options.algorithm` through its
+/// join::kDrivers entry point. When it is unset, the planner picks the
+/// driver (relation stats + residency probe + calibration), and MmJoin
+/// records predicted-vs-actual into the result (run.model_*) and feeds
+/// the pair back into the controller's EWMA correction. Output
 /// count/checksum are bit-identical to the explicit driver's entry point
 /// — the planner only picks, it never changes semantics.
 StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,

@@ -411,18 +411,13 @@ StatusOr<Calibration> CalibrationFromJson(const std::string& json) {
           return Status::InvalidArgument(
               "calibration: malformed correction entry");
         }
-        int index = -1;
-        for (uint32_t i = 0; i < kNumAlgorithms; ++i) {
-          if (name->str ==
-              join::AlgorithmName(static_cast<join::Algorithm>(i))) {
-            index = static_cast<int>(i);
-            break;
-          }
-        }
-        if (index < 0) {
+        const std::optional<join::Algorithm> a =
+            join::ParseAlgorithm(name->str);
+        if (!a) {
           return Status::InvalidArgument(
               "calibration: unknown algorithm " + name->str);
         }
+        const auto index = static_cast<uint32_t>(*a);
         for (uint32_t b = 0; b < kNumBands; ++b) {
           if (!ewma->items[b].is_number() || !runs->items[b].is_number()) {
             return Status::InvalidArgument(

@@ -16,6 +16,7 @@
 #ifndef MMJOIN_OPT_CALIBRATION_H_
 #define MMJOIN_OPT_CALIBRATION_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -25,8 +26,7 @@
 
 namespace mmjoin::opt {
 
-/// Number of join drivers (join::Algorithm values).
-inline constexpr uint32_t kNumAlgorithms = 6;
+using join::kNumAlgorithms;
 
 /// Working-set bands the corrections are learned in. A driver's model
 /// residual is regime-dependent — at cache scale the fixed per-pass
@@ -47,8 +47,12 @@ struct Calibration {
   /// ranks corrected predictions), one per working-set band. Learned:
   /// geometric EWMA of observed actual/predicted ratios, clamped to
   /// [0.1, 10] per observation.
-  double correction[kNumAlgorithms][kNumBands] = {
-      {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}};
+  std::array<std::array<double, kNumBands>, kNumAlgorithms> correction =
+      [] {
+        std::array<std::array<double, kNumBands>, kNumAlgorithms> neutral;
+        for (auto& bands : neutral) bands.fill(1.0);
+        return neutral;
+      }();
   /// Observations folded into each correction cell (telemetry).
   uint64_t observations[kNumAlgorithms][kNumBands] = {};
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "exec/scheduler.h"
 #include "join/grace.h"
@@ -14,11 +15,21 @@ namespace {
 
 /// The ranking order ties break toward: fewer passes and less machinery
 /// first. With exact cost ties (degenerate inputs) the simpler driver wins.
-constexpr join::Algorithm kTieOrder[kNumAlgorithms] = {
+constexpr join::Algorithm kTieOrder[] = {
     join::Algorithm::kNestedLoops,   join::Algorithm::kHybridHash,
     join::Algorithm::kGrace,         join::Algorithm::kIndexNestedLoops,
     join::Algorithm::kSortMerge,     join::Algorithm::kMpsm,
 };
+// The planner ranks every driver: each one once.
+static_assert(std::size(kTieOrder) == kNumAlgorithms && [] {
+  bool seen[kNumAlgorithms] = {};
+  for (join::Algorithm a : kTieOrder) {
+    const auto i = static_cast<uint32_t>(a);
+    if (i >= kNumAlgorithms || seen[i]) return false;
+    seen[i] = true;
+  }
+  return true;
+}());
 
 model::WallInputs ToWallInputs(const PlannerInputs& in) {
   model::WallInputs w;

@@ -12,8 +12,9 @@
 // persistent form the service uses).
 //
 // Layering: opt/ sits above join/, model/ and exec/ and below mmap/ —
-// mmap_join resolves MmAlgorithm::kAuto through this header, so nothing
-// here may include mmap/.
+// mmap_join resolves an unset MmJoinOptions::algorithm through this
+// header, so nothing here may include mmap/ (nor join/drivers.h, which
+// names the mmap entry points).
 #ifndef MMJOIN_OPT_PLANNER_H_
 #define MMJOIN_OPT_PLANNER_H_
 

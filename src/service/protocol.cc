@@ -25,14 +25,6 @@ bool ParseName(const char* const (&names)[N], std::string_view s, int* out) {
   return false;
 }
 
-// The first six entries mirror join::Algorithm in enum order; the trailing
-// "auto" (index kAutoAlgorithm) is request-side vocabulary only — it asks
-// the adaptive planner to pick a driver, and result responses always carry
-// the concrete driver that ran.
-constexpr const char* kAlgorithmNames[] = {
-    "nested-loops", "sort-merge", "grace", "hybrid-hash", "index-nl",
-    "mpsm", "auto"};
-constexpr int kAutoAlgorithm = 6;
 constexpr const char* kPriorityNames[] = {"low", "normal", "high"};
 
 std::string HexU64(uint64_t v) {
@@ -135,9 +127,8 @@ std::string SerializeRequest(const Request& req) {
     case RequestOp::kQuery:
       s += ",\"name\":\"" + JsonEscape(req.name) + "\"";
       s += ",\"algorithm\":\"";
-      s += req.algorithm_auto
-               ? kAlgorithmNames[kAutoAlgorithm]
-               : kAlgorithmNames[static_cast<uint8_t>(req.algorithm)];
+      s += req.algorithm_auto ? join::kAutoAlgorithmName
+                              : join::AlgorithmName(req.algorithm);
       s += "\",\"priority\":\"";
       s += kPriorityNames[static_cast<uint8_t>(req.priority)];
       s += "\",\"trace\":";
@@ -213,13 +204,11 @@ StatusOr<Request> ParseRequest(std::string_view line) {
           req.name = value.str;
           ok = true;
         } else if (key == "algorithm" && value.is_string()) {
-          int i;
-          ok = ParseName(kAlgorithmNames, value.str, &i);
-          if (ok && i == kAutoAlgorithm) {
-            req.algorithm_auto = true;
-          } else if (ok) {
-            req.algorithm = static_cast<join::Algorithm>(i);
-          }
+          const std::optional<join::Algorithm> a =
+              join::ParseAlgorithm(value.str);
+          req.algorithm_auto = value.str == join::kAutoAlgorithmName;
+          ok = a.has_value() || req.algorithm_auto;
+          if (a) req.algorithm = *a;
         } else if (key == "priority" && value.is_string()) {
           int i;
           ok = ParseName(kPriorityNames, value.str, &i);
@@ -301,7 +290,7 @@ std::string SerializeResponse(const Response& resp) {
     case ResponseOp::kResult:
       s += ",\"name\":\"" + JsonEscape(resp.name) + "\"";
       s += ",\"algorithm\":\"";
-      s += kAlgorithmNames[static_cast<uint8_t>(resp.algorithm)];
+      s += join::AlgorithmName(resp.algorithm);
       s += "\"";
       if (resp.planner_auto) s += ",\"planner\":\"auto\"";
       s += ",\"count\":" + JsonNumber(static_cast<double>(resp.count));
@@ -433,14 +422,14 @@ StatusOr<Response> ParseResponse(std::string_view line) {
           resp.name = value.str;
           ok = true;
         } else if (key == "algorithm" && value.is_string()) {
-          int i;
           // Results always name the concrete driver that ran; "auto" is
           // request-side vocabulary only.
-          ok = ParseName(kAlgorithmNames, value.str, &i) &&
-               i != kAutoAlgorithm;
-          if (ok) resp.algorithm = static_cast<join::Algorithm>(i);
+          const std::optional<join::Algorithm> a =
+              join::ParseAlgorithm(value.str);
+          ok = a.has_value();
+          if (a) resp.algorithm = *a;
         } else if (key == "planner" && value.is_string()) {
-          ok = value.str == kAlgorithmNames[kAutoAlgorithm];
+          ok = value.str == join::kAutoAlgorithmName;
           if (ok) resp.planner_auto = true;
         } else if (key == "count") {
           ok = GetU64(value, &resp.count);

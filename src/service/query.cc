@@ -10,28 +10,6 @@
 
 namespace mmjoin::svc {
 
-namespace {
-
-mm::MmAlgorithm ToMmAlgorithm(join::Algorithm algorithm) {
-  switch (algorithm) {
-    case join::Algorithm::kNestedLoops:
-      return mm::MmAlgorithm::kNestedLoops;
-    case join::Algorithm::kSortMerge:
-      return mm::MmAlgorithm::kSortMerge;
-    case join::Algorithm::kGrace:
-      return mm::MmAlgorithm::kGrace;
-    case join::Algorithm::kHybridHash:
-      return mm::MmAlgorithm::kHybridHash;
-    case join::Algorithm::kIndexNestedLoops:
-      return mm::MmAlgorithm::kIndexNestedLoops;
-    case join::Algorithm::kMpsm:
-      return mm::MmAlgorithm::kMpsm;
-  }
-  return mm::MmAlgorithm::kNestedLoops;
-}
-
-}  // namespace
-
 Status QueryEngine::Run(const Request& req, uint64_t query_id,
                         QueryOutcome* outcome) {
   *outcome = QueryOutcome{};
@@ -47,8 +25,7 @@ Status QueryEngine::Run(const Request& req, uint64_t query_id,
 
   obs::TraceRecorder trace;
   mm::MmJoinOptions options;
-  options.algorithm = req.algorithm_auto ? mm::MmAlgorithm::kAuto
-                                         : ToMmAlgorithm(req.algorithm);
+  if (!req.algorithm_auto) options.algorithm = req.algorithm;
   options.planner = planner_;
   options.pool = pool_;
   options.priority = req.priority;

@@ -14,13 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "join/grace.h"
-#include "join/hybrid_hash.h"
-#include "join/index_nl.h"
-#include "join/join_common.h"
-#include "join/mpsm.h"
-#include "join/nested_loops.h"
-#include "join/sort_merge.h"
+#include "driver_test_name.h"
+#include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
@@ -30,12 +25,7 @@
 namespace mmjoin {
 namespace {
 
-struct AlgoCase {
-  const char* name;
-  join::Algorithm algorithm;
-};
-
-class CrossBackendTest : public ::testing::TestWithParam<AlgoCase> {
+class CrossBackendTest : public ::testing::TestWithParam<join::DriverSpec> {
  protected:
   void SetUp() override {
     // The parameterized test name contains '/', which cannot appear in a
@@ -68,21 +58,7 @@ class CrossBackendTest : public ::testing::TestWithParam<AlgoCase> {
     sim::SimEnv env(mc);
     auto workload = rel::BuildWorkload(&env, rc);
     if (!workload.ok()) return workload.status();
-    switch (GetParam().algorithm) {
-      case join::Algorithm::kNestedLoops:
-        return join::RunNestedLoops(&env, *workload, params);
-      case join::Algorithm::kSortMerge:
-        return join::RunSortMerge(&env, *workload, params);
-      case join::Algorithm::kGrace:
-        return join::RunGrace(&env, *workload, params);
-      case join::Algorithm::kHybridHash:
-        return join::RunHybridHash(&env, *workload, params);
-      case join::Algorithm::kIndexNestedLoops:
-        return join::RunIndexNestedLoops(&env, *workload, params);
-      case join::Algorithm::kMpsm:
-        return join::RunMpsm(&env, *workload, params);
-    }
-    return Status::InvalidArgument("bad algorithm");
+    return GetParam().sim(&env, *workload, params);
   }
 
   StatusOr<mm::MmJoinResult> RunReal(const rel::RelationConfig& rc,
@@ -90,21 +66,7 @@ class CrossBackendTest : public ::testing::TestWithParam<AlgoCase> {
                                      const std::string& prefix) {
     auto workload = mm::BuildMmWorkload(mgr_.get(), prefix, rc);
     if (!workload.ok()) return workload.status();
-    switch (GetParam().algorithm) {
-      case join::Algorithm::kNestedLoops:
-        return mm::MmNestedLoops(*workload, options);
-      case join::Algorithm::kSortMerge:
-        return mm::MmSortMerge(*workload, options);
-      case join::Algorithm::kGrace:
-        return mm::MmGrace(*workload, options);
-      case join::Algorithm::kHybridHash:
-        return mm::MmHybridHash(*workload, options);
-      case join::Algorithm::kIndexNestedLoops:
-        return mm::MmIndexNestedLoops(*workload, options);
-      case join::Algorithm::kMpsm:
-        return mm::MmMpsm(*workload, options);
-    }
-    return Status::InvalidArgument("bad algorithm");
+    return GetParam().real(*workload, options);
   }
 
   std::string dir_;
@@ -161,18 +123,11 @@ TEST_P(CrossBackendTest, PassStructureMatchesAcrossBackends) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, CrossBackendTest,
-    ::testing::Values(AlgoCase{"nested_loops", join::Algorithm::kNestedLoops},
-                      AlgoCase{"sort_merge", join::Algorithm::kSortMerge},
-                      AlgoCase{"grace", join::Algorithm::kGrace},
-                      AlgoCase{"hybrid_hash", join::Algorithm::kHybridHash},
-                      AlgoCase{"index_nl",
-                               join::Algorithm::kIndexNestedLoops},
-                      AlgoCase{"mpsm", join::Algorithm::kMpsm}),
-    [](const ::testing::TestParamInfo<AlgoCase>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CrossBackendTest,
+                         ::testing::ValuesIn(join::kDrivers),
+                         [](const auto& info) {
+                           return DriverTestName(info.param.algorithm);
+                         });
 
 }  // namespace
 }  // namespace mmjoin

@@ -4,9 +4,7 @@
 // accounting coherence, and the staggered-phase structure.
 #include <gtest/gtest.h>
 
-#include "join/grace.h"
-#include "join/join_common.h"
-#include "join/nested_loops.h"
+#include "join/drivers.h"
 #include "join/sort_merge.h"
 #include "rel/generator.h"
 
@@ -36,16 +34,7 @@ ExecResult Execute(Algorithm a, const rel::RelationConfig& rc,
   EXPECT_TRUE(w.ok());
   uint64_t s_pages = 0;
   for (auto seg : w->s_segs) s_pages += env.segment(seg).pages();
-  StatusOr<JoinRunResult> r = [&] {
-    switch (a) {
-      case Algorithm::kNestedLoops:
-        return RunNestedLoops(&env, *w, p);
-      case Algorithm::kSortMerge:
-        return RunSortMerge(&env, *w, p);
-      default:
-        return RunGrace(&env, *w, p);
-    }
-  }();
+  StatusOr<JoinRunResult> r = RunJoin(a, &env, *w, p);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->verified);
   ExecResult run;
@@ -93,8 +82,7 @@ TEST(PhaseOffsetTest, AllPartnersCoveredAcrossPhases) {
 TEST(JoinBehaviorTest, DeterministicAcrossRuns) {
   const auto rc = Relation();
   const auto p = Params(0.05, rc);
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const ExecResult r1 = Execute(a, rc, p);
     const ExecResult r2 = Execute(a, rc, p);
     EXPECT_DOUBLE_EQ(r1.result.elapsed_ms, r2.result.elapsed_ms)
@@ -146,8 +134,7 @@ TEST(JoinBehaviorTest, NestedLoopsCatchesUpWhenSCached) {
 
 TEST(JoinBehaviorTest, MoreMemoryNeverSlowsAnExperimentMuch) {
   const auto rc = Relation();
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const double lo = Execute(a, rc, Params(0.03, rc)).result.elapsed_ms;
     const double hi = Execute(a, rc, Params(0.5, rc)).result.elapsed_ms;
     EXPECT_LE(hi, lo * 1.05) << AlgorithmName(a);
@@ -156,8 +143,7 @@ TEST(JoinBehaviorTest, MoreMemoryNeverSlowsAnExperimentMuch) {
 
 TEST(JoinBehaviorTest, FaultsDropWithMemory) {
   const auto rc = Relation();
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const uint64_t lo = Execute(a, rc, Params(0.03, rc)).result.faults;
     const uint64_t hi = Execute(a, rc, Params(0.5, rc)).result.faults;
     EXPECT_LE(hi, lo) << AlgorithmName(a);

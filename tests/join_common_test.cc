@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "join/drivers.h"
 #include "rel/generator.h"
 
 namespace mmjoin::join {
@@ -140,9 +144,19 @@ TEST(JoinExecutionTest, PartialOutputFailsVerification) {
 }
 
 TEST(AlgorithmNameTest, Names) {
-  EXPECT_STREQ(AlgorithmName(Algorithm::kNestedLoops), "nested-loops");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kSortMerge), "sort-merge");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kGrace), "grace");
+  const char* const expected[kNumAlgorithms] = {
+      "nested-loops", "sort-merge", "grace", "hybrid-hash", "index-nl",
+      "mpsm"};
+  std::set<std::string> seen;
+  for (uint32_t i = 0; i < kNumAlgorithms; ++i) {
+    const auto a = static_cast<Algorithm>(i);
+    EXPECT_EQ(kDrivers[i].algorithm, a) << "row " << i;
+    EXPECT_STREQ(AlgorithmName(a), expected[i]);
+    EXPECT_TRUE(seen.insert(AlgorithmName(a)).second) << AlgorithmName(a);
+    EXPECT_EQ(ParseAlgorithm(AlgorithmName(a)), a);
+  }
+  EXPECT_EQ(ParseAlgorithm(kAutoAlgorithmName), std::nullopt);
+  EXPECT_EQ(ParseAlgorithm("nested-hoops"), std::nullopt);
 }
 
 }  // namespace

@@ -6,13 +6,9 @@
 #include <cstdint>
 #include <tuple>
 
-#include "join/grace.h"
-#include "join/hybrid_hash.h"
-#include "join/index_nl.h"
-#include "join/mpsm.h"
-#include "join/nested_loops.h"
+#include "driver_test_name.h"
+#include "join/drivers.h"
 #include "join/oracle.h"
-#include "join/sort_merge.h"
 #include "rel/generator.h"
 #include "sim/sim_env.h"
 
@@ -22,26 +18,6 @@ namespace {
 using join::Algorithm;
 using join::JoinParams;
 using join::JoinRunResult;
-
-StatusOr<JoinRunResult> RunAlgorithm(Algorithm a, sim::SimEnv* env,
-                                     const rel::Workload& w,
-                                     const JoinParams& p) {
-  switch (a) {
-    case Algorithm::kNestedLoops:
-      return join::RunNestedLoops(env, w, p);
-    case Algorithm::kSortMerge:
-      return join::RunSortMerge(env, w, p);
-    case Algorithm::kGrace:
-      return join::RunGrace(env, w, p);
-    case Algorithm::kHybridHash:
-      return join::RunHybridHash(env, w, p);
-    case Algorithm::kIndexNestedLoops:
-      return join::RunIndexNestedLoops(env, w, p);
-    case Algorithm::kMpsm:
-      return join::RunMpsm(env, w, p);
-  }
-  return Status::InvalidArgument("bad algorithm");
-}
 
 struct Case {
   Algorithm algorithm;
@@ -76,7 +52,7 @@ TEST_P(JoinCorrectnessTest, MatchesOracle) {
   JoinParams params;
   params.m_rproc_bytes = c.m_rproc_bytes;
   params.m_sproc_bytes = c.m_rproc_bytes;
-  auto result = RunAlgorithm(c.algorithm, &env, *workload, params);
+  auto result = join::RunJoin(c.algorithm, &env, *workload, params);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->output_count, oracle.count);
   EXPECT_EQ(result->output_checksum, oracle.checksum);
@@ -86,39 +62,32 @@ TEST_P(JoinCorrectnessTest, MatchesOracle) {
 
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
-  const Algorithm algorithms[] = {
-      Algorithm::kNestedLoops, Algorithm::kSortMerge,
-      Algorithm::kGrace,       Algorithm::kHybridHash,
-      Algorithm::kMpsm,        Algorithm::kIndexNestedLoops};
   const uint64_t sizes[] = {256, 4096, 20000};
   const uint32_t disk_counts[] = {1, 2, 4};
   const double thetas[] = {0.0, 0.6};
   const uint64_t memories[] = {64ull << 10, 1ull << 20};
-  for (Algorithm a : algorithms) {
+  for (const join::DriverSpec& driver : join::kDrivers) {
     for (uint64_t n : sizes) {
       for (uint32_t d : disk_counts) {
         for (double theta : thetas) {
           for (uint64_t m : memories) {
-            cases.push_back(Case{a, n, n, d, theta, m});
+            cases.push_back(Case{driver.algorithm, n, n, d, theta, m});
           }
         }
       }
     }
   }
   // Asymmetric relation sizes (the bucket map divides by |S_j|).
-  for (Algorithm a : algorithms) {
-    cases.push_back(Case{a, 5000, 1000, 4, 0.0, 1ull << 20});
-    cases.push_back(Case{a, 1000, 5000, 2, 0.0, 256ull << 10});
+  for (const join::DriverSpec& driver : join::kDrivers) {
+    cases.push_back(Case{driver.algorithm, 5000, 1000, 4, 0.0, 1ull << 20});
+    cases.push_back(Case{driver.algorithm, 1000, 5000, 2, 0.0, 256ull << 10});
   }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
   const Case& c = info.param;
-  std::string name = join::AlgorithmName(c.algorithm);
-  for (auto& ch : name) {
-    if (ch == '-') ch = '_';
-  }
+  std::string name = DriverTestName(c.algorithm);
   name += "_r" + std::to_string(c.r_objects) + "_s" +
           std::to_string(c.s_objects) + "_d" + std::to_string(c.disks) +
           "_t" + std::to_string(static_cast<int>(c.zipf_theta * 10)) + "_m" +
@@ -141,12 +110,10 @@ TEST(JoinCorrectnessEdge, TinyMemory) {
   JoinParams p;
   p.m_rproc_bytes = 4 * mc.page_size;  // four frames
   p.m_sproc_bytes = 4 * mc.page_size;
-  for (auto a : {Algorithm::kNestedLoops, Algorithm::kSortMerge,
-                 Algorithm::kGrace, Algorithm::kHybridHash, Algorithm::kMpsm,
-                 Algorithm::kIndexNestedLoops}) {
-    auto r = RunAlgorithm(a, &env, *w, p);
+  for (const join::DriverSpec& driver : join::kDrivers) {
+    auto r = driver.sim(&env, *w, p);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r->verified) << join::AlgorithmName(a);
+    EXPECT_TRUE(r->verified) << driver.name;
   }
 }
 
@@ -193,14 +160,12 @@ TEST(JoinCorrectnessEdge, PhaseSyncInvariance) {
   auto w = rel::BuildWorkload(&env, rc);
   ASSERT_TRUE(w.ok());
 
-  for (auto a : {Algorithm::kNestedLoops, Algorithm::kSortMerge,
-                 Algorithm::kGrace, Algorithm::kHybridHash, Algorithm::kMpsm,
-                 Algorithm::kIndexNestedLoops}) {
+  for (const join::DriverSpec& driver : join::kDrivers) {
     JoinParams on, off;
     on.phase_sync = true;
     off.phase_sync = false;
-    auto r_on = RunAlgorithm(a, &env, *w, on);
-    auto r_off = RunAlgorithm(a, &env, *w, off);
+    auto r_on = driver.sim(&env, *w, on);
+    auto r_off = driver.sim(&env, *w, off);
     ASSERT_TRUE(r_on.ok() && r_off.ok());
     EXPECT_EQ(r_on->output_checksum, r_off->output_checksum);
     EXPECT_TRUE(r_on->verified);

@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "join/grace.h"
-#include "join/nested_loops.h"
-#include "join/sort_merge.h"
+#include "join/drivers.h"
 #include "rel/generator.h"
 
 namespace mmjoin::model {
@@ -40,16 +38,7 @@ TEST_P(ModelValidationTest, ModelTracksExperiment) {
       c.memory_fraction * rc.r_objects * sizeof(rel::RObject));
   params.m_sproc_bytes = params.m_rproc_bytes;
 
-  StatusOr<join::JoinRunResult> result = [&] {
-    switch (c.algorithm) {
-      case join::Algorithm::kNestedLoops:
-        return join::RunNestedLoops(&env, *w, params);
-      case join::Algorithm::kSortMerge:
-        return join::RunSortMerge(&env, *w, params);
-      default:
-        return join::RunGrace(&env, *w, params);
-    }
-  }();
+  auto result = join::RunJoin(c.algorithm, &env, *w, params);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->verified);
 

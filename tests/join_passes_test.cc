@@ -4,9 +4,7 @@
 
 #include <numeric>
 
-#include "join/grace.h"
-#include "join/nested_loops.h"
-#include "join/sort_merge.h"
+#include "join/drivers.h"
 #include "rel/generator.h"
 
 namespace mmjoin::join {
@@ -21,16 +19,7 @@ JoinRunResult RunFor(Algorithm a) {
   JoinParams p;
   p.m_rproc_bytes = 256 << 10;
   p.m_sproc_bytes = 256 << 10;
-  StatusOr<JoinRunResult> r = [&] {
-    switch (a) {
-      case Algorithm::kNestedLoops:
-        return RunNestedLoops(&env, *w, p);
-      case Algorithm::kSortMerge:
-        return RunSortMerge(&env, *w, p);
-      default:
-        return RunGrace(&env, *w, p);
-    }
-  }();
+  StatusOr<JoinRunResult> r = RunJoin(a, &env, *w, p);
   EXPECT_TRUE(r.ok());
   return *r;
 }
@@ -57,8 +46,7 @@ TEST(JoinPassesTest, GraceLabels) {
 }
 
 TEST(JoinPassesTest, PassesPartitionElapsedTime) {
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const JoinRunResult r = RunFor(a);
     double sum = 0;
     for (const auto& pass : r.passes) {
@@ -71,8 +59,7 @@ TEST(JoinPassesTest, PassesPartitionElapsedTime) {
 }
 
 TEST(JoinPassesTest, SetupPassHasNoFaults) {
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const JoinRunResult r = RunFor(a);
     EXPECT_EQ(r.passes[0].faults, 0u) << AlgorithmName(a);
     EXPECT_GT(r.passes[0].elapsed_ms, 0.0);
@@ -80,8 +67,7 @@ TEST(JoinPassesTest, SetupPassHasNoFaults) {
 }
 
 TEST(JoinPassesTest, FaultsAttributedToWorkPasses) {
-  for (auto a :
-       {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kGrace}) {
+  for (auto a : kPaperDrivers) {
     const JoinRunResult r = RunFor(a);
     uint64_t sum = 0;
     for (const auto& pass : r.passes) sum += pass.faults;

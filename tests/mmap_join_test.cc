@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "exec/temp_arena.h"
+#include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "obs/trace.h"
 #include "rel/generator.h"
@@ -260,27 +261,25 @@ TEST_F(MmapJoinTest, DriversStayExactOnRecycledTemporaries) {
   // temporary before writing it.
   exec::TempArena::Global().Trim(0);  // the first run maps fresh blocks
   const MmWorkload w = Build(1 << 17, 4, 0.5);
-  using JoinFn = StatusOr<MmJoinResult> (*)(const MmWorkload&,
-                                            const MmJoinOptions&);
-  struct Driver {
-    const char* name;
-    JoinFn fn;
-  };
-  const Driver drivers[] = {
-      {"nested-loops", MmNestedLoops}, {"sort-merge", MmSortMerge},
-      {"mpsm", MmMpsm},                {"grace", MmGrace},
-      {"hybrid-hash", MmHybridHash},   {"index-nl", MmIndexNestedLoops}};
-  const std::vector<std::vector<int>> orders = {{0, 1, 2, 3, 4, 5},
-                                                {5, 3, 1, 4, 2, 0}};
+  using join::Algorithm;
+  const std::vector<std::vector<Algorithm>> orders = {
+      {Algorithm::kNestedLoops, Algorithm::kSortMerge, Algorithm::kMpsm,
+       Algorithm::kGrace, Algorithm::kHybridHash,
+       Algorithm::kIndexNestedLoops},
+      {Algorithm::kIndexNestedLoops, Algorithm::kGrace, Algorithm::kSortMerge,
+       Algorithm::kHybridHash, Algorithm::kMpsm, Algorithm::kNestedLoops}};
   std::vector<uint64_t> nl_setup_faults;
-  for (const std::vector<int>& order : orders) {
-    for (int k : order) {
-      auto r = drivers[k].fn(w, MmJoinOptions{});
-      ASSERT_TRUE(r.ok()) << drivers[k].name << ": " << r.status().ToString();
-      EXPECT_TRUE(r->verified) << drivers[k].name;
-      EXPECT_EQ(r->output_count, w.expected_output_count) << drivers[k].name;
-      EXPECT_EQ(r->output_checksum, w.expected_checksum) << drivers[k].name;
-      if (k == 0) {
+  for (const std::vector<Algorithm>& order : orders) {
+    for (Algorithm a : order) {
+      const char* name = join::AlgorithmName(a);
+      // The per-driver entry point, which must report its own driver.
+      auto r = join::Driver(a).real(w, MmJoinOptions{});
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      EXPECT_EQ(r->algorithm, a) << name;
+      EXPECT_TRUE(r->verified) << name;
+      EXPECT_EQ(r->output_count, w.expected_output_count) << name;
+      EXPECT_EQ(r->output_checksum, w.expected_checksum) << name;
+      if (a == Algorithm::kNestedLoops) {
         ASSERT_EQ(r->run.passes.front().label, "setup");
         nl_setup_faults.push_back(r->run.passes.front().faults);
       }

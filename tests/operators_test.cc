@@ -19,14 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "driver_test_name.h"
 #include "exec/op/stages.h"
-#include "join/grace.h"
-#include "join/hybrid_hash.h"
-#include "join/index_nl.h"
-#include "join/join_common.h"
-#include "join/mpsm.h"
-#include "join/nested_loops.h"
-#include "join/sort_merge.h"
+#include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
@@ -363,14 +358,9 @@ TEST_F(OperatorStageTest, ProbeCollectReproducesTheJoin) {
 // Identity matrices: the refactor's accountability tests
 // ---------------------------------------------------------------------------
 
-struct AlgoCase {
-  const char* name;
-  join::Algorithm algorithm;
-};
-
 // Every driver: sim and real, static and stealing schedules, one identical
 // count/checksum — the 6 joins × 2 backends × 2 schedules matrix.
-class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
+class DriverIdentityTest : public ::testing::TestWithParam<join::DriverSpec> {
  protected:
   void SetUp() override {
     std::string test_name =
@@ -390,21 +380,7 @@ class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
     sim::SimEnv env(mc);
     auto workload = rel::BuildWorkload(&env, rc);
     if (!workload.ok()) return workload.status();
-    switch (GetParam().algorithm) {
-      case join::Algorithm::kNestedLoops:
-        return join::RunNestedLoops(&env, *workload, join::JoinParams{});
-      case join::Algorithm::kSortMerge:
-        return join::RunSortMerge(&env, *workload, join::JoinParams{});
-      case join::Algorithm::kGrace:
-        return join::RunGrace(&env, *workload, join::JoinParams{});
-      case join::Algorithm::kHybridHash:
-        return join::RunHybridHash(&env, *workload, join::JoinParams{});
-      case join::Algorithm::kIndexNestedLoops:
-        return join::RunIndexNestedLoops(&env, *workload, join::JoinParams{});
-      case join::Algorithm::kMpsm:
-        return join::RunMpsm(&env, *workload, join::JoinParams{});
-    }
-    return Status::InvalidArgument("bad algorithm");
+    return GetParam().sim(&env, *workload, join::JoinParams{});
   }
 
   StatusOr<mm::MmJoinResult> RunReal(const rel::RelationConfig& rc,
@@ -414,21 +390,7 @@ class DriverIdentityTest : public ::testing::TestWithParam<AlgoCase> {
     if (!workload.ok()) return workload.status();
     mm::MmJoinOptions options;
     options.schedule = schedule;
-    switch (GetParam().algorithm) {
-      case join::Algorithm::kNestedLoops:
-        return mm::MmNestedLoops(*workload, options);
-      case join::Algorithm::kSortMerge:
-        return mm::MmSortMerge(*workload, options);
-      case join::Algorithm::kGrace:
-        return mm::MmGrace(*workload, options);
-      case join::Algorithm::kHybridHash:
-        return mm::MmHybridHash(*workload, options);
-      case join::Algorithm::kIndexNestedLoops:
-        return mm::MmIndexNestedLoops(*workload, options);
-      case join::Algorithm::kMpsm:
-        return mm::MmMpsm(*workload, options);
-    }
-    return Status::InvalidArgument("bad algorithm");
+    return GetParam().real(*workload, options);
   }
 
   std::string dir_;
@@ -455,17 +417,11 @@ TEST_P(DriverIdentityTest, BackendsAndSchedulesAgree) {
   EXPECT_EQ(real_static->output_checksum, real_stealing->output_checksum);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, DriverIdentityTest,
-    ::testing::Values(AlgoCase{"nested_loops", join::Algorithm::kNestedLoops},
-                      AlgoCase{"sort_merge", join::Algorithm::kSortMerge},
-                      AlgoCase{"grace", join::Algorithm::kGrace},
-                      AlgoCase{"hybrid_hash", join::Algorithm::kHybridHash},
-                      AlgoCase{"mpsm", join::Algorithm::kMpsm},
-                      AlgoCase{"index_nl", join::Algorithm::kIndexNestedLoops}),
-    [](const ::testing::TestParamInfo<AlgoCase>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DriverIdentityTest,
+                         ::testing::ValuesIn(join::kDrivers),
+                         [](const auto& info) {
+                           return DriverTestName(info.param.algorithm);
+                         });
 
 // Every built-in plan: sim, real/static, real/stealing, real/scalar-kernel —
 // one identical result (counts, groups, checksum).

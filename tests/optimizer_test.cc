@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <string>
 
+#include "join/drivers.h"
 #include "mmap/mmap_join.h"
 #include "mmap/mm_relation.h"
 #include "model/join_model.h"
@@ -378,8 +379,7 @@ TEST_F(AutoIdentityTest, AutoMatchesEveryExplicitDriver) {
   ASSERT_TRUE(w.ok()) << w.status().ToString();
 
   AdaptiveController controller;
-  mm::MmJoinOptions auto_opt;
-  auto_opt.algorithm = mm::MmAlgorithm::kAuto;
+  mm::MmJoinOptions auto_opt;  // algorithm unset: the planner picks
   auto_opt.planner = &controller;
   auto auto_r = mm::MmJoin(*w, auto_opt);
   ASSERT_TRUE(auto_r.ok()) << auto_r.status().ToString();
@@ -389,16 +389,13 @@ TEST_F(AutoIdentityTest, AutoMatchesEveryExplicitDriver) {
   EXPECT_GT(auto_r->run.model_predicted_ms, 0.0);
   EXPECT_EQ(controller.observations(), 1u);
 
-  const mm::MmAlgorithm kExplicit[] = {
-      mm::MmAlgorithm::kNestedLoops, mm::MmAlgorithm::kSortMerge,
-      mm::MmAlgorithm::kMpsm,        mm::MmAlgorithm::kGrace,
-      mm::MmAlgorithm::kHybridHash,  mm::MmAlgorithm::kIndexNestedLoops};
-  for (mm::MmAlgorithm algo : kExplicit) {
+  for (const join::DriverSpec& driver : join::kDrivers) {
     mm::MmJoinOptions opt;
-    opt.algorithm = algo;
+    opt.algorithm = driver.algorithm;
     auto r = mm::MmJoin(*w, opt);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->verified);
+    EXPECT_EQ(r->algorithm, driver.algorithm);
     EXPECT_FALSE(r->auto_selected);
     EXPECT_EQ(r->output_count, auto_r->output_count);
     EXPECT_EQ(r->output_checksum, auto_r->output_checksum);

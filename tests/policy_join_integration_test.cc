@@ -5,9 +5,10 @@
 
 #include <tuple>
 
+#include "driver_test_name.h"
+#include "join/drivers.h"
 #include "join/grace.h"
 #include "join/nested_loops.h"
-#include "join/sort_merge.h"
 #include "rel/generator.h"
 
 namespace mmjoin::join {
@@ -29,16 +30,7 @@ TEST_P(PolicyJoinTest, CorrectUnderEveryPolicy) {
   p.m_rproc_bytes = 128 << 10;  // scarce: the policy actually evicts
   p.m_sproc_bytes = 128 << 10;
   p.policy = policy;
-  StatusOr<JoinRunResult> r = [&, algorithm = algorithm] {
-    switch (algorithm) {
-      case Algorithm::kNestedLoops:
-        return RunNestedLoops(&env, *w, p);
-      case Algorithm::kSortMerge:
-        return RunSortMerge(&env, *w, p);
-      default:
-        return RunGrace(&env, *w, p);
-    }
-  }();
+  auto r = RunJoin(algorithm, &env, *w, p);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->verified);
   EXPECT_GT(r->faults, 0u);
@@ -46,18 +38,13 @@ TEST_P(PolicyJoinTest, CorrectUnderEveryPolicy) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, PolicyJoinTest,
-    ::testing::Combine(::testing::Values(Algorithm::kNestedLoops,
-                                         Algorithm::kSortMerge,
-                                         Algorithm::kGrace),
+    ::testing::Combine(::testing::ValuesIn(kPaperDrivers),
                        ::testing::Values(vm::PolicyKind::kLru,
                                          vm::PolicyKind::kClock,
                                          vm::PolicyKind::kFifo)),
     [](const ::testing::TestParamInfo<Case>& info) {
-      std::string n = AlgorithmName(std::get<0>(info.param));
-      for (auto& ch : n) {
-        if (ch == '-') ch = '_';
-      }
-      return n + "_" + vm::PolicyKindName(std::get<1>(info.param));
+      return DriverTestName(std::get<0>(info.param)) + "_" +
+             vm::PolicyKindName(std::get<1>(info.param));
     });
 
 TEST(PolicyJoinDifferential, PoliciesProduceDifferentFaultCounts) {

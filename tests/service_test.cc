@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "join/drivers.h"
 #include "mmap/segment_manager.h"
 #include "service/admission.h"
 #include "service/client.h"
@@ -46,7 +47,6 @@ TEST(ProtocolTest, RequestRoundTripEveryOp) {
   query.op = RequestOp::kQuery;
   query.id = 9;
   query.name = "orders";
-  query.algorithm = join::Algorithm::kHybridHash;
   query.priority = exec::QueryPriority::kHigh;
   query.trace = true;
 
@@ -72,11 +72,22 @@ TEST(ProtocolTest, RequestRoundTripEveryOp) {
     req.id = id;
     return req;
   };
-  for (const Request& req :
-       {hello, reg, query, named, persist, load, bare(RequestOp::kList, 11),
-        bare(RequestOp::kStats, 12), bare(RequestOp::kShutdown, 13),
-        bare(RequestOp::kPing, 14)}) {
+  std::vector<Request> requests = {
+      hello, reg, named, persist, load, bare(RequestOp::kList, 11),
+      bare(RequestOp::kStats, 12), bare(RequestOp::kShutdown, 13),
+      bare(RequestOp::kPing, 14)};
+  // The query once per driver, then with the request-side "auto", which
+  // carries no driver.
+  for (const join::DriverSpec& driver : join::kDrivers) {
+    query.algorithm = driver.algorithm;
+    requests.push_back(query);
+  }
+  query.algorithm = Request{}.algorithm;
+  query.algorithm_auto = true;
+  requests.push_back(query);
+  for (const Request& req : requests) {
     SCOPED_TRACE(RequestOpName(req.op));
+    SCOPED_TRACE(join::AlgorithmName(req.algorithm));
     auto parsed = ParseRequest(SerializeRequest(req));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(parsed->op, req.op);
@@ -88,6 +99,7 @@ TEST(ProtocolTest, RequestRoundTripEveryOp) {
     EXPECT_DOUBLE_EQ(parsed->zipf_theta, req.zipf_theta);
     EXPECT_EQ(parsed->seed, req.seed);
     EXPECT_EQ(parsed->algorithm, req.algorithm);
+    EXPECT_EQ(parsed->algorithm_auto, req.algorithm_auto);
     EXPECT_EQ(parsed->priority, req.priority);
     EXPECT_EQ(parsed->trace, req.trace);
     EXPECT_EQ(parsed->msync, req.msync);
@@ -132,7 +144,6 @@ TEST(ProtocolTest, ResponseRoundTripEveryOp) {
   result.exec_ms = 12.5;
   result.queue_ms = 0.25;
   result.threads = 4;
-  result.algorithm = join::Algorithm::kGrace;
 
   Response stats;
   stats.op = ResponseOp::kStats;
@@ -172,10 +183,16 @@ TEST(ProtocolTest, ResponseRoundTripEveryOp) {
   loaded.name = "orders";
   loaded.resident_bytes = 3 << 20;
 
-  for (const Response& resp :
-       {welcome, registered, relations, result, stats, unregistered, error,
-        draining, pong, persisted, loaded}) {
+  std::vector<Response> responses = {welcome, registered, relations,
+                                     stats,   unregistered, error,
+                                     draining, pong, persisted, loaded};
+  for (const join::DriverSpec& driver : join::kDrivers) {
+    result.algorithm = driver.algorithm;
+    responses.push_back(result);
+  }
+  for (const Response& resp : responses) {
     SCOPED_TRACE(ResponseOpName(resp.op));
+    SCOPED_TRACE(join::AlgorithmName(resp.algorithm));
     auto parsed = ParseResponse(SerializeResponse(resp));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(parsed->op, resp.op);
@@ -216,6 +233,11 @@ TEST(ProtocolTest, StrictParserRejectsGarbage) {
   EXPECT_FALSE(
       ParseRequest(R"({"op":"query","name":"r","algorithm":"quantum"})")
           .ok());
+  EXPECT_FALSE(
+      ParseRequest(R"({"op":"query","name":"r","algorithm":"nested-hoops"})")
+          .ok());
+  // "auto" asks the planner to pick; a result always names the driver.
+  EXPECT_FALSE(ParseResponse(R"({"op":"result","algorithm":"auto"})").ok());
   EXPECT_FALSE(ParseResponse(R"({"op":"result","checksum":123})").ok());
   EXPECT_FALSE(ParseResponse(R"({"op":"error","error":"oops"})").ok());
 }
