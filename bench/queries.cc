@@ -3,10 +3,9 @@
 //
 // For every built-in plan (q1/q4/q6 — exec::op::kPlanNames) it runs
 // `reps` repetitions with the default backend knobs (stealing schedule,
-// prefetch kernel, madvise paging), keeping the best wall time, then
-// re-runs the plan under the A/B variants (static schedule; scalar
-// kernel) and asserts the FULL result — row counts, every group, the
-// checksum — is bit-identical across all of them (PlanResultsMatch).
+// madvise paging), keeping the best wall time, then re-runs the plan
+// under the static schedule and asserts the FULL result — row counts,
+// every group, the checksum — is bit-identical (PlanResultsMatch).
 // Every run is additionally oracle-checked inside MmRunPlan against the
 // serial reference evaluator; any unverified or divergent run exits 1.
 //
@@ -73,27 +72,19 @@ int RunPlans(const mm::MmWorkload& workload, int reps) {
       }
     }
 
-    // A/B variants must reproduce the default run bit-for-bit: same rows,
-    // same groups, same checksum — the operator layer's determinism
-    // contract across schedules and dereference kernels.
-    bool same_plan = true;
-    for (int variant = 0; variant < 2; ++variant) {
-      mm::MmJoinOptions options;
-      if (variant == 0) {
-        options.schedule = exec::Schedule::kStatic;
-      } else {
-        options.kernel = exec::DerefKernel::kScalar;
-      }
-      auto result = mm::MmRunPlan(workload, *spec, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "queries: %s variant: %s\n", name,
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      verified = verified && result->verified;
-      same_plan =
-          same_plan && exec::op::PlanResultsMatch(best.plan, result->plan);
+    // The static schedule must reproduce the default (stealing) run
+    // bit-for-bit: same rows, same groups, same checksum — the operator
+    // layer's determinism contract across schedules.
+    mm::MmJoinOptions static_options;
+    static_options.schedule = exec::Schedule::kStatic;
+    auto variant = mm::MmRunPlan(workload, *spec, static_options);
+    if (!variant.ok()) {
+      std::fprintf(stderr, "queries: %s variant: %s\n", name,
+                   variant.status().ToString().c_str());
+      return 1;
     }
+    verified = verified && variant->verified;
+    const bool same_plan = exec::op::PlanResultsMatch(best.plan, variant->plan);
 
     std::printf("%s\t%llu\t%llu\t%llu\t%llu\t%zu\t0x%016llx\t%.2f\t%.2f\t"
                 "%u\t%s\t%s\n",

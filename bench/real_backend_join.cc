@@ -7,39 +7,19 @@
 //
 // Defaults: 262144 objects per relation (32 MiB each), 8 partitions,
 // Zipf theta 1.1 for the skewed workload, a throwaway directory under
-// /tmp. Two tables:
+// /tmp. Tables:
 //
 //   1. serial vs parallel (the historical speedup table),
 //   2. static vs stealing schedule on a uniform and a Zipf-skewed
 //      workload, with the scheduler's morsel/steal telemetry — the
 //      morsel-driven work-stealing claim made measurable: identical
-//      count/checksum, stealing <= static wall-clock under skew, and
-//   3. dereference-kernel x paging-policy (scalar+none baseline against
-//      prefetch+none / prefetch+advise / prefetch+populate) with the
-//      join.kernel.* / join.paging.* telemetry. Every combination must
-//      produce the identical verified count/checksum (asserted
-//      unconditionally). Timings on small VMs are noisy: set
-//      MMJOIN_KERNEL_REPS=<n> to run each combination n times and keep
-//      the best, and MMJOIN_KERNEL_ASSERT=<min_speedup> to fail unless
-//      prefetch+advise beats scalar+none by that factor on at least two
-//      of the four algorithms (used by scripts/bench_kernels.sh, not CI),
-//      and
-//   4. scatter x numa (direct baseline against buffered / streamed
-//      write-combining scatter and the NUMA placement modes) scored on
-//      *partition-pass* wall-clock (the sum of the pass0/pass1 marks —
-//      the only phases the scatter path touches) with the
-//      join.scatter.* / join.numa.* telemetry. Identity vs direct is
-//      asserted unconditionally; MMJOIN_SCATTER_REPS=<n> takes the best
-//      of n with the reps interleaved across combos (machine-load drift
-//      on a shared box then hits every combo equally), and
-//      MMJOIN_SCATTER_ASSERT=<min_speedup> fails unless the best of
-//      {buffered, stream} beats direct by that factor on the partition
-//      passes of sort-merge, grace AND hybrid-hash.
-//      MMJOIN_SCATTER_TUPLES / MMJOIN_SCATTER_KBUCKETS pin the staging
-//      capacity and Grace/hybrid bucket count for every combo of the
-//      table, and MMJOIN_SCATTER_ONLY=1 skips tables 1-3 (all used by
-//      scripts/bench_scatter.sh, not CI), and
-//   5. mpsm vs sort-merge (EXT-9): the NUMA-affine massively-parallel
+//      count/checksum, stealing <= static wall-clock under skew,
+//   3. paging policy (none / advise / populate) with the join.kernel.* /
+//      join.paging.* telemetry. Every policy must produce the identical
+//      verified count/checksum (asserted unconditionally). Set
+//      MMJOIN_PAGING_REPS=<n> to run each policy n times and keep the
+//      best (scripts/bench_smoke.sh does, for its wall-clock tripwire),
+//   4. mpsm vs sort-merge (EXT-9): the NUMA-affine massively-parallel
 //      sort-merge driver under numa=local against the shared-run
 //      sort-merge baseline, whole-join wall-clock, reps interleaved.
 //      Identity (verified count + checksum) is asserted unconditionally.
@@ -48,7 +28,9 @@
 //      than one NUMA node: on a single-node host the driver degenerates
 //      to its documented fallback (one band, no cross-node traffic to
 //      avoid) and the gate is recorded as skipped instead of failed.
-//      MMJOIN_MPSM_ONLY=1 runs just this table (scripts/bench_mpsm.sh).
+//      MMJOIN_MPSM_ONLY=1 runs just this table (scripts/bench_mpsm.sh),
+//      and
+//   5. index-NL vs partitioning (see IndexTable below).
 //
 // The run header prints the host's NUMA topology (nodes, cpus per node,
 // mempolicy) so every committed bench JSON records what shape its numbers
@@ -82,11 +64,10 @@ constexpr char kUsage[] =
     "  partitions  partitions/disks                [8]\n"
     "  theta       Zipf skew of the second table   [1.1]\n"
     "  dir         segment directory               [/tmp/mmjoin_bench_*]\n"
-    "Env knobs: MMJOIN_KERNEL_REPS/ASSERT, MMJOIN_SCATTER_REPS/ASSERT/\n"
-    "TUPLES/KBUCKETS/ONLY, MMJOIN_INDEX_REPS/ASSERT/ONLY,\n"
+    "Env knobs: MMJOIN_PAGING_REPS, MMJOIN_INDEX_REPS/ASSERT/ONLY,\n"
     "MMJOIN_MPSM_REPS/ASSERT/ONLY (see the file header).\n";
 
-// The four drivers the serial/parallel, schedule and knob tables compare.
+// The four drivers the serial/parallel, schedule and paging tables compare.
 const join::DriverSpec kEntries[] = {
     join::Driver(join::Algorithm::kNestedLoops),
     join::Driver(join::Algorithm::kSortMerge),
@@ -158,31 +139,19 @@ int StaticVsStealing(const char* label, const mm::MmWorkload& workload,
   return 0;
 }
 
-struct KernelCombo {
-  const char* name;
-  exec::DerefKernel kernel;
-  exec::PagingMode paging;
-};
+constexpr exec::PagingMode kPagingModes[] = {
+    exec::PagingMode::kNone, exec::PagingMode::kAdvise,
+    exec::PagingMode::kPopulate};
 
-constexpr KernelCombo kCombos[] = {
-    {"scalar+none", exec::DerefKernel::kScalar, exec::PagingMode::kNone},
-    {"prefetch+none", exec::DerefKernel::kPrefetch, exec::PagingMode::kNone},
-    {"prefetch+advise", exec::DerefKernel::kPrefetch,
-     exec::PagingMode::kAdvise},
-    {"prefetch+populate", exec::DerefKernel::kPrefetch,
-     exec::PagingMode::kPopulate},
-};
-
-/// Best-of-`reps` wall clock for one algorithm x combo. Every rep's result
-/// must verify; the returned result carries the best rep's timing.
-StatusOr<mm::MmJoinResult> RunCombo(const join::DriverSpec& e,
-                                    const mm::MmWorkload& workload,
-                                    const KernelCombo& combo, int reps) {
+/// Best-of-`reps` wall clock for one algorithm x paging mode. Every rep's
+/// result must verify; the returned result carries the best rep's timing.
+StatusOr<mm::MmJoinResult> RunPaging(const join::DriverSpec& e,
+                                     const mm::MmWorkload& workload,
+                                     exec::PagingMode paging, int reps) {
   StatusOr<mm::MmJoinResult> best = Status::Internal("no rep ran");
   for (int rep = 0; rep < reps; ++rep) {
     mm::MmJoinOptions opt;
-    opt.kernel = combo.kernel;
-    opt.paging = combo.paging;
+    opt.paging = paging;
     auto r = e.real(workload, opt);
     if (!r.ok()) return r;
     if (!best.ok() || r->wall_ms < best->wall_ms) best = std::move(r);
@@ -190,49 +159,43 @@ StatusOr<mm::MmJoinResult> RunCombo(const join::DriverSpec& e,
   return best;
 }
 
-/// Prints one kernel x paging table and folds each algorithm's
-/// prefetch+advise speedup into `best_speedup[4]` (max across tables, so
-/// the MMJOIN_KERNEL_ASSERT gate credits an algorithm that clears the bar
-/// on either the uniform or the skewed workload).
-int KernelsTable(const char* label, const mm::MmWorkload& workload, int reps,
-                 double* best_speedup) {
-  std::printf("# %s workload, kernel x paging (best of %d), "
-              "speedup vs scalar+none\n",
+/// Prints one paging table: each policy's best wall clock, its speedup
+/// over paging=none, and the kernel/advice telemetry.
+int PagingTable(const char* label, const mm::MmWorkload& workload, int reps) {
+  std::printf("# %s workload, paging policy (best of %d), "
+              "speedup vs none\n",
               label, reps);
-  std::printf("algorithm\tcombo\twall_ms\tspeedup\tbatches\trequests\t"
+  std::printf("algorithm\tpaging\twall_ms\tspeedup\tbatches\trequests\t"
               "advise_calls\tadvise_mb\tfaults\tsame_join\n");
-  for (size_t a = 0; a < 4; ++a) {
-    const join::DriverSpec& e = kEntries[a];
+  for (const join::DriverSpec& e : kEntries) {
     double baseline_ms = 0;
     uint64_t base_count = 0, base_checksum = 0;
-    double advise_speedup = 0;
-    for (const KernelCombo& combo : kCombos) {
-      auto r = RunCombo(e, workload, combo, reps);
+    for (exec::PagingMode paging : kPagingModes) {
+      auto r = RunPaging(e, workload, paging, reps);
       if (!r.ok()) {
-        std::fprintf(stderr, "%s %s: %s\n", e.name, combo.name,
+        std::fprintf(stderr, "%s %s: %s\n", e.name,
+                     exec::PagingModeName(paging),
                      r.status().ToString().c_str());
         return 1;
       }
       r->ExportMetrics(&bench::Metrics());
       if (!r->paging_status.ok()) {
         std::fprintf(stderr, "%s %s: paging advice failed: %s\n", e.name,
-                     combo.name, r->paging_status.ToString().c_str());
+                     exec::PagingModeName(paging),
+                     r->paging_status.ToString().c_str());
       }
-      const bool is_baseline = combo.kernel == exec::DerefKernel::kScalar &&
-                               combo.paging == exec::PagingMode::kNone;
-      if (is_baseline) {
+      if (paging == exec::PagingMode::kNone) {
         baseline_ms = r->wall_ms;
         base_count = r->output_count;
         base_checksum = r->output_checksum;
       }
-      // The identity is unconditional: every combination must verify AND
-      // match the baseline combination bit for bit.
+      // The identity is unconditional: every policy must verify AND match
+      // paging=none bit for bit.
       const bool same = r->verified && r->output_count == base_count &&
                         r->output_checksum == base_checksum;
-      const double speedup = r->wall_ms > 0 ? baseline_ms / r->wall_ms : 0.0;
-      if (combo.paging == exec::PagingMode::kAdvise) advise_speedup = speedup;
       std::printf("%s\t%s\t%.2f\t%.2f\t%llu\t%llu\t%llu\t%.1f\t%llu\t%s\n",
-                  e.name, combo.name, r->wall_ms, speedup,
+                  e.name, exec::PagingModeName(paging), r->wall_ms,
+                  r->wall_ms > 0 ? baseline_ms / r->wall_ms : 0.0,
                   static_cast<unsigned long long>(r->run.kernel_batches),
                   static_cast<unsigned long long>(r->run.kernel_requests),
                   static_cast<unsigned long long>(r->run.paging_advise_calls),
@@ -241,152 +204,20 @@ int KernelsTable(const char* label, const mm::MmWorkload& workload, int reps,
                   same ? "yes" : "NO");
       if (!same) {
         std::fprintf(stderr,
-                     "%s %s: kernel/paging combination changed the join "
-                     "output — this is a bug\n",
-                     e.name, combo.name);
+                     "%s %s: paging policy changed the join output — this "
+                     "is a bug\n",
+                     e.name, exec::PagingModeName(paging));
         return 1;
       }
     }
-    if (advise_speedup > best_speedup[a]) best_speedup[a] = advise_speedup;
-  }
-  return 0;
-}
-
-struct ScatterCombo {
-  const char* name;
-  exec::ScatterMode scatter;
-  exec::NumaMode numa;
-};
-
-constexpr ScatterCombo kScatterCombos[] = {
-    {"direct+none", exec::ScatterMode::kDirect, exec::NumaMode::kNone},
-    {"buffered+none", exec::ScatterMode::kBuffered, exec::NumaMode::kNone},
-    {"stream+none", exec::ScatterMode::kStream, exec::NumaMode::kNone},
-    {"buffered+interleave", exec::ScatterMode::kBuffered,
-     exec::NumaMode::kInterleave},
-    {"stream+local", exec::ScatterMode::kStream, exec::NumaMode::kLocal},
-};
-
-/// Partition-pass wall-clock: the sum of the pass0/pass1 marks. The
-/// scatter path only touches the partition passes, so scoring the whole
-/// join would dilute the effect with probe/sort time it cannot change.
-double PartitionPassMs(const mm::MmJoinResult& r) {
-  double ms = 0;
-  for (const auto& pass : r.run.passes) {
-    if (pass.label == "pass0" || pass.label == "pass1") ms += pass.elapsed_ms;
-  }
-  return ms;
-}
-
-/// Scatter-table shape overrides (used by scripts/bench_scatter.sh to pin
-/// the gate shape): staging capacity and the Grace/hybrid bucket count.
-/// 0 = the library default / derived value. Applied to EVERY combo of the
-/// table, the direct baseline included, so comparisons stay like-for-like.
-uint32_t ScatterTuplesKnob() {
-  const char* env = std::getenv("MMJOIN_SCATTER_TUPLES");
-  return env ? static_cast<uint32_t>(std::strtoul(env, nullptr, 10)) : 0;
-}
-uint32_t ScatterKBucketsKnob() {
-  const char* env = std::getenv("MMJOIN_SCATTER_KBUCKETS");
-  return env ? static_cast<uint32_t>(std::strtoul(env, nullptr, 10)) : 0;
-}
-
-/// Prints one scatter x numa table and folds each algorithm's best
-/// buffered/stream (numa=none) partition-pass speedup into
-/// `best_speedup[4]` (max across tables, like the kernel gate).
-///
-/// Reps are interleaved — rep-outer, combo-inner — so machine-load drift
-/// on a shared box hits every combo of a rep equally instead of biasing
-/// whichever combo happened to run during a lull; each combo keeps its
-/// best rep by partition-pass wall-clock.
-int ScatterTable(const char* label, const mm::MmWorkload& workload, int reps,
-                 double* best_speedup) {
-  constexpr size_t kNumCombos =
-      sizeof(kScatterCombos) / sizeof(kScatterCombos[0]);
-  const uint32_t sc_tuples = ScatterTuplesKnob();
-  const uint32_t sc_kb = ScatterKBucketsKnob();
-  std::printf("# %s workload, scatter x numa (best of %d, interleaved), "
-              "partition-pass speedup vs direct+none, scatter_tuples=%u "
-              "k_buckets=%u (0=default)\n",
-              label, reps, sc_tuples, sc_kb);
-  std::printf("algorithm\tcombo\twall_ms\tpartition_ms\tspeedup\tflushes\t"
-              "partial\ttuples\tnuma_nodes\tmbind\tsame_join\n");
-  for (size_t a = 0; a < 4; ++a) {
-    const join::DriverSpec& e = kEntries[a];
-    std::optional<mm::MmJoinResult> best[kNumCombos];
-    for (int rep = 0; rep < reps; ++rep) {
-      for (size_t c = 0; c < kNumCombos; ++c) {
-        mm::MmJoinOptions opt;
-        opt.scatter = kScatterCombos[c].scatter;
-        opt.numa = kScatterCombos[c].numa;
-        opt.scatter_tuples = sc_tuples;
-        opt.k_buckets = sc_kb;
-        auto r = e.real(workload, opt);
-        if (!r.ok()) {
-          std::fprintf(stderr, "%s %s: %s\n", e.name, kScatterCombos[c].name,
-                       r.status().ToString().c_str());
-          return 1;
-        }
-        if (!best[c] || PartitionPassMs(*r) < PartitionPassMs(*best[c])) {
-          best[c] = std::move(*r);
-        }
-      }
-    }
-    double baseline_pp_ms = 0;
-    uint64_t base_count = 0, base_checksum = 0;
-    double combo_best = 0;
-    for (size_t c = 0; c < kNumCombos; ++c) {
-      const ScatterCombo& combo = kScatterCombos[c];
-      mm::MmJoinResult& r = *best[c];
-      r.ExportMetrics(&bench::Metrics());
-      if (!r.numa_status.ok()) {
-        std::fprintf(stderr, "%s %s: numa placement failed: %s\n", e.name,
-                     combo.name, r.numa_status.ToString().c_str());
-      }
-      const double pp_ms = PartitionPassMs(r);
-      const bool is_baseline = combo.scatter == exec::ScatterMode::kDirect &&
-                               combo.numa == exec::NumaMode::kNone;
-      if (is_baseline) {
-        baseline_pp_ms = pp_ms;
-        base_count = r.output_count;
-        base_checksum = r.output_checksum;
-      }
-      // The identity is unconditional: every combination must verify AND
-      // match the direct baseline bit for bit.
-      const bool same = r.verified && r.output_count == base_count &&
-                        r.output_checksum == base_checksum;
-      const double speedup = pp_ms > 0 ? baseline_pp_ms / pp_ms : 0.0;
-      if (combo.numa == exec::NumaMode::kNone &&
-          combo.scatter != exec::ScatterMode::kDirect &&
-          speedup > combo_best) {
-        combo_best = speedup;
-      }
-      std::printf("%s\t%s\t%.2f\t%.2f\t%.2f\t%llu\t%llu\t%llu\t%u\t%llu\t%s\n",
-                  e.name, combo.name, r.wall_ms, pp_ms, speedup,
-                  static_cast<unsigned long long>(r.run.scatter_flushes),
-                  static_cast<unsigned long long>(
-                      r.run.scatter_partial_flushes),
-                  static_cast<unsigned long long>(r.run.scatter_tuples),
-                  r.run.numa_nodes,
-                  static_cast<unsigned long long>(r.run.numa_mbind_calls),
-                  same ? "yes" : "NO");
-      if (!same) {
-        std::fprintf(stderr,
-                     "%s %s: scatter/numa combination changed the join "
-                     "output — this is a bug\n",
-                     e.name, combo.name);
-        return 1;
-      }
-    }
-    if (combo_best > best_speedup[a]) best_speedup[a] = combo_best;
   }
   return 0;
 }
 
 /// MPSM vs sort-merge (EXT-9): whole-join wall-clock, mpsm under
 /// numa=local — the placement the driver exists for. Reps are interleaved
-/// rep-outer like the scatter table so machine-load drift hits both sides
-/// equally; each side keeps its best rep. Identity is asserted
+/// rep-outer so machine-load drift hits both sides equally; each side
+/// keeps its best rep. Identity is asserted
 /// unconditionally; the timing gate lives in main() because it is
 /// topology-dependent (a single-node host degenerates to the documented
 /// fallback and cannot show a placement win). Folds mpsm's best speedup
@@ -640,34 +471,12 @@ int main(int argc, char** argv) {
               sizeof(rel::RObject), relation.num_partitions, theta);
   std::printf("# topology: %s\n", exec::NumaTopologySummary(topo).c_str());
 
-  // Kernel-table knobs: reps per combination (best-of) and the opt-in
-  // speedup gate (off unless MMJOIN_KERNEL_ASSERT is set — this VM-sized
-  // CI box is too noisy to gate timings unconditionally).
-  const char* reps_env = std::getenv("MMJOIN_KERNEL_REPS");
+  // Paging-table reps per policy (best-of).
+  const char* reps_env = std::getenv("MMJOIN_PAGING_REPS");
   const int reps =
       reps_env ? std::max(1, static_cast<int>(std::strtol(reps_env, nullptr,
                                                           10)))
                : 1;
-  const char* assert_env = std::getenv("MMJOIN_KERNEL_ASSERT");
-  const double min_speedup = assert_env ? std::strtod(assert_env, nullptr) : 0;
-  double best_speedup[4] = {0, 0, 0, 0};
-
-  // Scatter-table knobs, mirroring the kernel table's.
-  const char* sc_reps_env = std::getenv("MMJOIN_SCATTER_REPS");
-  const int sc_reps =
-      sc_reps_env
-          ? std::max(1, static_cast<int>(std::strtol(sc_reps_env, nullptr,
-                                                     10)))
-          : 1;
-  const char* sc_assert_env = std::getenv("MMJOIN_SCATTER_ASSERT");
-  const double sc_min_speedup =
-      sc_assert_env ? std::strtod(sc_assert_env, nullptr) : 0;
-  double best_sc_speedup[4] = {0, 0, 0, 0};
-  // MMJOIN_SCATTER_ONLY=1 skips the serial/schedule/kernel tables so the
-  // gated scatter run (large workload, many reps) doesn't pay for
-  // measurements it never reads.
-  const char* sc_only_env = std::getenv("MMJOIN_SCATTER_ONLY");
-  const bool sc_only = sc_only_env && sc_only_env[0] == '1';
 
   // Index-table knobs (scripts/bench_index.sh): best-of reps, the
   // selective-win gate, and MMJOIN_INDEX_ONLY=1 to run just that table.
@@ -791,17 +600,10 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    if (!sc_only) rc = SerialVsParallel(*workload);
-    if (rc == 0 && !sc_only) {
-      rc = StaticVsStealing("uniform", *workload, sched_workers);
-    }
-    if (rc == 0 && !sc_only) {
-      rc = KernelsTable("uniform", *workload, reps, best_speedup);
-    }
+    rc = SerialVsParallel(*workload);
+    if (rc == 0) rc = StaticVsStealing("uniform", *workload, sched_workers);
+    if (rc == 0) rc = PagingTable("uniform", *workload, reps);
     if (rc == 0) {
-      rc = ScatterTable("uniform", *workload, sc_reps, best_sc_speedup);
-    }
-    if (rc == 0 && !sc_only) {
       rc = MpsmTable("uniform", *workload, mp_reps, &best_mpsm_speedup);
     }
     workload->r_segs.clear();
@@ -821,14 +623,9 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    if (!sc_only) rc = StaticVsStealing("zipf", *workload, sched_workers);
-    if (rc == 0 && !sc_only) {
-      rc = KernelsTable("zipf", *workload, reps, best_speedup);
-    }
+    rc = StaticVsStealing("zipf", *workload, sched_workers);
+    if (rc == 0) rc = PagingTable("zipf", *workload, reps);
     if (rc == 0) {
-      rc = ScatterTable("zipf", *workload, sc_reps, best_sc_speedup);
-    }
-    if (rc == 0 && !sc_only) {
       rc = MpsmTable("zipf", *workload, mp_reps, &best_mpsm_speedup);
     }
     workload->r_segs.clear();
@@ -836,7 +633,7 @@ int main(int argc, char** argv) {
     (void)mm::DeleteMmWorkload(&mgr, "zipf", skewed.num_partitions);
   }
 
-  if (rc == 0 && !sc_only) {
+  if (rc == 0) {
     rc = IndexTable(&mgr, relation.r_objects, relation.num_partitions,
                     ix_reps, &ix_selective_win);
   }
@@ -849,49 +646,6 @@ int main(int argc, char** argv) {
     } else {
       std::printf("# index gate passed: warm probe beat partitioning on a "
                   "selective config\n");
-    }
-  }
-
-  if (rc == 0 && min_speedup > 0) {
-    int passing = 0;
-    for (size_t a = 0; a < 4; ++a) {
-      std::printf("# kernel gate: %s best prefetch+advise speedup %.2fx "
-                  "(need %.2fx)\n",
-                  kEntries[a].name, best_speedup[a], min_speedup);
-      if (best_speedup[a] >= min_speedup) ++passing;
-    }
-    if (passing < 2) {
-      std::fprintf(stderr,
-                   "kernel gate FAILED: %d/4 algorithms reached %.2fx "
-                   "(need >= 2)\n",
-                   passing, min_speedup);
-      rc = 1;
-    } else {
-      std::printf("# kernel gate passed: %d/4 algorithms >= %.2fx\n", passing,
-                  min_speedup);
-    }
-  }
-
-  if (rc == 0 && sc_min_speedup > 0) {
-    // The gate covers the three partition-heavy algorithms; nested-loops'
-    // partition pass is probe-dominated (its own tuples never scatter) so
-    // its speedup is reported but not gated.
-    int passing = 0;
-    for (size_t a = 1; a < 4; ++a) {
-      std::printf("# scatter gate: %s best buffered/stream partition-pass "
-                  "speedup %.2fx (need %.2fx)\n",
-                  kEntries[a].name, best_sc_speedup[a], sc_min_speedup);
-      if (best_sc_speedup[a] >= sc_min_speedup) ++passing;
-    }
-    if (passing < 3) {
-      std::fprintf(stderr,
-                   "scatter gate FAILED: %d/3 partition-heavy algorithms "
-                   "reached %.2fx (need all 3)\n",
-                   passing, sc_min_speedup);
-      rc = 1;
-    } else {
-      std::printf("# scatter gate passed: 3/3 algorithms >= %.2fx\n",
-                  sc_min_speedup);
     }
   }
 

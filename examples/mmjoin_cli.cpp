@@ -32,12 +32,9 @@
 //   --schedule=static|stealing    partition scheduling (real)  [stealing]
 //   --morsel-tuples=N             tuples per morsel (real)     [16384]
 //   --skew-split=K                hot-partition split factor (real) [4]
-//   --kernel=scalar|prefetch      dereference kernel (real)    [prefetch]
 //   --prefetch-distance=N         in-flight S derefs (real)    [32]
 //   --paging=none|advise|populate mmap paging policy (real)    [advise]
 //   --huge-pages                  MADV_HUGEPAGE on temps (real)
-//   --scatter=direct|buffered|stream  partition scatter (real) [buffered]
-//   --scatter-tuples=N            staged tuples per dest (real) [16]
 //   --numa=none|interleave|local  temp placement (real)        [none]
 //   --model                       also print the model's prediction
 //   --passes                      print the per-pass breakdown
@@ -81,14 +78,9 @@ constexpr char kFlagsUsage[] =
     "[stealing]\n"
     "  --morsel-tuples=N             tuples per morsel (real)     [16384]\n"
     "  --skew-split=K                hot-partition split (real)   [4]\n"
-    "  --kernel=scalar|prefetch      dereference kernel (real)    "
-    "[prefetch]\n"
     "  --prefetch-distance=N         in-flight S derefs (real)    [32]\n"
     "  --paging=none|advise|populate mmap paging policy (real)    [advise]\n"
     "  --huge-pages                  MADV_HUGEPAGE on temps (real)\n"
-    "  --scatter=direct|buffered|stream  partition scatter (real) "
-    "[buffered]\n"
-    "  --scatter-tuples=N            staged tuples per dest (real) [16]\n"
     "  --numa=none|interleave|local  temp placement (real)        [none]\n"
     "  --model                       also print the model's prediction\n"
     "  --passes                      print the per-pass breakdown\n"
@@ -114,12 +106,9 @@ struct Flags {
   std::string schedule = "stealing";
   uint64_t morsel_tuples = 0;
   double skew_split = 0;
-  std::string kernel = "prefetch";
   uint32_t prefetch_distance = 0;
   std::string paging = "advise";
   bool huge_pages = false;
-  std::string scatter = "buffered";
-  uint32_t scatter_tuples = 0;
   std::string numa = "none";
   bool show_model = false;
   bool show_passes = false;
@@ -165,8 +154,6 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
       flags->morsel_tuples = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--skew-split", &v)) {
       flags->skew_split = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--kernel", &v)) {
-      flags->kernel = v;
     } else if (ParseFlag(argv[i], "--prefetch-distance", &v)) {
       flags->prefetch_distance =
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
@@ -174,11 +161,6 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
       flags->paging = v;
     } else if (std::strcmp(argv[i], "--huge-pages") == 0) {
       flags->huge_pages = true;
-    } else if (ParseFlag(argv[i], "--scatter", &v)) {
-      flags->scatter = v;
-    } else if (ParseFlag(argv[i], "--scatter-tuples", &v)) {
-      flags->scatter_tuples =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--numa", &v)) {
       flags->numa = v;
     } else if (ParseFlag(argv[i], "--r", &v)) {
@@ -263,7 +245,8 @@ int RunOne(join::Algorithm a, const Flags& flags,
   return 0;
 }
 
-/// Resolves the real-backend kernel/paging flags; false on a bad value.
+/// Resolves the real-backend schedule/paging/numa flags; false on a bad
+/// value.
 bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
   if (flags.schedule == "static") {
     options->schedule = exec::Schedule::kStatic;
@@ -275,17 +258,6 @@ bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
   }
   options->morsel_tuples = flags.morsel_tuples;
   options->skew_split_factor = flags.skew_split;
-  if (flags.scatter == "direct") {
-    options->scatter = exec::ScatterMode::kDirect;
-  } else if (flags.scatter == "buffered") {
-    options->scatter = exec::ScatterMode::kBuffered;
-  } else if (flags.scatter == "stream") {
-    options->scatter = exec::ScatterMode::kStream;
-  } else {
-    std::fprintf(stderr, "bad --scatter\n");
-    return false;
-  }
-  options->scatter_tuples = flags.scatter_tuples;
   if (flags.numa == "none") {
     options->numa = exec::NumaMode::kNone;
   } else if (flags.numa == "interleave") {
@@ -294,14 +266,6 @@ bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
     options->numa = exec::NumaMode::kLocal;
   } else {
     std::fprintf(stderr, "bad --numa\n");
-    return false;
-  }
-  if (flags.kernel == "scalar") {
-    options->kernel = exec::DerefKernel::kScalar;
-  } else if (flags.kernel == "prefetch") {
-    options->kernel = exec::DerefKernel::kPrefetch;
-  } else {
-    std::fprintf(stderr, "bad --kernel\n");
     return false;
   }
   if (flags.paging == "none") {
@@ -483,8 +447,7 @@ int RunReal(const std::vector<join::Algorithm>& algorithms, const Flags& flags,
   mm::MmJoinOptions real_options;
   if (!ResolveRealOptions(flags, &real_options)) return 2;
   std::printf("real backend: schedule=%s morsel-tuples=%llu skew-split=%.1f "
-              "kernel=%s prefetch-distance=%u paging=%s huge-pages=%s "
-              "scatter=%s scatter-tuples=%u numa=%s\n",
+              "prefetch-distance=%u paging=%s huge-pages=%s numa=%s\n",
               exec::ScheduleName(real_options.schedule),
               static_cast<unsigned long long>(
                   real_options.morsel_tuples ? real_options.morsel_tuples
@@ -492,15 +455,11 @@ int RunReal(const std::vector<join::Algorithm>& algorithms, const Flags& flags,
               real_options.skew_split_factor
                   ? real_options.skew_split_factor
                   : exec::kDefaultSkewSplitFactor,
-              exec::KernelName(real_options.kernel),
               real_options.prefetch_distance
                   ? real_options.prefetch_distance
                   : exec::kDefaultPrefetchDistance,
               exec::PagingModeName(real_options.paging),
               real_options.huge_pages ? "on" : "off",
-              exec::ScatterModeName(real_options.scatter),
-              real_options.scatter_tuples ? real_options.scatter_tuples
-                                          : exec::kDefaultScatterTuples,
               exec::NumaModeName(real_options.numa));
   std::printf("topology: %s\n\n",
               exec::NumaTopologySummary(exec::QueryNumaTopology()).c_str());

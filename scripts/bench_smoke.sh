@@ -6,12 +6,11 @@
 # does-the-pipeline-run-and-verify gate first; the only timing assertion
 # is a coarse big-regression tripwire: when the repo carries a committed
 # BENCH_baseline.json, the real_backend_join dump's fastest join
-# (join.elapsed_ms histogram min, best-of-3 via MMJOIN_KERNEL_REPS) must
+# (join.elapsed_ms histogram min, best-of-3 via MMJOIN_PAGING_REPS) must
 # not exceed the baseline's by more than BENCH_SMOKE_TOLERANCE percent
 # (default 50 — at smoke scale the fastest join is ~1 ms, and even its
 # best-of-3 min jitters tens of percent on shared runners). Fine-grained
-# speedup
-# claims live in scripts/bench_kernels.sh, not here — CI runners are too
+# speedup claims live in perfbench/, not here — CI runners are too
 # noisy for tight timing gates. The planner_regret dump additionally
 # trips on a worse regret geomean or mean model error vs the baseline
 # (the adaptive planner's closed loop regressing is a build break even
@@ -51,11 +50,13 @@ run "../bench/fig5b_sort_merge" "$OBJECTS"
 run "../bench/fig5c_grace" "$OBJECTS"
 # Twice the objects for the real backend (it is wall-clock fast), D=8,
 # Zipf theta 1.1: the static-vs-stealing table runs on a genuinely skewed
-# workload and the same_join column asserts schedule-independence. The run
-# includes the small-N mpsm-vs-sort-merge table (identity asserted
-# unconditionally, timing not gated here — scripts/bench_mpsm.sh arms the
-# gate at scale), so BENCH_ci.json carries the join.mpsm.* telemetry.
-run env MMJOIN_KERNEL_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1.1
+# workload and the same_join column asserts schedule-independence. The
+# paging table runs each policy best-of-3, the samples the tripwire below
+# reads. The run includes the small-N mpsm-vs-sort-merge table (identity
+# asserted unconditionally, timing not gated here — scripts/bench_mpsm.sh
+# arms the gate at scale), so BENCH_ci.json carries the join.mpsm.*
+# telemetry.
+run env MMJOIN_PAGING_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1.1
 # 10 seconds of open-loop multi-query load through the mmjoind service
 # stack (in-process server, real unix socket, 4 clients on the shared
 # 4-worker pool). The identity check — every concurrent result
@@ -65,7 +66,7 @@ run env MMJOIN_KERNEL_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1
 # scripts/bench_service.sh instead.
 run "../bench/service_load" "$((OBJECTS / 2))" 10 4
 # Small-N pass over the TPC-H-flavoured plans (push-based operator layer):
-# every plan is oracle-checked and its schedule/kernel variants must be
+# every plan is oracle-checked and its static-schedule variant must be
 # bit-identical inside the bench; the dump rides into BENCH_ci.json like
 # the rest. The timing gate for plans lives in scripts/bench_queries.sh.
 run "../bench/queries" "$OBJECTS" 4 1.1 1

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/scatter.h"
 #include "mmap/segment.h"
 #include "obs/trace.h"
 #include "rel/relation.h"
@@ -58,9 +57,8 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
                            const std::vector<uint64_t>& counts,
                            void (*fn)(uint32_t),
                            void (*range_fn)(uint32_t, uint64_t, uint64_t),
-                           const SRef* refs, SRef* sort_refs, SortKey key,
-                           AccessIntent intent, ScatterSink sink,
-                           const rel::RObject* run) {
+                           SRef* sort_refs, SortKey key,
+                           AccessIntent intent) {
   typename B::Seg;
 
   // ---- shape & parameters ------------------------------------------------
@@ -88,33 +86,9 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.RpSubOffset(i, j) } -> std::convertible_to<uint64_t>;
   { cb.RpSubCount(i, j) } -> std::convertible_to<uint64_t>;
   { cb.RpPages(i) } -> std::convertible_to<uint64_t>;
+  /// One cursor claim + one object copy: partition passes append each
+  /// routed object straight to its band (DESIGN.md §7.3).
   { b.AppendToRp(i, j, obj) };
-  /// Run form: append `run[0..len)` to RP_{i,j} in one cursor claim + bulk
-  /// copy. len=1 is exactly AppendToRp.
-  { b.AppendRpRun(i, j, run, len) };
-
-  // ---- write-combining scatter (exec/scatter.h) --------------------------
-  // A partition pass wraps each morsel body in BeginScatter(i, n_dests,
-  // expected_per_dest, sink) ... ScatterTo(i, dest, obj)* ...
-  // FlushScatter(i). The sink owns the actual append (cursor claim, byte
-  // movement, cost charging); the backend decides whether tuples reach it
-  // immediately (simulator, and the real backend under scatter=direct —
-  // bit-identical to the historical per-tuple appends) or staged in
-  // per-worker write-combining buffers flushed as bulk runs
-  // (scatter=buffered|stream). expected_per_dest is the morsel's expected
-  // tuples per destination — a density hint, not a bound: the real backend
-  // skips staging when a destination cannot even fill one slab, where the
-  // staging copy would be pure overhead. StreamScatter() tells the sinks'
-  // copy loops to use non-temporal stores; false on the simulator and for
-  // every real mode but kStream.
-  // ScatterRunTo is the contiguous-run form for fixed-destination morsels:
-  // per-tuple on the simulator and under scatter=direct (identical to a
-  // ScatterTo loop), one bulk sink call under buffered/stream.
-  { b.BeginScatter(i, j, len, sink) };
-  { b.ScatterTo(i, j, obj) };
-  { b.ScatterRunTo(i, j, run, len) };
-  { b.FlushScatter(i) };
-  { cb.StreamScatter() } -> std::convertible_to<bool>;
 
   // ---- per-partition process operations ----------------------------------
   { b.Read(i, seg, off, len) } -> std::convertible_to<const void*>;
@@ -122,22 +96,18 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { b.ChargeCpu(i, ms) };
   { b.ChargeSetup(i, ms) };
   { b.DropSegment(i, seg, true) };
-  { b.RequestS(i, off, len) };  // (r_id, packed sptr)
   { b.FlushSRequests(i) };
 
-  // ---- batched dereference kernels (exec/kernels.h) ----------------------
-  // BatchedProbe() says whether the probe sites should take the batched
-  // path: always false on the simulator (its costed fetch protocol and
-  // page-cache touch order are the semantics, so the original scalar loops
-  // must run), and false on the real backend when kernel=scalar — which is
-  // what keeps the A/B baseline genuinely unchanged. RequestSBatch is the
-  // staged equivalent of a RequestS loop over `refs`; ProbeRun is the same
-  // over a contiguous run of RObjects at `off` inside `seg`, reading only
-  // each object's (id, sptr) prefix. Both are order-free: output tallies
-  // are commutative sums, so kernels may reorder dereferences.
-  { cb.BatchedProbe() } -> std::convertible_to<bool>;
-  { b.RequestSBatch(i, refs, len) };
-  { b.ProbeRun(i, seg, off, len) };
+  // ---- S-pointer dereference (exec/kernels.h) ----------------------------
+  // kBatchedProbe is a fixed property of the backend, so the probe sites
+  // branch on it with `if constexpr`. The simulator probes one tuple at a
+  // time through RequestS: its costed G-buffer fetch protocol and
+  // page-cache touch order are the semantics. The real backend always
+  // batches: RequestSBatch dereferences an SRef array through the
+  // prefetch pipeline, and ProbeRun does the same over a contiguous run of
+  // RObjects at `off` inside `seg`, reading only each object's (id, sptr)
+  // prefix. Batches are order-free: output tallies are commutative sums.
+  { B::kBatchedProbe } -> std::convertible_to<bool>;
 
   // ---- sorting (DESIGN.md §7.9) --------------------------------------------
   // SortRefs sorts sort_refs[0..len) in place by `key`, on behalf of
@@ -200,7 +170,16 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.tracing() } -> std::convertible_to<bool>;
   { b.clock_ms(i) } -> std::convertible_to<double>;
   { b.Span(i, label, label, ms, args) };
-};
+} && ((B::kBatchedProbe &&
+       requires(B b, uint32_t i, typename B::Seg seg, uint64_t off,
+                uint64_t len, const SRef* refs) {
+         { b.RequestSBatch(i, refs, len) };
+         { b.ProbeRun(i, seg, off, len) };
+       }) ||
+      (!B::kBatchedProbe && requires(B b, uint32_t i, uint64_t off,
+                                     uint64_t len) {
+        { b.RequestS(i, off, len) };  // (r_id, packed sptr)
+      }));
 
 /// Exact layout of the RP_i temporaries shared by both backends: RP_i holds
 /// one contiguous sub-partition RP_{i,j} per remote target j (j != i),
@@ -240,14 +219,6 @@ class RpLayout {
   /// Claims the next slot of RP_{i,j}; returns its byte offset within RP_i.
   uint64_t NextSlot(uint32_t i, uint32_t j) {
     const uint64_t slot = cursor_[i][j]++;
-    return sub_offset_[i][j] + slot * sizeof(rel::RObject);
-  }
-  /// Claims `n` consecutive slots of RP_{i,j}; returns the byte offset of
-  /// the first. Used by the scatter flush path to land a whole staged run
-  /// with one cursor bump.
-  uint64_t NextSlotRun(uint32_t i, uint32_t j, uint64_t n) {
-    const uint64_t slot = cursor_[i][j];
-    cursor_[i][j] += n;
     return sub_offset_[i][j] + slot * sizeof(rel::RObject);
   }
 

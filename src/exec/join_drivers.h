@@ -95,15 +95,10 @@ StatusOr<join::JoinRunResult> NestedLoops(B& ex,
   ex.MarkPass("setup");
 
   // ---- Pass 0: partition R_i; join the R_{i,i} objects immediately. ----
-  // Foreign objects scatter into RP_{i,dest}; own-partition refs route
-  // through the ProbeStage (prefetch-kernel staging or direct RequestS).
+  // Foreign objects land in RP_{i,dest}; own-partition refs route through
+  // the ProbeStage (prefetch-kernel staging or one RequestS each).
   op::Partition(
-      ex, /*extra_dests=*/0,
-      [&ex](uint32_t i) {
-        return [&ex, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          ex.AppendRpRun(i, dest, run, n);
-        };
-      },
+      ex,
       [&ex](uint32_t i, uint64_t begin, uint64_t end) {
         return op::ProbeStage<B>(ex, i, end - begin);
       },
@@ -180,22 +175,11 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   };
 
   // ---- Pass 0: partition R_i into RS_i (own pointers) and RP_{i,j}. ----
-  // Every object routes through the scatter buffer: destination i lands in
-  // RS_i, any other destination in RP_{i,dest}.
   op::Partition(
-      ex, /*extra_dests=*/0,
-      [&](uint32_t i) {
-        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          if (dest == i) {
-            append_rs_run(i, i, run, n);
-          } else {
-            ex.AppendRpRun(i, dest, run, n);
-          }
-        };
-      },
-      [&ex](uint32_t i, uint64_t, uint64_t) {
-        return [&ex, i](const rel::RObject& obj, rel::SPtr) {
-          ex.ScatterTo(i, i, obj);
+      ex,
+      [&](uint32_t i, uint64_t, uint64_t) {
+        return [&, i](const rel::RObject& obj, rel::SPtr) {
+          append_rs_run(i, i, &obj, 1);
         };
       },
       sync);
@@ -203,26 +187,21 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   // ---- Pass 1: staggered phases move RP_{i,j} into RS_j. ----
   op::PhasedRepartition(
       ex, rs_segs,
-      [&](uint32_t i, uint32_t /*j*/, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, d, end - begin,
-                        [&, i](uint32_t dest, const rel::RObject* run,
-                               uint64_t n) { append_rs_run(i, dest, run, n); });
-      },
       [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
           uint64_t end) {
-        if (ex.BatchedProbe()) {
+        if constexpr (B::kBatchedProbe) {
           // The morsel's whole range is one contiguous RP_{i,j} run bound
-          // for the fixed partner j — scatter it as a run, not per tuple.
+          // for the fixed partner j: append it as one run.
           if (end > begin) {
             const auto* run = static_cast<const rel::RObject*>(
                 ex.Read(i, ex.rp_seg(i), base + begin * r, (end - begin) * r));
-            ex.ScatterRunTo(i, j, run, end - begin);
+            append_rs_run(i, j, run, end - begin);
           }
         } else {
           for (uint64_t k = begin; k < end; ++k) {
             const rel::RObject obj =
                 op::ReadR(ex, i, ex.rp_seg(i), base + k * r);
-            ex.ScatterTo(i, j, obj);
+            append_rs_run(i, j, &obj, 1);
           }
         }
       },
@@ -375,31 +354,22 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
   ex.ForEachPartitionTuples(
       op::RCounts(ex),
       [&](uint32_t i, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, nodes, (end - begin) / nodes,
-                        [&, i](uint32_t n, const rel::RObject* run,
-                               uint64_t len) {
-                          op::AppendRun(ex, i, band_segs[n],
-                                        band_layout.Claim(n, i, len), run,
-                                        len);
-                        });
+        auto append = [&](const rel::RObject& obj) {
+          const uint32_t n = node_of(rel::SPtr::Unpack(obj.sptr).partition);
+          op::AppendRun(ex, i, band_segs[n], band_layout.Claim(n, i, 1), &obj,
+                        1);
+        };
         const Seg r_seg = ex.r_seg(i);
-        if (ex.BatchedProbe()) {
-          for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject* obj =
-                op::ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k));
-            const rel::SPtr sp = rel::SPtr::Unpack(obj->sptr);
-            ex.ScatterTo(i, node_of(sp.partition), *obj);
-          }
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
+        for (uint64_t k = begin; k < end; ++k) {
+          if constexpr (B::kBatchedProbe) {
+            append(*op::ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k)));
+          } else {
             const rel::RObject obj =
                 op::ReadR(ex, i, r_seg, rel::Workload::ROffset(k));
             ex.ChargeCpu(i, mc.map_ms);  // map the join attribute to target
-            const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-            ex.ScatterTo(i, node_of(sp.partition), obj);
+            append(obj);
           }
         }
-        ex.FlushScatter(i);
       },
       /*independent=*/false);
   if (sync) ex.SyncClocks();
@@ -516,9 +486,8 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
     fan_in[p] = slices.size();
 
     const double merge_start_ms = ex.clock_ms(p);
-    const bool batched_fetch = ex.BatchedProbe();
     std::vector<SRef> fetch;
-    if (batched_fetch) fetch.reserve(op::kProbeScratch);
+    if constexpr (B::kBatchedProbe) fetch.reserve(op::kProbeScratch);
     MergeHeap heap(std::max<uint64_t>(slices.size(), 1));
     for (uint32_t g = 0; g < slices.size(); ++g) {
       const auto* obj = static_cast<const rel::RObject*>(
@@ -544,7 +513,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
       }
       // The merged stream is in S-pointer order: S_p reads sequentially
       // through the fetch protocol.
-      if (batched_fetch) {
+      if constexpr (B::kBatchedProbe) {
         fetch.push_back(SRef{obj.id, obj.sptr});
         if (fetch.size() == op::kProbeScratch) {
           ex.RequestSBatch(p, fetch.data(), fetch.size());
@@ -554,7 +523,9 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
         ex.RequestS(p, obj.id, obj.sptr);
       }
     }
-    if (!fetch.empty()) ex.RequestSBatch(p, fetch.data(), fetch.size());
+    if constexpr (B::kBatchedProbe) {
+      if (!fetch.empty()) ex.RequestSBatch(p, fetch.data(), fetch.size());
+    }
     ex.ChargeCpu(p, mc.HeapCostMs(heap.cost()));
     ex.FlushSRequests(p);
     if (ex.tracing()) {
@@ -645,13 +616,13 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
   // ---- Passes 1+j: per bucket, build the TSIZE-chain table and join. ----
   std::vector<Status> partition_status(d);
   ex.ForEachPartition(rs.objects, [&](uint32_t i) {
-    // The chain table serves the scalar path only: chains give the
+    // The chain table serves the simulator only: chains give the
     // one-at-a-time probe loop (and the paper's Sproc) bucket-local S
-    // locality. The batched path probes the RS band in place — the
+    // locality. The batched backend probes the RS band in place — the
     // pipeline's look-ahead subsumes the grouping, so the table build
     // (one hash + one push per tuple) disappears from the real run.
-    std::vector<std::vector<SRef>> table(
-        ex.BatchedProbe() ? 0 : rs.plan.tsize);
+    std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0
+                                                          : rs.plan.tsize);
     op::BuildProbeBuckets(ex, i, rs_segs[i], rs.layout, k_buckets,
                           rs.plan.tsize, table);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);
@@ -702,10 +673,10 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
   ex.ForEachPartition(rs.objects, [&](uint32_t i) {
     // Resident bucket 0: already in memory, join directly (S_i bucket-0
     // range is read here, sequentially by chain order). As in Grace, the
-    // chain table serves the scalar path only.
-    std::vector<std::vector<SRef>> table(
-        ex.BatchedProbe() ? 0 : rs.plan.tsize);
-    if (ex.BatchedProbe()) {
+    // chain table serves the simulator only.
+    std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0
+                                                          : rs.plan.tsize);
+    if constexpr (B::kBatchedProbe) {
       // The resident entries are already one contiguous SRef array.
       ex.RequestSBatch(i, resident[i].data(), resident[i].size());
     } else {
@@ -834,7 +805,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
             static_cast<double>(4 * (lay.levels().size() + 1)) *
             mc.compare_ms;
         uint64_t matched = 0;
-        if (ex.BatchedProbe()) {
+        if constexpr (B::kBatchedProbe) {
           std::vector<SRef> fetch;
           fetch.reserve(std::min(end - begin, op::kProbeScratch));
           for (uint64_t k = begin; k < end; ++k) {

@@ -8,16 +8,6 @@
 
 namespace mmjoin::exec {
 
-const char* KernelName(DerefKernel kernel) {
-  switch (kernel) {
-    case DerefKernel::kScalar:
-      return "scalar";
-    case DerefKernel::kPrefetch:
-      return "prefetch";
-  }
-  return "?";
-}
-
 const char* PagingModeName(PagingMode paging) {
   switch (paging) {
     case PagingMode::kNone:
@@ -74,20 +64,6 @@ void ProbeRefs(const SRef* refs, uint64_t n, const rel::SObject* const* parts,
   tally->batches += 1;
 }
 
-void ProbeRefsScalar(const SRef* refs, uint64_t n,
-                     const rel::SObject* const* parts, KernelTally* tally) {
-  uint64_t count = 0, digest = 0;
-  for (uint64_t k = 0; k < n; ++k) {
-    const rel::SObject* s = Target(parts, refs[k].sptr);
-    digest += rel::OutputDigest(refs[k].r_id, s->key);
-    ++count;
-  }
-  tally->count += count;
-  tally->digest += digest;
-  tally->requests += n;
-  tally->batches += 1;
-}
-
 void ProbeObjects(const rel::RObject* objs, uint64_t n,
                   const rel::SObject* const* parts, uint32_t distance,
                   KernelTally* tally) {
@@ -116,23 +92,6 @@ void ProbeObjects(const rel::RObject* objs, uint64_t n,
   tally->digest += digest;
   tally->requests += n;
   tally->prefetches += n;
-  tally->batches += 1;
-}
-
-void ProbeObjectsScalar(const rel::RObject* objs, uint64_t n,
-                        const rel::SObject* const* parts,
-                        KernelTally* tally) {
-  uint64_t count = 0, digest = 0;
-  for (uint64_t k = 0; k < n; ++k) {
-    rel::RObject obj;
-    std::memcpy(&obj, &objs[k], sizeof(obj));
-    const rel::SObject* s = Target(parts, obj.sptr);
-    digest += rel::OutputDigest(obj.id, s->key);
-    ++count;
-  }
-  tally->count += count;
-  tally->digest += digest;
-  tally->requests += n;
   tally->batches += 1;
 }
 

@@ -24,13 +24,10 @@
 //                 halving the R-side memory traffic of a probe pass.
 //
 // Both accumulate into a KernelTally: count/digest are the join output
-// (bit-identical to the scalar loop — addition is commutative and the
-// digest per match does not depend on probe order), requests/prefetches/
-// batches feed the join.kernel.* metrics.
-//
-// The scalar reference loops (ProbeRefsScalar/ProbeObjectsScalar) are kept
-// callable so tests can A/B the kernels directly; the backend-level A/B
-// switch is RealBackendOptions::kernel.
+// (bit-identical to a one-at-a-time loop — addition is commutative and
+// the digest per match does not depend on probe order), requests/
+// prefetches/batches feed the join.kernel.* metrics. They are the real
+// backend's only probe path (exec/backend.h, kBatchedProbe).
 //
 // One sort primitive sits next to them: RadixSortRefs, the real backend's
 // SortRefs (exec/backend.h) — a stable LSB radix sort of 16-byte SRefs,
@@ -44,12 +41,6 @@
 
 namespace mmjoin::exec {
 
-/// Which dereference kernel the real backend's probe sites run.
-enum class DerefKernel : uint8_t {
-  kScalar,    ///< the naked one-at-a-time pointer chase (the A/B baseline)
-  kPrefetch,  ///< batched software-prefetch pipeline (this layer)
-};
-
 /// How aggressively the real backend advises the kernel about paging.
 enum class PagingMode : uint8_t {
   kNone,      ///< no hints: the kernel sees naked faults (the A/B baseline)
@@ -60,7 +51,6 @@ enum class PagingMode : uint8_t {
               ///< freshly mapped
 };
 
-const char* KernelName(DerefKernel kernel);
 const char* PagingModeName(PagingMode paging);
 
 /// Prefetch distance (in-flight S dereferences) when none is configured.
@@ -109,20 +99,11 @@ void ProbeRefs(const SRef* refs, uint64_t n,
                const rel::SObject* const* parts, uint32_t distance,
                KernelTally* tally);
 
-/// Scalar reference loop for ProbeRefs (no prefetch, no staging).
-void ProbeRefsScalar(const SRef* refs, uint64_t n,
-                     const rel::SObject* const* parts, KernelTally* tally);
-
 /// Dereferences the S pointers of a contiguous run of `n` RObjects with the
 /// prefetch pipeline, reading only the 16-byte (id, sptr) prefix of each.
 void ProbeObjects(const rel::RObject* objs, uint64_t n,
                   const rel::SObject* const* parts, uint32_t distance,
                   KernelTally* tally);
-
-/// Scalar reference loop for ProbeObjects (whole-object copy + immediate
-/// dereference — the shape of the drivers' historical probe loop).
-void ProbeObjectsScalar(const rel::RObject* objs, uint64_t n,
-                        const rel::SObject* const* parts, KernelTally* tally);
 
 }  // namespace mmjoin::exec
 

@@ -16,7 +16,7 @@
 // issued via syscall(2) with locally defined MPOL_* values, and
 // sched_setaffinity(2). On single-node hosts (or kernels without mbind)
 // everything degrades to counted no-ops — options never fail, they just
-// report zero effect in join.numa.* (scatter_test pins this fallback
+// report zero effect in join.numa.* (real_backend_test pins this fallback
 // behavior).
 #ifndef MMJOIN_EXEC_NUMA_H_
 #define MMJOIN_EXEC_NUMA_H_

@@ -156,7 +156,7 @@ class Operator {
 
 /// Filter/Select: compacts each batch in place to the rows satisfying ALL
 /// predicates, then forwards non-empty batches. Charges one map_ms per
-/// input row on the scalar/simulated path (attribute mapping, the same
+/// input row on the simulator (attribute mapping, the same
 /// convention the partition scan uses).
 template <Backend B>
 class FilterOp final : public Operator<B> {
@@ -186,7 +186,7 @@ class FilterOp final : public Operator<B> {
         ++w;
       }
     }
-    if (!ex.BatchedProbe()) {
+    if constexpr (!B::kBatchedProbe) {
       ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().map_ms);
     }
     rows_in_[slot] += b.n;
@@ -222,7 +222,7 @@ class ProbeSOp final : public Operator<B> {
   void Open(B& ex) override { rows_.assign(ex.WorkerSlots(), 0); }
 
   void Push(B& ex, uint32_t slot, uint32_t partition, Batch& b) override {
-    if (ex.BatchedProbe()) {
+    if constexpr (B::kBatchedProbe) {
       const void* src[kBatchRows];
       for (uint32_t k = 0; k < b.n; ++k) {
         const rel::SPtr sp = rel::SPtr::Unpack(b.sptr[k]);
@@ -289,7 +289,7 @@ class GroupByOp final : public Operator<B> {
       if (fresh) InitAccs(&it->second);
       Accumulate(&it->second, b.r_id[k], b.s_key[k]);
     }
-    if (!ex.BatchedProbe()) {
+    if constexpr (!B::kBatchedProbe) {
       // one hash probe per row, the drivers' in-memory table convention
       ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().hash_ms);
     }

@@ -147,7 +147,7 @@ StatusOr<PlanRunResult> RunPlan(B& ex, const PlanSpec& spec) {
         for (uint64_t k = begin; k < end;) {
           const uint32_t take =
               static_cast<uint32_t>(std::min<uint64_t>(kBatchRows, end - k));
-          if (ex.BatchedProbe()) {
+          if constexpr (B::kBatchedProbe) {
             for (uint32_t t = 0; t < take; ++t) {
               const rel::RObject* obj =
                   ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k + t));

@@ -3,24 +3,24 @@
 // plan shapes (exec/op/operators.h) can reuse the same machinery.
 //
 // A stage is a template over the exec::Backend concept that owns one pass
-// shape — the morsel bracketing, scatter-sink arming, staggered phase
-// schedule, epilogue placement and span emission — while the caller
-// supplies the per-driver routing policy as callables. The stages are an
-// exact structural lift: for any given driver composition the sequence of
-// backend operations (reads, writes, charges, scatter calls, barriers,
-// pass marks) is bit-identical to the pre-refactor monolithic drivers, on
-// both the simulated and the real backend. Cross-backend and operator
-// identity tests (tests/cross_backend_test.cc, tests/operators_test.cc)
-// assert exactly that.
+// shape — the morsel bracketing, staggered phase schedule, epilogue
+// placement and span emission — while the caller supplies the per-driver
+// routing policy as template callables that append each routed object
+// straight to its band. On the simulator the sequence of backend
+// operations (reads, writes, charges, barriers, pass marks) is
+// bit-identical to the pre-refactor monolithic drivers
+// (tests/sim_golden_test.cc); on both backends every driver produces the
+// oracle's count and checksum (tests/cross_backend_test.cc,
+// tests/operators_test.cc).
 //
 // Stage vocabulary:
-//   Partition        pass-0 scan of R_i: stage own-partition objects,
-//                    scatter foreign ones to RP_{i,dest}
+//   Partition        pass-0 scan of R_i: route own-partition objects,
+//                    append foreign ones to RP_{i,dest}
 //   PhasedRepartition D-1 staggered phases moving RP_{i,j} into RS_j
 //   BucketRepartition passes 0/1 of Grace, hybrid hash and index-NL: hash
 //                    R into RS_i's K monotone buckets, retire RP
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
-//   ProbeStage       own-partition S-fetch staging (scalar or batched)
+//   ProbeStage       own-partition S-fetch staging (per tuple or batched)
 //   SortRuns         sort IRUN-object runs of RS_i in place by S-pointer
 //                    (through the backend's SortRefs: counted heapsort on
 //                    the simulator, radix sort on the real backend)
@@ -110,55 +110,20 @@ const rel::RObject* ReadRPtr(B& ex, uint32_t i, typename B::Seg seg,
 /// prefetch pipeline's fill/drain is amortized, small enough to stay in L2.
 inline constexpr uint64_t kProbeScratch = 8192;
 
-/// The shared pass-0 scan body of every driver but MPSM: reads R_i tuples
-/// [begin, end) — in place on the batched path, by copy (plus the map_ms
-/// charge) on the scalar path — routes each own-partition object to
-/// `own(obj, sp)` and scatters every foreign one to destination
-/// sp.partition. The caller brackets the morsel with
-/// BeginScatter(i, n_dests, sink)/FlushScatter(i), with a sink that maps
-/// destinations < D onto RP_{i,dest} (drivers with bucketed own-partition
-/// output extend the keyspace with D + bucket destinations).
-template <Backend B, typename OwnFn>
-void StageOrScatter(B& ex, uint32_t i, uint64_t begin, uint64_t end,
-                    OwnFn&& own) {
-  const typename B::Seg r_seg = ex.r_seg(i);
-  if (ex.BatchedProbe()) {
-    for (uint64_t k = begin; k < end; ++k) {
-      const rel::RObject* obj =
-          ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k));
-      const rel::SPtr sp = rel::SPtr::Unpack(obj->sptr);
-      if (sp.partition == i) {
-        own(*obj, sp);
-      } else {
-        ex.ScatterTo(i, sp.partition, *obj);
-      }
-    }
-  } else {
-    for (uint64_t k = begin; k < end; ++k) {
-      const rel::RObject obj = ReadR(ex, i, r_seg, rel::Workload::ROffset(k));
-      ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute to target
-      const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-      if (sp.partition == i) {
-        own(obj, sp);
-      } else {
-        ex.ScatterTo(i, sp.partition, obj);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Append / layout primitives
 // ---------------------------------------------------------------------------
 
-/// One bulk append into a laid-out region: byte movement (non-temporal
-/// under scatter=stream) plus the per-byte move charge. The caller owns
-/// cursor bookkeeping — one writer per target within any pass/phase.
+/// One append of `n` objects into a laid-out region: byte movement plus
+/// the per-byte move charge. Partition passes call it with n = 1 per routed
+/// object; sort-merge's real pass 1 moves a whole RP_{i,j} morsel as one
+/// run. The caller owns cursor bookkeeping — one writer per target within
+/// any pass/phase.
 template <Backend B>
 void AppendRun(B& ex, uint32_t writer, typename B::Seg seg, uint64_t byte_off,
                const rel::RObject* run, uint64_t n) {
   void* dst = ex.Write(writer, seg, byte_off, n * sizeof(rel::RObject));
-  CopyTuples(dst, run, n, ex.StreamScatter());
+  std::memcpy(dst, run, n * sizeof(rel::RObject));
   ex.ChargeCpu(writer, static_cast<double>(n * sizeof(rel::RObject)) *
                            ex.mc().mt_pp_ms);
 }
@@ -271,19 +236,18 @@ BucketedRs PlanBucketedRs(const B& ex, const join::JoinParams& params,
 
 /// Own-partition S-fetch staging used by the nested-loops Partition stage:
 /// refs stage into a scratch that flushes through the prefetch kernel
-/// (batched path) or probe S directly (scalar path). Finish() drains the
-/// scratch before the scatter flush; Epilogue() flushes the S protocol
-/// after it — matching the historical pass-0 morsel ordering exactly.
+/// (batched backend) or probe S one at a time (simulator). Finish() drains
+/// the scratch and then the S-fetch protocol at the end of the morsel.
 template <Backend B>
 class ProbeStage {
  public:
   ProbeStage(B& ex, uint32_t i, uint64_t expect) : ex_(ex), i_(i) {
-    if (ex_.BatchedProbe()) {
+    if constexpr (B::kBatchedProbe) {
       own_.reserve(std::min(expect, kProbeScratch));
     }
   }
   void operator()(const rel::RObject& obj, rel::SPtr) {
-    if (ex_.BatchedProbe()) {
+    if constexpr (B::kBatchedProbe) {
       own_.push_back(SRef{obj.id, obj.sptr});
       if (own_.size() == kProbeScratch) {
         ex_.RequestSBatch(i_, own_.data(), own_.size());
@@ -294,9 +258,11 @@ class ProbeStage {
     }
   }
   void Finish() {
-    if (!own_.empty()) ex_.RequestSBatch(i_, own_.data(), own_.size());
+    if constexpr (B::kBatchedProbe) {
+      if (!own_.empty()) ex_.RequestSBatch(i_, own_.data(), own_.size());
+    }
+    ex_.FlushSRequests(i_);
   }
-  void Epilogue() { ex_.FlushSRequests(i_); }
 
  private:
   B& ex_;
@@ -304,29 +270,39 @@ class ProbeStage {
   std::vector<SRef> own_;
 };
 
-/// Pass 0 of every driver: morsel-scan R_i (chained — morsels share the
-/// partition's output cursors), scatter foreign objects through a
-/// D + extra_dests keyspace, route own-partition objects through the
-/// per-morsel handler `make_own(i, begin, end)` returns. The handler may
-/// expose Finish() (drained before FlushScatter) and Epilogue() (after),
-/// which is how the nested-loops probe staging keeps its historical
-/// RequestSBatch / FlushScatter / FlushSRequests order.
-template <Backend B, typename SinkFactory, typename OwnFactory>
-void Partition(B& ex, uint32_t extra_dests, SinkFactory&& make_sink,
-               OwnFactory&& make_own, bool sync) {
-  const uint32_t d = ex.D();
+/// Pass 0 of every driver but MPSM: morsel-scan R_i (chained — morsels
+/// share the partition's output cursors), append every foreign object to
+/// RP_{i, sp.partition}, and route every own-partition object to
+/// `own(obj, sp)`, the per-morsel handler `make_own(i, begin, end)`
+/// returns. The handler may expose Finish(), run at the end of the morsel.
+/// The batched backend reads R in place; the simulator copies each object
+/// and charges the map_ms of mapping its join attribute to a target.
+template <Backend B, typename OwnFactory>
+void Partition(B& ex, OwnFactory&& make_own, bool sync) {
   ex.ForEachPartitionTuples(
       RCounts(ex),
       [&](uint32_t i, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, d + extra_dests, (end - begin) / d, make_sink(i));
         auto own = make_own(i, begin, end);
-        StageOrScatter(ex, i, begin, end,
-                       [&](const rel::RObject& obj, rel::SPtr sp) {
-                         own(obj, sp);
-                       });
+        auto route = [&](const rel::RObject& obj) {
+          const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
+          if (sp.partition == i) {
+            own(obj, sp);
+          } else {
+            ex.AppendToRp(i, sp.partition, obj);
+          }
+        };
+        const typename B::Seg r_seg = ex.r_seg(i);
+        for (uint64_t k = begin; k < end; ++k) {
+          const uint64_t off = rel::Workload::ROffset(k);
+          if constexpr (B::kBatchedProbe) {
+            route(*ReadRPtr(ex, i, r_seg, off));
+          } else {
+            const rel::RObject obj = ReadR(ex, i, r_seg, off);
+            ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute
+            route(obj);
+          }
+        }
         if constexpr (requires { own.Finish(); }) own.Finish();
-        ex.FlushScatter(i);
-        if constexpr (requires { own.Epilogue(); }) own.Epilogue();
       },
       /*independent=*/false);
   if (sync) ex.SyncClocks();
@@ -341,12 +317,11 @@ void Partition(B& ex, uint32_t extra_dests, SinkFactory&& make_sink,
 /// partner of i). Chained morsels share RS_j's cursors; the per-partition
 /// epilogue — publishing RS_j's pages back to their owner's disk image and
 /// the phase span — runs on the final morsel (end == count; an empty
-/// partition still gets one [0,0) morsel). `begin_scatter(i, j, begin,
-/// end)` arms the phase's sink; `route(i, j, base, begin, end)` moves the
-/// morsel's tuples through it.
-template <Backend B, typename BeginFn, typename RouteFn>
+/// partition still gets one [0,0) morsel). `route(i, j, base, begin, end)`
+/// appends the morsel's tuples to RS_j.
+template <Backend B, typename RouteFn>
 void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
-                       BeginFn&& begin_scatter, RouteFn&& route, bool sync) {
+                       RouteFn&& route, bool sync) {
   const uint32_t d = ex.D();
   for (uint32_t t = 1; t < d; ++t) {
     const std::vector<uint64_t> phase_counts = PhaseCounts(ex, t);
@@ -356,9 +331,7 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
           const uint32_t j = join::PhaseOffset(i, t, d);
           const uint64_t base = ex.RpSubOffset(i, j);
           const double phase_start_ms = ex.clock_ms(i);
-          begin_scatter(i, j, begin, end);
           route(i, j, base, begin, end);
-          ex.FlushScatter(i);
           if (end == phase_counts[i]) {
             // Hand the written RS_j pages back to their owner's disk image.
             ex.DropSegment(i, rs_segs[j], /*discard=*/false);
@@ -391,41 +364,29 @@ Status DropRpSegments(B& ex) {
 // ---------------------------------------------------------------------------
 
 /// Hashes all of R into RS_i's K monotone buckets (laid out by `layout`),
-/// retires RP and marks "pass1". Pass 0's scatter keyspace is D partition
-/// destinations (-> RP_{i,dest}) then K buckets (-> RS_i bucket dest - D);
-/// its density hint stays (end - begin) / D, as the own tuples are a 1/D
-/// sliver either way. Pass 1's phases hash RP_{i,j} into RS_j's K buckets.
-/// With `resident` non-null (hybrid hash), own bucket-0 objects go to
-/// resident[i] instead, one private move each; `layout` must then come
-/// from CountBuckets with the same diversion.
+/// retires RP and marks "pass1". Pass 0 appends foreign objects to
+/// RP_{i,dest} and hashes own ones into RS_i's buckets; pass 1's phases
+/// hash RP_{i,j} into RS_j's K buckets. With `resident` non-null (hybrid
+/// hash), own bucket-0 objects go to resident[i] instead, one private move
+/// each; `layout` must then come from CountBuckets with the same
+/// diversion.
 template <Backend B>
 Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
                          BucketLayout& layout, uint32_t k_buckets,
                          std::vector<std::vector<SRef>>* resident, bool sync) {
-  const uint32_t d = ex.D();
   const sim::MachineConfig& mc = ex.mc();
   const uint64_t r = sizeof(rel::RObject);
-  auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,
-                               const rel::RObject* run, uint64_t n) {
-    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, n), run,
-              n);
+  auto bucket_append = [&](uint32_t writer, uint32_t target, uint32_t b,
+                           const rel::RObject& obj) {
+    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, 1), &obj,
+              1);
   };
 
   // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
   Partition(
-      ex, /*extra_dests=*/k_buckets,
-      [&](uint32_t i) {
-        return [&, i](uint32_t dest, const rel::RObject* run, uint64_t n) {
-          if (dest < d) {
-            ex.AppendRpRun(i, dest, run, n);
-          } else {
-            bucket_append_run(i, i, dest - d, run, n);
-          }
-        };
-      },
+      ex,
       [&](uint32_t i, uint64_t, uint64_t) {
-        return [&ex, &mc, resident, i, d, r,
-                bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
+        return [&, i, bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
                    const rel::RObject& obj, rel::SPtr sp) {
           ex.ChargeCpu(i, mc.hash_ms);
           const uint32_t b = bmap.Of(sp.index);
@@ -433,7 +394,7 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
             (*resident)[i].push_back(SRef{obj.id, obj.sptr});
             ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
           } else {
-            ex.ScatterTo(i, d + b, obj);
+            bucket_append(i, i, b, obj);
           }
         };
       },
@@ -442,31 +403,22 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
   // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j's buckets. ----
   PhasedRepartition(
       ex, rs_segs,
-      [&](uint32_t i, uint32_t j, uint64_t begin, uint64_t end) {
-        ex.BeginScatter(i, k_buckets, (end - begin) / k_buckets,
-                        [&, i, j](uint32_t dest, const rel::RObject* run,
-                                  uint64_t n) {
-                          bucket_append_run(i, j, dest, run, n);
-                        });
-      },
       [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
           uint64_t end) {
         // Every object in RP_{i,j} points into S_j, so the bucket divisor
         // |S_j| is morsel-constant.
         const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
         const typename B::Seg rp_seg = ex.rp_seg(i);
-        if (ex.BatchedProbe()) {
-          for (uint64_t k = begin; k < end; ++k) {
+        for (uint64_t k = begin; k < end; ++k) {
+          if constexpr (B::kBatchedProbe) {
             const rel::RObject* obj = ReadRPtr(ex, i, rp_seg, base + k * r);
-            const rel::SPtr sp = rel::SPtr::Unpack(obj->sptr);
-            ex.ScatterTo(i, bmap.Of(sp.index), *obj);
-          }
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
+            bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj->sptr).index),
+                          *obj);
+          } else {
             const rel::RObject obj = ReadR(ex, i, rp_seg, base + k * r);
             ex.ChargeCpu(i, mc.hash_ms);
-            const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-            ex.ScatterTo(i, bmap.Of(sp.index), obj);
+            bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj.sptr).index),
+                          obj);
           }
         }
       },
@@ -504,7 +456,7 @@ void ProbePhases(B& ex, bool sync) {
           const uint32_t j = join::PhaseOffset(i, t, d);
           const uint64_t base = ex.RpSubOffset(i, j);
           const double phase_start_ms = ex.clock_ms(i);
-          if (ex.BatchedProbe()) {
+          if constexpr (B::kBatchedProbe) {
             // A phase only probes: hand the contiguous band slice to the
             // prefetch kernel in one run.
             ex.ProbeRun(i, ex.rp_seg(i),
@@ -594,12 +546,11 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
 
   auto merge_group = [&](uint64_t first_run, uint64_t n_runs,
                          uint64_t out_start, bool last_pass) {
-    // Merge-side fetch staging (batched path, final pass only): the
+    // Merge-side fetch staging (batched backend, final pass only): the
     // merged stream arrives one object at a time off the heap, so refs
     // collect into a scratch that flushes through the prefetch kernel.
-    const bool batched_fetch = last_pass && ex.BatchedProbe();
     std::vector<SRef> fetch;
-    if (batched_fetch) fetch.reserve(kProbeScratch);
+    if (B::kBatchedProbe && last_pass) fetch.reserve(kProbeScratch);
     // Cursors are object indices into the source segment.
     std::vector<uint64_t> cur(n_runs), end(n_runs);
     MergeHeap heap(n_runs);
@@ -632,7 +583,7 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       if (last_pass) {
         // Join instead of writing: the merged stream is in S-pointer
         // order, so S_i is read sequentially through the fetch protocol.
-        if (batched_fetch) {
+        if constexpr (B::kBatchedProbe) {
           fetch.push_back(SRef{obj.id, obj.sptr});
           if (fetch.size() == kProbeScratch) {
             ex.RequestSBatch(i, fetch.data(), fetch.size());
@@ -648,7 +599,9 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       }
       ++out;
     }
-    if (!fetch.empty()) ex.RequestSBatch(i, fetch.data(), fetch.size());
+    if constexpr (B::kBatchedProbe) {
+      if (!fetch.empty()) ex.RequestSBatch(i, fetch.data(), fetch.size());
+    }
     ex.ChargeCpu(i, mc.HeapCostMs(heap.cost()));
     return out;
   };
@@ -724,8 +677,9 @@ void BuildChainTable(B& ex, uint32_t i, typename B::Seg seg, uint64_t base,
 }
 
 /// Probe: processes the table in order; each chain's S objects fit in
-/// memory, so every S object is read once per bucket.
+/// memory, so every S object is read once per bucket. Simulator only.
 template <Backend B>
+  requires(!B::kBatchedProbe)
 void ProbeChainTable(B& ex, uint32_t i,
                      const std::vector<std::vector<SRef>>& table) {
   for (const auto& chain : table) {
@@ -739,8 +693,8 @@ void ProbeChainTable(B& ex, uint32_t i,
 /// streaming band hint: the bucket after this one is the next band to
 /// stream in (kWillNeed). A processed band is not retired: RS_i is an
 /// arena-owned temporary whose pages the real backend keeps. The chain
-/// table serves the scalar path only — the batched path probes the
-/// RS band in place, the prefetch pipeline's look-ahead subsuming the
+/// table serves the simulator only — the batched backend probes the RS
+/// band in place, the prefetch pipeline's look-ahead subsuming the
 /// grouping the chains provide. Empty buckets are skipped.
 template <Backend B>
 void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
@@ -757,7 +711,7 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
       ex.AdviseRange(i, rs_seg, layout.Offset(i, b + 1),
                      layout.Count(i, b + 1) * r, AccessIntent::kWillNeed);
     }
-    if (ex.BatchedProbe()) {
+    if constexpr (B::kBatchedProbe) {
       // The bucket's entries are contiguous RObjects in RS_i: one
       // ProbeRun stages their 16-byte (id, sptr) prefixes through the
       // prefetch pipeline — no table, no copies.

@@ -39,12 +39,6 @@ SchedulerOptions ResolveScheduler(uint32_t workers,
   return so;
 }
 
-uint32_t ResolveScatterTuples(const RealBackendOptions& options) {
-  const uint32_t n =
-      options.scatter_tuples ? options.scatter_tuples : kDefaultScatterTuples;
-  return std::min(n, kMaxScatterTuples);
-}
-
 }  // namespace
 
 RealBackend::RealBackend(const mm::MmWorkload& workload,
@@ -57,14 +51,11 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
                               options)),
       schedule_(options.schedule),
       sched_options_(ResolveScheduler(workers_, options)),
-      kernel_(options.kernel),
       prefetch_distance_(options.prefetch_distance
                              ? options.prefetch_distance
                              : kDefaultPrefetchDistance),
       paging_(options.paging),
       huge_pages_(options.huge_pages),
-      scatter_(options.scatter),
-      scatter_tuples_(ResolveScatterTuples(options)),
       numa_(options.numa),
       pool_(options.pool),
       priority_(options.priority),
@@ -99,10 +90,7 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
     };
   }
   rp_segs_.assign(d_, nullptr);
-  out_count_.assign(std::max(1u, workers_), 0);
-  out_digest_.assign(std::max(1u, workers_), 0);
   tallies_.assign(std::max(1u, workers_), KernelTally{});
-  scatter_bufs_.resize(std::max(1u, workers_));
   sched_totals_.assign(std::max(1u, workers_), WorkerRunStats{});
   for (uint32_t i = 0; i < d_; ++i) {
     auto r = std::make_unique<RealSeg>();
@@ -347,13 +335,7 @@ void RealBackend::StridedRun(const std::function<void(uint32_t)>& fn) {
   const uint32_t w = workers_;
   if (w <= 1 || d_ <= 1) {
     real_internal::worker_slot = 0;
-    for (uint32_t i = 0; i < d_; ++i) {
-      fn(i);
-      // Morsel-epilogue safety net: a driver that returned without
-      // flushing still drains its staged tuples deterministically, here at
-      // the same boundary the drivers flush at. No-op when inactive.
-      scatter_bufs_[0].Flush();
-    }
+    for (uint32_t i = 0; i < d_; ++i) fn(i);
     return;
   }
   std::vector<std::thread> threads;
@@ -362,10 +344,7 @@ void RealBackend::StridedRun(const std::function<void(uint32_t)>& fn) {
     threads.emplace_back([this, &fn, t, w] {
       const uint64_t faults_at_start = ThreadFaults();
       real_internal::worker_slot = t;
-      for (uint32_t i = t; i < d_; i += w) {
-        fn(i);
-        scatter_bufs_[t].Flush();
-      }
+      for (uint32_t i = t; i < d_; i += w) fn(i);
       worker_faults_.fetch_add(ThreadFaults() - faults_at_start,
                                std::memory_order_relaxed);
     });
@@ -391,13 +370,11 @@ void RealBackend::RunChains(
 
   // The same wrapped body on both paths: the worker slot is (re)pinned per
   // morsel — on a shared pool the same OS thread interleaves morsels of
-  // many backends, each indexing its own per-slot arrays — and the scatter
-  // epilogue drains staged tuples a driver returned without flushing.
+  // many backends, each indexing its own per-slot arrays.
   const auto run_morsel = [&](uint32_t w, const Morsel& m) {
     real_internal::worker_slot = w;
     const double start = trace_ ? clock_ms(0) : 0;
     body(w, m);
-    scatter_bufs_[w].Flush();
     if (trace_) {
       const double now = clock_ms(0);
       std::lock_guard<std::mutex> lock(trace_mu_);
@@ -450,21 +427,13 @@ void RealBackend::MarkPass(const std::string& label) {
   // push_back before reading the fault counter, so any heap fault the
   // push itself takes lands inside this pass's delta — that keeps
   // sum(passes[i].faults) exactly equal to the run total (Finish pins the
-  // invariant; scatter_test regresses it).
+  // invariant; real_backend_test regresses it).
   passes_.push_back(join::PassMark{label, now - last_mark_ms_, 0});
   const uint64_t faults = FaultsSinceStart();
   passes_.back().faults = faults - last_mark_faults_;
   if (trace_) {
     std::lock_guard<std::mutex> lock(trace_mu_);
-    std::vector<obs::TraceArg> args;
-    const uint64_t flushes = TotalScatterFlushes();
-    if (flushes > last_mark_scatter_flushes_) {
-      args.push_back(obs::Arg("scatter_flushes",
-                              flushes - last_mark_scatter_flushes_));
-    }
-    last_mark_scatter_flushes_ = flushes;
-    trace_->Complete(d_, 1, label, "pass", last_mark_ms_, now - last_mark_ms_,
-                     std::move(args));
+    trace_->Complete(d_, 1, label, "pass", last_mark_ms_, now - last_mark_ms_);
   }
   last_mark_ms_ = now;
   last_mark_faults_ = faults;
@@ -485,14 +454,7 @@ join::JoinRunResult RealBackend::Finish() {
   r.elapsed_ms = clock_ms(0);
   r.rproc_ms.assign(d_, r.elapsed_ms);
   r.passes = passes_;
-  for (size_t w = 0; w < out_count_.size(); ++w) {
-    r.output_count += out_count_[w];
-    r.output_checksum += out_digest_[w];
-  }
   for (const KernelTally& t : tallies_) {
-    // Batched probes tally into the kernel accumulators instead of
-    // out_count_/out_digest_; both are commutative sums over the same
-    // output stream, so folding them here keeps one total.
     r.output_count += t.count;
     r.output_checksum += t.digest;
     r.kernel_batches += t.batches;
@@ -502,11 +464,6 @@ join::JoinRunResult RealBackend::Finish() {
   r.paging_advise_calls = advise_calls_.load(std::memory_order_relaxed);
   r.paging_advise_bytes = advise_bytes_.load(std::memory_order_relaxed);
   r.paging_advise_errors = advise_errors_.load(std::memory_order_relaxed);
-  for (const ScatterBuffer& sb : scatter_bufs_) {
-    r.scatter_flushes += sb.stats().flushes;
-    r.scatter_partial_flushes += sb.stats().partial_flushes;
-    r.scatter_tuples += sb.stats().tuples;
-  }
   if (numa_ != NumaMode::kNone) {
     r.numa_nodes = numa_nodes_;
     r.numa_mbind_calls = mbind_calls_.load(std::memory_order_relaxed);

@@ -7,8 +7,9 @@
 //   Read/Write        direct pointers into the mapped bytes — touching them
 //                     IS the I/O (the kernel pages on demand)
 //   Charge*           no-ops: real work costs real time, nothing to model
-//   RequestS/Flush    immediate S-pointer dereference into per-worker
-//                     output tallies (no G buffer — threads share memory)
+//   RequestSBatch/    batched S-pointer dereference through the prefetch
+//   ProbeRun          kernels into per-worker output tallies (no G buffer —
+//                     threads share memory)
 //   ForEachPartition* worker threads, at most min(D, max_threads or
 //                     hardware_concurrency). Two schedules (see
 //                     exec/scheduler.h): `static` runs worker w over the
@@ -38,10 +39,9 @@
 //                     process-wide RUSAGE_SELF double-counts when passes
 //                     overlap), so real runs report the same PassMark
 //                     shape the simulator does
-//   Scatter*          per-worker write-combining buffers (exec/scatter.h)
-//                     staging partition-pass appends, flushed as bulk runs
-//                     (optionally with non-temporal stores); scatter=direct
-//                     forwards every tuple immediately — the A/B baseline
+//   AppendToRp        one cursor claim + one 128-byte copy straight into
+//                     the RP band: the arena keeps the bands resident, so
+//                     staging would only be a second copy
 //   NUMA placement    numa=interleave mbinds freshly mapped temporaries
 //                     round-robin across nodes before first touch; numa=local
 //                     pre-faults each RP band on its owning worker
@@ -69,7 +69,6 @@
 #include "exec/backend.h"
 #include "exec/kernels.h"
 #include "exec/numa.h"
-#include "exec/scatter.h"
 #include "exec/scheduler.h"
 #include "exec/temp_arena.h"
 #include "join/join_common.h"
@@ -117,10 +116,7 @@ struct RealBackendOptions {
   Schedule schedule = Schedule::kStealing;
   uint64_t morsel_tuples = 0;     ///< tuples per morsel; 0 = default (16 Ki)
   double skew_split_factor = 0;   ///< hot-partition threshold/factor; 0 = 4
-  /// Dereference kernel for the probe sites (exec/kernels.h). kScalar keeps
-  /// the drivers' original per-tuple loops byte-for-byte — the A/B baseline.
-  DerefKernel kernel = DerefKernel::kPrefetch;
-  /// S-pointer prefetch distance for kernel=prefetch; 0 = default (32).
+  /// S-pointer prefetch distance of the probe kernels; 0 = default (32).
   /// Clamped to [1, kMaxPrefetchDistance] by the kernels.
   uint32_t prefetch_distance = 0;
   /// mmap paging policy (DESIGN.md §7.2): kNone issues no hints, kAdvise
@@ -130,14 +126,6 @@ struct RealBackendOptions {
   /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
   /// when the system THP mode is `madvise`); independent of `paging`.
   bool huge_pages = false;
-  /// How partition passes move tuples to their destination bands
-  /// (exec/scatter.h). kDirect keeps the per-tuple appends byte-for-byte —
-  /// the A/B baseline; kBuffered/kStream stage in per-worker
-  /// write-combining buffers (bit-identical output either way).
-  ScatterMode scatter = ScatterMode::kBuffered;
-  /// Staging tuples per destination for scatter=buffered|stream; 0 =
-  /// default (16). Clamped to [1, kMaxScatterTuples].
-  uint32_t scatter_tuples = 0;
   /// NUMA placement of owned temporaries (exec/numa.h); degrades to
   /// counted no-ops on single-node hosts.
   NumaMode numa = NumaMode::kNone;
@@ -228,49 +216,13 @@ class RealBackend {
     return rp_layout_.SubCount(i, j);
   }
   uint64_t RpPages(uint32_t i) const { return SegPages(rp_segs_[i]); }
+  /// Appends one object to RP_{i,j}: one cursor claim, one copy into the
+  /// band. Partition i's pass chain has one owner at a time, so the layout
+  /// cursor needs no lock.
   void AppendToRp(uint32_t i, uint32_t j, const rel::RObject& obj) {
-    AppendRpRun(i, j, &obj, 1);
+    std::memcpy(rp_segs_[i]->base + rp_layout_.NextSlot(i, j), &obj,
+                sizeof(obj));
   }
-  /// Appends a run of objects to RP_{i,j} in one cursor claim + bulk copy
-  /// (non-temporal under scatter=stream). Partition i's pass chain has one
-  /// owner at a time, so the layout cursor needs no lock.
-  void AppendRpRun(uint32_t i, uint32_t j, const rel::RObject* run,
-                   uint64_t n) {
-    const uint64_t off = rp_layout_.NextSlotRun(i, j, n);
-    CopyTuples(rp_segs_[i]->base + off, run, n, StreamScatter());
-  }
-
-  // ---- write-combining scatter --------------------------------------------
-  // The buffer is per worker *slot*, not per partition: a morsel body runs
-  // on exactly one worker, and chained morsels (the only kind that
-  // scatter) have one owner at a time, so slot-indexing is race-free and
-  // lets the staging slabs stay hot in one core's cache.
-  // Staging pays only when a destination can expect to fill at least one
-  // slab over the morsel. Below that — the Grace/hybrid pass-1 bucket
-  // scatter at large K spreads a |RP_{i,j}|-tuple morsel so thin that
-  // every slab drains partial — the staging copy is pure overhead, so the
-  // buffer is armed in pass-through mode instead: per-tuple forwarding,
-  // still with non-temporal copies in the sinks under scatter=stream.
-  void BeginScatter(uint32_t /*i*/, uint32_t n_dests,
-                    uint64_t expected_per_dest, ScatterSink sink) {
-    const bool stage = scatter_ != ScatterMode::kDirect &&
-                       expected_per_dest >= scatter_tuples_;
-    scatter_bufs_[real_internal::worker_slot].Begin(
-        n_dests, stage ? scatter_tuples_ : 0, std::move(sink));
-  }
-  void ScatterTo(uint32_t /*i*/, uint32_t dest, const rel::RObject& obj) {
-    scatter_bufs_[real_internal::worker_slot].Add(dest, obj);
-  }
-  void ScatterRunTo(uint32_t /*i*/, uint32_t dest, const rel::RObject* run,
-                    uint64_t n) {
-    scatter_bufs_[real_internal::worker_slot].AddRun(dest, run, n);
-  }
-  void FlushScatter(uint32_t /*i*/) {
-    scatter_bufs_[real_internal::worker_slot].Flush();
-  }
-  /// True exactly under scatter=stream: sinks copy staged runs with
-  /// non-temporal stores instead of memcpy.
-  bool StreamScatter() const { return scatter_ == ScatterMode::kStream; }
 
   // ---- per-partition operations -------------------------------------------
   const void* Read(uint32_t /*i*/, Seg seg, uint64_t offset,
@@ -287,26 +239,17 @@ class RealBackend {
   /// views neither discard nor write-back has anything to do. A no-op.
   void DropSegment(uint32_t /*i*/, Seg /*seg*/, bool /*discard*/) {}
 
-  /// Immediate dereference: threads share the address space, so there is
-  /// no G buffer — the pointer is chased the moment it is requested. The
-  /// tally is indexed by the executing *worker*, not the partition, so
-  /// independent morsels of one partition never share an accumulator; the
-  /// final sums are order-independent, keeping output count/checksum
-  /// bit-deterministic across schedules and worker counts.
-  void RequestS(uint32_t /*i*/, uint64_t r_id, uint64_t packed_sptr) {
-    const rel::SPtr sp = rel::SPtr::Unpack(packed_sptr);
-    const rel::SObject& s = s_objs_[sp.partition][sp.index];
-    const uint32_t slot = real_internal::worker_slot;
-    out_digest_[slot] += rel::OutputDigest(r_id, s.key);
-    ++out_count_[slot];
-  }
+  /// No G buffer to drain: threads share the address space, so every
+  /// batch is dereferenced the moment it is handed over.
   void FlushSRequests(uint32_t /*i*/) {}
 
   // ---- batched dereference kernels ----------------------------------------
-  /// True exactly when the probe sites should use the batched kernels; with
-  /// kernel=scalar the drivers keep their original per-tuple loops, so the
-  /// scalar baseline in A/B runs is genuinely the pre-kernel code path.
-  bool BatchedProbe() const { return kernel_ == DerefKernel::kPrefetch; }
+  /// Every probe site batches (exec/backend.h). The tallies are indexed by
+  /// the executing *worker*, not the partition, so independent morsels of
+  /// one partition never share an accumulator; the final sums are
+  /// order-independent, keeping output count/checksum bit-deterministic
+  /// across schedules and worker counts.
+  static constexpr bool kBatchedProbe = true;
   // Batches run the prefetch pipeline in the caller's order. (Clustering
   // each batch by target S address before probing was tried and REJECTED
   // by measurement: the sort cost exceeded the locality gain on every
@@ -468,12 +411,9 @@ class RealBackend {
   uint32_t workers_;
   Schedule schedule_;
   SchedulerOptions sched_options_;
-  DerefKernel kernel_;
   uint32_t prefetch_distance_;
   PagingMode paging_;
   bool huge_pages_;
-  ScatterMode scatter_;
-  uint32_t scatter_tuples_;
   NumaMode numa_;
   uint32_t numa_nodes_ = 1;     ///< effective fan-out (override or detected)
   uint32_t detected_nodes_ = 1; ///< nodes the host really has (placement cap)
@@ -506,14 +446,9 @@ class RealBackend {
   std::vector<Seg> rp_segs_;
 
   /// Output tallies per worker slot (not per partition): summed at Finish,
-  /// commutatively, so steal order cannot change the result.
-  std::vector<uint64_t> out_count_, out_digest_;
-  /// Batched-kernel tallies, also per worker slot and commutative — the
-  /// kernels are free to reorder dereferences within a batch.
+  /// commutatively, so neither steal order nor the kernels' freedom to
+  /// reorder dereferences within a batch can change the result.
   std::vector<KernelTally> tallies_;
-  /// Write-combining staging, one buffer per worker slot; stats summed
-  /// (commutatively) at Finish.
-  std::vector<ScatterBuffer> scatter_bufs_;
 
   /// Paging-policy telemetry; advice is issued from worker threads.
   std::atomic<uint64_t> advise_calls_{0}, advise_bytes_{0}, advise_errors_{0};
@@ -530,15 +465,6 @@ class RealBackend {
   std::vector<join::PassMark> passes_;
   double last_mark_ms_ = 0;
   uint64_t last_mark_faults_ = 0;
-  uint64_t last_mark_scatter_flushes_ = 0;
-
-  /// Full-buffer flushes so far, summed over workers (trace args only —
-  /// read between passes, after the join barrier).
-  uint64_t TotalScatterFlushes() const {
-    uint64_t total = 0;
-    for (const ScatterBuffer& sb : scatter_bufs_) total += sb.stats().flushes;
-    return total;
-  }
 };
 
 static_assert(Backend<RealBackend>,

@@ -29,7 +29,6 @@ JoinExecution::JoinExecution(sim::SimEnv* env, const rel::Workload& workload,
     gbufs_.push_back(std::make_unique<sim::GBuffer>(g_bytes_, entry_bytes));
   }
   pending_.resize(d_);
-  scatter_sink_.resize(d_);
   out_count_.assign(d_, 0);
   out_digest_.assign(d_, 0);
   rp_segs_.assign(d_, sim::kInvalidSeg);
@@ -233,8 +232,7 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->histogram("join.sched.idle_ms").Record(sched_idle_ms);
   }
   if (kernel_batches > 0) {
-    // Real-backend batched kernels only; absent from simulated dumps and
-    // from kernel=scalar runs.
+    // Real-backend batched kernels only; absent from simulated dumps.
     registry->counter("join.kernel.batches").Inc(kernel_batches);
     registry->counter("join.kernel.requests").Inc(kernel_requests);
     registry->counter("join.kernel.prefetches").Inc(kernel_prefetches);
@@ -244,14 +242,6 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->counter("join.paging.advise_calls").Inc(paging_advise_calls);
     registry->counter("join.paging.advise_bytes").Inc(paging_advise_bytes);
     registry->counter("join.paging.advise_errors").Inc(paging_advise_errors);
-  }
-  if (scatter_tuples > 0) {
-    // Real-backend write-combining scatter only; absent from simulated
-    // dumps and from scatter=direct runs.
-    registry->counter("join.scatter.flushes").Inc(scatter_flushes);
-    registry->counter("join.scatter.partial_flushes")
-        .Inc(scatter_partial_flushes);
-    registry->counter("join.scatter.tuples").Inc(scatter_tuples);
   }
   if (index_entries > 0) {
     // Index nested-loops driver only; absent from the partitioning

@@ -120,22 +120,15 @@ struct JoinRunResult {
   uint64_t sched_steal_failures = 0;  ///< steal attempts that found nothing
   double sched_idle_ms = 0;           ///< tail idle summed over workers
 
-  // Dereference-kernel and paging-policy telemetry (real backend with
-  // kernel=prefetch / paging!=none; all zero on the simulator and under
-  // the scalar/none baseline). See exec/kernels.h and DESIGN.md §7.2.
+  // Dereference-kernel and paging-policy telemetry (real backend, with
+  // paging!=none for the advise counters; all zero on the simulator).
+  // See exec/kernels.h and DESIGN.md §7.2.
   uint64_t kernel_batches = 0;     ///< batched kernel invocations
   uint64_t kernel_requests = 0;    ///< S dereferences through a kernel
   uint64_t kernel_prefetches = 0;  ///< software prefetches issued
   uint64_t paging_advise_calls = 0;   ///< madvise intents applied
   uint64_t paging_advise_bytes = 0;   ///< page-rounded bytes advised
   uint64_t paging_advise_errors = 0;  ///< madvise failures (also Status)
-
-  // Write-combining scatter telemetry (real backend with
-  // scatter=buffered|stream; all zero on the simulator and under
-  // scatter=direct). Summed over workers. See exec/scatter.h.
-  uint64_t scatter_flushes = 0;          ///< full-buffer drains
-  uint64_t scatter_partial_flushes = 0;  ///< epilogue drains of partial slabs
-  uint64_t scatter_tuples = 0;           ///< tuples routed through staging
 
   // Index nested-loops telemetry (index-nl driver only; all zero for the
   // partitioning drivers). The level count is the max over partitions —
@@ -298,33 +291,6 @@ class JoinExecution {
 
   /// Appends an R object to RP_{i,j}, charging the private->private move.
   void AppendToRp(uint32_t i, uint32_t j, const rel::RObject& obj);
-  /// Run form of AppendToRp — a per-object loop here, so the simulated
-  /// charge/touch sequence is identical however the caller batches.
-  void AppendRpRun(uint32_t i, uint32_t j, const rel::RObject* run,
-                   uint64_t n) {
-    for (uint64_t k = 0; k < n; ++k) AppendToRp(i, j, run[k]);
-  }
-
-  // ---- Backend write-combining scatter ------------------------------------
-  // Pass-through: the simulator's costed per-tuple touch order IS its
-  // semantics, so ScatterTo forwards each tuple to the sink immediately —
-  // bit-identical (same Write/charge sequence) to the pre-scatter drivers.
-  void BeginScatter(uint32_t i, uint32_t /*n_dests*/,
-                    uint64_t /*expected_per_dest*/, exec::ScatterSink sink) {
-    scatter_sink_[i] = std::move(sink);
-  }
-  void ScatterTo(uint32_t i, uint32_t dest, const rel::RObject& obj) {
-    scatter_sink_[i](dest, &obj, 1);
-  }
-  /// Run form — a per-object loop here, so the simulated charge/touch
-  /// sequence is identical however the caller batches.
-  void ScatterRunTo(uint32_t i, uint32_t dest, const rel::RObject* run,
-                    uint64_t n) {
-    for (uint64_t k = 0; k < n; ++k) scatter_sink_[i](dest, run + k, 1);
-  }
-  void FlushScatter(uint32_t i) { scatter_sink_[i] = nullptr; }
-  /// Non-temporal stores are a real-memory concern; never on the simulator.
-  bool StreamScatter() const { return false; }
 
   /// Requests the S object behind `sptr` on behalf of Rproc_i through the
   /// G buffer; drained requests touch Sproc's cache and emit join output.
@@ -332,24 +298,11 @@ class JoinExecution {
   /// Drains Rproc_i's pending S requests (end of a scan or phase).
   void FlushSRequests(uint32_t i);
 
-  // ---- Backend batched kernels / paging policy ----------------------------
-  // The simulator never takes the batched path: the G-buffered fetch
-  // protocol and the page-cache touch order ARE its semantics, so
-  // BatchedProbe() is constant false and the drivers run their original
-  // scalar loops. The operations still exist (and devolve to those scalar
-  // loops) so the drivers compile against one concept.
-  bool BatchedProbe() const { return false; }
-  void RequestSBatch(uint32_t i, const exec::SRef* refs, uint64_t n) {
-    for (uint64_t k = 0; k < n; ++k) RequestS(i, refs[k].r_id, refs[k].sptr);
-  }
-  void ProbeRun(uint32_t i, Seg seg, uint64_t offset, uint64_t n) {
-    for (uint64_t k = 0; k < n; ++k) {
-      const void* src =
-          Read(i, seg, offset + k * sizeof(rel::RObject), sizeof(rel::RObject));
-      const auto* obj = static_cast<const rel::RObject*>(src);
-      RequestS(i, obj->id, obj->sptr);
-    }
-  }
+  // ---- Backend probe mode / sorting / paging policy -----------------------
+  // The simulator never batches: the G-buffered fetch protocol and the
+  // page-cache touch order ARE its semantics, so the drivers' probe sites
+  // compile to their one-tuple-at-a-time RequestS loops here.
+  static constexpr bool kBatchedProbe = false;
   /// Sorts refs[0..n) by `key` the way the paper's §6.1 does: heapsort
   /// (Floyd build + Munro bounce) over an index array, charging the
   /// counted compares, swaps and transfers at the machine's per-primitive
@@ -417,8 +370,6 @@ class JoinExecution {
   };
   std::vector<std::unique_ptr<sim::GBuffer>> gbufs_;
   std::vector<std::vector<PendingS>> pending_;
-  /// Per-partition scatter sink of the currently open morsel (pass-through).
-  std::vector<exec::ScatterSink> scatter_sink_;
 
   std::vector<uint64_t> out_count_;
   std::vector<uint64_t> out_digest_;

@@ -35,12 +35,9 @@ exec::RealBackendOptions ToBackendOptions(const MmJoinOptions& options) {
   bo.schedule = options.schedule;
   bo.morsel_tuples = options.morsel_tuples;
   bo.skew_split_factor = options.skew_split_factor;
-  bo.kernel = options.kernel;
   bo.prefetch_distance = options.prefetch_distance;
   bo.paging = options.paging;
   bo.huge_pages = options.huge_pages;
-  bo.scatter = options.scatter;
-  bo.scatter_tuples = options.scatter_tuples;
   bo.numa = options.numa;
   bo.numa_nodes = options.numa_nodes;
   bo.trace = options.trace;
@@ -136,13 +133,11 @@ StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
       controller->Plan(ToPlannerInputs(workload, options));
 
   // The planner's knob vector replaces the performance knobs; scheduling
-  // identity (pool, priority, trace, threads) stays the caller's.
+  // identity (pool, priority, trace, threads) and NUMA placement, which
+  // this host cannot measure, stay the caller's.
   MmJoinOptions resolved = options;
-  resolved.kernel = decision.kernel;
   resolved.prefetch_distance = decision.prefetch_distance;
-  resolved.scatter = decision.scatter;
   resolved.paging = decision.paging;
-  resolved.numa = decision.numa;
   resolved.k_buckets = decision.k_buckets;
   resolved.tsize = decision.tsize;
 

@@ -18,7 +18,6 @@
 #include "exec/kernels.h"
 #include "exec/numa.h"
 #include "exec/op/plan.h"
-#include "exec/scatter.h"
 #include "exec/scheduler.h"
 #include "join/join_common.h"
 #include "mmap/mm_relation.h"
@@ -44,11 +43,11 @@ struct MmJoinOptions {
   /// the adaptive planner (src/opt/planner.h) picks it: relation stats, a
   /// mincore residency probe and the machine calibration rank all six
   /// drivers by corrected wall-clock cost. The planner then also
-  /// overwrites the performance-knob fields (kernel, prefetch_distance,
-  /// scatter, paging, numa, k_buckets, tsize) with its derived vector —
-  /// results are knob-invariant by contract, so auto output stays
-  /// bit-identical to any explicit-knob run. A set value runs that
-  /// driver's entry point unchanged: MmJoin(algorithm=X) is MmX().
+  /// overwrites the performance-knob fields (prefetch_distance, paging,
+  /// k_buckets, tsize) with its derived vector — results are
+  /// knob-invariant by contract, so auto output stays bit-identical to
+  /// any explicit-knob run. A set value runs that driver's entry point
+  /// unchanged: MmJoin(algorithm=X) is MmX().
   std::optional<join::Algorithm> algorithm;
   /// Planner state when `algorithm` is unset: calibration + learned EWMA
   /// corrections (opt/adaptive.h). nullptr = a process-local controller
@@ -73,12 +72,8 @@ struct MmJoinOptions {
   uint64_t m_rproc_bytes = 0;
   uint32_t k_buckets = 0;  ///< Grace/hybrid K (0: derive from memory)
   uint32_t tsize = 0;      ///< Grace/hybrid chain count (0: ~4 per chain)
-  /// Dereference kernel for the probe sites: `kPrefetch` (default) batches
-  /// S-pointer dereferences through software-prefetched pipelines
-  /// (exec/kernels.h); `kScalar` keeps the original per-tuple loops — the
-  /// A/B baseline. Output count/checksum are identical either way.
-  exec::DerefKernel kernel = exec::DerefKernel::kPrefetch;
-  /// In-flight S dereferences per pipeline for kernel=prefetch; 0 = 32.
+  /// In-flight S dereferences per prefetch pipeline of the probe sites
+  /// (exec/kernels.h); 0 = 32.
   uint32_t prefetch_distance = 0;
   /// mmap paging policy: `kNone` issues no hints; `kAdvise` (default) maps
   /// the drivers' declared access intents onto madvise(2) — SEQUENTIAL
@@ -91,16 +86,6 @@ struct MmJoinOptions {
   /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
   /// when the system THP mode is `madvise`); independent of `paging`.
   bool huge_pages = false;
-  /// Partition-pass scatter policy: `kDirect` writes each routed tuple
-  /// straight to its RP/RS destination (the A/B baseline); `kBuffered`
-  /// (default) stages tuples in per-worker, per-destination write-combining
-  /// slabs flushed as bulk copies; `kStream` additionally flushes with
-  /// non-temporal stores where alignment allows. Per-destination output is
-  /// byte-identical in all three modes (exec/scatter.h).
-  exec::ScatterMode scatter = exec::ScatterMode::kBuffered;
-  /// Tuples staged per destination before a flush; 0 = default (16, i.e.
-  /// 2 KiB of 128-byte objects per destination). Capped at 256.
-  uint32_t scatter_tuples = 0;
   /// NUMA placement of the RP/RS temporaries: `kNone` (default) leaves
   /// placement to the kernel; `kInterleave` mbind(2)s new segments across
   /// all nodes; `kLocal` first-touches each worker's RP band from its

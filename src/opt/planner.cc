@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 
+#include "exec/numa.h"
 #include "exec/scheduler.h"
 #include "join/grace.h"
 #include "join/sort_merge.h"
@@ -74,27 +75,9 @@ void DeriveKnobs(const model::WallInputs& w, const Calibration& cal,
     d->irun = join::PlanSortMerge(p.m_rproc_bytes, 4096, rs_objects, p).irun;
   }
 
-  // Dereference kernel: prefetch pipelines pay off once the probed S band
-  // outruns the cache; inside it the scalar loop has nothing to hide.
-  if (s_band <= llc / 4) {
-    d->kernel = exec::DerefKernel::kScalar;
-    d->prefetch_distance = 0;
-  } else {
-    d->kernel = exec::DerefKernel::kPrefetch;
-    d->prefetch_distance = s_band > llc ? 48 : 0;  // 0 = default (32)
-  }
-
-  // Scatter: staging slabs need enough tuples per destination to amortize;
-  // tiny partitions flush mostly-empty slabs. Non-temporal stores win only
-  // when the scattered bytes dwarf the cache they would otherwise trash.
-  const uint64_t per_partition = w.r_objects / w.partitions;
-  if (per_partition < (1ull << 14)) {
-    d->scatter = exec::ScatterMode::kDirect;
-  } else if (r_bytes > 4 * llc) {
-    d->scatter = exec::ScatterMode::kStream;
-  } else {
-    d->scatter = exec::ScatterMode::kBuffered;
-  }
+  // Prefetch distance: a probed S band that outruns the cache needs a
+  // deeper pipeline to cover DRAM latency.
+  d->prefetch_distance = s_band > llc ? 48 : 0;  // 0 = default (32)
 
   // Paging: cold inputs want bulk pre-faulting over demand paging; warm
   // cache-resident runs don't need hints at all; everything else keeps the
@@ -105,19 +88,6 @@ void DeriveKnobs(const model::WallInputs& w, const Calibration& cal,
     d->paging = exec::PagingMode::kNone;
   } else {
     d->paging = exec::PagingMode::kAdvise;
-  }
-
-  // NUMA: single-node hosts get the no-op default. On multi-node hosts the
-  // partitioning drivers first-touch their RP/RS bands locally; nested
-  // loops interleaves so its random S derefs average the nodes instead of
-  // hammering one.
-  d->numa_nodes = w.numa_nodes;
-  if (w.numa_nodes <= 1) {
-    d->numa = exec::NumaMode::kNone;
-  } else if (d->algorithm == join::Algorithm::kNestedLoops) {
-    d->numa = exec::NumaMode::kInterleave;
-  } else {
-    d->numa = exec::NumaMode::kLocal;
   }
 }
 

@@ -1,9 +1,10 @@
 // The adaptive planner: given relation statistics, a memory budget and a
 // machine calibration, rank the six drivers by corrected wall-clock cost
 // (model::PredictWall x the calibration's learned per-driver EWMA factor)
-// and derive the whole knob vector the winner should run with — Grace /
-// hybrid K and TSIZE, the sort-merge run shape, and the kernel /
-// prefetch_distance / scatter / paging / numa execution knobs.
+// and derive the knob vector the winner should run with — Grace /
+// hybrid K and TSIZE, the sort-merge run shape, and the prefetch_distance
+// and paging execution knobs. NUMA placement is not derived: it cannot be
+// measured on a single-node host, so it stays the caller's choice.
 //
 // The planner is pure and deterministic: same inputs + same calibration =>
 // same decision, which is what the golden-decision tests pin. Learning
@@ -23,8 +24,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/numa.h"
-#include "exec/scatter.h"
 #include "join/join_common.h"
 #include "model/join_model.h"
 #include "model/wall_model.h"
@@ -49,7 +48,8 @@ struct PlannerInputs {
   /// Effective worker threads the run will get; 0 = detect
   /// (hardware_concurrency capped by partitions).
   uint32_t workers = 0;
-  /// Host NUMA nodes; 0 = detect.
+  /// Host NUMA nodes (shapes the cost model's MPSM and remote-access
+  /// terms); 0 = detect.
   uint32_t numa_nodes = 0;
   /// A persisted, sealed B+-tree over R's join keys is attachable.
   bool warm_index = false;
@@ -80,12 +80,8 @@ struct PlannerDecision {
   uint64_t irun = 0;       ///< sort-merge initial run length, objects
 
   // Execution knobs.
-  exec::DerefKernel kernel = exec::DerefKernel::kPrefetch;
   uint32_t prefetch_distance = 0;
-  exec::ScatterMode scatter = exec::ScatterMode::kBuffered;
   exec::PagingMode paging = exec::PagingMode::kAdvise;
-  exec::NumaMode numa = exec::NumaMode::kNone;
-  uint32_t numa_nodes = 1;  ///< detected/forced node fan-out (MPSM shape)
 
   /// All six candidates, sorted best-first by corrected cost.
   std::vector<CandidateCost> candidates;

@@ -1,8 +1,9 @@
 // The cache-conscious dereference kernels and the paging-policy layer:
-// batched kernels are bit-identical to their scalar references, every
-// kernel x paging x schedule x workers combination of the four real joins
-// produces the identical verified count/checksum, and segment advice
-// reports errors without ever affecting results.
+// batched kernels are bit-identical to one-at-a-time reference loops,
+// every paging mode and prefetch distance of the real joins produces the
+// identical verified count/checksum, and segment advice reports errors
+// without ever affecting results. The driver x schedule x workers x paging
+// identity matrix lives in real_backend_test.
 #include "exec/kernels.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,37 @@ namespace {
 // ---------------------------------------------------------------------------
 // Kernel unit tests: pipelined == scalar, bit for bit.
 // ---------------------------------------------------------------------------
+
+const rel::SObject* Target(const rel::SObject* const* parts, uint64_t sptr) {
+  const rel::SPtr sp = rel::SPtr::Unpack(sptr);
+  return parts[sp.partition] + sp.index;
+}
+
+/// Scalar reference for ProbeRefs: no prefetch, no staging.
+KernelTally ScalarProbeRefs(const SRef* refs, uint64_t n,
+                            const rel::SObject* const* parts) {
+  KernelTally t;
+  for (uint64_t k = 0; k < n; ++k) {
+    t.digest +=
+        rel::OutputDigest(refs[k].r_id, Target(parts, refs[k].sptr)->key);
+    ++t.count;
+  }
+  return t;
+}
+
+/// Scalar reference for ProbeObjects: whole-object copy, then an
+/// immediate dereference.
+KernelTally ScalarProbeObjects(const rel::RObject* objs, uint64_t n,
+                               const rel::SObject* const* parts) {
+  KernelTally t;
+  for (uint64_t k = 0; k < n; ++k) {
+    rel::RObject obj;
+    std::memcpy(&obj, &objs[k], sizeof(obj));
+    t.digest += rel::OutputDigest(obj.id, Target(parts, obj.sptr)->key);
+    ++t.count;
+  }
+  return t;
+}
 
 /// Synthetic S partitions plus a ref stream covering them with repeats.
 struct KernelFixture {
@@ -60,8 +92,8 @@ struct KernelFixture {
 
 TEST(KernelsTest, ProbeRefsMatchesScalarAcrossDistances) {
   const KernelFixture f(10000);
-  KernelTally scalar;
-  ProbeRefsScalar(f.refs.data(), f.refs.size(), f.part_ptrs.data(), &scalar);
+  const KernelTally scalar =
+      ScalarProbeRefs(f.refs.data(), f.refs.size(), f.part_ptrs.data());
   EXPECT_EQ(scalar.count, f.refs.size());
   // 0 resolves to the default; oversized distances clamp.
   for (uint32_t distance : {0u, 1u, 7u, 32u, 256u, 100000u}) {
@@ -77,9 +109,8 @@ TEST(KernelsTest, ProbeRefsMatchesScalarAcrossDistances) {
 
 TEST(KernelsTest, ProbeObjectsMatchesScalarAcrossDistances) {
   const KernelFixture f(10000);
-  KernelTally scalar;
-  ProbeObjectsScalar(f.objs.data(), f.objs.size(), f.part_ptrs.data(),
-                     &scalar);
+  const KernelTally scalar =
+      ScalarProbeObjects(f.objs.data(), f.objs.size(), f.part_ptrs.data());
   EXPECT_EQ(scalar.count, f.objs.size());
   for (uint32_t distance : {0u, 1u, 7u, 32u, 256u, 100000u}) {
     KernelTally pipelined;
@@ -98,8 +129,9 @@ TEST(KernelsTest, EmptyAndShorterThanDistanceBatches) {
   EXPECT_EQ(t.digest, 0u);
   EXPECT_EQ(t.batches, 1u);
   // n < distance: the whole batch drains through the epilogue.
-  KernelTally scalar, pipelined;
-  ProbeRefsScalar(f.refs.data(), f.refs.size(), f.part_ptrs.data(), &scalar);
+  const KernelTally scalar =
+      ScalarProbeRefs(f.refs.data(), f.refs.size(), f.part_ptrs.data());
+  KernelTally pipelined;
   ProbeRefs(f.refs.data(), f.refs.size(), f.part_ptrs.data(), 32, &pipelined);
   EXPECT_EQ(pipelined.count, scalar.count);
   EXPECT_EQ(pipelined.digest, scalar.digest);
@@ -113,8 +145,8 @@ TEST(KernelsTest, TalliesAccumulateAcrossBatches) {
   KernelTally t;
   ProbeRefs(f.refs.data(), 400, f.part_ptrs.data(), 16, &t);
   ProbeRefs(f.refs.data() + 400, 600, f.part_ptrs.data(), 16, &t);
-  KernelTally whole;
-  ProbeRefsScalar(f.refs.data(), 1000, f.part_ptrs.data(), &whole);
+  const KernelTally whole =
+      ScalarProbeRefs(f.refs.data(), 1000, f.part_ptrs.data());
   EXPECT_EQ(t.count, whole.count);
   EXPECT_EQ(t.digest, whole.digest);
   EXPECT_EQ(t.requests, 1000u);
@@ -122,8 +154,8 @@ TEST(KernelsTest, TalliesAccumulateAcrossBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Identity across the real joins: every kernel x paging x schedule x
-// workers combination must produce the same verified count/checksum.
+// Identity across the real joins: every paging mode and prefetch distance
+// must produce the same verified count/checksum.
 // ---------------------------------------------------------------------------
 
 class KernelJoinIdentityTest : public ::testing::Test {
@@ -156,41 +188,6 @@ using MmJoinFn = StatusOr<mm::MmJoinResult> (*)(const mm::MmWorkload&,
                                                 const mm::MmJoinOptions&);
 constexpr MmJoinFn kJoins[] = {mm::MmNestedLoops, mm::MmSortMerge,
                                mm::MmGrace, mm::MmHybridHash};
-
-TEST_F(KernelJoinIdentityTest, KernelScheduleWorkerMatrix) {
-  for (double theta : {0.0, 1.1}) {
-    const mm::MmWorkload w = Build(theta);
-    for (MmJoinFn join : kJoins) {
-      for (DerefKernel kernel : {DerefKernel::kScalar, DerefKernel::kPrefetch}) {
-        for (Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-          for (uint32_t workers : {1u, 2u, 8u}) {
-            mm::MmJoinOptions opt;
-            opt.kernel = kernel;
-            opt.schedule = schedule;
-            opt.max_threads = workers;
-            opt.paging = PagingMode::kAdvise;
-            auto r = join(w, opt);
-            ASSERT_TRUE(r.ok()) << r.status().ToString();
-            // verified == matched the workload's expected count/checksum,
-            // so every combination passing pins the identity.
-            EXPECT_TRUE(r->verified)
-                << "theta=" << theta << " kernel=" << KernelName(kernel)
-                << " schedule=" << static_cast<int>(schedule)
-                << " workers=" << workers;
-            EXPECT_EQ(r->output_count, w.expected_output_count);
-            EXPECT_EQ(r->output_checksum, w.expected_checksum);
-            if (kernel == DerefKernel::kPrefetch) {
-              EXPECT_GT(r->run.kernel_batches, 0u);
-              EXPECT_GT(r->run.kernel_requests, 0u);
-            } else {
-              EXPECT_EQ(r->run.kernel_batches, 0u);
-            }
-          }
-        }
-      }
-    }
-  }
-}
 
 TEST_F(KernelJoinIdentityTest, PagingModeSweep) {
   const mm::MmWorkload w = Build(1.1);

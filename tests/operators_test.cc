@@ -423,7 +423,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DriverIdentityTest,
                            return DriverTestName(info.param.algorithm);
                          });
 
-// Every built-in plan: sim, real/static, real/stealing, real/scalar-kernel —
+// Every built-in plan: sim, real/static, real/stealing —
 // one identical result (counts, groups, checksum).
 class PlanIdentityTest : public ::testing::TestWithParam<const char*> {
  protected:
@@ -461,25 +461,16 @@ TEST_P(PlanIdentityTest, BackendsSchedulesAndKernelsAgree) {
 
   auto workload = mm::BuildMmWorkload(mgr_.get(), "plan", rc);
   ASSERT_TRUE(workload.ok());
-  struct Variant {
-    const char* name;
-    exec::Schedule schedule;
-    exec::DerefKernel kernel;
-  };
-  const Variant variants[] = {
-      {"static", exec::Schedule::kStatic, exec::DerefKernel::kPrefetch},
-      {"stealing", exec::Schedule::kStealing, exec::DerefKernel::kPrefetch},
-      {"scalar", exec::Schedule::kStealing, exec::DerefKernel::kScalar},
-  };
-  for (const Variant& v : variants) {
+  for (exec::Schedule schedule :
+       {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
+    const char* name = exec::ScheduleName(schedule);
     mm::MmJoinOptions options;
-    options.schedule = v.schedule;
-    options.kernel = v.kernel;
+    options.schedule = schedule;
     auto real = mm::MmRunPlan(*workload, *spec, options);
-    ASSERT_TRUE(real.ok()) << v.name << ": " << real.status().ToString();
-    EXPECT_TRUE(real->verified) << v.name;
-    EXPECT_TRUE(exec::op::PlanResultsMatch(*sim, real->plan)) << v.name;
-    EXPECT_EQ(sim->checksum, real->plan.checksum) << v.name;
+    ASSERT_TRUE(real.ok()) << name << ": " << real.status().ToString();
+    EXPECT_TRUE(real->verified) << name;
+    EXPECT_TRUE(exec::op::PlanResultsMatch(*sim, real->plan)) << name;
+    EXPECT_EQ(sim->checksum, real->plan.checksum) << name;
   }
 }
 

@@ -201,25 +201,7 @@ int main(int argc, char** argv) {
                    path.c_str());
       return 1;
     }
-    // Scatter column: staged-tuple traffic when the dump carries the
-    // write-combining telemetry, "-" for benches that never scatter.
     const mmjoin::obs::JsonValue* counters = metrics->Find("counters");
-    const mmjoin::obs::JsonValue* sc_flushes =
-        counters && counters->is_object()
-            ? counters->Find("join.scatter.flushes")
-            : nullptr;
-    const mmjoin::obs::JsonValue* sc_tuples =
-        counters && counters->is_object()
-            ? counters->Find("join.scatter.tuples")
-            : nullptr;
-    std::string scatter_col = "scatter=-";
-    if (sc_flushes && sc_flushes->is_number() && sc_tuples &&
-        sc_tuples->is_number()) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "scatter=%.0f/%.0f",
-                    sc_flushes->number, sc_tuples->number);
-      scatter_col = buf;
-    }
     // Queries column: plan runs / output rows when the dump carries the
     // operator-layer telemetry, "-" for benches that never ran a plan.
     const mmjoin::obs::JsonValue* plan_runs =
@@ -289,9 +271,9 @@ int main(int argc, char** argv) {
       }
       planner_col = buf;
     }
-    std::printf("ok\t%s\tbench=%s\t%s\t%s\t%s\t%s\t%s\n", path.c_str(),
-                bench->str.c_str(), scatter_col.c_str(), queries_col.c_str(),
-                index_col.c_str(), mpsm_col.c_str(), planner_col.c_str());
+    std::printf("ok\t%s\tbench=%s\t%s\t%s\t%s\t%s\n", path.c_str(),
+                bench->str.c_str(), queries_col.c_str(), index_col.c_str(),
+                mpsm_col.c_str(), planner_col.c_str());
 
     if (!baseline_path.empty() &&
         (bench_filter.empty() || bench_filter == bench->str)) {
