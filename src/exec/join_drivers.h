@@ -603,7 +603,9 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
   const bool sync = params.phase_sync.value_or(true);
 
   MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
-  op::BucketedRs rs = op::PlanBucketedRs(ex, params, /*resident=*/nullptr);
+  MMJOIN_ASSIGN_OR_RETURN(
+      op::BucketedRs rs,
+      op::PlanBucketedRs(ex, params, /*resident=*/nullptr));
   const uint32_t k_buckets = rs.plan.k_buckets;
   MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
                           SetUpHashBuckets(ex, rs.layout));
@@ -652,7 +654,8 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
   // contributions (R_{j,i}, j != i); the owner's bucket-0 objects stay in
   // memory. Buckets >= 1 receive everything, as in Grace.
   std::vector<uint64_t> resident_count;
-  op::BucketedRs rs = op::PlanBucketedRs(ex, params, &resident_count);
+  MMJOIN_ASSIGN_OR_RETURN(op::BucketedRs rs,
+                          op::PlanBucketedRs(ex, params, &resident_count));
   const uint32_t k_buckets = rs.plan.k_buckets;
   MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
                           SetUpHashBuckets(ex, rs.layout));
@@ -719,7 +722,9 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   // Passes 0/1 are Grace's: repartition R into RS_i's monotone buckets so
   // the per-bucket sorts concatenate into one globally sorted leaf array
   // (the bulk leaf build stays within the same M_Rproc bucket budget).
-  op::BucketedRs rs = op::PlanBucketedRs(ex, params, /*resident=*/nullptr);
+  MMJOIN_ASSIGN_OR_RETURN(
+      op::BucketedRs rs,
+      op::PlanBucketedRs(ex, params, /*resident=*/nullptr));
   const std::vector<uint64_t>& rs_objects = rs.objects;
   const op::BucketLayout& layout = rs.layout;
   const uint32_t k_buckets = rs.plan.k_buckets;

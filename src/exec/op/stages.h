@@ -29,6 +29,8 @@
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
 //   BuildProbeBuckets per-bucket build+probe loop over RS_i bands
 //   BucketLayout     contiguous bucket regions + one-writer bump cursors
+//   CountBuckets     per-worker histogram of the RS bucket populations,
+//                    checked against the counts metadata (PlanBucketedRs)
 //   IndexLayout      implicit static B+-tree over a sorted SRef leaf array
 //   SortIndexRun     per-bucket leaf packing of the index-NL driver
 //                    (SortRefs by (sptr, r_id))
@@ -177,56 +179,116 @@ class BucketLayout {
   std::vector<std::vector<uint64_t>> cursor_;  // [i][b] objects claimed
 };
 
-/// Exact per-bucket populations of the bucketed RS layout, counted
-/// from the raw R partitions (metadata precomputation, not charged — the
-/// counts depend only on the workload and the bucket function). With
-/// `resident` non-null (hybrid hash), own-partition bucket-0 objects are
-/// diverted to resident[i] instead of bucket_count[i][0].
+/// Exact populations of the bucketed RS layout. `buckets[j][b]` counts
+/// the objects bound for bucket b of RS_j; `resident[i]` the own-partition
+/// bucket-0 objects hybrid hash keeps in memory instead (all zero without
+/// the diversion); `routed[i][j]` the R_i objects pointing into S_j, which
+/// must equal the workload's |R_{i,j}| (SubCount) metadata.
+struct BucketHistogram {
+  std::vector<std::vector<uint64_t>> buckets;
+  std::vector<uint64_t> resident;
+  std::vector<std::vector<uint64_t>> routed;
+};
+
+/// Counts the BucketHistogram from the raw R partitions as a parallel
+/// pre-pass: independent morsels of every R_i add into a per-worker-slot
+/// histogram, and the slots are reduced in slot order after the barrier.
+/// Metadata, not charged: the simulator's ForEachPartitionTuples is a
+/// serial uncharged loop with one slot. Each destination's bucket divisor
+/// is a GraceBucketMap, the reciprocal multiply passes 0 and 1 use. With
+/// `divert_resident` (hybrid hash), own-partition bucket-0 objects count
+/// in `resident` instead of bucket 0. An object whose pointer names no
+/// partition is counted in no cell, so the totals cannot match.
 template <Backend B>
-std::vector<std::vector<uint64_t>> CountBuckets(
-    const B& ex, uint32_t k_buckets, std::vector<uint64_t>* resident) {
+BucketHistogram CountBuckets(B& ex, uint32_t k_buckets,
+                             bool divert_resident) {
   const uint32_t d = ex.D();
-  std::vector<std::vector<uint64_t>> bucket_count(
-      d, std::vector<uint64_t>(k_buckets, 0));
-  if (resident != nullptr) resident->assign(d, 0);
-  for (uint32_t i = 0; i < d; ++i) {
-    const rel::RObject* objs = ex.RawR(i);
-    const uint64_t n = ex.r_count(i);
-    for (uint64_t k = 0; k < n; ++k) {
-      const rel::SPtr sp = rel::SPtr::Unpack(objs[k].sptr);
-      const uint32_t b = join::GraceBucketOf(
-          sp.index, ex.s_count(sp.partition), k_buckets);
-      if (resident != nullptr && b == 0 && sp.partition == i) {
-        ++(*resident)[i];
-      } else {
-        ++bucket_count[sp.partition][b];
+  std::vector<join::GraceBucketMap> maps;
+  maps.reserve(d);
+  for (uint32_t j = 0; j < d; ++j) maps.emplace_back(ex.s_count(j), k_buckets);
+
+  // One slot: [j][b] bucket counts with column K for the resident
+  // diversion, then the [i][j] routed counts.
+  const uint64_t cols = uint64_t{k_buckets} + 1;
+  const uint64_t routed_at = uint64_t{d} * cols;
+  std::vector<std::vector<uint64_t>> slots(
+      ex.WorkerSlots(), std::vector<uint64_t>(routed_at + uint64_t{d} * d, 0));
+  ex.ForEachPartitionTuples(
+      RCounts(ex),
+      [&](uint32_t i, uint64_t begin, uint64_t end) {
+        uint64_t* hist = slots[ex.WorkerSlot()].data();
+        uint64_t* routed = hist + routed_at + uint64_t{i} * d;
+        const rel::RObject* objs = ex.RawR(i);
+        for (uint64_t k = begin; k < end; ++k) {
+          const rel::SPtr sp = rel::SPtr::Unpack(objs[k].sptr);
+          if (sp.partition >= d) continue;
+          uint32_t b = maps[sp.partition].Of(sp.index);
+          if (divert_resident && b == 0 && sp.partition == i) b = k_buckets;
+          ++hist[sp.partition * cols + b];
+          ++routed[sp.partition];
+        }
+      },
+      /*independent=*/true);
+
+  BucketHistogram h;
+  h.buckets.assign(d, std::vector<uint64_t>(k_buckets, 0));
+  h.resident.assign(d, 0);
+  h.routed.assign(d, std::vector<uint64_t>(d, 0));
+  for (const std::vector<uint64_t>& slot : slots) {
+    for (uint32_t j = 0; j < d; ++j) {
+      for (uint32_t b = 0; b < k_buckets; ++b) {
+        h.buckets[j][b] += slot[j * cols + b];
+      }
+      h.resident[j] += slot[j * cols + k_buckets];
+      for (uint32_t i = 0; i < d; ++i) {
+        h.routed[i][j] += slot[routed_at + uint64_t{i} * d + j];
       }
     }
   }
-  return bucket_count;
+  return h;
 }
 
 /// RS_i of Grace, hybrid hash and index-NL: |RS_i|, the K/TSIZE plan sized
-/// off the largest RS_i, and the bucket layout (`resident` as CountBuckets).
+/// off the largest RS_i, and the bucket layout.
 struct BucketedRs {
   std::vector<uint64_t> objects;  // |RS_i|
   join::GracePlan plan;
   BucketLayout layout;
 };
 
+/// Plans BucketedRs. With `resident` non-null (hybrid hash), own bucket-0
+/// objects stay out of the layout and resident[i] receives their count.
+/// Returns Corruption, before any RP or RS write, when R disagrees with
+/// the workload's counts metadata: the RP and RS bands are sized from the
+/// metadata and filled from R, so a mismatch would overrun a band. Every
+/// counted object lands in one routed cell and one bucket (or resident)
+/// cell of the same RS_j, so routed == SubCount also pins every RS_j total.
 template <Backend B>
-BucketedRs PlanBucketedRs(const B& ex, const join::JoinParams& params,
-                          std::vector<uint64_t>* resident) {
+StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
+                                    std::vector<uint64_t>* resident) {
+  const uint32_t d = ex.D();
   BucketedRs rs;
   rs.objects = RsObjects(ex);
   const uint64_t max_rs =
       *std::max_element(rs.objects.begin(), rs.objects.end());
   rs.plan = join::PlanGrace(params.m_rproc_bytes, max_rs, params);
-  rs.layout.Init(CountBuckets(ex, rs.plan.k_buckets, resident));
-  for (uint32_t i = 0; i < ex.D(); ++i) {
-    assert(rs.layout.Total(i) + (resident ? (*resident)[i] : 0) ==
-           rs.objects[i]);
+  BucketHistogram h = CountBuckets(ex, rs.plan.k_buckets, resident != nullptr);
+  for (uint32_t i = 0; i < d; ++i) {
+    for (uint32_t j = 0; j < d; ++j) {
+      if (h.routed[i][j] != ex.SubCount(i, j)) {
+        return Status::Corruption(
+            "R_" + std::to_string(i) + " holds " +
+            std::to_string(h.routed[i][j]) + " pointers into S_" +
+            std::to_string(j) + ", its counts metadata says " +
+            std::to_string(ex.SubCount(i, j)));
+      }
+    }
   }
+  rs.layout.Init(h.buckets);
+  for (uint32_t j = 0; j < d; ++j) {
+    assert(rs.layout.Total(j) + h.resident[j] == rs.objects[j]);
+  }
+  if (resident != nullptr) *resident = std::move(h.resident);
   return rs;
 }
 
@@ -368,7 +430,7 @@ Status DropRpSegments(B& ex) {
 /// RP_{i,dest} and hashes own ones into RS_i's buckets; pass 1's phases
 /// hash RP_{i,j} into RS_j's K buckets. With `resident` non-null (hybrid
 /// hash), own bucket-0 objects go to resident[i] instead, one private move
-/// each; `layout` must then come from CountBuckets with the same
+/// each; `layout` must then come from PlanBucketedRs with the same
 /// diversion.
 template <Backend B>
 Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,

@@ -22,6 +22,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kUnimplemented:
       return "Unimplemented";
+    case StatusCode::kCorruption:
+      return "Corruption";
   }
   return "Unknown";
 }

@@ -21,6 +21,7 @@ enum class StatusCode {
   kIOError,
   kInternal,
   kUnimplemented,
+  kCorruption,  ///< data disagrees with its own metadata
 };
 
 /// Returns a human-readable name for a StatusCode (e.g. "InvalidArgument").
@@ -61,6 +62,9 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
+  }
+  static Status Corruption(std::string msg) {
+    return Status(StatusCode::kCorruption, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -21,6 +21,9 @@
 
 #include "driver_test_name.h"
 #include "exec/op/stages.h"
+#include "exec/real_backend.h"
+#include "exec/scheduler.h"
+#include "join/grace.h"
 #include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
@@ -130,6 +133,22 @@ TEST(PlanSpecTest, GroupsChecksumIsOrderAndContentSensitive) {
 using exec::op::BucketLayout;
 constexpr uint64_t kObj = sizeof(rel::RObject);
 
+// A per-test segment directory for real workloads.
+class OperatorDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = ::testing::TempDir() + "opdir_" + std::to_string(::getpid()) +
+           "_" + test_name;
+    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    mgr_ = std::make_unique<mm::SegmentManager>(dir_);
+  }
+
+  std::string dir_;
+  std::unique_ptr<mm::SegmentManager> mgr_;
+};
+
 TEST(BucketLayoutTest, OneBucketIsTheFlatLayout) {
   BucketLayout layout;
   layout.Init({{5}, {0}, {3}});
@@ -182,20 +201,229 @@ TEST(BucketLayoutTest, OutlivesItsCountsVector) {
 }
 
 // ---------------------------------------------------------------------------
+// CountBuckets: the parallel bucket histogram against a serial reference
+// ---------------------------------------------------------------------------
+
+using exec::op::BucketHistogram;
+
+// One GraceBucketOf divide per object, in partition order on one thread.
+BucketHistogram SerialHistogram(const mm::MmWorkload& w, uint32_t k,
+                                bool divert) {
+  const uint32_t d = static_cast<uint32_t>(w.r_count.size());
+  BucketHistogram h;
+  h.buckets.assign(d, std::vector<uint64_t>(k, 0));
+  h.resident.assign(d, 0);
+  h.routed.assign(d, std::vector<uint64_t>(d, 0));
+  for (uint32_t i = 0; i < d; ++i) {
+    const rel::RObject* objs = w.RObjects(i);
+    for (uint64_t n = 0; n < w.r_count[i]; ++n) {
+      const rel::SPtr sp = rel::SPtr::Unpack(objs[n].sptr);
+      const uint32_t b =
+          join::GraceBucketOf(sp.index, w.s_count[sp.partition], k);
+      if (divert && b == 0 && sp.partition == i) {
+        ++h.resident[i];
+      } else {
+        ++h.buckets[sp.partition][b];
+      }
+      ++h.routed[i][sp.partition];
+    }
+  }
+  return h;
+}
+
+void ExpectSameHistogram(const BucketHistogram& want,
+                         const BucketHistogram& got, const std::string& what) {
+  EXPECT_EQ(want.buckets, got.buckets) << what;
+  EXPECT_EQ(want.resident, got.resident) << what;
+  EXPECT_EQ(want.routed, got.routed) << what;
+}
+
+BucketHistogram RealHistogram(const mm::MmWorkload& w, uint32_t k,
+                              bool divert,
+                              const exec::RealBackendOptions& options) {
+  exec::RealBackend ex(w, join::JoinParams{}, options);
+  return exec::op::CountBuckets(ex, k, divert);
+}
+
+class CountBucketsTest : public OperatorDirTest {};
+
+TEST_F(CountBucketsTest, MatchesSerialReferenceAcrossWorkersSchedulesSkew) {
+  constexpr uint32_t kBuckets = 7;
+  for (double theta : {0.0, 1.1}) {
+    rel::RelationConfig rc = Shape(24000, 8, theta, 4242);
+    rc.s_objects = 20000;
+    auto w = mm::BuildMmWorkload(mgr_.get(), theta == 0 ? "u" : "z", rc);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (bool divert : {false, true}) {
+      const BucketHistogram want = SerialHistogram(*w, kBuckets, divert);
+      for (uint32_t workers : {1u, 2u, 4u, 8u}) {
+        for (exec::Schedule schedule :
+             {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
+          exec::RealBackendOptions options;
+          options.max_threads = workers;
+          options.schedule = schedule;
+          options.morsel_tuples = 1000;  // several morsels per partition
+          ExpectSameHistogram(
+              want, RealHistogram(*w, kBuckets, divert, options),
+              "theta=" + std::to_string(theta) +
+                  " divert=" + std::to_string(divert) +
+                  " workers=" + std::to_string(workers) + " " +
+                  exec::ScheduleName(schedule));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(CountBucketsTest, DegenerateShapes) {
+  exec::RealBackendOptions options;
+  options.morsel_tuples = 256;
+
+  // D = 1: every object is own-partition.
+  auto one = mm::BuildMmWorkload(mgr_.get(), "one", Shape(5000, 1, 0.0, 3));
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  for (bool divert : {false, true}) {
+    ExpectSameHistogram(SerialHistogram(*one, 5, divert),
+                        RealHistogram(*one, 5, divert, options), "D=1");
+  }
+
+  // |S| != |R|, both ways, with K = 1 (the flat layout).
+  for (uint64_t s_objects : {uint64_t{600}, uint64_t{17000}}) {
+    rel::RelationConfig rc = Shape(3000, 3, 0.8, 5);
+    rc.s_objects = s_objects;
+    auto w = mm::BuildMmWorkload(mgr_.get(), "s" + std::to_string(s_objects),
+                                 rc);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (uint32_t k : {1u, 9u}) {
+      ExpectSameHistogram(SerialHistogram(*w, k, true),
+                          RealHistogram(*w, k, true, options),
+                          "|S|=" + std::to_string(s_objects));
+    }
+  }
+
+  auto w = mm::BuildMmWorkload(mgr_.get(), "edge", Shape(4000, 3, 0.0, 7));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+
+  // An S partition with no objects (GraceBucketMap's divisor 0): re-aim
+  // every pointer into S_2 at S_0 and empty S_2.
+  for (uint32_t i = 0; i < 3; ++i) {
+    rel::RObject* r = const_cast<rel::RObject*>(w->RObjects(i));
+    for (uint64_t n = 0; n < w->r_count[i]; ++n) {
+      const rel::SPtr sp = rel::SPtr::Unpack(r[n].sptr);
+      if (sp.partition == 2) {
+        r[n].sptr = rel::SPtr{0, sp.index % w->s_count[0]}.Pack();
+        --w->counts[i][2];
+        ++w->counts[i][0];
+      }
+    }
+  }
+  w->s_count[2] = 0;
+  for (uint32_t k : {1u, 4u}) {
+    const BucketHistogram got = RealHistogram(*w, k, false, options);
+    ExpectSameHistogram(SerialHistogram(*w, k, false), got, "empty S_2");
+    EXPECT_EQ(got.buckets[2], std::vector<uint64_t>(k, 0));
+  }
+
+  // |R| = 0: one empty morsel per partition, an all-zero histogram.
+  for (uint32_t i = 0; i < 3; ++i) {
+    w->r_count[i] = 0;
+    w->counts[i].assign(3, 0);
+  }
+  const BucketHistogram empty = RealHistogram(*w, 4, true, options);
+  ExpectSameHistogram(SerialHistogram(*w, 4, true), empty, "|R|=0");
+  EXPECT_EQ(empty.resident, std::vector<uint64_t>(3, 0));
+}
+
+TEST_F(CountBucketsTest, SharedPoolMatchesSerialReference) {
+  auto w = mm::BuildMmWorkload(mgr_.get(), "pool", Shape(20000, 4, 1.1, 9));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  exec::SharedWorkerPool pool(3);
+  exec::RealBackendOptions options;
+  options.pool = &pool;
+  options.priority = exec::QueryPriority::kHigh;
+  options.morsel_tuples = 1000;
+  for (bool divert : {false, true}) {
+    ExpectSameHistogram(SerialHistogram(*w, 6, divert),
+                        RealHistogram(*w, 6, divert, options), "pool");
+  }
+}
+
+TEST_F(CountBucketsTest, SimulatorMatchesRealBackend) {
+  for (double theta : {0.0, 1.1}) {
+    rel::RelationConfig rc = Shape(12000, 4, theta, 77);
+    rc.s_objects = 9000;
+    sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+    mc.num_disks = rc.num_partitions;
+    sim::SimEnv env(mc);
+    auto sim_w = rel::BuildWorkload(&env, rc);
+    ASSERT_TRUE(sim_w.ok()) << sim_w.status().ToString();
+    join::JoinExecution sim_ex(&env, *sim_w, join::JoinParams{});
+    auto w = mm::BuildMmWorkload(mgr_.get(), theta == 0 ? "u" : "z", rc);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (bool divert : {false, true}) {
+      ExpectSameHistogram(exec::op::CountBuckets(sim_ex, 5, divert),
+                          RealHistogram(*w, 5, divert, {}),
+                          "theta=" + std::to_string(theta));
+    }
+  }
+}
+
+// Counts metadata that disagrees with R would size the RP and RS bands
+// wrong; every bucketed driver refuses it before writing either band, on
+// both backends, in every build type. So is a pointer into no partition.
+TEST_F(CountBucketsTest, CorruptCountsAreRefusedByEveryBucketedDriver) {
+  const rel::RelationConfig rc = Shape(6000, 3, 0.0, 13);
+  auto w = mm::BuildMmWorkload(mgr_.get(), "bad", rc);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_GT(w->counts[0][2], 0u);
+  ++w->counts[0][1];
+  --w->counts[0][2];
+
+  sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+  mc.num_disks = rc.num_partitions;
+  sim::SimEnv env(mc);
+  auto sim_w = rel::BuildWorkload(&env, rc);
+  ASSERT_TRUE(sim_w.ok()) << sim_w.status().ToString();
+  rel::Workload bad = *sim_w;
+  ++bad.counts[0][1];
+  --bad.counts[0][2];
+
+  for (join::Algorithm a :
+       {join::Algorithm::kGrace, join::Algorithm::kHybridHash,
+        join::Algorithm::kIndexNestedLoops}) {
+    const join::DriverSpec& driver = join::Driver(a);
+    auto real = driver.real(*w, {});
+    ASSERT_FALSE(real.ok()) << driver.name;
+    EXPECT_EQ(real.status().code(), StatusCode::kCorruption)
+        << driver.name << ": " << real.status().ToString();
+    auto simulated = driver.sim(&env, bad, join::JoinParams{});
+    ASSERT_FALSE(simulated.ok()) << driver.name;
+    EXPECT_EQ(simulated.status().code(), StatusCode::kCorruption)
+        << driver.name << ": " << simulated.status().ToString();
+  }
+
+  // Consistent counts, but one R object points past the last partition:
+  // it lands in no histogram cell, so R_0's routed counts fall short.
+  --w->counts[0][1];
+  ++w->counts[0][2];
+  rel::RObject* r0 = const_cast<rel::RObject*>(w->RObjects(0));
+  r0[0].sptr = rel::SPtr{rc.num_partitions, 0}.Pack();
+  for (join::Algorithm a :
+       {join::Algorithm::kGrace, join::Algorithm::kHybridHash,
+        join::Algorithm::kIndexNestedLoops}) {
+    auto real = join::Driver(a).real(*w, {});
+    ASSERT_FALSE(real.ok()) << join::AlgorithmName(a);
+    EXPECT_EQ(real.status().code(), StatusCode::kCorruption)
+        << real.status().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Per-stage behavior through full plan runs (sim + real, reference oracle)
 // ---------------------------------------------------------------------------
 
-class OperatorStageTest : public ::testing::Test {
+class OperatorStageTest : public OperatorDirTest {
  protected:
-  void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    dir_ = ::testing::TempDir() + "opstage_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
-    mgr_ = std::make_unique<mm::SegmentManager>(dir_);
-  }
-
   // Runs `spec` on the costed simulator; asserts the oracle check passed.
   PlanRunResult RunSim(const rel::RelationConfig& rc, const PlanSpec& spec) {
     sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
@@ -223,9 +451,6 @@ class OperatorStageTest : public ::testing::Test {
     EXPECT_TRUE(result->verified) << spec.name;
     return result->plan;
   }
-
-  std::string dir_;
-  std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
 TEST_F(OperatorStageTest, FilterSelectivityEdges) {

@@ -30,12 +30,14 @@ TEST(StatusTest, AllFactoriesProduceMatchingCodes) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(Status::Corruption("x").code(), StatusCode::kCorruption);
 }
 
 TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeName(StatusCode::kIOError), "IOError");
   EXPECT_STREQ(StatusCodeName(StatusCode::kNotFound), "NotFound");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kCorruption), "Corruption");
 }
 
 TEST(StatusTest, EqualityComparesCodesOnly) {
