@@ -23,8 +23,8 @@
 #include "exec/op/stages.h"
 #include "exec/real_backend.h"
 #include "exec/scheduler.h"
-#include "join/grace.h"
 #include "join/drivers.h"
+#include "join/grace.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
@@ -133,22 +133,6 @@ TEST(PlanSpecTest, GroupsChecksumIsOrderAndContentSensitive) {
 using exec::op::BucketLayout;
 constexpr uint64_t kObj = sizeof(rel::RObject);
 
-// A per-test segment directory for real workloads.
-class OperatorDirTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    dir_ = ::testing::TempDir() + "opdir_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
-    mgr_ = std::make_unique<mm::SegmentManager>(dir_);
-  }
-
-  std::string dir_;
-  std::unique_ptr<mm::SegmentManager> mgr_;
-};
-
 TEST(BucketLayoutTest, OneBucketIsTheFlatLayout) {
   BucketLayout layout;
   layout.Init({{5}, {0}, {3}});
@@ -205,6 +189,22 @@ TEST(BucketLayoutTest, OutlivesItsCountsVector) {
 // ---------------------------------------------------------------------------
 
 using exec::op::BucketHistogram;
+
+// A per-test segment directory for real workloads.
+class OperatorDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = ::testing::TempDir() + "opdir_" + std::to_string(::getpid()) +
+           "_" + test_name;
+    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    mgr_ = std::make_unique<mm::SegmentManager>(dir_);
+  }
+
+  std::string dir_;
+  std::unique_ptr<mm::SegmentManager> mgr_;
+};
 
 // One GraceBucketOf divide per object, in partition order on one thread.
 BucketHistogram SerialHistogram(const mm::MmWorkload& w, uint32_t k,
@@ -287,7 +287,7 @@ TEST_F(CountBucketsTest, DegenerateShapes) {
                         RealHistogram(*one, 5, divert, options), "D=1");
   }
 
-  // |S| != |R|, both ways, with K = 1 (the flat layout).
+  // |S| != |R|, both ways, with K = 1 (the flat layout) and K = 9.
   for (uint64_t s_objects : {uint64_t{600}, uint64_t{17000}}) {
     rel::RelationConfig rc = Shape(3000, 3, 0.8, 5);
     rc.s_objects = s_objects;
@@ -372,6 +372,9 @@ TEST_F(CountBucketsTest, SimulatorMatchesRealBackend) {
 // wrong; every bucketed driver refuses it before writing either band, on
 // both backends, in every build type. So is a pointer into no partition.
 TEST_F(CountBucketsTest, CorruptCountsAreRefusedByEveryBucketedDriver) {
+  constexpr join::Algorithm kBucketed[] = {join::Algorithm::kGrace,
+                                           join::Algorithm::kHybridHash,
+                                           join::Algorithm::kIndexNestedLoops};
   const rel::RelationConfig rc = Shape(6000, 3, 0.0, 13);
   auto w = mm::BuildMmWorkload(mgr_.get(), "bad", rc);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
@@ -388,9 +391,7 @@ TEST_F(CountBucketsTest, CorruptCountsAreRefusedByEveryBucketedDriver) {
   ++bad.counts[0][1];
   --bad.counts[0][2];
 
-  for (join::Algorithm a :
-       {join::Algorithm::kGrace, join::Algorithm::kHybridHash,
-        join::Algorithm::kIndexNestedLoops}) {
+  for (join::Algorithm a : kBucketed) {
     const join::DriverSpec& driver = join::Driver(a);
     auto real = driver.real(*w, {});
     ASSERT_FALSE(real.ok()) << driver.name;
@@ -408,9 +409,7 @@ TEST_F(CountBucketsTest, CorruptCountsAreRefusedByEveryBucketedDriver) {
   ++w->counts[0][2];
   rel::RObject* r0 = const_cast<rel::RObject*>(w->RObjects(0));
   r0[0].sptr = rel::SPtr{rc.num_partitions, 0}.Pack();
-  for (join::Algorithm a :
-       {join::Algorithm::kGrace, join::Algorithm::kHybridHash,
-        join::Algorithm::kIndexNestedLoops}) {
+  for (join::Algorithm a : kBucketed) {
     auto real = join::Driver(a).real(*w, {});
     ASSERT_FALSE(real.ok()) << join::AlgorithmName(a);
     EXPECT_EQ(real.status().code(), StatusCode::kCorruption)
