@@ -80,7 +80,7 @@ int SerialVsParallel(const mm::MmWorkload& workload) {
               "faults\tverified\n");
   for (const join::DriverSpec& e : kEntries) {
     mm::MmJoinOptions serial;
-    serial.parallel = false;
+    serial.max_threads = 1;
     auto ser = e.real(workload, serial);
     auto par = e.real(workload, mm::MmJoinOptions{});
     if (!ser.ok() || !par.ok()) {

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     const join::DriverSpec& e = join::Driver(a);
     for (bool parallel : {false, true}) {
       mm::MmJoinOptions options;
-      options.parallel = parallel;
+      if (!parallel) options.max_threads = 1;
       if (parallel) options.trace = &trace;  // trace the parallel runs
       auto result = e.real(*workload, options);
       if (!result.ok()) {

@@ -99,15 +99,19 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { b.FlushSRequests(i) };
 
   // ---- S-pointer dereference (exec/kernels.h) ----------------------------
-  // kBatchedProbe is a fixed property of the backend, so the probe sites
-  // branch on it with `if constexpr`. The simulator probes one tuple at a
-  // time through RequestS: its costed G-buffer fetch protocol and
+  // ProbeRun requests the S objects behind a contiguous run of `len`
+  // RObjects at `off` inside `seg`. kBatchedProbe is a fixed property of
+  // the backend, and the drivers do not branch on it to probe: per-ref
+  // requests go through op::SFetch and R reads through op::LoadR
+  // (exec/op/stages.h), which hide it. The simulator probes one tuple at
+  // a time through RequestS: its costed G-buffer fetch protocol and
   // page-cache touch order are the semantics. The real backend always
   // batches: RequestSBatch dereferences an SRef array through the
-  // prefetch pipeline, and ProbeRun does the same over a contiguous run of
-  // RObjects at `off` inside `seg`, reading only each object's (id, sptr)
-  // prefix. Batches are order-free: output tallies are commutative sums.
+  // prefetch pipeline, and its ProbeRun reads only each object's
+  // (id, sptr) prefix. Batches are order-free: output tallies are
+  // commutative sums.
   { B::kBatchedProbe } -> std::convertible_to<bool>;
+  { b.ProbeRun(i, seg, off, len) };
 
   // ---- sorting (DESIGN.md §7.9) --------------------------------------------
   // SortRefs sorts sort_refs[0..len) in place by `key`, on behalf of
@@ -171,10 +175,8 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { b.clock_ms(i) } -> std::convertible_to<double>;
   { b.Span(i, label, label, ms, args) };
 } && ((B::kBatchedProbe &&
-       requires(B b, uint32_t i, typename B::Seg seg, uint64_t off,
-                uint64_t len, const SRef* refs) {
+       requires(B b, uint32_t i, uint64_t len, const SRef* refs) {
          { b.RequestSBatch(i, refs, len) };
-         { b.ProbeRun(i, seg, off, len) };
        }) ||
       (!B::kBatchedProbe && requires(B b, uint32_t i, uint64_t off,
                                      uint64_t len) {

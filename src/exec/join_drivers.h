@@ -50,7 +50,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -95,12 +94,12 @@ StatusOr<join::JoinRunResult> NestedLoops(B& ex,
   ex.MarkPass("setup");
 
   // ---- Pass 0: partition R_i; join the R_{i,i} objects immediately. ----
-  // Foreign objects land in RP_{i,dest}; own-partition refs route through
-  // the ProbeStage (prefetch-kernel staging or one RequestS each).
+  // Foreign objects land in RP_{i,dest}; own-partition refs go straight
+  // into the morsel's S fetch.
   op::Partition(
       ex,
       [&ex](uint32_t i, uint64_t begin, uint64_t end) {
-        return op::ProbeStage<B>(ex, i, end - begin);
+        return op::SFetch<B>(ex, i, end - begin);
       },
       sync);
 
@@ -199,8 +198,7 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
           }
         } else {
           for (uint64_t k = begin; k < end; ++k) {
-            const rel::RObject obj =
-                op::ReadR(ex, i, ex.rp_seg(i), base + k * r);
+            const auto& obj = op::LoadR(ex, i, ex.rp_seg(i), base + k * r);
             append_rs_run(i, j, &obj, 1);
           }
         }
@@ -361,14 +359,9 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
         };
         const Seg r_seg = ex.r_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
-          if constexpr (B::kBatchedProbe) {
-            append(*op::ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k)));
-          } else {
-            const rel::RObject obj =
-                op::ReadR(ex, i, r_seg, rel::Workload::ROffset(k));
-            ex.ChargeCpu(i, mc.map_ms);  // map the join attribute to target
-            append(obj);
-          }
+          const auto& obj = op::LoadR(ex, i, r_seg, rel::Workload::ROffset(k));
+          ex.ChargeCpu(i, mc.map_ms);  // map the join attribute to target
+          append(obj);
         }
       },
       /*independent=*/false);
@@ -486,8 +479,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
     fan_in[p] = slices.size();
 
     const double merge_start_ms = ex.clock_ms(p);
-    std::vector<SRef> fetch;
-    if constexpr (B::kBatchedProbe) fetch.reserve(op::kProbeScratch);
+    op::SFetch<B> fetch(ex, p);
     MergeHeap heap(std::max<uint64_t>(slices.size(), 1));
     for (uint32_t g = 0; g < slices.size(); ++g) {
       const auto* obj = static_cast<const rel::RObject*>(
@@ -498,11 +490,10 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
       const uint32_t g = heap.Min().run;
       Slice& sl = slices[g];
       // Re-touch the popped object's page: with scarce memory it may have
-      // been evicted since its key entered the heap (§6.2's anomaly).
-      rel::RObject obj;
-      const void* src =
-          ex.Read(p, band_segs[sl.node], sl.cur * r, r);
-      std::memcpy(&obj, src, r);
+      // been evicted since its key entered the heap (§6.2's anomaly). A
+      // copy, as in MergeJoinRuns.
+      const rel::RObject obj =
+          op::LoadR(ex, p, band_segs[sl.node], sl.cur * r);
       ++sl.cur;
       if (sl.cur < sl.end) {
         const auto* next = static_cast<const rel::RObject*>(
@@ -513,21 +504,10 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
       }
       // The merged stream is in S-pointer order: S_p reads sequentially
       // through the fetch protocol.
-      if constexpr (B::kBatchedProbe) {
-        fetch.push_back(SRef{obj.id, obj.sptr});
-        if (fetch.size() == op::kProbeScratch) {
-          ex.RequestSBatch(p, fetch.data(), fetch.size());
-          fetch.clear();
-        }
-      } else {
-        ex.RequestS(p, obj.id, obj.sptr);
-      }
-    }
-    if constexpr (B::kBatchedProbe) {
-      if (!fetch.empty()) ex.RequestSBatch(p, fetch.data(), fetch.size());
+      fetch.Push(obj.id, obj.sptr);
     }
     ex.ChargeCpu(p, mc.HeapCostMs(heap.cost()));
-    ex.FlushSRequests(p);
+    fetch.Finish();
     if (ex.tracing()) {
       ex.Span(p, "slice-merge-join", "heap", merge_start_ms,
               {obs::Arg("fan_in", fan_in[p]),
@@ -618,15 +598,8 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
   // ---- Passes 1+j: per bucket, build the TSIZE-chain table and join. ----
   std::vector<Status> partition_status(d);
   ex.ForEachPartition(rs.objects, [&](uint32_t i) {
-    // The chain table serves the simulator only: chains give the
-    // one-at-a-time probe loop (and the paper's Sproc) bucket-local S
-    // locality. The batched backend probes the RS band in place — the
-    // pipeline's look-ahead subsumes the grouping, so the table build
-    // (one hash + one push per tuple) disappears from the real run.
-    std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0
-                                                          : rs.plan.tsize);
     op::BuildProbeBuckets(ex, i, rs_segs[i], rs.layout, k_buckets,
-                          rs.plan.tsize, table);
+                          rs.plan.tsize);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);
     partition_status[i] = ex.DeleteSegment(rs_segs[i]);
   });
@@ -675,23 +648,10 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
   std::vector<Status> partition_status(d);
   ex.ForEachPartition(rs.objects, [&](uint32_t i) {
     // Resident bucket 0: already in memory, join directly (S_i bucket-0
-    // range is read here, sequentially by chain order). As in Grace, the
-    // chain table serves the simulator only.
-    std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0
-                                                          : rs.plan.tsize);
-    if constexpr (B::kBatchedProbe) {
-      // The resident entries are already one contiguous SRef array.
-      ex.RequestSBatch(i, resident[i].data(), resident[i].size());
-    } else {
-      for (const SRef& e : resident[i]) {
-        table[rel::SPtr::Unpack(e.sptr).index % rs.plan.tsize].push_back(e);
-      }
-      op::ProbeChainTable(ex, i, table);
-    }
-    ex.FlushSRequests(i);
-
+    // range is read here).
+    op::ProbeResident(ex, i, resident[i], rs.plan.tsize);
     op::BuildProbeBuckets(ex, i, rs_segs[i], rs.layout, k_buckets,
-                          rs.plan.tsize, table);
+                          rs.plan.tsize);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);
     partition_status[i] = ex.DeleteSegment(rs_segs[i]);
   });
@@ -809,38 +769,17 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
         const double probe_cpu_ms =
             static_cast<double>(4 * (lay.levels().size() + 1)) *
             mc.compare_ms;
+        op::SFetch<B> fetch(ex, i, end - begin);
         uint64_t matched = 0;
-        if constexpr (B::kBatchedProbe) {
-          std::vector<SRef> fetch;
-          fetch.reserve(std::min(end - begin, op::kProbeScratch));
-          for (uint64_t k = begin; k < end; ++k) {
-            const uint64_t target = rel::SPtr{i, k}.Pack();
-            const uint64_t hits =
-                op::ProbeIndex(ex, i, ix_segs[i], lay, target,
-                               [&](const SRef& e) {
-                                 fetch.push_back(e);
-                                 if (fetch.size() == op::kProbeScratch) {
-                                   ex.RequestSBatch(i, fetch.data(),
-                                                    fetch.size());
-                                   fetch.clear();
-                                 }
-                               });
-            if (hits > 0) ++matched;
-          }
-          if (!fetch.empty()) ex.RequestSBatch(i, fetch.data(), fetch.size());
-        } else {
-          for (uint64_t k = begin; k < end; ++k) {
-            const uint64_t target = rel::SPtr{i, k}.Pack();
-            ex.ChargeCpu(i, probe_cpu_ms);
-            const uint64_t hits =
-                op::ProbeIndex(ex, i, ix_segs[i], lay, target,
-                               [&](const SRef& e) {
-                                 ex.RequestS(i, e.r_id, e.sptr);
-                               });
-            if (hits > 0) ++matched;
-          }
+        for (uint64_t k = begin; k < end; ++k) {
+          const uint64_t target = rel::SPtr{i, k}.Pack();
+          ex.ChargeCpu(i, probe_cpu_ms);
+          const uint64_t hits = op::ProbeIndex(
+              ex, i, ix_segs[i], lay, target,
+              [&](const SRef& e) { fetch.Push(e.r_id, e.sptr); });
+          if (hits > 0) ++matched;
         }
-        ex.FlushSRequests(i);
+        fetch.Finish();
         total_matches.fetch_add(matched, std::memory_order_relaxed);
       },
       /*independent=*/true);

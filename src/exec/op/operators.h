@@ -186,9 +186,7 @@ class FilterOp final : public Operator<B> {
         ++w;
       }
     }
-    if constexpr (!B::kBatchedProbe) {
-      ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().map_ms);
-    }
+    ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().map_ms);
     rows_in_[slot] += b.n;
     rows_out_[slot] += w;
     b.n = w;
@@ -289,10 +287,8 @@ class GroupByOp final : public Operator<B> {
       if (fresh) InitAccs(&it->second);
       Accumulate(&it->second, b.r_id[k], b.s_key[k]);
     }
-    if constexpr (!B::kBatchedProbe) {
-      // one hash probe per row, the drivers' in-memory table convention
-      ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().hash_ms);
-    }
+    // one hash probe per row, the drivers' in-memory table convention
+    ex.ChargeCpu(partition, static_cast<double>(b.n) * ex.mc().hash_ms);
     rows_[slot] += b.n;
   }
 

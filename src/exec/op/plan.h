@@ -147,22 +147,12 @@ StatusOr<PlanRunResult> RunPlan(B& ex, const PlanSpec& spec) {
         for (uint64_t k = begin; k < end;) {
           const uint32_t take =
               static_cast<uint32_t>(std::min<uint64_t>(kBatchRows, end - k));
-          if constexpr (B::kBatchedProbe) {
-            for (uint32_t t = 0; t < take; ++t) {
-              const rel::RObject* obj =
-                  ReadRPtr(ex, i, r_seg, rel::Workload::ROffset(k + t));
-              b.r_id[t] = obj->id;
-              b.sptr[t] = obj->sptr;
-              b.s_key[t] = 0;
-            }
-          } else {
-            for (uint32_t t = 0; t < take; ++t) {
-              const rel::RObject obj =
-                  ReadR(ex, i, r_seg, rel::Workload::ROffset(k + t));
-              b.r_id[t] = obj.id;
-              b.sptr[t] = obj.sptr;
-              b.s_key[t] = 0;
-            }
+          for (uint32_t t = 0; t < take; ++t) {
+            const auto& obj =
+                LoadR(ex, i, r_seg, rel::Workload::ROffset(k + t));
+            b.r_id[t] = obj.id;
+            b.sptr[t] = obj.sptr;
+            b.s_key[t] = 0;
           }
           b.n = take;
           scanned[slot] += take;

@@ -20,13 +20,16 @@
 //   BucketRepartition passes 0/1 of Grace, hybrid hash and index-NL: hash
 //                    R into RS_i's K monotone buckets, retire RP
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
-//   ProbeStage       own-partition S-fetch staging (per tuple or batched)
+//   LoadR            one R-object read: in place (real) or a copy (sim)
+//   SFetch           the S-fetch protocol of one partition: Push refs,
+//                    Finish drains them (per tuple or batched)
 //   SortRuns         sort IRUN-object runs of RS_i in place by S-pointer
 //                    (through the backend's SortRefs: counted heapsort on
 //                    the simulator, radix sort on the real backend)
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
+//   ProbeResident    hybrid hash's in-memory bucket 0 through the protocol
 //   BuildProbeBuckets per-bucket build+probe loop over RS_i bands
 //   BucketLayout     contiguous bucket regions + one-writer bump cursors
 //   CountBuckets     per-worker histogram of the RS bucket populations,
@@ -88,29 +91,75 @@ std::vector<uint64_t> PhaseCounts(const B& ex, uint32_t t) {
   return counts;
 }
 
-/// Reads one R object through partition i's process.
+/// Reads one R object through partition i's process. The real backend's
+/// Read is a stable pointer into the mapping, so the object is returned in
+/// place: touching just (id, sptr) costs one cache line of the 128-byte
+/// object instead of the two a full copy pulls. The simulator's Read points
+/// into a page-cache frame that a later read may evict, so it is copied.
+/// Call sites bind the result with `const auto&`.
 template <Backend B>
-rel::RObject ReadR(B& ex, uint32_t i, typename B::Seg seg, uint64_t offset) {
-  rel::RObject obj;
-  const void* src = ex.Read(i, seg, offset, sizeof(obj));
-  std::memcpy(&obj, src, sizeof(obj));
-  return obj;
+decltype(auto) LoadR(B& ex, uint32_t i, typename B::Seg seg,
+                     uint64_t offset) {
+  const void* src = ex.Read(i, seg, offset, sizeof(rel::RObject));
+  if constexpr (B::kBatchedProbe) {
+    return *static_cast<const rel::RObject*>(src);
+  } else {
+    rel::RObject obj;
+    std::memcpy(&obj, src, sizeof(obj));
+    return obj;
+  }
 }
 
-/// Reads one R object in place (no copy) — batched-probe paths only, where
-/// the backend is real and Read returns a stable mapped pointer. Touching
-/// just (id, sptr) costs one cache line of the 128-byte object instead of
-/// the two a full copy pulls.
-template <Backend B>
-const rel::RObject* ReadRPtr(B& ex, uint32_t i, typename B::Seg seg,
-                             uint64_t offset) {
-  return static_cast<const rel::RObject*>(
-      ex.Read(i, seg, offset, sizeof(rel::RObject)));
-}
-
-/// S-ref scratch capacity of the batched probe paths: large enough that the
-/// prefetch pipeline's fill/drain is amortized, small enough to stay in L2.
+/// S-ref scratch capacity of SFetch on a batching backend: large enough
+/// that the prefetch pipeline's fill/drain is amortized, small enough to
+/// stay in L2.
 inline constexpr uint64_t kProbeScratch = 8192;
+
+/// The S-fetch protocol of partition i, the paper's Rproc side: Push
+/// requests the S object behind each (r_id, sptr), Finish drains what is
+/// pending through FlushSRequests. On the simulator Push is one RequestS
+/// (the G buffer is the batching). On a batching backend Push stages into
+/// a caller-local scratch of kProbeScratch refs, sent with RequestSBatch;
+/// `expect` (the refs the caller will push, if known) only sizes it. It is
+/// also an own-partition handler for Partition, which calls Finish at the
+/// end of each morsel.
+template <Backend B>
+class SFetch {
+ public:
+  explicit SFetch(B& ex, uint32_t i, uint64_t expect = kProbeScratch)
+      : ex_(ex), i_(i) {
+    if constexpr (B::kBatchedProbe) {
+      scratch_.reserve(std::min(expect, kProbeScratch));
+    }
+  }
+  void Push(uint64_t r_id, uint64_t sptr) {
+    if constexpr (B::kBatchedProbe) {
+      scratch_.push_back(SRef{r_id, sptr});
+      if (scratch_.size() == kProbeScratch) Send();
+    } else {
+      ex_.RequestS(i_, r_id, sptr);
+    }
+  }
+  void operator()(const rel::RObject& obj, rel::SPtr) {
+    Push(obj.id, obj.sptr);
+  }
+  void Finish() {
+    if constexpr (B::kBatchedProbe) {
+      if (!scratch_.empty()) Send();
+    }
+    ex_.FlushSRequests(i_);
+  }
+
+ private:
+  void Send() {
+    ex_.RequestSBatch(i_, scratch_.data(), scratch_.size());
+    scratch_.clear();
+  }
+
+  B& ex_;
+  uint32_t i_;
+  std::vector<SRef> scratch_;
+};
 
 // ---------------------------------------------------------------------------
 // Append / layout primitives
@@ -296,72 +345,28 @@ StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
 // Partition (pass 0)
 // ---------------------------------------------------------------------------
 
-/// Own-partition S-fetch staging used by the nested-loops Partition stage:
-/// refs stage into a scratch that flushes through the prefetch kernel
-/// (batched backend) or probe S one at a time (simulator). Finish() drains
-/// the scratch and then the S-fetch protocol at the end of the morsel.
-template <Backend B>
-class ProbeStage {
- public:
-  ProbeStage(B& ex, uint32_t i, uint64_t expect) : ex_(ex), i_(i) {
-    if constexpr (B::kBatchedProbe) {
-      own_.reserve(std::min(expect, kProbeScratch));
-    }
-  }
-  void operator()(const rel::RObject& obj, rel::SPtr) {
-    if constexpr (B::kBatchedProbe) {
-      own_.push_back(SRef{obj.id, obj.sptr});
-      if (own_.size() == kProbeScratch) {
-        ex_.RequestSBatch(i_, own_.data(), own_.size());
-        own_.clear();
-      }
-    } else {
-      ex_.RequestS(i_, obj.id, obj.sptr);
-    }
-  }
-  void Finish() {
-    if constexpr (B::kBatchedProbe) {
-      if (!own_.empty()) ex_.RequestSBatch(i_, own_.data(), own_.size());
-    }
-    ex_.FlushSRequests(i_);
-  }
-
- private:
-  B& ex_;
-  uint32_t i_;
-  std::vector<SRef> own_;
-};
-
 /// Pass 0 of every driver but MPSM: morsel-scan R_i (chained — morsels
 /// share the partition's output cursors), append every foreign object to
 /// RP_{i, sp.partition}, and route every own-partition object to
 /// `own(obj, sp)`, the per-morsel handler `make_own(i, begin, end)`
 /// returns. The handler may expose Finish(), run at the end of the morsel.
-/// The batched backend reads R in place; the simulator copies each object
-/// and charges the map_ms of mapping its join attribute to a target.
+/// Each object is charged the map_ms of mapping its join attribute to a
+/// target.
 template <Backend B, typename OwnFactory>
 void Partition(B& ex, OwnFactory&& make_own, bool sync) {
   ex.ForEachPartitionTuples(
       RCounts(ex),
       [&](uint32_t i, uint64_t begin, uint64_t end) {
         auto own = make_own(i, begin, end);
-        auto route = [&](const rel::RObject& obj) {
+        const typename B::Seg r_seg = ex.r_seg(i);
+        for (uint64_t k = begin; k < end; ++k) {
+          const auto& obj = LoadR(ex, i, r_seg, rel::Workload::ROffset(k));
+          ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute
           const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
           if (sp.partition == i) {
             own(obj, sp);
           } else {
             ex.AppendToRp(i, sp.partition, obj);
-          }
-        };
-        const typename B::Seg r_seg = ex.r_seg(i);
-        for (uint64_t k = begin; k < end; ++k) {
-          const uint64_t off = rel::Workload::ROffset(k);
-          if constexpr (B::kBatchedProbe) {
-            route(*ReadRPtr(ex, i, r_seg, off));
-          } else {
-            const rel::RObject obj = ReadR(ex, i, r_seg, off);
-            ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute
-            route(obj);
           }
         }
         if constexpr (requires { own.Finish(); }) own.Finish();
@@ -472,16 +477,10 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
         const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
         const typename B::Seg rp_seg = ex.rp_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
-          if constexpr (B::kBatchedProbe) {
-            const rel::RObject* obj = ReadRPtr(ex, i, rp_seg, base + k * r);
-            bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj->sptr).index),
-                          *obj);
-          } else {
-            const rel::RObject obj = ReadR(ex, i, rp_seg, base + k * r);
-            ex.ChargeCpu(i, mc.hash_ms);
-            bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj.sptr).index),
-                          obj);
-          }
+          const auto& obj = LoadR(ex, i, rp_seg, base + k * r);
+          ex.ChargeCpu(i, mc.hash_ms);
+          bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj.sptr).index),
+                        obj);
         }
       },
       sync);
@@ -495,10 +494,11 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
 // ProbePhases (pass 1 of nested loops)
 // ---------------------------------------------------------------------------
 
-/// D-1 staggered probe-only phases over the RP_{i,j}: ReadR + RequestS
-/// touch no shared output target (the real backend tallies per worker), so
-/// morsels are independent and one hot partner — a Zipf-skewed RP_{i,j} —
-/// spreads across every worker instead of serializing the phase. Each
+/// D-1 staggered probe-only phases over the RP_{i,j}: each morsel is one
+/// backend ProbeRun over its slice of the band. Probes touch no shared
+/// output target (the real backend tallies per worker), so morsels are
+/// independent and one hot partner — a Zipf-skewed RP_{i,j} — spreads
+/// across every worker instead of serializing the phase. Each
 /// phase opens with a kWillNeed hint on the partner band it is about to
 /// read. A dead band is not retired: RP is an arena-owned temporary whose
 /// pages the real backend keeps for the next join.
@@ -518,18 +518,10 @@ void ProbePhases(B& ex, bool sync) {
           const uint32_t j = join::PhaseOffset(i, t, d);
           const uint64_t base = ex.RpSubOffset(i, j);
           const double phase_start_ms = ex.clock_ms(i);
-          if constexpr (B::kBatchedProbe) {
-            // A phase only probes: hand the contiguous band slice to the
-            // prefetch kernel in one run.
-            ex.ProbeRun(i, ex.rp_seg(i),
-                        base + begin * sizeof(rel::RObject), end - begin);
-          } else {
-            for (uint64_t k = begin; k < end; ++k) {
-              const rel::RObject obj = ReadR(
-                  ex, i, ex.rp_seg(i), base + k * sizeof(rel::RObject));
-              ex.RequestS(i, obj.id, obj.sptr);
-            }
-          }
+          // A phase only probes: hand the contiguous band slice over as
+          // one run.
+          ex.ProbeRun(i, ex.rp_seg(i), base + begin * sizeof(rel::RObject),
+                      end - begin);
           ex.FlushSRequests(i);
           if (ex.tracing()) {
             ex.Span(i, "phase " + std::to_string(t), "phase", phase_start_ms,
@@ -606,13 +598,10 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
   uint64_t runs = runs_in;
   uint64_t pass_count = 0;
 
+  // Merges runs [first_run, first_run + n_runs) into *dst at out_start,
+  // or, with `fetch` (the final pass), joins the merged stream instead.
   auto merge_group = [&](uint64_t first_run, uint64_t n_runs,
-                         uint64_t out_start, bool last_pass) {
-    // Merge-side fetch staging (batched backend, final pass only): the
-    // merged stream arrives one object at a time off the heap, so refs
-    // collect into a scratch that flushes through the prefetch kernel.
-    std::vector<SRef> fetch;
-    if (B::kBatchedProbe && last_pass) fetch.reserve(kProbeScratch);
+                         uint64_t out_start, SFetch<B>* fetch) {
     // Cursors are object indices into the source segment.
     std::vector<uint64_t> cur(n_runs), end(n_runs);
     MergeHeap heap(n_runs);
@@ -630,10 +619,9 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       const uint32_t g = heap.Min().run;
       // Re-touch the popped object's page: with scarce memory it may have
       // been evicted since its key entered the heap (the premature-
-      // replacement anomaly of section 6.2).
-      rel::RObject obj;
-      const void* src_ptr = ex.Read(i, *src, cur[g] * r, r);
-      std::memcpy(&obj, src_ptr, r);
+      // replacement anomaly of section 6.2). A copy, not a reference: its
+      // loads then issue before the heap call below instead of after it.
+      const rel::RObject obj = LoadR(ex, i, *src, cur[g] * r);
       ++cur[g];
       if (cur[g] < end[g]) {
         const auto* next = static_cast<const rel::RObject*>(
@@ -642,27 +630,16 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       } else {
         heap.DeleteMin();
       }
-      if (last_pass) {
+      if (fetch != nullptr) {
         // Join instead of writing: the merged stream is in S-pointer
         // order, so S_i is read sequentially through the fetch protocol.
-        if constexpr (B::kBatchedProbe) {
-          fetch.push_back(SRef{obj.id, obj.sptr});
-          if (fetch.size() == kProbeScratch) {
-            ex.RequestSBatch(i, fetch.data(), fetch.size());
-            fetch.clear();
-          }
-        } else {
-          ex.RequestS(i, obj.id, obj.sptr);
-        }
+        fetch->Push(obj.id, obj.sptr);
       } else {
         void* dst_ptr = ex.Write(i, *dst, out * r, r);
         std::memcpy(dst_ptr, &obj, r);
         ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
       }
       ++out;
-    }
-    if constexpr (B::kBatchedProbe) {
-      if (!fetch.empty()) ex.RequestSBatch(i, fetch.data(), fetch.size());
     }
     ex.ChargeCpu(i, mc.HeapCostMs(heap.cost()));
     return out;
@@ -676,7 +653,7 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       const uint64_t first_run = g * plan.nrun_abl;
       const uint64_t n_runs =
           std::min<uint64_t>(plan.nrun_abl, runs - first_run);
-      out = merge_group(first_run, n_runs, out, /*last_pass=*/false);
+      out = merge_group(first_run, n_runs, out, /*fetch=*/nullptr);
     }
     ++pass_count;
     // Swap source and destination areas: the old source is destroyed and
@@ -705,8 +682,9 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
 
   // ---- Final pass: merge the remaining runs while scanning S_i. ----
   const double final_start_ms = ex.clock_ms(i);
-  merge_group(0, runs, 0, /*last_pass=*/true);
-  ex.FlushSRequests(i);
+  SFetch<B> fetch(ex, i);
+  merge_group(0, runs, 0, &fetch);
+  fetch.Finish();
   ++pass_count;
   *npass = pass_count;
   if (ex.tracing()) {
@@ -729,9 +707,7 @@ void BuildChainTable(B& ex, uint32_t i, typename B::Seg seg, uint64_t base,
                      std::vector<std::vector<SRef>>& table) {
   const uint64_t r = sizeof(rel::RObject);
   for (uint64_t k = 0; k < count; ++k) {
-    rel::RObject obj;
-    const void* src = ex.Read(i, seg, base + k * r, r);
-    std::memcpy(&obj, src, r);
+    const auto& obj = LoadR(ex, i, seg, base + k * r);
     ex.ChargeCpu(i, ex.mc().hash_ms);
     const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
     table[sp.index % tsize].push_back(SRef{obj.id, obj.sptr});
@@ -751,22 +727,45 @@ void ProbeChainTable(B& ex, uint32_t i,
   }
 }
 
+/// Joins hybrid hash's resident bucket 0 of partition i — (r_id, sptr)
+/// refs already in memory — and drains the S-fetch protocol. A batching
+/// backend hands the contiguous array to the prefetch kernel as one batch;
+/// the simulator hashes it into TSIZE chains first, so S_i's bucket-0
+/// range is read in chain order, as the spilled buckets are.
+template <Backend B>
+void ProbeResident(B& ex, uint32_t i, const std::vector<SRef>& refs,
+                   uint64_t tsize) {
+  if constexpr (B::kBatchedProbe) {
+    ex.RequestSBatch(i, refs.data(), refs.size());
+  } else {
+    std::vector<std::vector<SRef>> table(tsize);
+    for (const SRef& e : refs) {
+      table[rel::SPtr::Unpack(e.sptr).index % tsize].push_back(e);
+    }
+    ProbeChainTable(ex, i, table);
+  }
+  ex.FlushSRequests(i);
+}
+
 /// The per-bucket build+probe loop over RS_i's K contiguous bands, with a
 /// streaming band hint: the bucket after this one is the next band to
 /// stream in (kWillNeed). A processed band is not retired: RS_i is an
-/// arena-owned temporary whose pages the real backend keeps. The chain
-/// table serves the simulator only — the batched backend probes the RS
-/// band in place, the prefetch pipeline's look-ahead subsuming the
-/// grouping the chains provide. Empty buckets are skipped.
+/// arena-owned temporary whose pages the real backend keeps. The TSIZE
+/// chain table serves the simulator only: chains give its one-at-a-time
+/// probe (and the paper's Sproc) bucket-local S locality. The batched
+/// backend probes the RS band in place, the prefetch pipeline's
+/// look-ahead subsuming the grouping, so the table build (one hash + one
+/// push per tuple) disappears from the real run. Empty buckets are
+/// skipped.
 template <Backend B>
 void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
                        const BucketLayout& layout, uint32_t k_buckets,
-                       uint64_t tsize, std::vector<std::vector<SRef>>& table) {
+                       uint64_t tsize) {
   const uint64_t r = sizeof(rel::RObject);
+  std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0 : tsize);
   for (uint32_t b = 0; b < k_buckets; ++b) {
     const uint64_t count = layout.Count(i, b);
     if (count == 0) continue;
-    for (auto& chain : table) chain.clear();
     const uint64_t base = layout.Offset(i, b);
     const double bucket_start_ms = ex.clock_ms(i);
     if (b + 1 < k_buckets) {
@@ -779,6 +778,7 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
       // prefetch pipeline — no table, no copies.
       ex.ProbeRun(i, rs_seg, base, count);
     } else {
+      for (auto& chain : table) chain.clear();
       BuildChainTable(ex, i, rs_seg, base, count, tsize, table);
       ProbeChainTable(ex, i, table);
     }

@@ -24,7 +24,7 @@ uint32_t ResolveWorkers(uint32_t d, const RealBackendOptions& options) {
   // with worker in [0, pool->workers()), so the per-slot arrays must match
   // the pool regardless of D or the caller's thread bound.
   if (options.pool != nullptr) return options.pool->workers();
-  return EffectiveWorkers(d, options.parallel, options.max_threads);
+  return EffectiveWorkers(d, options.max_threads);
 }
 
 SchedulerOptions ResolveScheduler(uint32_t workers,

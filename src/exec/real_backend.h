@@ -106,11 +106,10 @@ struct RealSeg {
 
 /// Execution tunables of the real backend.
 struct RealBackendOptions {
-  bool parallel = true;      ///< false: one worker regardless of D
   /// Worker-thread bound; 0 = std::thread::hardware_concurrency(). The
   /// worker count is always min(D, bound): when D exceeds it, workers
   /// batch partitions (strided under `static`, stolen chains under
-  /// `stealing`).
+  /// `stealing`); 1 runs every partition serially on the calling thread.
   uint32_t max_threads = 0;
   /// Partition-to-worker mapping; see exec/scheduler.h.
   Schedule schedule = Schedule::kStealing;
@@ -140,8 +139,8 @@ struct RealBackendOptions {
   /// backend spawns no threads of its own: every partition pass is
   /// submitted to the pool as a chain set and interleaves, at morsel
   /// granularity, with chain sets submitted by concurrent queries. The
-  /// worker count becomes pool->workers() (parallel/max_threads/schedule
-  /// are ignored — the pool's shape wins), and `priority` sets the
+  /// worker count becomes pool->workers() (max_threads/schedule are
+  /// ignored — the pool's shape wins), and `priority` sets the
   /// submission's weighted-round-robin class. The pool must outlive the
   /// backend. nullptr = classic one-run ownership.
   SharedWorkerPool* pool = nullptr;

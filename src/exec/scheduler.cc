@@ -49,9 +49,7 @@ const char* ScheduleName(Schedule s) {
   return "?";
 }
 
-uint32_t EffectiveWorkers(uint32_t partitions, bool parallel,
-                          uint32_t max_threads) {
-  if (!parallel) return 1;
+uint32_t EffectiveWorkers(uint32_t partitions, uint32_t max_threads) {
   uint32_t bound = max_threads;
   if (bound == 0) bound = std::max(1u, std::thread::hardware_concurrency());
   return std::max(1u, std::min(partitions, bound));

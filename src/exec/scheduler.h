@@ -68,12 +68,11 @@ inline constexpr uint64_t kDefaultMorselTuples = uint64_t{1} << 14;
 inline constexpr double kDefaultSkewSplitFactor = 4.0;
 
 /// Worker threads a run over `partitions` partitions will use:
-/// min(partitions, max_threads or hardware_concurrency), 1 when
-/// parallel=false. Shared by the real backend's thread spawn and the
-/// adaptive planner's cost inputs so predicted and actual parallelism
-/// never diverge.
-uint32_t EffectiveWorkers(uint32_t partitions, bool parallel,
-                          uint32_t max_threads);
+/// min(partitions, max_threads or hardware_concurrency); max_threads = 1
+/// is the serial in-order run. Shared by the real backend's thread spawn
+/// and the adaptive planner's cost inputs so predicted and actual
+/// parallelism never diverge.
+uint32_t EffectiveWorkers(uint32_t partitions, uint32_t max_threads);
 
 /// Runs fn(u) exactly once for every unit u in [0, units) on `workers`
 /// threads — the caller plus workers-1 spawned ones (never more threads

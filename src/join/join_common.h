@@ -297,11 +297,14 @@ class JoinExecution {
   void RequestS(uint32_t i, uint64_t r_id, uint64_t packed_sptr);
   /// Drains Rproc_i's pending S requests (end of a scan or phase).
   void FlushSRequests(uint32_t i);
+  /// Requests the S objects behind a contiguous run of `n` R objects at
+  /// `offset` in `seg`: one Read (a copy) and one RequestS per object.
+  void ProbeRun(uint32_t i, sim::SegId seg, uint64_t offset, uint64_t n);
 
   // ---- Backend probe mode / sorting / paging policy -----------------------
   // The simulator never batches: the G-buffered fetch protocol and the
-  // page-cache touch order ARE its semantics, so the drivers' probe sites
-  // compile to their one-tuple-at-a-time RequestS loops here.
+  // page-cache touch order ARE its semantics, so op::SFetch and ProbeRun
+  // issue one RequestS per tuple here.
   static constexpr bool kBatchedProbe = false;
   /// Sorts refs[0..n) by `key` the way the paper's §6.1 does: heapsort
   /// (Floyd build + Munro bounce) over an index array, charging the

@@ -30,7 +30,6 @@ join::JoinParams ToJoinParams(const MmJoinOptions& options) {
 
 exec::RealBackendOptions ToBackendOptions(const MmJoinOptions& options) {
   exec::RealBackendOptions bo;
-  bo.parallel = options.parallel;
   bo.max_threads = options.max_threads;
   bo.schedule = options.schedule;
   bo.morsel_tuples = options.morsel_tuples;
@@ -112,8 +111,7 @@ opt::PlannerInputs ToPlannerInputs(const MmWorkload& workload,
   in.residency = total_pages > 0 ? resident_pages / total_pages : 1.0;
   in.workers = options.pool != nullptr
                    ? options.pool->workers()
-                   : exec::EffectiveWorkers(d, options.parallel,
-                                            options.max_threads);
+                   : exec::EffectiveWorkers(d, options.max_threads);
   in.numa_nodes = options.numa_nodes;
   in.warm_index = false;  // MmJoin has no store handle to attach a tree
   return in;
@@ -244,8 +242,7 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
   // [SPtr{i,0}, SPtr{i,last}], visited in S order: one leaf-chain merge
   // per partition instead of a root-to-leaf descent per S tuple. The
   // postings run of each entry replays the join output.
-  const uint32_t workers =
-      exec::EffectiveWorkers(d, options.parallel, options.max_threads);
+  const uint32_t workers = exec::EffectiveWorkers(d, options.max_threads);
   std::vector<uint64_t> part_count(d, 0), part_checksum(d, 0),
       part_matches(d, 0);
   exec::ParallelFor(d, workers, [&](uint32_t i) {

@@ -54,7 +54,7 @@ StatusOr<std::vector<Segment>> SegmentManager::OpenSealedSegments(
     segs.push_back(std::move(seg).value());
   }
   const uint32_t mapped = static_cast<uint32_t>(segs.size());
-  exec::ParallelFor(mapped, exec::EffectiveWorkers(mapped, true, 0),
+  exec::ParallelFor(mapped, exec::EffectiveWorkers(mapped, 0),
                     [&](uint32_t i) { errors[i] = segs[i].VerifySealed(); });
   for (uint32_t i = 0; i < n; ++i) {
     // Every segment before the first error was mapped and verified.

@@ -42,8 +42,7 @@ model::WallInputs ToWallInputs(const PlannerInputs& in) {
   w.residency = std::clamp(in.residency, 0.0, 1.0);
   w.workers = in.workers
                   ? in.workers
-                  : exec::EffectiveWorkers(w.partitions, /*parallel=*/true,
-                                           /*max_threads=*/0);
+                  : exec::EffectiveWorkers(w.partitions, /*max_threads=*/0);
   w.numa_nodes = in.numa_nodes ? in.numa_nodes : exec::DetectNumaNodes();
   w.warm_index = in.warm_index;
   return w;

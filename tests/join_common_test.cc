@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -85,6 +86,41 @@ TEST(JoinExecutionTest, RequestSBatchesThroughGBuffer) {
   ex.FlushSRequests(0);
   EXPECT_EQ(ex.out_count(0), 4u);
   EXPECT_EQ(ex.rproc(0).stats().context_switches, 4u);
+}
+
+// ProbeRun over a contiguous run of R objects is the per-object Read +
+// RequestS loop: the same output, virtual clocks and faults.
+TEST(JoinExecutionTest, ProbeRunMatchesPerObjectLoop) {
+  Fixture run_fix, loop_fix;
+  JoinParams p;
+  JoinExecution run(&run_fix.env, run_fix.workload, p);
+  JoinExecution loop(&loop_fix.env, loop_fix.workload, p);
+  const uint64_t r = sizeof(rel::RObject);
+  for (uint32_t i = 0; i < 4; ++i) {
+    run.ProbeRun(i, run.r_seg(i), 0, run.r_count(i));
+    run.FlushSRequests(i);
+    for (uint64_t k = 0; k < loop.r_count(i); ++k) {
+      rel::RObject obj;
+      std::memcpy(&obj, loop.Read(i, loop.r_seg(i), k * r, r), r);
+      loop.RequestS(i, obj.id, obj.sptr);
+    }
+    loop.FlushSRequests(i);
+  }
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(run.out_count(i), loop.out_count(i)) << i;
+    EXPECT_EQ(run.rproc(i).clock_ms(), loop.rproc(i).clock_ms()) << i;
+    EXPECT_EQ(run.rproc(i).stats().faults, loop.rproc(i).stats().faults)
+        << i;
+    EXPECT_EQ(run.sproc(i).stats().faults, loop.sproc(i).stats().faults)
+        << i;
+  }
+  const JoinRunResult a = run.Finish();
+  const JoinRunResult b = loop.Finish();
+  EXPECT_TRUE(a.verified);
+  EXPECT_EQ(a.output_count, b.output_count);
+  EXPECT_EQ(a.output_checksum, b.output_checksum);
+  EXPECT_EQ(a.elapsed_ms, b.elapsed_ms);
+  EXPECT_EQ(a.faults, b.faults);
 }
 
 TEST(JoinExecutionTest, ChargeSetupAllSerializesOverD) {

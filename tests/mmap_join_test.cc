@@ -134,7 +134,7 @@ TEST_F(MmapJoinTest, GraceJoinsCorrectly) {
 TEST_F(MmapJoinTest, SerialAndParallelAgree) {
   const MmWorkload w = Build(16384, 4);
   MmJoinOptions serial;
-  serial.parallel = false;
+  serial.max_threads = 1;
   for (auto fn : {MmNestedLoops, MmSortMerge, MmGrace, MmHybridHash}) {
     auto par = fn(w, MmJoinOptions{});
     auto ser = fn(w, serial);

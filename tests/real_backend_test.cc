@@ -1,8 +1,9 @@
 // The real backend's execution knobs across every driver: bit-identity of
 // the join over schedule x workers x paging at uniform and Zipf-skewed
-// shapes, the NUMA option fallback on non-NUMA hosts, the kernel/numa
-// metrics surface, and the RUSAGE_THREAD per-pass fault accounting
-// invariant (sum of per-pass faults == total faults).
+// shapes, op::SFetch's batching at the scratch-capacity edges, the NUMA
+// option fallback on non-NUMA hosts, the kernel/numa metrics surface, and
+// the RUSAGE_THREAD per-pass fault accounting invariant (sum of per-pass
+// faults == total faults).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -14,6 +15,8 @@
 #include "driver_test_name.h"
 #include "exec/kernels.h"
 #include "exec/numa.h"
+#include "exec/op/stages.h"
+#include "exec/real_backend.h"
 #include "exec/scheduler.h"
 #include "join/drivers.h"
 #include "mmap/mm_relation.h"
@@ -97,6 +100,41 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, RealJoinIdentityTest,
                          [](const auto& info) {
                            return DriverTestName(info.param.algorithm);
                          });
+
+// ---------------------------------------------------------------------------
+// op::SFetch: every pushed ref is dereferenced exactly once, in
+// ceil(n / kProbeScratch) kernel batches — full ones from Push, the partial
+// tail from Finish — on both sides of the scratch capacity.
+// ---------------------------------------------------------------------------
+
+TEST_F(RealJoinTest, SFetchDereferencesEveryRefInFullBatches) {
+  const mm::MmWorkload w = Build(0.0);
+  const uint64_t cap = op::kProbeScratch;
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, cap - 1, cap, cap + 1,
+                     3 * cap}) {
+    SCOPED_TRACE(n);
+    RealBackend ex(w, join::JoinParams{}, RealBackendOptions{});
+    op::SFetch<RealBackend> fetch(ex, 0);
+    // The scalar reference: one dereference and one digest per ref,
+    // cycling through R_0 (n may exceed |R_0|).
+    uint64_t count = 0, digest = 0;
+    const rel::RObject* r = w.RObjects(0);
+    for (uint64_t k = 0; k < n; ++k) {
+      const rel::RObject& obj = r[k % w.r_count[0]];
+      fetch.Push(obj.id, obj.sptr);
+      const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
+      digest += rel::OutputDigest(obj.id,
+                                  w.SObjects(sp.partition)[sp.index].key);
+      ++count;
+    }
+    fetch.Finish();
+    const join::JoinRunResult res = ex.Finish();
+    EXPECT_EQ(res.output_count, count);
+    EXPECT_EQ(res.output_checksum, digest);
+    EXPECT_EQ(res.kernel_requests, n);
+    EXPECT_EQ(res.kernel_batches, (n + cap - 1) / cap);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // NUMA placement options: graceful fallback on hosts without the nodes.

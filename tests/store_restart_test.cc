@@ -156,9 +156,8 @@ TEST_F(StoreRestartTest, ProbeIdenticalAcrossWorkerCounts) {
     }
     const uint64_t hits = FindHits(mgr_.get(), cell.prefix, *w);
 
-    mm::MmJoinOptions serial, one, two, defaults;
-    serial.parallel = false;
-    one.max_threads = 1;
+    mm::MmJoinOptions serial, two, defaults;
+    serial.max_threads = 1;
     two.max_threads = 2;
     auto ref = mm::MmIndexProbe(mgr_.get(), cell.prefix, *w, serial);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -167,10 +166,8 @@ TEST_F(StoreRestartTest, ProbeIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(ref->run.index_matches, hits);
     EXPECT_EQ(ref->run.index_probes, cell.rc.s_objects);
     for (const auto& [label, options, threads] :
-         {std::tuple{"threads=1", one, 1u},
-          std::tuple{"threads=2", two, std::min(d, 2u)},
-          std::tuple{"defaults", defaults,
-                     exec::EffectiveWorkers(d, true, 0)}}) {
+         {std::tuple{"threads=2", two, std::min(d, 2u)},
+          std::tuple{"defaults", defaults, exec::EffectiveWorkers(d, 0)}}) {
       SCOPED_TRACE(label);
       auto r = mm::MmIndexProbe(mgr_.get(), cell.prefix, *w, options);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
