@@ -29,8 +29,8 @@
 //   IndexNestedLoops (EXT-8): passes 0/1 repartition R exactly like Grace
 //     (monotone buckets), then each RS_i is packed into a per-partition
 //     static B+-tree over the packed S-pointer (sorted SRef leaves +
-//     implicit key levels) and probed per S tuple — S's identity IS the
-//     probe key, so unmatched S objects are never touched.
+//     implicit key levels) and probed with one leaf-range scan per S
+//     morsel — S's identity IS the key, so unmatched S is never touched.
 //   Mpsm (EXT-9, after Albutiu/Kemper/Neumann): pass 0 range-partitions R
 //     by S-pointer into one band per NUMA node; pass 1 sorts each band's
 //     IRUN runs strictly node-locally (op::SortRunInPlace, i.e. the
@@ -753,11 +753,10 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   for (const Status& st : partition_status) MMJOIN_RETURN_NOT_OK(st);
   ex.MarkPass("index-build");
 
-  // ---- Probe: one exact-match descent per S tuple. ----
-  // The probe key is the S tuple's own packed pointer — no S read happens
-  // unless the index proves at least one R reference exists, which is the
-  // whole selective-join advantage. Morsels are independent (probes touch
-  // no shared output target), so a skewed partition spreads over workers.
+  // ---- Probe: one descent plus one leaf-range scan per S morsel. ----
+  // A morsel's keys SPtr{i, begin..end} ascend, so its answer is one leaf
+  // range; no S read happens unless the index holds an R reference to it.
+  // Morsels are independent, so a skewed partition spreads over workers.
   std::vector<uint64_t> s_counts(d);
   for (uint32_t i = 0; i < d; ++i) s_counts[i] = ex.s_count(i);
   std::atomic<uint64_t> total_matches{0};
@@ -765,20 +764,14 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
       s_counts,
       [&](uint32_t i, uint64_t begin, uint64_t end) {
         const op::IndexLayout& lay = ix_layout[i];
-        // ~log_f(n) window scans per descent, ~4 compares each.
-        const double probe_cpu_ms =
-            static_cast<double>(4 * (lay.levels().size() + 1)) *
-            mc.compare_ms;
+        // ~log_f(n) window scans for the descent, ~4 compares each.
+        ex.ChargeCpu(i, static_cast<double>(4 * (lay.levels().size() + 1)) *
+                            mc.compare_ms);
         op::SFetch<B> fetch(ex, i, end - begin);
-        uint64_t matched = 0;
-        for (uint64_t k = begin; k < end; ++k) {
-          const uint64_t target = rel::SPtr{i, k}.Pack();
-          ex.ChargeCpu(i, probe_cpu_ms);
-          const uint64_t hits = op::ProbeIndex(
-              ex, i, ix_segs[i], lay, target,
-              [&](const SRef& e) { fetch.Push(e.r_id, e.sptr); });
-          if (hits > 0) ++matched;
-        }
+        const uint64_t matched = op::ProbeIndexRange(
+            ex, i, ix_segs[i], lay, rel::SPtr{i, begin}.Pack(),
+            rel::SPtr{i, end}.Pack(),
+            [&](const SRef& e) { fetch.Push(e.r_id, e.sptr); });
         fetch.Finish();
         total_matches.fetch_add(matched, std::memory_order_relaxed);
       },

@@ -186,8 +186,8 @@ StatusOr<MmJoinResult> MmHybridHash(const MmWorkload& workload,
                                     const MmJoinOptions& options = {});
 
 /// Index nested-loops: Grace-style repartition, then a bulk-built static
-/// B+-tree per partition over R's join keys, probed once per S tuple —
-/// unmatched S objects are never read, the selective-join case.
+/// B+-tree per partition over R's join keys, probed with one leaf-range
+/// scan per S morsel — unmatched S objects are never read.
 StatusOr<MmJoinResult> MmIndexNestedLoops(const MmWorkload& workload,
                                           const MmJoinOptions& options = {});
 

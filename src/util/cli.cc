@@ -8,6 +8,10 @@ namespace mmjoin::cli {
 
 [[noreturn]] void UnknownFlag(const char* program, const std::string& arg,
                               const char* usage) {
+  if (arg == "--help" || arg == "-h") {
+    std::fputs(usage, stdout);
+    std::exit(0);
+  }
   std::fprintf(stderr, "%s: unknown argument '%s'\n\n%s", program,
                arg.c_str(), usage);
   std::exit(2);

@@ -14,7 +14,8 @@
 namespace mmjoin::cli {
 
 /// Prints "<program>: unknown argument '<arg>'" plus the usage text to
-/// stderr and exits 2 — the conventional usage-error status.
+/// stderr and exits 2 — the conventional usage-error status. `--help` and
+/// `-h` are not errors: the usage text goes to stdout and the exit is 0.
 [[noreturn]] void UnknownFlag(const char* program, const std::string& arg,
                               const char* usage);
 

@@ -128,24 +128,24 @@ const std::vector<Golden>& GoldenTable() {
       {"pass0", 22027.098350222259, 1287},
       {"pass1", 62941.211087542149, 2903},
       {"bucket-join", 3938.0390307507332, 484}}},
-    {"index-nl", "uniform", 7085.6204381481848, 1319, 710, 8192, 4932698774064551625ull,
+    {"index-nl", "uniform", 6987.3644381486465, 1319, 710, 8192, 4932698774064551625ull,
      {{"setup", 1199.7, 0},
       {"pass0", 2797.8262018918604, 496},
       {"pass1", 1442.6247759461694, 274},
       {"index-build", 775.90373039958467, 293},
-      {"index-probe", 869.56572991057055, 256}}},
-    {"index-nl", "zipf09", 37996.172179083158, 2952, 2288, 8192, 6846131787780569536ull,
+      {"index-probe", 771.30972991103226, 256}}},
+    {"index-nl", "zipf09", 37875.330584160285, 2952, 2289, 8192, 6846131787780569536ull,
      {{"setup", 1198.25, 0},
       {"pass0", 10828.838516222449, 919},
       {"pass1", 21328.633204754173, 1462},
       {"index-build", 2456.9938885395386, 289},
-      {"index-probe", 2183.4565695669953, 282}}},
-    {"index-nl", "zipf11_k512", 92165.376061237694, 4785, 4158, 8192, 5105510070544261679ull,
+      {"index-probe", 2062.6149746441224, 282}}},
+    {"index-nl", "zipf11_k512", 92050.722059766136, 4786, 4160, 8192, 5105510070544261679ull,
      {{"setup", 1198.25, 0},
       {"pass0", 23082.478661984787, 1326},
       {"pass1", 62875.362338448627, 2895},
       {"index-build", 2656.3360094775126, 289},
-      {"index-probe", 2352.9490513267665, 275}}},
+      {"index-probe", 2238.2950498552091, 276}}},
     {"mpsm", "uniform", 20891.597943324468, 5678, 532, 8192, 4932698774064551625ull,
      {{"setup", 752, 0},
       {"pass0", 970.05132007352768, 256},
