@@ -48,7 +48,7 @@ void BM_HeapSort(benchmark::State& state) {
 BENCHMARK(BM_HeapSort)->Range(1 << 10, 1 << 16);
 
 // The real backend's run sort: (position, packed sptr) refs of one
-// partition's run, as op::SortRunInPlace hands them to SortRefs.
+// partition's run, as op::SortRuns hands them to SortRefs.
 void BM_RadixSortRefs(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   Rng rng(1);

@@ -19,17 +19,10 @@
 //      verified count/checksum (asserted unconditionally). Set
 //      MMJOIN_PAGING_REPS=<n> to run each policy n times and keep the
 //      best (scripts/bench_smoke.sh does, for its wall-clock tripwire),
-//   4. mpsm vs sort-merge (EXT-9): the NUMA-affine massively-parallel
-//      sort-merge driver under numa=local against the shared-run
-//      sort-merge baseline, whole-join wall-clock, reps interleaved.
-//      Identity (verified count + checksum) is asserted unconditionally.
-//      MMJOIN_MPSM_REPS=<n> takes the best of n; MMJOIN_MPSM_ASSERT=
-//      <min_speedup> arms the timing gate — but ONLY on hosts with more
-//      than one NUMA node: on a single-node host the driver degenerates
-//      to its documented fallback (one band, no cross-node traffic to
-//      avoid) and the gate is recorded as skipped instead of failed.
-//      MMJOIN_MPSM_ONLY=1 runs just this table (scripts/bench_mpsm.sh),
-//      and
+//   4. mpsm vs sort-merge (EXT-9): whole-join wall-clock of the
+//      massively-parallel sort-merge driver against the sort-merge
+//      baseline. Identity (verified count + checksum) is asserted
+//      unconditionally; the timing is reported, not gated, and
 //   5. index-NL vs partitioning (see IndexTable below).
 //
 // The run header prints the host's NUMA topology (nodes, cpus per node,
@@ -64,8 +57,8 @@ constexpr char kUsage[] =
     "  partitions  partitions/disks                [8]\n"
     "  theta       Zipf skew of the second table   [1.1]\n"
     "  dir         segment directory               [/tmp/mmjoin_bench_*]\n"
-    "Env knobs: MMJOIN_PAGING_REPS, MMJOIN_INDEX_REPS/ASSERT/ONLY,\n"
-    "MMJOIN_MPSM_REPS/ASSERT/ONLY (see the file header).\n";
+    "Env knobs: MMJOIN_PAGING_REPS, MMJOIN_INDEX_REPS/ASSERT/ONLY\n"
+    "(see the file header).\n";
 
 // The four drivers the serial/parallel, schedule and paging tables compare.
 const join::DriverSpec kEntries[] = {
@@ -214,67 +207,37 @@ int PagingTable(const char* label, const mm::MmWorkload& workload, int reps) {
   return 0;
 }
 
-/// MPSM vs sort-merge (EXT-9): whole-join wall-clock, mpsm under
-/// numa=local — the placement the driver exists for. Reps are interleaved
-/// rep-outer so machine-load drift hits both sides equally; each side
-/// keeps its best rep. Identity is asserted
-/// unconditionally; the timing gate lives in main() because it is
-/// topology-dependent (a single-node host degenerates to the documented
-/// fallback and cannot show a placement win). Folds mpsm's best speedup
-/// over sort-merge into `*best_speedup` (max across tables).
-int MpsmTable(const char* label, const mm::MmWorkload& workload, int reps,
-              double* best_speedup) {
-  std::printf("# %s workload, mpsm (numa=local) vs sort-merge "
-              "(best of %d, interleaved)\n",
-              label, reps);
-  std::printf("algorithm\twall_ms\tspeedup\tnodes\truns\tlocal\tremote\t"
-              "faults\tsame_join\n");
-  std::optional<mm::MmJoinResult> best_sm, best_mp;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto sm = mm::MmSortMerge(workload, mm::MmJoinOptions{});
-    mm::MmJoinOptions mo;
-    mo.numa = exec::NumaMode::kLocal;
-    auto mp = mm::MmMpsm(workload, mo);
-    if (!sm.ok() || !mp.ok()) {
-      std::fprintf(stderr, "mpsm table: %s\n",
-                   (sm.ok() ? mp : sm).status().ToString().c_str());
-      return 1;
-    }
-    if (!best_sm || sm->wall_ms < best_sm->wall_ms) best_sm = std::move(*sm);
-    if (!best_mp || mp->wall_ms < best_mp->wall_ms) best_mp = std::move(*mp);
+/// MPSM vs sort-merge (EXT-9): whole-join wall-clock of one run each.
+/// Identity is asserted unconditionally: mpsm is a different path to the
+/// same join, so both must verify and match bit for bit.
+int MpsmTable(const char* label, const mm::MmWorkload& workload) {
+  std::printf("# %s workload, mpsm vs sort-merge\n", label);
+  std::printf("algorithm\twall_ms\tspeedup\tfaults\tsame_join\n");
+  auto sm = mm::MmSortMerge(workload, mm::MmJoinOptions{});
+  auto mp = mm::MmMpsm(workload, mm::MmJoinOptions{});
+  if (!sm.ok() || !mp.ok()) {
+    std::fprintf(stderr, "mpsm table: %s\n",
+                 (sm.ok() ? mp : sm).status().ToString().c_str());
+    return 1;
   }
-  best_sm->ExportMetrics(&bench::Metrics());
-  best_mp->ExportMetrics(&bench::Metrics());
-  if (!best_mp->numa_status.ok()) {
-    std::fprintf(stderr, "mpsm %s: numa placement failed: %s\n", label,
-                 best_mp->numa_status.ToString().c_str());
+  sm->ExportMetrics(&bench::Metrics());
+  mp->ExportMetrics(&bench::Metrics());
+  const bool same = sm->verified && mp->verified &&
+                    sm->output_count == mp->output_count &&
+                    sm->output_checksum == mp->output_checksum;
+  for (const mm::MmJoinResult* r : {&*sm, &*mp}) {
+    std::printf("%s\t%.2f\t%.2f\t%llu\t%s\n",
+                join::AlgorithmName(r->algorithm), r->wall_ms,
+                r->wall_ms > 0 ? sm->wall_ms / r->wall_ms : 0.0,
+                static_cast<unsigned long long>(r->run.faults),
+                same ? "yes" : "NO");
   }
-  // The identity is unconditional: both drivers must verify AND match
-  // bit for bit — mpsm is a different path to the same join.
-  const bool same = best_sm->verified && best_mp->verified &&
-                    best_sm->output_count == best_mp->output_count &&
-                    best_sm->output_checksum == best_mp->output_checksum;
-  const double speedup =
-      best_mp->wall_ms > 0 ? best_sm->wall_ms / best_mp->wall_ms : 0.0;
-  std::printf("%s\t%.2f\t%.2f\t-\t-\t-\t-\t%llu\t%s\n",
-              join::AlgorithmName(best_sm->algorithm), best_sm->wall_ms, 1.0,
-              static_cast<unsigned long long>(best_sm->run.faults),
-              same ? "yes" : "NO");
-  std::printf("%s\t%.2f\t%.2f\t%u\t%llu\t%llu\t%llu\t%llu\t%s\n",
-              join::AlgorithmName(best_mp->algorithm), best_mp->wall_ms,
-              speedup, best_mp->run.mpsm_nodes,
-              static_cast<unsigned long long>(best_mp->run.mpsm_runs),
-              static_cast<unsigned long long>(best_mp->run.mpsm_local_slices),
-              static_cast<unsigned long long>(best_mp->run.mpsm_remote_slices),
-              static_cast<unsigned long long>(best_mp->run.faults),
-              same ? "yes" : "NO");
   if (!same) {
     std::fprintf(stderr,
                  "mpsm %s: mpsm and sort-merge disagree — this is a bug\n",
                  label);
     return 1;
   }
-  if (speedup > *best_speedup) *best_speedup = speedup;
   return 0;
 }
 
@@ -462,8 +425,8 @@ int main(int argc, char** argv) {
   mm::SegmentManager mgr(dir);
 
   // The topology line makes every committed bench JSON self-describing:
-  // an mpsm number means nothing without knowing how many nodes the host
-  // actually had (EXT-9 satellite).
+  // a number means little without knowing how many NUMA nodes the host
+  // actually had.
   const exec::NumaTopology topo = exec::QueryNumaTopology();
   std::printf("# real-backend joins: |R|=|S|=%llu x %zu B, D=%u, "
               "zipf_theta=%.2f\n",
@@ -491,86 +454,6 @@ int main(int argc, char** argv) {
   const char* ix_only_env = std::getenv("MMJOIN_INDEX_ONLY");
   const bool ix_only = ix_only_env && ix_only_env[0] == '1';
   bool ix_selective_win = false;
-
-  // MPSM-table knobs (scripts/bench_mpsm.sh): best-of reps, the
-  // topology-gated speedup assert and MMJOIN_MPSM_ONLY=1 to run just that
-  // table at the large gate scale.
-  const char* mp_reps_env = std::getenv("MMJOIN_MPSM_REPS");
-  const int mp_reps =
-      mp_reps_env
-          ? std::max(1, static_cast<int>(std::strtol(mp_reps_env, nullptr,
-                                                     10)))
-          : 1;
-  const char* mp_assert_env = std::getenv("MMJOIN_MPSM_ASSERT");
-  const double mp_min_speedup =
-      mp_assert_env ? std::strtod(mp_assert_env, nullptr) : 0;
-  const char* mp_only_env = std::getenv("MMJOIN_MPSM_ONLY");
-  const bool mp_only = mp_only_env && mp_only_env[0] == '1';
-  double best_mpsm_speedup = 0;
-
-  // The mpsm timing gate: armed only when MMJOIN_MPSM_ASSERT is set AND
-  // the host actually has multiple NUMA nodes. On a single-node host the
-  // driver takes its documented fallback (one band — there is no remote
-  // traffic for the placement to avoid), so the gate records the skip
-  // instead of failing: the committed JSON still proves the identity and
-  // carries the topology line explaining the missing speedup.
-  const auto mpsm_gate = [&]() -> int {
-    if (mp_min_speedup <= 0) return 0;
-    if (topo.nodes <= 1) {
-      std::printf("# mpsm gate skipped: single NUMA node (%s) — the driver "
-                  "degenerates to its documented fallback; identity checked, "
-                  "timing not gated\n",
-                  exec::NumaTopologySummary(topo).c_str());
-      return 0;
-    }
-    std::printf("# mpsm gate: best mpsm speedup over sort-merge %.2fx "
-                "(need %.2fx)\n",
-                best_mpsm_speedup, mp_min_speedup);
-    if (best_mpsm_speedup < mp_min_speedup) {
-      std::fprintf(stderr,
-                   "mpsm gate FAILED: %.2fx < %.2fx on a %u-node host\n",
-                   best_mpsm_speedup, mp_min_speedup, topo.nodes);
-      return 1;
-    }
-    std::printf("# mpsm gate passed\n");
-    return 0;
-  };
-
-  if (mp_only) {
-    int rc = 0;
-    {
-      (void)mm::DeleteMmWorkload(&mgr, "bench", relation.num_partitions);
-      auto workload = mm::BuildMmWorkload(&mgr, "bench", relation);
-      if (!workload.ok()) {
-        std::fprintf(stderr, "workload: %s\n",
-                     workload.status().ToString().c_str());
-        return 1;
-      }
-      rc = MpsmTable("uniform", *workload, mp_reps, &best_mpsm_speedup);
-      workload->r_segs.clear();
-      workload->s_segs.clear();
-      (void)mm::DeleteMmWorkload(&mgr, "bench", relation.num_partitions);
-    }
-    if (rc == 0) {
-      rel::RelationConfig skewed = relation;
-      skewed.zipf_theta = theta;
-      (void)mm::DeleteMmWorkload(&mgr, "zipf", skewed.num_partitions);
-      auto workload = mm::BuildMmWorkload(&mgr, "zipf", skewed);
-      if (!workload.ok()) {
-        std::fprintf(stderr, "workload: %s\n",
-                     workload.status().ToString().c_str());
-        return 1;
-      }
-      rc = MpsmTable("zipf", *workload, mp_reps, &best_mpsm_speedup);
-      workload->r_segs.clear();
-      workload->s_segs.clear();
-      (void)mm::DeleteMmWorkload(&mgr, "zipf", skewed.num_partitions);
-    }
-    if (rc == 0) rc = mpsm_gate();
-    bench::WriteMetricsJson("real_backend_join");
-    if (argc <= 4) ::rmdir(dir.c_str());
-    return rc;
-  }
 
   if (ix_only) {
     int rc = IndexTable(&mgr, relation.r_objects, relation.num_partitions,
@@ -603,9 +486,7 @@ int main(int argc, char** argv) {
     rc = SerialVsParallel(*workload);
     if (rc == 0) rc = StaticVsStealing("uniform", *workload, sched_workers);
     if (rc == 0) rc = PagingTable("uniform", *workload, reps);
-    if (rc == 0) {
-      rc = MpsmTable("uniform", *workload, mp_reps, &best_mpsm_speedup);
-    }
+    if (rc == 0) rc = MpsmTable("uniform", *workload);
     workload->r_segs.clear();
     workload->s_segs.clear();
     (void)mm::DeleteMmWorkload(&mgr, "bench", relation.num_partitions);
@@ -625,9 +506,7 @@ int main(int argc, char** argv) {
     }
     rc = StaticVsStealing("zipf", *workload, sched_workers);
     if (rc == 0) rc = PagingTable("zipf", *workload, reps);
-    if (rc == 0) {
-      rc = MpsmTable("zipf", *workload, mp_reps, &best_mpsm_speedup);
-    }
+    if (rc == 0) rc = MpsmTable("zipf", *workload);
     workload->r_segs.clear();
     workload->s_segs.clear();
     (void)mm::DeleteMmWorkload(&mgr, "zipf", skewed.num_partitions);
@@ -648,8 +527,6 @@ int main(int argc, char** argv) {
                   "selective config\n");
     }
   }
-
-  if (rc == 0) rc = mpsm_gate();
 
   bench::WriteMetricsJson("real_backend_join");
   if (argc <= 4) ::rmdir(dir.c_str());

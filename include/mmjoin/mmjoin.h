@@ -21,7 +21,7 @@
 #include "join/hybrid_hash.h"      // pointer-based hybrid-hash (EXT-5)
 #include "join/index_nl.h"         // index nested-loops over B+-tree (EXT-8)
 #include "join/join_common.h"      // parameters / results / execution core
-#include "join/mpsm.h"             // NUMA-affine massively-parallel SM (EXT-9)
+#include "join/mpsm.h"             // massively-parallel sort-merge (EXT-9)
 #include "join/nested_loops.h"     // parallel pointer-based nested loops
 #include "join/oracle.h"           // reference join for verification
 #include "join/sort_merge.h"       // parallel pointer-based sort-merge

@@ -53,9 +53,7 @@ run "../bench/fig5c_grace" "$OBJECTS"
 # workload and the same_join column asserts schedule-independence. The
 # paging table runs each policy best-of-3, the samples the tripwire below
 # reads. The run includes the small-N mpsm-vs-sort-merge table (identity
-# asserted unconditionally, timing not gated here — scripts/bench_mpsm.sh
-# arms the gate at scale), so BENCH_ci.json carries the join.mpsm.*
-# telemetry.
+# asserted unconditionally, timing reported but not gated).
 run env MMJOIN_PAGING_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1.1
 # 10 seconds of open-loop multi-query load through the mmjoind service
 # stack (in-process server, real unix socket, 4 clients on the shared

@@ -149,17 +149,6 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { b.ChargeSetupAll(ms) };
   { b.MarkPass(label) };
 
-  // ---- NUMA-aware partition placement ------------------------------------
-  // NumaNodeCount() is the node count the backend plans placement with:
-  // always 1 on the simulator (MPSM degenerates to one band), the detected
-  // (or forced) host node count on the real backend. PlaceSegment(i, seg,
-  // j) declares that segment's pages should live on node j — a no-op on
-  // the simulator and a counted best-effort mbind(MPOL_BIND) on the real
-  // backend under numa=local. Placement never affects results, only where
-  // pages land.
-  { cb.NumaNodeCount() } -> std::convertible_to<uint32_t>;
-  { b.PlaceSegment(i, seg, j) };
-
   // ---- worker identity ----------------------------------------------------
   // WorkerSlots() bounds the per-worker state space a caller must allocate
   // (1 on the serial simulator); WorkerSlot() names the executing worker's

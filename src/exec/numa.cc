@@ -173,31 +173,6 @@ Status BindInterleaved(void* base, uint64_t bytes, uint32_t nodes,
 #endif
 }
 
-Status BindToNode(void* base, uint64_t bytes, uint32_t node,
-                  uint32_t total_nodes, bool* applied) {
-  *applied = false;
-  if (total_nodes <= 1 || bytes == 0) return Status::OK();
-#if defined(__linux__) && defined(SYS_mbind)
-  if (node >= 64) {
-    return Status::InvalidArgument("BindToNode: node id out of mask range");
-  }
-  unsigned long mask = 1ul << node;  // NOLINT(runtime/int)
-  const long rc = syscall(SYS_mbind, base, bytes, kMpolBind, &mask,
-                          static_cast<unsigned long>(node + 2), 0u);
-  if (rc != 0) {
-    return Status::IOError(std::string("mbind(MPOL_BIND node ") +
-                           std::to_string(node) + "): " +
-                           std::strerror(errno));
-  }
-  *applied = true;
-  return Status::OK();
-#else
-  (void)base;
-  (void)node;
-  return Status::OK();
-#endif
-}
-
 Status PinThreadToNode(uint32_t node, const NumaTopology& topo,
                        bool* applied) {
   *applied = false;

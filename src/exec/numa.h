@@ -8,9 +8,8 @@
 // the first touch — the right default for bands that every worker reads
 // in a later pass. kLocal leans into first-touch instead: each RP band's
 // pages are pre-faulted by the worker that owns its partition, so the
-// partition's pass-1 reader finds them node-local. The MPSM driver
-// additionally binds whole node bands to their home node (BindToNode) and
-// pins workers to their node's cpus (PinThreadToNode) under kLocal.
+// partition's pass-1 reader finds them node-local, and workers pin to
+// their node's cpus (PinThreadToNode).
 //
 // No libnuma: the two policy calls we need are the raw mbind(2) syscall,
 // issued via syscall(2) with locally defined MPOL_* values, and
@@ -66,15 +65,6 @@ std::string NumaTopologySummary(const NumaTopology& topo);
 /// returns the errno as a Status.
 Status BindInterleaved(void* base, uint64_t bytes, uint32_t nodes,
                        bool* applied);
-
-/// Applies MPOL_BIND to `node` over [base, base+bytes) — the MPSM node
-/// bands use this so each band's pages live on the node whose workers
-/// sort it. Sets *applied=false (and returns OK) when there is nothing to
-/// do: `total_nodes` <= 1, or no mbind syscall. Binding to a node the
-/// host does not have returns the errno as a Status (counted by callers,
-/// never fatal).
-Status BindToNode(void* base, uint64_t bytes, uint32_t node,
-                  uint32_t total_nodes, bool* applied);
 
 /// Pins the calling thread to `node`'s cpus per `topo` via
 /// sched_setaffinity(2). Sets *applied=false (and returns OK) when there

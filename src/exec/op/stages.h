@@ -539,40 +539,31 @@ void ProbePhases(B& ex, bool sync) {
 // Sort + MergeJoin (sort-merge pass 2)
 // ---------------------------------------------------------------------------
 
-/// Sorts one run of `len` objects at object offset `start` of `seg` in
-/// place, by S-pointer: read the run in, sort (run position, sptr) refs
-/// through the backend's SortRefs — the position rides in r_id — then
-/// permute the objects (one MTpp move per object) and write back. The
-/// single-run body of SortRuns, exposed so MPSM's pass 1 can sort
-/// individual node-band runs as independent morsels.
-template <Backend B>
-void SortRunInPlace(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
-                    uint64_t len) {
-  const uint64_t r = sizeof(rel::RObject);
-  std::vector<rel::RObject> buffer(len);
-  std::vector<SRef> refs(len);
-  for (uint64_t k = 0; k < len; ++k) {
-    const void* src = ex.Read(i, seg, (start + k) * r, r);
-    std::memcpy(&buffer[k], src, r);
-    refs[k] = SRef{k, buffer[k].sptr};
-  }
-  ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
-  // Move the objects into sorted order (one MTpp move per object).
-  for (uint64_t k = 0; k < len; ++k) {
-    void* dst = ex.Write(i, seg, (start + k) * r, r);
-    std::memcpy(dst, &buffer[refs[k].r_id], r);
-  }
-  ex.ChargeCpu(i, static_cast<double>(len * r) * ex.mc().mt_pp_ms);
-}
-
-/// Sorts RS_i into IRUN-object runs in place (SortRunInPlace per run).
-/// Returns the run count.
+/// Sorts RS_i into IRUN-object runs in place, by S-pointer: each run is
+/// read in, its (run position, sptr) refs are sorted through the backend's
+/// SortRefs — the position rides in r_id — and the objects are permuted
+/// into that order (one MTpp move per object) and written back. Returns
+/// the run count.
 template <Backend B>
 uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
                   uint64_t irun) {
+  const uint64_t r = sizeof(rel::RObject);
   const double sort_start_ms = ex.clock_ms(i);
   for (uint64_t start = 0; start < n; start += irun) {
-    SortRunInPlace(ex, i, seg, start, std::min<uint64_t>(irun, n - start));
+    const uint64_t len = std::min<uint64_t>(irun, n - start);
+    std::vector<rel::RObject> buffer(len);
+    std::vector<SRef> refs(len);
+    for (uint64_t k = 0; k < len; ++k) {
+      const void* src = ex.Read(i, seg, (start + k) * r, r);
+      std::memcpy(&buffer[k], src, r);
+      refs[k] = SRef{k, buffer[k].sptr};
+    }
+    ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
+    for (uint64_t k = 0; k < len; ++k) {
+      void* dst = ex.Write(i, seg, (start + k) * r, r);
+      std::memcpy(dst, &buffer[refs[k].r_id], r);
+    }
+    ex.ChargeCpu(i, static_cast<double>(len * r) * ex.mc().mt_pp_ms);
   }
   const uint64_t runs = std::max<uint64_t>(1, CeilDiv(n, irun));
   if (ex.tracing()) {
@@ -898,12 +889,12 @@ void BuildIndexLevels(B& ex, uint32_t i, typename B::Seg ix_seg,
 
 /// Range probe of one S morsel: emits the leaf range [lower_bound(lo_key),
 /// lower_bound(hi_key)) through `emit` in (sptr, r_id) order. One descent
-/// (window scan per level, picking the last separator <= lo_key) lands in
-/// the lower bound's window; if its separator equals lo_key, a duplicate
-/// run may start in earlier windows, so the probe walks BACK over it. The
-/// leaves are read forward in page-bounded chunks, so the simulator faults
-/// only pages of visited entries plus the stop entry's. Returns the number
-/// of distinct sptr seen: morsels split S, so no run crosses a morsel.
+/// (window scan per level, picking the last separator strictly below
+/// lo_key) lands in the window that holds the lower bound: every earlier
+/// window ends below lo_key. The leaves are read forward in page-bounded
+/// chunks, skipping entries below lo_key, so the simulator faults only
+/// pages of visited entries plus the stop entry's. Returns the number of
+/// distinct sptr seen: morsels split S, so no run crosses a morsel.
 template <Backend B, typename EmitFn>
 uint64_t ProbeIndexRange(B& ex, uint32_t i, typename B::Seg ix_seg,
                          const IndexLayout& layout, uint64_t lo_key,
@@ -916,7 +907,6 @@ uint64_t ProbeIndexRange(B& ex, uint32_t i, typename B::Seg ix_seg,
   // Descend: at the root the window is the whole level; below, the window
   // is the children of the chosen parent key.
   uint64_t pos = 0;
-  uint64_t separator = 0;
   for (size_t l = levels.size(); l-- > 0;) {
     const uint64_t begin = (l + 1 == levels.size()) ? 0 : pos * f;
     const uint64_t end = std::min(begin + f, levels[l].count);
@@ -926,26 +916,13 @@ uint64_t ProbeIndexRange(B& ex, uint32_t i, typename B::Seg ix_seg,
     const auto* keys = static_cast<const uint64_t*>(src);
     uint64_t c = 0;
     for (uint64_t k = 1; k < end - begin; ++k) {
-      if (keys[k] <= lo_key) c = k;
+      if (keys[k] < lo_key) c = k;
     }
     pos = begin + c;
-    separator = keys[c];
-  }
-
-  // Walk back over a duplicate run that spans into earlier windows.
-  uint64_t p = levels.empty() ? 0 : pos * f;
-  if (separator == lo_key) {
-    while (p > 0) {
-      const void* prev_src =
-          ex.Read(i, ix_seg, (p - 1) * sizeof(SRef), sizeof(SRef));
-      SRef prev;
-      std::memcpy(&prev, prev_src, sizeof(SRef));
-      if (prev.sptr != lo_key) break;
-      --p;
-    }
   }
 
   // Scan forward, skipping the landing window's entries below lo_key.
+  uint64_t p = levels.empty() ? 0 : pos * f;
   const uint64_t per_page = ex.mc().page_size / sizeof(SRef);
   uint64_t distinct = 0;
   uint64_t last = hi_key;  // no emitted entry equals it

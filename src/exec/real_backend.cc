@@ -63,19 +63,15 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
   (void)params;  // plan shaping reads params through the drivers
   start_epoch_ms_ = SteadyNowMs();
   main_start_faults_ = ThreadFaults();
-  // The node count is always resolved (MPSM shapes its bands by it even
-  // under numa=none); options.numa_nodes overrides the detected topology —
-  // 1 forces the single-node fallback, >1 forces a multi-band shape.
   detected_nodes_ = DetectNumaNodes();
-  numa_nodes_ = options.numa_nodes ? options.numa_nodes : detected_nodes_;
   node_affine_ = pool_ == nullptr && numa_ == NumaMode::kLocal &&
-                 numa_nodes_ > 1 && workers_ > 1 && d_ > 1;
+                 detected_nodes_ > 1 && workers_ > 1 && d_ > 1;
   if (node_affine_) {
     // Node-affine scheduling: worker w's home node is w*N/W (the same
     // contiguous-split shape as the partition map), chains carry their
     // partition's home node, and each spawned worker pins itself to its
     // node's cpus. All of it is locality-only — results are unchanged.
-    placement_nodes_ = std::min(numa_nodes_, d_);
+    placement_nodes_ = std::min(detected_nodes_, d_);
     topo_ = QueryNumaTopology();
     sched_options_.worker_node.resize(workers_);
     for (uint32_t w = 0; w < workers_; ++w) {
@@ -214,26 +210,6 @@ Status RealBackend::DeleteSegment(Seg seg) {
   seg->base = nullptr;
   seg->live = false;
   return Status::OK();
-}
-
-void RealBackend::PlaceSegment(uint32_t /*i*/, Seg seg, uint32_t node) {
-  // Placement is capped by the nodes the host really has: a *forced*
-  // multi-band shape (options.numa_nodes > detected) keeps MPSM's control
-  // flow but must not mbind to nonexistent nodes — those bands simply stay
-  // default-placed, which is exactly the documented degradation.
-  if (numa_ != NumaMode::kLocal || seg == nullptr || !seg->owned ||
-      !seg->live || detected_nodes_ <= 1 || node >= detected_nodes_) {
-    return;
-  }
-  bool applied = false;
-  const Status st =
-      BindToNode(seg->base, seg->map_bytes, node, detected_nodes_, &applied);
-  if (applied) mbind_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (!st.ok()) {
-    mbind_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(paging_mu_);
-    if (numa_status_.ok()) numa_status_ = st;
-  }
 }
 
 void RealBackend::AdviseRange(uint32_t i, Seg seg, uint64_t offset,
@@ -465,7 +441,7 @@ join::JoinRunResult RealBackend::Finish() {
   r.paging_advise_bytes = advise_bytes_.load(std::memory_order_relaxed);
   r.paging_advise_errors = advise_errors_.load(std::memory_order_relaxed);
   if (numa_ != NumaMode::kNone) {
-    r.numa_nodes = numa_nodes_;
+    r.numa_nodes = detected_nodes_;
     r.numa_mbind_calls = mbind_calls_.load(std::memory_order_relaxed);
     r.numa_mbind_errors = mbind_errors_.load(std::memory_order_relaxed);
     r.numa_first_touch_pages =

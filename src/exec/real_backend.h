@@ -128,12 +128,6 @@ struct RealBackendOptions {
   /// NUMA placement of owned temporaries (exec/numa.h); degrades to
   /// counted no-ops on single-node hosts.
   NumaMode numa = NumaMode::kNone;
-  /// Node fan-out reported through NumaNodeCount() — the shape the MPSM
-  /// driver sizes its bands by. 0 detects the host topology; 1 forces the
-  /// documented single-node fallback; >1 forces a multi-band shape (tests
-  /// exercise the multi-node control flow on single-node hosts this way —
-  /// actual page placement still degrades to counted no-ops there).
-  uint32_t numa_nodes = 0;
   obs::TraceRecorder* trace = nullptr;  ///< optional wall-clock trace
   /// External shared worker pool (multi-query service mode). When set the
   /// backend spawns no threads of its own: every partition pass is
@@ -191,19 +185,6 @@ class RealBackend {
   uint64_t SegPages(Seg seg) const {
     return (seg->bytes + mc_.page_size - 1) / mc_.page_size;
   }
-
-  // ---- NUMA-aware partition placement -------------------------------------
-  /// Node fan-out the MPSM driver shapes its bands by: the detected host
-  /// topology, or the RealBackendOptions::numa_nodes override (1 = forced
-  /// single-node fallback).
-  uint32_t NumaNodeCount() const { return numa_nodes_; }
-  /// Binds an owned temporary's pages to `node` (MPOL_BIND, before first
-  /// touch). Active only under numa=local on a host that really has the
-  /// node; everywhere else a silent no-op (the pages stay default-placed —
-  /// the documented single-node degradation). Best-effort: failures are
-  /// counted in join.numa.mbind_errors and kept in NumaDeferredError(),
-  /// never fatal.
-  void PlaceSegment(uint32_t i, Seg seg, uint32_t node);
 
   // ---- RP temporaries -----------------------------------------------------
   Status CreateRpSegments();
@@ -384,9 +365,9 @@ class RealBackend {
            main_start_faults_;
   }
 
-  /// MPSM's partition-to-node map (p * nodes / D — the same formula the
-  /// driver uses), so a partition's chains are dealt to workers of its
-  /// home node. kAnyNode when node-affine scheduling is off.
+  /// The contiguous partition-to-node map (p * nodes / D), so a
+  /// partition's chains are dealt to workers of its home node. kAnyNode
+  /// when node-affine scheduling is off.
   uint32_t ChainNode(uint32_t partition) const {
     if (!node_affine_) return kAnyNode;
     return static_cast<uint32_t>(uint64_t{partition} * placement_nodes_ / d_);
@@ -414,14 +395,13 @@ class RealBackend {
   PagingMode paging_;
   bool huge_pages_;
   NumaMode numa_;
-  uint32_t numa_nodes_ = 1;     ///< effective fan-out (override or detected)
-  uint32_t detected_nodes_ = 1; ///< nodes the host really has (placement cap)
+  uint32_t detected_nodes_ = 1;  ///< nodes the host really has
   /// True when node-affine scheduling is armed: numa=local on an own
   /// (non-pool) multi-worker run with a multi-node fan-out. Workers get
   /// home nodes, chains get node tags, and spawned threads pin to their
   /// node's cpus.
   bool node_affine_ = false;
-  uint32_t placement_nodes_ = 1;  ///< min(numa_nodes_, D) — the map's range
+  uint32_t placement_nodes_ = 1;  ///< min(detected_nodes_, D): map's range
   NumaTopology topo_;             ///< cached for worker pinning
   SharedWorkerPool* pool_;  ///< external pool (service mode), or nullptr
   QueryPriority priority_;  ///< WRR class of this backend's submissions

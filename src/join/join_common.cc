@@ -280,14 +280,6 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
         .Record(std::abs(model_error_pct));
     if (planner_auto) registry->counter("join.planner.auto").Inc();
   }
-  if (mpsm_nodes > 0) {
-    // MPSM driver only; absent from the other drivers' dumps. A value of
-    // 1 for join.mpsm.nodes records the single-node fallback.
-    registry->counter("join.mpsm.nodes").Inc(mpsm_nodes);
-    registry->counter("join.mpsm.runs").Inc(mpsm_runs);
-    registry->counter("join.mpsm.local_slices").Inc(mpsm_local_slices);
-    registry->counter("join.mpsm.remote_slices").Inc(mpsm_remote_slices);
-  }
 }
 
 }  // namespace mmjoin::join

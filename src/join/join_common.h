@@ -153,17 +153,6 @@ struct JoinRunResult {
   double model_predicted_ms = 0;   ///< corrected wall-model prediction
   double model_error_pct = 0;      ///< 100 * (actual - predicted) / predicted
 
-  // MPSM telemetry (mpsm driver only; all zero for the other drivers).
-  // On single-node hosts (or the simulator) mpsm_nodes reports 1 — the
-  // documented fallback where every band is "local". Key-range banding
-  // localizes every partition's merge inputs to its home band, so
-  // mpsm_remote_slices is a misalignment guard: nonzero means a band's
-  // key range leaked, never healthy cross-band merging.
-  uint32_t mpsm_nodes = 0;          ///< node bands R was range-split into
-  uint64_t mpsm_runs = 0;           ///< node-local sorted runs produced
-  uint64_t mpsm_local_slices = 0;   ///< merge inputs read from the home band
-  uint64_t mpsm_remote_slices = 0;  ///< guard: slices found outside home (0)
-
   /// Exports the run into `registry` under the "join." / "pass." / "rproc."
   /// prefixes (see DESIGN.md §Observability for the exact names). Called by
   /// the benches to produce their `*.metrics.json` dumps.
@@ -321,13 +310,6 @@ class JoinExecution {
   /// it (exec::Backend worker-identity surface).
   uint32_t WorkerSlots() const { return 1; }
   uint32_t WorkerSlot() const { return 0; }
-
-  /// One NUMA "node": the simulator has no memory topology, so MPSM's
-  /// range partitioning degenerates to a single band — the same shape as
-  /// the real backend's single-node fallback.
-  uint32_t NumaNodeCount() const { return 1; }
-  /// Placement is a physical-memory concern; no-op here.
-  void PlaceSegment(uint32_t /*i*/, Seg /*seg*/, uint32_t /*node*/) {}
 
   /// Barrier: sets every Rproc clock to the current maximum.
   void SyncClocks();

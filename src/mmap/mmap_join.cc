@@ -38,7 +38,6 @@ exec::RealBackendOptions ToBackendOptions(const MmJoinOptions& options) {
   bo.paging = options.paging;
   bo.huge_pages = options.huge_pages;
   bo.numa = options.numa;
-  bo.numa_nodes = options.numa_nodes;
   bo.trace = options.trace;
   bo.pool = options.pool;
   bo.priority = options.priority;
@@ -112,7 +111,6 @@ opt::PlannerInputs ToPlannerInputs(const MmWorkload& workload,
   in.workers = options.pool != nullptr
                    ? options.pool->workers()
                    : exec::EffectiveWorkers(d, options.max_threads);
-  in.numa_nodes = options.numa_nodes;
   in.warm_index = false;  // MmJoin has no store handle to attach a tree
   return in;
 }

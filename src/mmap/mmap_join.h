@@ -67,7 +67,7 @@ struct MmJoinOptions {
   uint64_t morsel_tuples = 0;    ///< tuples per morsel; 0 = default (16 Ki)
   double skew_split_factor = 0;  ///< hot-partition threshold/factor; 0 = 4
   /// Private memory per partition used to SHAPE plans (sort-merge IRUN /
-  /// NRUN, Grace K); 0 = the JoinParams default (4 MiB). It does not limit
+  /// NRUN, Grace K, MPSM's run length); 0 = the JoinParams default (4 MiB). It does not limit
   /// real memory use — the kernel pages as it pleases.
   uint64_t m_rproc_bytes = 0;
   uint32_t k_buckets = 0;  ///< Grace/hybrid K (0: derive from memory)
@@ -91,11 +91,6 @@ struct MmJoinOptions {
   /// all nodes; `kLocal` first-touches each worker's RP band from its
   /// owning worker. Both degrade to counted no-ops on single-node hosts.
   exec::NumaMode numa = exec::NumaMode::kNone;
-  /// Node fan-out for the MPSM driver's band shape: 0 (default) detects
-  /// the host topology, 1 forces the single-node fallback, >1 forces a
-  /// multi-band shape (control flow only — page placement still degrades
-  /// to counted no-ops on hosts without those nodes).
-  uint32_t numa_nodes = 0;
   /// Optional wall-clock trace recorder (Chrome trace-event JSON, same
   /// format as simulated runs; Perfetto-loadable via WriteFile).
   obs::TraceRecorder* trace = nullptr;
@@ -165,13 +160,11 @@ StatusOr<MmJoinResult> MmNestedLoops(const MmWorkload& workload,
 StatusOr<MmJoinResult> MmSortMerge(const MmWorkload& workload,
                                    const MmJoinOptions& options = {});
 
-/// NUMA-affine massively-parallel sort-merge (MPSM): range-partition R
-/// into one band per NUMA node, sort runs strictly node-locally, then
-/// merge-join each partition's key-range slices out of every node's runs —
-/// remote bands are only ever scanned sequentially. Same pass structure
-/// and bit-identical output as MmSortMerge; on single-node hosts it
-/// degrades to a one-band sort-merge variant (run.mpsm_nodes reports the
-/// shape).
+/// Massively-parallel sort-merge (MPSM): each partition writes its R
+/// objects' 16-byte refs into a private run, sorts it in runs of
+/// M_Rproc / 16 refs, and sweeps S once per run in pointer order — no
+/// repartitioning and no merge. Same pass labels and bit-identical output
+/// as MmSortMerge.
 StatusOr<MmJoinResult> MmMpsm(const MmWorkload& workload,
                               const MmJoinOptions& options = {});
 

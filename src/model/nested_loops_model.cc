@@ -95,8 +95,8 @@ CostBreakdown Predict(join::Algorithm algorithm, const ModelInputs& in) {
     case join::Algorithm::kIndexNestedLoops:
     case join::Algorithm::kMpsm:
       // The paper models only the four original drivers; the index join
-      // (EXT-8) and the NUMA-affine MPSM driver are extensions with no
-      // analytic counterpart.
+      // (EXT-8) and the MPSM driver are extensions with no analytic
+      // counterpart.
       return CostBreakdown{};
   }
   return CostBreakdown{};

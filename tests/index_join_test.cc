@@ -115,8 +115,8 @@ TEST_F(IndexJoinTest, SelectiveJoinProbesEverySButMatchesFew) {
 TEST_F(IndexJoinTest, SkewAndDuplicatesStillExact) {
   // Heavy zipf skew concentrates many R references on few S objects —
   // duplicate key runs in the leaf level, including runs that span leaf
-  // windows. When a morsel starts at such a run, the descent lands in the
-  // run's last window; the walk-back must recover the earlier entries.
+  // windows. When a morsel starts at such a run, the descent must land in
+  // the run's first window, below every separator equal to the low key.
   const rel::RelationConfig rc = Shape(12000, 2000, 2, 1.1, 404);
   auto sim_result = RunSim(rc, join::JoinParams{});
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();

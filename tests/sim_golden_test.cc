@@ -134,33 +134,33 @@ const std::vector<Golden>& GoldenTable() {
       {"pass1", 1442.6247759461694, 274},
       {"index-build", 775.90373039958467, 293},
       {"index-probe", 771.30972991103226, 256}}},
-    {"index-nl", "zipf09", 37875.330584160285, 2952, 2289, 8192, 6846131787780569536ull,
+    {"index-nl", "zipf09", 37868.669191088324, 2952, 2289, 8192, 6846131787780569536ull,
      {{"setup", 1198.25, 0},
       {"pass0", 10828.838516222449, 919},
       {"pass1", 21328.633204754173, 1462},
       {"index-build", 2456.9938885395386, 289},
-      {"index-probe", 2062.6149746441224, 282}}},
-    {"index-nl", "zipf11_k512", 92050.722059766136, 4786, 4160, 8192, 5105510070544261679ull,
+      {"index-probe", 2055.9535815721611, 282}}},
+    {"index-nl", "zipf11_k512", 92024.075759436877, 4786, 4160, 8192, 5105510070544261679ull,
      {{"setup", 1198.25, 0},
       {"pass0", 23082.478661984787, 1326},
       {"pass1", 62875.362338448627, 2895},
       {"index-build", 2656.3360094775126, 289},
-      {"index-probe", 2238.2950498552091, 276}}},
-    {"mpsm", "uniform", 20891.597943324468, 5678, 532, 8192, 4932698774064551625ull,
-     {{"setup", 752, 0},
-      {"pass0", 970.05132007352768, 256},
-      {"pass1", 2461.3419414853079, 532},
-      {"sort+merge+join", 16708.204681765634, 4890}}},
-    {"mpsm", "zipf09", 41376.419329733151, 4936, 532, 8192, 6846131787780569536ull,
-     {{"setup", 752, 0},
-      {"pass0", 970.05132007352768, 256},
-      {"pass1", 2461.3189414853077, 532},
-      {"sort+merge+join", 37193.049068174318, 4148}}},
-    {"mpsm", "zipf11_k512", 36296.427686937503, 4104, 532, 8192, 5105510070544261679ull,
-     {{"setup", 752, 0},
-      {"pass0", 970.05132007352768, 256},
-      {"pass1", 2461.4239414853082, 532},
-      {"sort+merge+join", 32112.952425378666, 3316}}},
+      {"index-probe", 2211.6487495259498, 276}}},
+    {"mpsm", "uniform", 3170.3333518911204, 1308, 28, 8192, 4932698774064551625ull,
+     {{"setup", 670.40000000000009, 0},
+      {"pass0", 379.54560000000288, 256},
+      {"pass1", 238.24000000000046, 28},
+      {"sort+merge+join", 1882.147751891117, 1024}}},
+    {"mpsm", "zipf09", 3186.3853518911142, 1206, 28, 8192, 6846131787780569536ull,
+     {{"setup", 670.40000000000009, 0},
+      {"pass0", 379.54560000000288, 256},
+      {"pass1", 237.91200000000049, 28},
+      {"sort+merge+join", 1898.5277518911107, 922}}},
+    {"mpsm", "zipf11_k512", 3028.4623152195077, 982, 28, 8192, 5105510070544261679ull,
+     {{"setup", 670.40000000000009, 0},
+      {"pass0", 379.54560000000288, 256},
+      {"pass1", 238.02100000000041, 28},
+      {"sort+merge+join", 1740.4957152195043, 698}}},
   };
   return table;
 }

@@ -1,6 +1,7 @@
 // The real backend's sort: exec::RadixSortRefs against std::stable_sort on
-// adversarial key shapes, and the sort stages (op::SortRuns, MPSM-shaped
-// concurrent op::SortRunInPlace, op::SortIndexRun) on the real backend.
+// adversarial key shapes, and the sort stages (op::SortRuns, MPSM's pass 1
+// of concurrent SortRefs over 16-byte ref runs, op::SortIndexRun) on the
+// real backend.
 //
 // The stage checks matter because the join oracle cannot see an unsorted
 // sort-merge run: the final merge still emits every ref into commutative
@@ -166,14 +167,16 @@ class RealSortStageTest : public ::testing::Test {
     return refs;
   }
 
-  /// Every IRUN-object run of the band is non-decreasing in sptr and holds
-  /// exactly the (id, sptr) multiset it held before sorting.
+  /// Every IRUN-long run of `after` is non-decreasing in sptr and holds
+  /// exactly the (id, sptr) multiset `before` held there.
   void ExpectRunsSorted(const std::vector<SRef>& before,
-                        const rel::RObject* after, uint64_t n,
-                        uint64_t irun) {
+                        const std::vector<SRef>& after, uint64_t irun) {
+    const uint64_t n = before.size();
+    ASSERT_EQ(after.size(), n);
     for (uint64_t start = 0; start < n; start += irun) {
       const uint64_t len = std::min(irun, n - start);
-      std::vector<SRef> got = Prefixes(after + start, len);
+      std::vector<SRef> got(after.begin() + start,
+                            after.begin() + start + len);
       for (uint64_t k = 1; k < len; ++k) {
         ASSERT_LE(got[k - 1].sptr, got[k].sptr) << "run @" << start;
       }
@@ -203,20 +206,27 @@ TEST_F(RealSortStageTest, SortRunsLeavesEveryRunSorted) {
   const uint64_t irun = 1500;  // does not divide n: a short last run
   EXPECT_EQ(exec::op::SortRuns(*ex_, 0, seg, n, irun),
             exec::op::CeilDiv(n, irun));
-  ExpectRunsSorted(before, objs, n, irun);
+  ExpectRunsSorted(before, Prefixes(objs, n), irun);
   ASSERT_TRUE(ex_->DeleteSegment(seg).ok());
 }
 
 TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
+  // MPSM pass 1: a 16-byte ref segment cut into runs of L refs, each run
+  // sorted in place by SortRefs in independent morsels, concurrently on
+  // the worker threads.
   uint64_t n = 0;
-  const auto seg = AllOfR(&n);
-  const auto* objs = static_cast<const rel::RObject*>(
-      ex_->Read(0, seg, 0, n * sizeof(rel::RObject)));
-  const std::vector<SRef> before = Prefixes(objs, n);
-  // MPSM pass 1: the band's runs spread over the partition slots and
-  // sorted by independent morsels, concurrently on the worker threads.
-  const uint64_t irun = 700;
-  const uint64_t runs = exec::op::CeilDiv(n, irun);
+  const auto band = AllOfR(&n);
+  const std::vector<SRef> before = Prefixes(
+      static_cast<const rel::RObject*>(
+          ex_->Read(0, band, 0, n * sizeof(rel::RObject))),
+      n);
+  auto seg = ex_->CreateSegment("MR", 0, n * sizeof(SRef));
+  ASSERT_TRUE(seg.ok());
+  auto* refs = static_cast<SRef*>(ex_->Write(0, *seg, 0, n * sizeof(SRef)));
+  std::copy(before.begin(), before.end(), refs);
+  const uint64_t run_len = 700;  // does not divide n: a short last run
+  ASSERT_NE(n % run_len, 0u);
+  const uint64_t runs = exec::op::CeilDiv(n, run_len);
   const uint32_t d = ex_->D();
   std::vector<uint64_t> first(d), count(d);
   for (uint32_t q = 0; q < d; ++q) {
@@ -226,15 +236,16 @@ TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
   ex_->ForEachPartitionTuples(
       count,
       [&](uint32_t q, uint64_t rb, uint64_t re) {
-        for (uint64_t t = rb; t < re; ++t) {
-          const uint64_t start = (first[q] + t) * irun;
-          exec::op::SortRunInPlace(*ex_, q, seg, start,
-                                   std::min(irun, n - start));
+        for (uint64_t t = first[q] + rb; t < first[q] + re; ++t) {
+          const uint64_t start = t * run_len;
+          ex_->SortRefs(q, refs + start, std::min(run_len, n - start),
+                        SortKey::kSptr);
         }
       },
       /*independent=*/true);
-  ExpectRunsSorted(before, objs, n, irun);
-  ASSERT_TRUE(ex_->DeleteSegment(seg).ok());
+  ExpectRunsSorted(before, std::vector<SRef>(refs, refs + n), run_len);
+  ASSERT_TRUE(ex_->DeleteSegment(*seg).ok());
+  ASSERT_TRUE(ex_->DeleteSegment(band).ok());
 }
 
 TEST_F(RealSortStageTest, SortIndexRunPacksLeavesBySptrThenRid) {

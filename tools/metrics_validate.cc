@@ -237,24 +237,6 @@ int main(int argc, char** argv) {
                     ix_matches->number);
       index_col = buf;
     }
-    // MPSM column: node bands / node-local runs when the dump carries the
-    // NUMA-affine sort-merge telemetry, "-" for benches that never ran it
-    // (join.mpsm.nodes >= 1 whenever the driver ran: 1 records the
-    // single-node fallback, so presence alone is the signal).
-    const mmjoin::obs::JsonValue* mp_nodes =
-        counters && counters->is_object() ? counters->Find("join.mpsm.nodes")
-                                          : nullptr;
-    const mmjoin::obs::JsonValue* mp_runs =
-        counters && counters->is_object() ? counters->Find("join.mpsm.runs")
-                                          : nullptr;
-    std::string mpsm_col = "mpsm=-";
-    if (mp_nodes && mp_nodes->is_number() && mp_runs &&
-        mp_runs->is_number()) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "mpsm=%.0f/%.0f", mp_nodes->number,
-                    mp_runs->number);
-      mpsm_col = buf;
-    }
     // Planner column: algorithm=auto decisions / mean absolute model error
     // when the dump carries the adaptive-planner telemetry, "-" for
     // benches that only ran explicit drivers.
@@ -271,9 +253,9 @@ int main(int argc, char** argv) {
       }
       planner_col = buf;
     }
-    std::printf("ok\t%s\tbench=%s\t%s\t%s\t%s\t%s\n", path.c_str(),
+    std::printf("ok\t%s\tbench=%s\t%s\t%s\t%s\n", path.c_str(),
                 bench->str.c_str(), queries_col.c_str(), index_col.c_str(),
-                mpsm_col.c_str(), planner_col.c_str());
+                planner_col.c_str());
 
     if (!baseline_path.empty() &&
         (bench_filter.empty() || bench_filter == bench->str)) {
