@@ -2,10 +2,10 @@
 // layer (exec/op/) on the real mmap backend.
 //
 // For every built-in plan (q1/q4/q6 — exec::op::kPlanNames) it runs
-// `reps` repetitions with the default backend knobs (stealing schedule,
-// madvise paging), keeping the best wall time, then re-runs the plan
-// under the static schedule and asserts the FULL result — row counts,
-// every group, the checksum — is bit-identical (PlanResultsMatch).
+// `reps` repetitions with the default backend knobs (every worker,
+// madvise paging), keeping the best wall time, then re-runs the plan on
+// one worker and asserts the FULL result — row counts, every group, the
+// checksum — is bit-identical (PlanResultsMatch).
 // Every run is additionally oracle-checked inside MmRunPlan against the
 // serial reference evaluator; any unverified or divergent run exits 1.
 //
@@ -72,12 +72,12 @@ int RunPlans(const mm::MmWorkload& workload, int reps) {
       }
     }
 
-    // The static schedule must reproduce the default (stealing) run
-    // bit-for-bit: same rows, same groups, same checksum — the operator
-    // layer's determinism contract across schedules.
-    mm::MmJoinOptions static_options;
-    static_options.schedule = exec::Schedule::kStatic;
-    auto variant = mm::MmRunPlan(workload, *spec, static_options);
+    // One worker must reproduce the default run bit-for-bit: same rows,
+    // same groups, same checksum — the operator layer's determinism
+    // contract across worker counts.
+    mm::MmJoinOptions serial_options;
+    serial_options.max_threads = 1;
+    auto variant = mm::MmRunPlan(workload, *spec, serial_options);
     if (!variant.ok()) {
       std::fprintf(stderr, "queries: %s variant: %s\n", name,
                    variant.status().ToString().c_str());

@@ -1,4 +1,4 @@
-// Real-backend join bench: the four unified drivers running on
+// Real-backend join bench: the unified drivers running on
 // exec::RealBackend — worker threads over genuine mmap(2) segments, wall
 // clock — with the same `<bench>.metrics.json` dump the simulated benches
 // write (MmJoinResult::ExportMetrics feeds the shared bench registry).
@@ -9,21 +9,20 @@
 // Zipf theta 1.1 for the skewed workload, a throwaway directory under
 // /tmp. Tables:
 //
-//   1. serial vs parallel (the historical speedup table),
-//   2. static vs stealing schedule on a uniform and a Zipf-skewed
-//      workload, with the scheduler's morsel/steal telemetry — the
-//      morsel-driven work-stealing claim made measurable: identical
-//      count/checksum, stealing <= static wall-clock under skew,
-//   3. paging policy (none / advise / populate) with the join.kernel.* /
+//   1. serial vs parallel on a uniform and a Zipf-skewed workload, with
+//      the parallel run's morsel/steal/idle telemetry. Both runs must
+//      produce the identical verified count/checksum (asserted
+//      unconditionally),
+//   2. paging policy (none / advise / populate) with the join.kernel.* /
 //      join.paging.* telemetry. Every policy must produce the identical
 //      verified count/checksum (asserted unconditionally). Set
 //      MMJOIN_PAGING_REPS=<n> to run each policy n times and keep the
 //      best (scripts/bench_smoke.sh does, for its wall-clock tripwire),
-//   4. mpsm vs sort-merge (EXT-9): whole-join wall-clock of the
+//   3. mpsm vs sort-merge (EXT-9): whole-join wall-clock of the
 //      massively-parallel sort-merge driver against the sort-merge
 //      baseline. Identity (verified count + checksum) is asserted
 //      unconditionally; the timing is reported, not gated, and
-//   5. index-NL vs partitioning (see IndexTable below).
+//   4. index-NL vs partitioning (see IndexTable below).
 //
 // The run header prints the host's NUMA topology (nodes, cpus per node,
 // mempolicy) so every committed bench JSON records what shape its numbers
@@ -60,7 +59,7 @@ constexpr char kUsage[] =
     "Env knobs: MMJOIN_PAGING_REPS, MMJOIN_INDEX_REPS/ASSERT/ONLY\n"
     "(see the file header).\n";
 
-// The four drivers the serial/parallel, schedule and paging tables compare.
+// The four drivers the serial/parallel and paging tables compare.
 const join::DriverSpec kEntries[] = {
     join::Driver(join::Algorithm::kNestedLoops),
     join::Driver(join::Algorithm::kSortMerge),
@@ -68,14 +67,21 @@ const join::DriverSpec kEntries[] = {
     join::Driver(join::Algorithm::kHybridHash),
 };
 
-int SerialVsParallel(const mm::MmWorkload& workload) {
-  std::printf("algorithm\tserial_ms\tparallel_ms\tspeedup\tthreads\t"
-              "faults\tverified\n");
+/// One worker against `workers` on the same workload, with the parallel
+/// run's scheduler telemetry. The worker count must not change the join:
+/// both runs must verify and match bit for bit.
+int SerialVsParallel(const char* label, const mm::MmWorkload& workload,
+                     uint32_t workers) {
+  std::printf("# %s workload, serial vs %u workers\n", label, workers);
+  std::printf("algorithm\tserial_ms\tparallel_ms\tspeedup\tfaults\t"
+              "morsels\tsteals\tsteal_fail\tidle_ms\tsame_join\n");
   for (const join::DriverSpec& e : kEntries) {
     mm::MmJoinOptions serial;
     serial.max_threads = 1;
     auto ser = e.real(workload, serial);
-    auto par = e.real(workload, mm::MmJoinOptions{});
+    mm::MmJoinOptions parallel;
+    parallel.max_threads = workers;
+    auto par = e.real(workload, parallel);
     if (!ser.ok() || !par.ok()) {
       std::fprintf(stderr, "%s: %s\n", e.name,
                    (ser.ok() ? par : ser).status().ToString().c_str());
@@ -85,49 +91,24 @@ int SerialVsParallel(const mm::MmWorkload& workload) {
     // simulated benches.
     ser->ExportMetrics(&bench::Metrics());
     par->ExportMetrics(&bench::Metrics());
-    std::printf("%s\t%.2f\t%.2f\t%.2f\t%u\t%llu\t%s\n", e.name, ser->wall_ms,
-                par->wall_ms,
+    const bool same = ser->verified && par->verified &&
+                      ser->output_count == par->output_count &&
+                      ser->output_checksum == par->output_checksum;
+    std::printf("%s\t%.2f\t%.2f\t%.2f\t%llu\t%llu\t%llu\t%llu\t%.2f\t%s\n",
+                e.name, ser->wall_ms, par->wall_ms,
                 par->wall_ms > 0 ? ser->wall_ms / par->wall_ms : 0.0,
-                par->threads_used,
                 static_cast<unsigned long long>(par->run.faults),
-                (ser->verified && par->verified) ? "yes" : "NO");
-  }
-  return 0;
-}
-
-int StaticVsStealing(const char* label, const mm::MmWorkload& workload,
-                     uint32_t workers) {
-  std::printf("# %s workload, %u workers\n", label, workers);
-  std::printf("algorithm\tstatic_ms\tstealing_ms\tspeedup\tmorsels\t"
-              "steals\tsteal_fail\tidle_ms\tsame_join\n");
-  for (const join::DriverSpec& e : kEntries) {
-    mm::MmJoinOptions stat;
-    stat.schedule = exec::Schedule::kStatic;
-    stat.max_threads = workers;
-    auto st = e.real(workload, stat);
-
-    mm::MmJoinOptions steal;
-    steal.schedule = exec::Schedule::kStealing;
-    steal.max_threads = workers;
-    auto dy = e.real(workload, steal);
-
-    if (!st.ok() || !dy.ok()) {
-      std::fprintf(stderr, "%s: %s\n", e.name,
-                   (st.ok() ? dy : st).status().ToString().c_str());
+                static_cast<unsigned long long>(par->run.sched_morsels),
+                static_cast<unsigned long long>(par->run.sched_steals),
+                static_cast<unsigned long long>(par->run.sched_steal_failures),
+                par->run.sched_idle_ms, same ? "yes" : "NO");
+    if (!same) {
+      std::fprintf(stderr,
+                   "%s %s: the worker count changed the join output — this "
+                   "is a bug\n",
+                   e.name, label);
       return 1;
     }
-    st->ExportMetrics(&bench::Metrics());
-    dy->ExportMetrics(&bench::Metrics());
-    const bool same = st->verified && dy->verified &&
-                      st->output_count == dy->output_count &&
-                      st->output_checksum == dy->output_checksum;
-    std::printf("%s\t%.2f\t%.2f\t%.2f\t%llu\t%llu\t%llu\t%.2f\t%s\n", e.name,
-                st->wall_ms, dy->wall_ms,
-                dy->wall_ms > 0 ? st->wall_ms / dy->wall_ms : 0.0,
-                static_cast<unsigned long long>(dy->run.sched_morsels),
-                static_cast<unsigned long long>(dy->run.sched_steals),
-                static_cast<unsigned long long>(dy->run.sched_steal_failures),
-                dy->run.sched_idle_ms, same ? "yes" : "NO");
   }
   return 0;
 }
@@ -412,11 +393,9 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<uint32_t>(std::strtoul(argv[2], nullptr, 10))
                : 8;
   const double theta = argc > 3 ? std::strtod(argv[3], nullptr) : 1.1;
-  // The schedule comparison pins its worker count (default 4, the ISSUE's
-  // acceptance shape) so the stealing machinery engages even when the
-  // hardware reports fewer cores; both schedules get the same count.
-  const uint32_t sched_workers =
-      std::min<uint32_t>(relation.num_partitions, 4);
+  // The parallel runs pin their worker count at min(D, 4), so stealing
+  // engages even when the hardware reports fewer cores.
+  const uint32_t workers = std::min<uint32_t>(relation.num_partitions, 4);
 
   std::string dir = argc > 4
                         ? argv[4]
@@ -473,8 +452,7 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
-  // Uniform workload: the historical serial-vs-parallel table plus the
-  // schedule comparison (stealing should be a wash here — no skew to fix).
+  // Uniform workload: no skew to fix, so stealing has little to do.
   {
     (void)mm::DeleteMmWorkload(&mgr, "bench", relation.num_partitions);
     auto workload = mm::BuildMmWorkload(&mgr, "bench", relation);
@@ -483,8 +461,7 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    rc = SerialVsParallel(*workload);
-    if (rc == 0) rc = StaticVsStealing("uniform", *workload, sched_workers);
+    rc = SerialVsParallel("uniform", *workload, workers);
     if (rc == 0) rc = PagingTable("uniform", *workload, reps);
     if (rc == 0) rc = MpsmTable("uniform", *workload);
     workload->r_segs.clear();
@@ -492,8 +469,8 @@ int main(int argc, char** argv) {
     (void)mm::DeleteMmWorkload(&mgr, "bench", relation.num_partitions);
   }
 
-  // Zipf-skewed workload: hot partitions make the static schedule's
-  // stragglers visible; stealing over-splits and redistributes them.
+  // Zipf-skewed workload: stealing over-splits the hot partitions and
+  // redistributes them; the telemetry shows how much.
   if (rc == 0) {
     rel::RelationConfig skewed = relation;
     skewed.zipf_theta = theta;
@@ -504,7 +481,7 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    rc = StaticVsStealing("zipf", *workload, sched_workers);
+    rc = SerialVsParallel("zipf", *workload, workers);
     if (rc == 0) rc = PagingTable("zipf", *workload, reps);
     if (rc == 0) rc = MpsmTable("zipf", *workload);
     workload->r_segs.clear();

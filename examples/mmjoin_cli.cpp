@@ -29,7 +29,6 @@
 //                                 first run, warm-reopen thereafter
 //   --msync=none|async|sync       msync policy for --store seals [none]
 //   --threads=N                   worker-thread cap (real)     [cores]
-//   --schedule=static|stealing    partition scheduling (real)  [stealing]
 //   --morsel-tuples=N             tuples per morsel (real)     [16384]
 //   --skew-split=K                hot-partition split factor (real) [4]
 //   --prefetch-distance=N         in-flight S derefs (real)    [32]
@@ -74,8 +73,6 @@ constexpr char kFlagsUsage[] =
     "  --seed=N                      workload seed\n"
     "  --dir=PATH                    segment directory (real)     [tmp]\n"
     "  --threads=N                   worker-thread cap (real)     [cores]\n"
-    "  --schedule=static|stealing    partition scheduling (real)  "
-    "[stealing]\n"
     "  --morsel-tuples=N             tuples per morsel (real)     [16384]\n"
     "  --skew-split=K                hot-partition split (real)   [4]\n"
     "  --prefetch-distance=N         in-flight S derefs (real)    [32]\n"
@@ -103,7 +100,6 @@ struct Flags {
   std::string sync = "auto";
   std::string dir;
   uint32_t threads = 0;
-  std::string schedule = "stealing";
   uint64_t morsel_tuples = 0;
   double skew_split = 0;
   uint32_t prefetch_distance = 0;
@@ -148,8 +144,6 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(argv[i], "--threads", &v)) {
       flags->threads =
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(argv[i], "--schedule", &v)) {
-      flags->schedule = v;
     } else if (ParseFlag(argv[i], "--morsel-tuples", &v)) {
       flags->morsel_tuples = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--skew-split", &v)) {
@@ -245,17 +239,9 @@ int RunOne(join::Algorithm a, const Flags& flags,
   return 0;
 }
 
-/// Resolves the real-backend schedule/paging/numa flags; false on a bad
+/// Resolves the real-backend morsel/paging/numa flags; false on a bad
 /// value.
 bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
-  if (flags.schedule == "static") {
-    options->schedule = exec::Schedule::kStatic;
-  } else if (flags.schedule == "stealing") {
-    options->schedule = exec::Schedule::kStealing;
-  } else {
-    std::fprintf(stderr, "bad --schedule\n");
-    return false;
-  }
   options->morsel_tuples = flags.morsel_tuples;
   options->skew_split_factor = flags.skew_split;
   if (flags.numa == "none") {
@@ -446,9 +432,8 @@ int RunReal(const std::vector<join::Algorithm>& algorithms, const Flags& flags,
             const join::JoinParams& params) {
   mm::MmJoinOptions real_options;
   if (!ResolveRealOptions(flags, &real_options)) return 2;
-  std::printf("real backend: schedule=%s morsel-tuples=%llu skew-split=%.1f "
+  std::printf("real backend: morsel-tuples=%llu skew-split=%.1f "
               "prefetch-distance=%u paging=%s huge-pages=%s numa=%s\n",
-              exec::ScheduleName(real_options.schedule),
               static_cast<unsigned long long>(
                   real_options.morsel_tuples ? real_options.morsel_tuples
                                              : exec::kDefaultMorselTuples),

@@ -2,8 +2,8 @@
 # Query-plan acceptance bench: a Release build of bench/queries at full
 # scale. The bench itself is the correctness gate — every plan run is
 # oracle-checked against the serial reference evaluator, and the
-# static-schedule and scalar-kernel variants must reproduce the default
-# run bit-for-bit (rows, groups, checksum) or the bench exits 1. The run
+# one-worker variant must reproduce the default run bit-for-bit (rows,
+# groups, checksum) or the bench exits 1. The run
 # produces the committed BENCH_queries.json artifact: per-plan TSV plus
 # the merged metrics dump.
 #

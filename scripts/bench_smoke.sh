@@ -6,10 +6,12 @@
 # does-the-pipeline-run-and-verify gate first; the only timing assertion
 # is a coarse big-regression tripwire: when the repo carries a committed
 # BENCH_baseline.json, the real_backend_join dump's fastest join
-# (join.elapsed_ms histogram min, best-of-3 via MMJOIN_PAGING_REPS) must
-# not exceed the baseline's by more than BENCH_SMOKE_TOLERANCE percent
-# (default 50 — at smoke scale the fastest join is ~1 ms, and even its
-# best-of-3 min jitters tens of percent on shared runners). Fine-grained
+# (join.elapsed_ms histogram min; usually the index table's warm
+# persisted-tree probe, best-of-3 via MMJOIN_INDEX_REPS, as the paging
+# table's cells are via MMJOIN_PAGING_REPS) must not exceed the
+# baseline's by more than BENCH_SMOKE_TOLERANCE percent (default 50 — at
+# smoke scale the fastest join is well under 1 ms, and even its best-of-3
+# min jitters tens of percent on shared runners). Fine-grained
 # speedup claims live in perfbench/, not here — CI runners are too
 # noisy for tight timing gates. The planner_regret dump additionally
 # trips on a worse regret geomean or mean model error vs the baseline
@@ -49,12 +51,14 @@ run "../bench/fig5a_nested_loops" "$OBJECTS"
 run "../bench/fig5b_sort_merge" "$OBJECTS"
 run "../bench/fig5c_grace" "$OBJECTS"
 # Twice the objects for the real backend (it is wall-clock fast), D=8,
-# Zipf theta 1.1: the static-vs-stealing table runs on a genuinely skewed
-# workload and the same_join column asserts schedule-independence. The
-# paging table runs each policy best-of-3, the samples the tripwire below
-# reads. The run includes the small-N mpsm-vs-sort-merge table (identity
-# asserted unconditionally, timing reported but not gated).
-run env MMJOIN_PAGING_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1.1
+# Zipf theta 1.1: the serial-vs-parallel table runs on a uniform and a
+# genuinely skewed workload, and the bench exits 1 unless one worker and
+# four produce the identical join. The paging and index tables run each
+# cell best-of-3, the samples the tripwire below reads. The run includes
+# the small-N mpsm-vs-sort-merge table (identity asserted
+# unconditionally, timing reported but not gated).
+run env MMJOIN_PAGING_REPS=3 MMJOIN_INDEX_REPS=3 \
+  "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1.1
 # 10 seconds of open-loop multi-query load through the mmjoind service
 # stack (in-process server, real unix socket, 4 clients on the shared
 # 4-worker pool). The identity check — every concurrent result
@@ -64,7 +68,7 @@ run env MMJOIN_PAGING_REPS=3 "../bench/real_backend_join" "$((OBJECTS * 2))" 8 1
 # scripts/bench_service.sh instead.
 run "../bench/service_load" "$((OBJECTS / 2))" 10 4
 # Small-N pass over the TPC-H-flavoured plans (push-based operator layer):
-# every plan is oracle-checked and its static-schedule variant must be
+# every plan is oracle-checked and its one-worker variant must be
 # bit-identical inside the bench; the dump rides into BENCH_ci.json like
 # the rest. The timing gate for plans lives in scripts/bench_queries.sh.
 run "../bench/queries" "$OBJECTS" 4 1.1 1

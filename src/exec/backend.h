@@ -4,14 +4,14 @@
 // pointer-based join (partition R by its S-pointer target, then nested
 // loops / sort-merge / Grace / hybrid-hash over the partitions) runs
 // unchanged in a memory-mapped environment. This header makes that claim
-// structural: the four drivers in exec/join_drivers.h are written once,
+// structural: the six drivers in exec/join_drivers.h are written once,
 // as templates over a Backend, and instantiated over
 //
 //   * join::JoinExecution — the deterministic costed simulator (sim::SimEnv
 //     processes, virtual clocks, G-buffered S fetches, paging model), and
-//   * exec::RealBackend   — a real runtime over mmap(2) segments with one
-//     worker thread per partition (bounded by the hardware), wall-clock
-//     timing and genuine implicit I/O.
+//   * exec::RealBackend   — a real runtime over mmap(2) segments with
+//     worker threads stealing morsel chains (bounded by the hardware),
+//     wall-clock timing and genuine implicit I/O.
 //
 // A Backend owns the partition "processes" and everything whose meaning
 // differs between the two worlds: byte access (page-cache touch vs direct
@@ -135,8 +135,8 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   // Runs fn(i) for every partition: serially in workload order on the
   // simulator (determinism), on bounded worker threads for real runs.
   // Returns only when every partition finished — a real barrier. The
-  // costed overload passes per-partition work estimates (tuples) so a
-  // dynamic schedule can seed its queues longest-first.
+  // costed overload passes per-partition work estimates (tuples) so the
+  // real backend's scheduler can seed its deques longest-first.
   { b.ForEachPartition(fn) };
   { b.ForEachPartition(counts, fn) };
   // Tuple-range flavor: range_fn(i, begin, end) over morsel-sized ranges
@@ -155,7 +155,7 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   // slot inside a ForEachPartition* body (0 outside one, and always 0 on
   // the simulator). Operators that accumulate across morsels key their
   // state by this slot and merge commutatively after the pass barrier, so
-  // results stay schedule-independent (DESIGN.md §7.5).
+  // results stay independent of how morsels were dealt (DESIGN.md §7.5).
   { cb.WorkerSlots() } -> std::convertible_to<uint32_t>;
   { cb.WorkerSlot() } -> std::convertible_to<uint32_t>;
 

@@ -13,7 +13,7 @@
 // sized by ex.WorkerSlots()). Every accumulator is commutative (sums,
 // counts, min/max, hash-keyed aggregate merge), and the serial Close()
 // after the pass barrier merges slots and sorts groups by key — so output
-// rows, aggregates, and checksums are bit-identical across schedules,
+// rows, aggregates, and checksums are bit-identical across steal orders,
 // worker counts, and backends. This is the same per-worker-tally argument
 // the join drivers use for count/checksum (DESIGN.md §7.5).
 //

@@ -57,7 +57,7 @@ Status ValidatePlan(const PlanSpec& spec);
 
 /// Result of a plan run. Groups are key-sorted; `checksum` is a sequential
 /// Mix64 fold over the sorted groups (or the Collect digest when the plan
-/// has no aggregates) — bit-identical across backends and schedules.
+/// has no aggregates) — bit-identical across backends and worker counts.
 struct PlanRunResult {
   uint64_t rows_scanned = 0;   ///< rows pushed by the scan
   uint64_t rows_filtered = 0;  ///< rows surviving the filter (= scanned if none)

@@ -834,9 +834,9 @@ class IndexLayout {
 /// reads each object's 16-byte (id, sptr) prefix, sorts the refs by
 /// (sptr, r_id) through the backend's SortRefs — a total order, so the
 /// leaf content is independent of arrival order and therefore of backend
-/// and schedule — and writes the run at leaf offset `out` (entries). Monotone buckets concatenate into
-/// a globally sorted leaf array, exactly like the Grace bucket map
-/// guarantees for the partitioning drivers.
+/// and worker count — and writes the run at leaf offset `out` (entries).
+/// Monotone buckets concatenate into a globally sorted leaf array, exactly
+/// like the Grace bucket map guarantees for the partitioning drivers.
 template <Backend B>
 void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
                   uint64_t count, typename B::Seg ix_seg, uint64_t out) {

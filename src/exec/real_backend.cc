@@ -49,7 +49,6 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
       d_(static_cast<uint32_t>(workload.r_segs.size())),
       workers_(ResolveWorkers(static_cast<uint32_t>(workload.r_segs.size()),
                               options)),
-      schedule_(options.schedule),
       sched_options_(ResolveScheduler(workers_, options)),
       prefetch_distance_(options.prefetch_distance
                              ? options.prefetch_distance
@@ -108,19 +107,17 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
   if (trace_) {
     // Track convention mirrors the simulator's: pid = partition index,
     // tid 1 = its worker's activity; one extra "driver" process carries the
-    // whole-run pass spans, and with the stealing schedule pid = D+1 hosts
-    // the scheduler's per-worker tracks (morsels, steals, tail-idle).
+    // whole-run pass spans, and pid = D+1 hosts the scheduler's per-worker
+    // tracks (morsels, steals, tail-idle).
     for (uint32_t i = 0; i < d_; ++i) {
       trace_->SetProcessName(i, "partition " + std::to_string(i));
       trace_->SetThreadName(i, 1, "worker");
     }
     trace_->SetProcessName(d_, "driver");
     trace_->SetThreadName(d_, 1, "passes");
-    if (schedule_ == Schedule::kStealing || pool_ != nullptr) {
-      trace_->SetProcessName(d_ + 1, "scheduler");
-      for (uint32_t t = 0; t < workers_; ++t) {
-        trace_->SetThreadName(d_ + 1, t + 1, "worker " + std::to_string(t));
-      }
+    trace_->SetProcessName(d_ + 1, "scheduler");
+    for (uint32_t t = 0; t < workers_; ++t) {
+      trace_->SetThreadName(d_ + 1, t + 1, "worker " + std::to_string(t));
     }
   }
 }
@@ -305,27 +302,6 @@ void RealBackend::Span(uint32_t i, const std::string& name,
   std::lock_guard<std::mutex> lock(trace_mu_);
   trace_->Complete(i, 1, name, cat, start_ms, now - start_ms,
                    std::move(args));
-}
-
-void RealBackend::StridedRun(const std::function<void(uint32_t)>& fn) {
-  const uint32_t w = workers_;
-  if (w <= 1 || d_ <= 1) {
-    real_internal::worker_slot = 0;
-    for (uint32_t i = 0; i < d_; ++i) fn(i);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(w);
-  for (uint32_t t = 0; t < w; ++t) {
-    threads.emplace_back([this, &fn, t, w] {
-      const uint64_t faults_at_start = ThreadFaults();
-      real_internal::worker_slot = t;
-      for (uint32_t i = t; i < d_; i += w) fn(i);
-      worker_faults_.fetch_add(ThreadFaults() - faults_at_start,
-                               std::memory_order_relaxed);
-    });
-  }
-  for (auto& th : threads) th.join();
 }
 
 void RealBackend::RunChains(

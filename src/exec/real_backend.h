@@ -11,14 +11,13 @@
 //   ProbeRun          kernels into per-worker output tallies (no G buffer —
 //                     threads share memory)
 //   ForEachPartition* worker threads, at most min(D, max_threads or
-//                     hardware_concurrency). Two schedules (see
-//                     exec/scheduler.h): `static` runs worker w over the
-//                     strided batch w, w+W, ...; `stealing` (the default)
-//                     splits partition passes into morsel chains on
+//                     hardware_concurrency), running morsel chains on
 //                     per-worker deques with work stealing and skew-aware
-//                     over-splitting. Either way the spawn/join is a hard
-//                     barrier, giving later steps happens-before over all
-//                     earlier cross-partition writes
+//                     over-splitting (exec/scheduler.h); one worker runs
+//                     the chains inline on the calling thread. The
+//                     spawn/join is a hard barrier, giving later steps
+//                     happens-before over all earlier cross-partition
+//                     writes
 //   SyncClocks        no-op (the thread join above is the barrier)
 //   CreateSegment     a block of the process-wide temporaries arena
 //                     (exec/temp_arena.h): reused resident when an idle one
@@ -31,9 +30,9 @@
 //   clock_ms/Span     wall-clock milliseconds since construction; trace
 //                     emission is mutex-guarded (obs::TraceRecorder itself
 //                     is single-threaded), tracks: pid = partition,
-//                     tid 1 = worker, pid = D = the driver track, and with
-//                     schedule=stealing pid = D+1 = the scheduler's worker
-//                     tracks (morsel spans, steal instants, tail-idle)
+//                     tid 1 = worker, pid = D = the driver track, and
+//                     pid = D+1 = the scheduler's worker tracks (morsel
+//                     spans, steal instants, tail-idle)
 //   MarkPass          wall-time pass boundaries with page-fault deltas
 //                     summed from per-thread RUSAGE_THREAD counters (the
 //                     process-wide RUSAGE_SELF double-counts when passes
@@ -62,7 +61,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,11 +106,9 @@ struct RealSeg {
 struct RealBackendOptions {
   /// Worker-thread bound; 0 = std::thread::hardware_concurrency(). The
   /// worker count is always min(D, bound): when D exceeds it, workers
-  /// batch partitions (strided under `static`, stolen chains under
-  /// `stealing`); 1 runs every partition serially on the calling thread.
+  /// share the partitions' morsel chains through stealing; 1 runs every
+  /// chain on the calling thread.
   uint32_t max_threads = 0;
-  /// Partition-to-worker mapping; see exec/scheduler.h.
-  Schedule schedule = Schedule::kStealing;
   uint64_t morsel_tuples = 0;     ///< tuples per morsel; 0 = default (16 Ki)
   double skew_split_factor = 0;   ///< hot-partition threshold/factor; 0 = 4
   /// S-pointer prefetch distance of the probe kernels; 0 = default (32).
@@ -133,10 +129,10 @@ struct RealBackendOptions {
   /// backend spawns no threads of its own: every partition pass is
   /// submitted to the pool as a chain set and interleaves, at morsel
   /// granularity, with chain sets submitted by concurrent queries. The
-  /// worker count becomes pool->workers() (max_threads/schedule are
-  /// ignored — the pool's shape wins), and `priority` sets the
-  /// submission's weighted-round-robin class. The pool must outlive the
-  /// backend. nullptr = classic one-run ownership.
+  /// worker count becomes pool->workers() (max_threads is ignored — the
+  /// pool's shape wins), and `priority` sets the submission's
+  /// weighted-round-robin class. The pool must outlive the backend.
+  /// nullptr = classic one-run ownership.
   SharedWorkerPool* pool = nullptr;
   QueryPriority priority = QueryPriority::kNormal;
 };
@@ -161,7 +157,6 @@ class RealBackend {
   /// same constants as the simulator keeps the derived plans identical.
   const sim::MachineConfig& mc() const { return mc_; }
   uint32_t workers() const { return workers_; }
-  Schedule schedule() const { return schedule_; }
 
   // ---- workload view ------------------------------------------------------
   Seg r_seg(uint32_t i) const { return r_view_[i].get(); }
@@ -228,7 +223,7 @@ class RealBackend {
   /// the executing *worker*, not the partition, so independent morsels of
   /// one partition never share an accumulator; the final sums are
   /// order-independent, keeping output count/checksum bit-deterministic
-  /// across schedules and worker counts.
+  /// across steal orders and worker counts.
   static constexpr bool kBatchedProbe = true;
   // Batches run the prefetch pipeline in the caller's order. (Clustering
   // each batch by target S address before probing was tried and REJECTED
@@ -277,25 +272,20 @@ class RealBackend {
   }
 
   // ---- execution structure ------------------------------------------------
-  /// Runs fn(i) for every partition on min(D, workers()) threads and joins
-  /// them all before returning — a barrier that publishes all cross-
-  /// partition writes. Unit cost estimates; see the costed overload.
+  /// Runs fn(i) for every partition on workers() threads and joins them
+  /// all before returning — a barrier that publishes all cross-partition
+  /// writes. Unit cost estimates; see the costed overload.
   template <typename Fn>
   void ForEachPartition(Fn&& fn) {
     ForEachPartition(std::vector<uint64_t>(), std::forward<Fn>(fn));
   }
 
   /// Costed flavor: `costs[i]` estimates partition i's work (tuples) so the
-  /// stealing schedule can seed deques longest-first. The partition body
-  /// stays monolithic — one single-morsel chain per partition. An empty
-  /// costs vector means unit costs.
+  /// scheduler can seed deques longest-first. The partition body stays
+  /// monolithic — one single-morsel chain per partition. An empty costs
+  /// vector means unit costs.
   template <typename Fn>
   void ForEachPartition(const std::vector<uint64_t>& costs, Fn&& fn) {
-    if (pool_ == nullptr &&
-        (schedule_ == Schedule::kStatic || workers_ <= 1 || d_ <= 1)) {
-      StridedRun([&](uint32_t i) { fn(i); });
-      return;
-    }
     std::vector<MorselChain> chains;
     chains.reserve(d_);
     for (uint32_t i = 0; i < d_; ++i) {
@@ -317,11 +307,6 @@ class RealBackend {
   template <typename Body>
   void ForEachPartitionTuples(const std::vector<uint64_t>& counts,
                               Body&& body, bool independent) {
-    if (pool_ == nullptr &&
-        (schedule_ == Schedule::kStatic || workers_ <= 1 || d_ <= 1)) {
-      StridedRun([&](uint32_t i) { body(i, 0, counts[i]); });
-      return;
-    }
     std::vector<MorselChain> chains =
         BuildChains(counts, sched_options_, independent);
     if (node_affine_) {
@@ -373,12 +358,6 @@ class RealBackend {
     return static_cast<uint32_t>(uint64_t{partition} * placement_nodes_ / d_);
   }
 
-  /// The static schedule (and the serial fallback): worker w runs the
-  /// strided batch w, w+W, ...; spawn/join is the pass barrier. Non-
-  /// template (type-erased body) so the definition can live in the .cc
-  /// next to the per-thread fault accounting it feeds.
-  void StridedRun(const std::function<void(uint32_t)>& fn);
-
   /// Executes the chains through the work-stealing pool (or, in service
   /// mode, submits them to the external SharedWorkerPool), wiring the
   /// worker slot, per-worker trace tracks, and telemetry accumulation.
@@ -389,7 +368,6 @@ class RealBackend {
   sim::MachineConfig mc_;
   uint32_t d_;
   uint32_t workers_;
-  Schedule schedule_;
   SchedulerOptions sched_options_;
   uint32_t prefetch_distance_;
   PagingMode paging_;
@@ -411,8 +389,8 @@ class RealBackend {
   double start_epoch_ms_ = 0;  ///< steady_clock at construction
   /// The constructing thread's RUSAGE_THREAD fault count at construction.
   uint64_t main_start_faults_ = 0;
-  /// Fault deltas of every *finished* worker thread (strided and stolen),
-  /// accumulated at each pass's join barrier.
+  /// Fault deltas of every *finished* spawned worker thread, accumulated
+  /// at each pass's join barrier.
   std::atomic<uint64_t> worker_faults_{0};
 
   std::vector<std::unique_ptr<RealSeg>> r_view_, s_view_;

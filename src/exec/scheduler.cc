@@ -39,16 +39,6 @@ uint64_t ThreadFaults() {
          static_cast<uint64_t>(ru.ru_majflt);
 }
 
-const char* ScheduleName(Schedule s) {
-  switch (s) {
-    case Schedule::kStatic:
-      return "static";
-    case Schedule::kStealing:
-      return "stealing";
-  }
-  return "?";
-}
-
 uint32_t EffectiveWorkers(uint32_t partitions, uint32_t max_threads) {
   uint32_t bound = max_threads;
   if (bound == 0) bound = std::max(1u, std::thread::hardware_concurrency());

@@ -50,14 +50,6 @@
 
 namespace mmjoin::exec {
 
-/// How the real backend maps partition work onto its workers.
-enum class Schedule : uint8_t {
-  kStatic,    ///< strided batches: worker w runs partitions w, w+W, ...
-  kStealing,  ///< morsel chains on per-worker deques with work stealing
-};
-
-const char* ScheduleName(Schedule s);
-
 /// Default morsel granularity: 16 Ki tuples (2 MiB of 128-byte objects) —
 /// coarse enough that deque traffic is noise, fine enough that a hot
 /// partition decomposes into many units.
@@ -68,8 +60,8 @@ inline constexpr uint64_t kDefaultMorselTuples = uint64_t{1} << 14;
 inline constexpr double kDefaultSkewSplitFactor = 4.0;
 
 /// Worker threads a run over `partitions` partitions will use:
-/// min(partitions, max_threads or hardware_concurrency); max_threads = 1
-/// is the serial in-order run. Shared by the real backend's thread spawn
+/// min(partitions, max_threads or hardware_concurrency); one worker runs
+/// every chain inline on the calling thread. Shared by the real backend
 /// and the adaptive planner's cost inputs so predicted and actual
 /// parallelism never diverge.
 uint32_t EffectiveWorkers(uint32_t partitions, uint32_t max_threads);

@@ -112,9 +112,9 @@ struct JoinRunResult {
   uint64_t irun = 0, nrun_abl = 0, nrun_last = 0, npass = 0, lrun = 0;
   uint32_t k_buckets = 0, tsize = 0;
 
-  // Scheduler telemetry (real backend with schedule=stealing; all zero on
-  // the simulator and under the static schedule). Summed over workers and
-  // passes; per-worker detail lives on the trace's scheduler tracks.
+  // Scheduler telemetry (real backend; all zero on the simulator). Summed
+  // over workers and passes; per-worker detail lives on the trace's
+  // scheduler tracks.
   uint64_t sched_morsels = 0;         ///< morsels executed
   uint64_t sched_steals = 0;          ///< chains taken from another deque
   uint64_t sched_steal_failures = 0;  ///< steal attempts that found nothing
@@ -239,8 +239,9 @@ class JoinExecution {
   void ForEachPartition(Fn&& fn) {
     for (uint32_t i = 0; i < d_; ++i) fn(i);
   }
-  /// Costed flavor: the estimates steer only dynamic schedules, which the
-  /// simulator does not have — identical to ForEachPartition here.
+  /// Costed flavor: the estimates steer only the real backend's scheduler,
+  /// which the simulator does not have — identical to ForEachPartition
+  /// here.
   template <typename Fn>
   void ForEachPartition(const std::vector<uint64_t>& /*costs*/, Fn&& fn) {
     for (uint32_t i = 0; i < d_; ++i) fn(i);

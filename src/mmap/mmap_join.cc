@@ -31,7 +31,6 @@ join::JoinParams ToJoinParams(const MmJoinOptions& options) {
 exec::RealBackendOptions ToBackendOptions(const MmJoinOptions& options) {
   exec::RealBackendOptions bo;
   bo.max_threads = options.max_threads;
-  bo.schedule = options.schedule;
   bo.morsel_tuples = options.morsel_tuples;
   bo.skew_split_factor = options.skew_split_factor;
   bo.prefetch_distance = options.prefetch_distance;

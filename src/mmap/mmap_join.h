@@ -54,16 +54,13 @@ struct MmJoinOptions {
   /// with host-default calibration and no persistence.
   opt::AdaptiveController* planner = nullptr;
   /// Worker-thread bound; 0 = std::thread::hardware_concurrency(). The
-  /// effective count is min(D, bound) — when D exceeds it, workers batch
-  /// partitions in a strided schedule instead of spawning D threads; 1
-  /// runs every partition on the calling thread.
+  /// effective count is min(D, bound). Every pass splits into morsel
+  /// chains on per-worker deques with work stealing and skew-aware
+  /// over-splitting, so when D exceeds the bound the workers share the
+  /// partitions; 1 runs every chain on the calling thread. Output
+  /// count/checksum are identical for every bound — only wall-clock and
+  /// scheduler telemetry differ.
   uint32_t max_threads = 0;
-  /// Partition-to-worker mapping: `kStatic` is the strided schedule
-  /// (worker w runs partitions w, w+W, ...); `kStealing` (default) splits
-  /// passes into morsel chains on per-worker deques with work stealing and
-  /// skew-aware over-splitting. Output count/checksum are identical either
-  /// way — only wall-clock and scheduler telemetry differ.
-  exec::Schedule schedule = exec::Schedule::kStealing;
   uint64_t morsel_tuples = 0;    ///< tuples per morsel; 0 = default (16 Ki)
   double skew_split_factor = 0;  ///< hot-partition threshold/factor; 0 = 4
   /// Private memory per partition used to SHAPE plans (sort-merge IRUN /
@@ -97,7 +94,7 @@ struct MmJoinOptions {
   /// External shared worker pool (the mmjoind service mode). When set, the
   /// join spawns no threads: its partition passes are submitted to the pool
   /// as chain sets and interleave at morsel granularity with concurrent
-  /// queries. max_threads/schedule are ignored (the pool's shape wins)
+  /// queries. max_threads is ignored (the pool's shape wins)
   /// and `priority` picks the weighted-round-robin class. The pool
   /// must outlive the call. nullptr = classic one-run ownership.
   exec::SharedWorkerPool* pool = nullptr;

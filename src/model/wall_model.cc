@@ -17,12 +17,14 @@ constexpr double kNsToMs = 1e-6;
 
 // Index-entry bytes: packed S-pointer + postings ref (see mmap/btree.h).
 constexpr double kIndexEntryBytes = 16.0;
+// MPSM's run entries: one (r_id, sptr) ref per R object.
+constexpr double kRefBytes = 16.0;
 // B+-tree fan-out estimate for probe-depth prediction.
 constexpr double kIndexFanout = 64.0;
 
 // Sorting 16-byte (sptr, r_id) pairs moves an eighth of a 128-byte object
 // per swap; the comparison itself is the same. Scales the object-sort
-// calibration down for the index bulk build.
+// calibration down for the index bulk build and MPSM's run sorts.
 constexpr double kSmallSortScale = 0.4;
 
 // Per-pass coordination constants (barriers, plan derivation, per-bucket
@@ -138,29 +140,25 @@ WallCost PredictSm(const Ctx& c) {
   return wc;
 }
 
-// MPSM: range-partition R into one band per node, sort each band's runs
-// strictly node-locally (one run per band slice — no merge passes), then
-// merge-join each partition's key-range slices with remote bands touched
-// only as sequential scans.
+// MPSM (DESIGN.md §7.7): pass 0 scans R and writes one 16-byte ref per
+// object into its private run segment, pass 1 sorts the refs in runs of
+// M_Rproc / 16, and the final pass reads the runs back and sweeps S once
+// per run, in pointer order. No repartitioning and no merge.
 WallCost PredictMpsm(const Ctx& c) {
   WallCost wc;
-  const double nodes = std::max<uint32_t>(1, c.in.numa_nodes);
-  wc.setup_ms = c.SetupMs(3 + nodes);
-  // Band scatter and sorting stay node-local: no remote factors.
-  wc.partition_ms = c.Par(c.rb * c.mc.scatter_ns_per_byte);
-  wc.build_ms = c.Par(c.nr * Log2AtLeast1(c.nr / (c.d * nodes)) *
-                      c.mc.sort_ns_per_cmp);
-  // Merge-scan reads cross nodes sequentially; the (nodes-1)/nodes remote
-  // share pays only the sequential remote factor — MPSM's whole point.
-  const double merge_seq =
-      c.mc.seq_ns_per_byte *
-      (1.0 + c.fr * (c.mc.numa_remote_seq_factor - 1.0));
-  wc.probe_ms = c.Par(c.rb * merge_seq                          // run slices
-                      + c.nr * Log2AtLeast1(nodes * c.d) *
-                            c.mc.sort_ns_per_cmp * 0.5          // merge heap
-                      + c.sb * c.mc.seq_ns_per_byte)            // S sweep
+  const join::JoinParams p = ParamsFor(c.in);
+  const double r_part = std::max(1.0, c.nr / c.d);
+  const double run = std::min(
+      r_part, std::max(1.0, static_cast<double>(p.m_rproc_bytes) / kRefBytes));
+  const double runs = std::ceil(r_part / run);  // per partition
+  wc.setup_ms = c.SetupMs(3);
+  wc.partition_ms = c.Par(c.rb * c.seq + c.nr * kRefBytes * c.copy);
+  wc.build_ms = c.Par(c.nr * Log2AtLeast1(run) * c.mc.sort_ns_per_cmp *
+                      kSmallSortScale);
+  wc.probe_ms = c.Par(c.nr * kRefBytes * c.seq       // ref runs read back
+                      + runs * c.sb * c.seq)         // one S sweep per run
                * c.stretch;
-  wc.fault_ms = c.ColdFaultMs(c.rb + c.sb) + c.TempFaultMs(c.rb);
+  wc.fault_ms = c.ColdFaultMs(c.rb + c.sb) + c.TempFaultMs(c.nr * kRefBytes);
   return wc;
 }
 

@@ -56,8 +56,8 @@ struct MachineProfile {
   /// Last-level cache estimate, bytes; the knee the knob heuristics use.
   uint64_t llc_bytes = 8ull << 20;
   /// Cross-node access penalty factors (>= 1; 1.0 on single-node hosts).
-  /// Sequential remote streaming is mildly slower; random remote access
-  /// and remote scatter stores are what MPSM's banding exists to avoid.
+  /// Sequential remote streaming is mildly slower than local; random
+  /// remote access and remote scatter stores pay more.
   double numa_remote_seq_factor = 1.0;
   double numa_remote_rand_factor = 1.0;
   double numa_remote_copy_factor = 1.0;
@@ -84,7 +84,7 @@ struct WallInputs {
   /// fractions pay fault_us_per_page on first touch.
   double residency = 1.0;
   uint32_t workers = 1;     ///< effective worker threads
-  uint32_t numa_nodes = 1;  ///< host nodes (shapes MPSM and remote factors)
+  uint32_t numa_nodes = 1;  ///< host nodes (shapes the remote factors)
   /// A persisted, sealed B+-tree over R's join keys exists (the store's
   /// build-once bargain): index-NL can skip partitioning and building.
   bool warm_index = false;

@@ -48,8 +48,8 @@ struct PlannerInputs {
   /// Effective worker threads the run will get; 0 = detect
   /// (hardware_concurrency capped by partitions).
   uint32_t workers = 0;
-  /// Host NUMA nodes (shapes the cost model's MPSM and remote-access
-  /// terms); 0 = detect.
+  /// Host NUMA nodes (shapes the cost model's remote-access terms);
+  /// 0 = detect.
   uint32_t numa_nodes = 0;
   /// A persisted, sealed B+-tree over R's join keys is attachable.
   bool warm_index = false;

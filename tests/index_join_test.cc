@@ -5,7 +5,7 @@
 // per-partition B+-tree over the repartitioned references and probes it
 // once per S morsel: one descent, then a scan of the morsel's leaf range.
 // Like every other driver it is ONE template over the backend concept, so
-// sim and real runs — under any schedule — must produce the identical
+// sim and real runs — at any morsel size — must produce the identical
 // verified join.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -66,8 +66,7 @@ class IndexJoinTest : public ::testing::Test {
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
-TEST_F(IndexJoinTest, IdentityAcrossSchedules) {
-  // static and stealing, both against the one sim reference.
+TEST_F(IndexJoinTest, RealMatchesSimulator) {
   const rel::RelationConfig rc = Shape(6000, 6000, 3, 0.6, 2026'08'08);
   auto sim_result = RunSim(rc, join::JoinParams{});
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
@@ -75,19 +74,11 @@ TEST_F(IndexJoinTest, IdentityAcrossSchedules) {
 
   auto workload = mm::BuildMmWorkload(mgr_.get(), "matrix", rc);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
-
-  for (exec::Schedule schedule :
-       {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
-    SCOPED_TRACE(testing::Message()
-                 << "schedule=" << exec::ScheduleName(schedule));
-    mm::MmJoinOptions options;
-    options.schedule = schedule;
-    auto result = mm::MmIndexNestedLoops(*workload, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->verified);
-    EXPECT_EQ(result->output_count, sim_result->output_count);
-    EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
-  }
+  auto result = mm::MmIndexNestedLoops(*workload);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->verified);
+  EXPECT_EQ(result->output_count, sim_result->output_count);
+  EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
 }
 
 TEST_F(IndexJoinTest, SelectiveJoinProbesEverySButMatchesFew) {
@@ -153,23 +144,17 @@ TEST_F(IndexJoinTest, RangeProbeExactAtMorselBoundaries) {
   }
   EXPECT_EQ(sim_result->index_matches, referenced.size());
 
-  for (exec::Schedule schedule :
-       {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
-    for (uint64_t morsel : {1, 7, 16, 17, 0}) {
-      SCOPED_TRACE(testing::Message()
-                   << "schedule=" << exec::ScheduleName(schedule)
-                   << " morsel_tuples=" << morsel);
-      mm::MmJoinOptions options;
-      options.schedule = schedule;
-      options.morsel_tuples = morsel;
-      auto result = mm::MmIndexNestedLoops(*workload, options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(result->verified);
-      EXPECT_EQ(result->output_count, sim_result->output_count);
-      EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
-      EXPECT_EQ(result->run.index_matches, referenced.size());
-      EXPECT_EQ(result->run.index_probes, rc.s_objects);
-    }
+  for (uint64_t morsel : {1, 7, 16, 17, 0}) {
+    SCOPED_TRACE(testing::Message() << "morsel_tuples=" << morsel);
+    mm::MmJoinOptions options;
+    options.morsel_tuples = morsel;
+    auto result = mm::MmIndexNestedLoops(*workload, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->verified);
+    EXPECT_EQ(result->output_count, sim_result->output_count);
+    EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
+    EXPECT_EQ(result->run.index_matches, referenced.size());
+    EXPECT_EQ(result->run.index_probes, rc.s_objects);
   }
 }
 

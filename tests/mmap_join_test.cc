@@ -58,9 +58,9 @@ TEST_F(MmapJoinTest, NestedLoopsJoinsCorrectly) {
 }
 
 TEST_F(MmapJoinTest, MaxThreadsBoundsWorkersAndBatchesPartitions) {
-  // D = 4 partitions on 2 workers: each worker runs a strided batch of two
-  // partitions, exercising the batching path deterministically regardless
-  // of the host's core count.
+  // D = 4 partitions on 2 workers: the workers share four partitions'
+  // chains, exercising the batching path deterministically regardless of
+  // the host's core count.
   const MmWorkload w = Build(8192, 4);
   MmJoinOptions opt;
   opt.max_threads = 2;

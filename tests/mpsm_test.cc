@@ -1,16 +1,18 @@
 // MPSM identity matrix (EXT-9): the massively-parallel sort-merge driver
 // must produce the IDENTICAL join — same verified output_count, same
 // order-independent output_checksum, same pass structure — as the
-// sort-merge driver across every combination of schedule {static,
-// stealing} x workers {1, 2, 8} x NUMA mode {none, interleave, local} on
-// both a uniform and a Zipf-skewed workload. MPSM is a different
-// decomposition of the same join (private sorted ref runs, one S sweep
-// per run), so any divergence is a run-building or sweep bug, never
-// acceptable drift.
+// sort-merge driver across every combination of workers {1, 2, 8} x NUMA
+// mode {none, interleave, local} on both a uniform and a Zipf-skewed
+// workload. MPSM is a different decomposition of the same join (private
+// sorted ref runs, one S sweep per run), so any divergence is a
+// run-building or sweep bug, never acceptable drift.
 //
 // MultiRunMatchesSortMergeOnBothBackends shrinks M_Rproc so each R
 // partition's refs sort as several runs, including a short last run,
-// and checks both backends under both schedules.
+// and checks both backends with small and whole-partition morsels.
+// RealSweepVisitsEachRunInPointerOrder records the S pointers the real
+// backend's sweep dereferences: the join oracle sums commutatively, so
+// only the order shows whether every run was sorted.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -19,7 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "exec/scheduler.h"
+#include "exec/join_drivers.h"
+#include "exec/real_backend.h"
 #include "join/join_common.h"
 #include "join/mpsm.h"
 #include "join/sort_merge.h"
@@ -31,6 +34,10 @@
 
 namespace mmjoin {
 namespace {
+
+// A morsel larger than any partition: MPSM's passes run over R
+// partitions of equal size, so every partition's pass is one morsel.
+constexpr uint64_t kWholePartition = uint64_t{1} << 40;
 
 rel::RelationConfig Shape(uint64_t n, uint32_t d, double theta,
                           uint64_t seed) {
@@ -82,28 +89,21 @@ TEST_F(MpsmTest, IdentityMatrixUniform) {
   auto sm = mm::MmSortMerge(*workload, mm::MmJoinOptions{});
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
 
-  const exec::Schedule schedules[] = {exec::Schedule::kStatic,
-                                      exec::Schedule::kStealing};
   const uint32_t worker_counts[] = {1, 2, 8};
   const exec::NumaMode numa_modes[] = {exec::NumaMode::kNone,
                                        exec::NumaMode::kInterleave,
                                        exec::NumaMode::kLocal};
-  for (exec::Schedule sched : schedules) {
-    for (uint32_t workers : worker_counts) {
-      for (exec::NumaMode numa : numa_modes) {
-        mm::MmJoinOptions opt;
-        opt.schedule = sched;
-        opt.max_threads = workers;
-        opt.numa = numa;
-        auto mp = mm::MmMpsm(*workload, opt);
-        ASSERT_TRUE(mp.ok()) << mp.status().ToString();
-        const std::string what =
-            "schedule=" +
-            std::to_string(static_cast<int>(sched)) +
-            " workers=" + std::to_string(workers) +
-            " numa=" + std::to_string(static_cast<int>(numa));
-        ExpectSameJoin(*sm, *mp, what);
-      }
+  for (uint32_t workers : worker_counts) {
+    for (exec::NumaMode numa : numa_modes) {
+      mm::MmJoinOptions opt;
+      opt.max_threads = workers;
+      opt.numa = numa;
+      auto mp = mm::MmMpsm(*workload, opt);
+      ASSERT_TRUE(mp.ok()) << mp.status().ToString();
+      const std::string what =
+          "workers=" + std::to_string(workers) +
+          " numa=" + std::to_string(static_cast<int>(numa));
+      ExpectSameJoin(*sm, *mp, what);
     }
   }
 }
@@ -115,22 +115,14 @@ TEST_F(MpsmTest, IdentityMatrixZipfSkew) {
   auto sm = mm::MmSortMerge(*workload, mm::MmJoinOptions{});
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
 
-  const exec::Schedule schedules[] = {exec::Schedule::kStatic,
-                                      exec::Schedule::kStealing};
   const uint32_t worker_counts[] = {1, 2, 8};
-  for (exec::Schedule sched : schedules) {
-    for (uint32_t workers : worker_counts) {
-      mm::MmJoinOptions opt;
-      opt.schedule = sched;
-      opt.max_threads = workers;
-      opt.numa = exec::NumaMode::kLocal;
-      auto mp = mm::MmMpsm(*workload, opt);
-      ASSERT_TRUE(mp.ok()) << mp.status().ToString();
-      ExpectSameJoin(*sm, *mp,
-                     "zipf schedule=" +
-                         std::to_string(static_cast<int>(sched)) +
-                         " workers=" + std::to_string(workers));
-    }
+  for (uint32_t workers : worker_counts) {
+    mm::MmJoinOptions opt;
+    opt.max_threads = workers;
+    opt.numa = exec::NumaMode::kLocal;
+    auto mp = mm::MmMpsm(*workload, opt);
+    ASSERT_TRUE(mp.ok()) << mp.status().ToString();
+    ExpectSameJoin(*sm, *mp, "zipf workers=" + std::to_string(workers));
   }
 }
 
@@ -202,21 +194,79 @@ TEST_F(MpsmTest, MultiRunMatchesSortMergeOnBothBackends) {
       EXPECT_EQ(sim_mp->output_checksum, sim_sm->output_checksum) << what;
       EXPECT_EQ(sim_mp->irun, len) << what;
 
-      for (const exec::Schedule sched :
-           {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
+      // 100 splits runs and run ranges across morsels; kWholePartition
+      // gives every partition's pass one morsel.
+      for (const uint64_t morsel : {uint64_t{100}, kWholePartition}) {
         mm::MmJoinOptions opt;
-        opt.schedule = sched;
         opt.max_threads = 4;
-        opt.morsel_tuples = 100;  // morsels split runs and run ranges
+        opt.morsel_tuples = morsel;
         opt.m_rproc_bytes = len * 16;
         auto mp = mm::MmMpsm(*workload, opt);
         ASSERT_TRUE(mp.ok()) << mp.status().ToString();
-        ExpectSameJoin(*sm, *mp,
-                       what + " schedule=" +
-                           std::to_string(static_cast<int>(sched)));
+        ExpectSameJoin(*sm, *mp, what + " morsel=" + std::to_string(morsel));
       }
     }
     EXPECT_TRUE(short_last_run) << tag;
+  }
+}
+
+/// A real backend that records, per partition, the S pointers the driver
+/// hands to RequestSBatch, in the order it hands them over, and then
+/// dereferences them as usual. Each partition's refs must arrive from one
+/// morsel at a time (one worker, or whole-partition morsels).
+class SweepRecordingBackend : public exec::RealBackend {
+ public:
+  SweepRecordingBackend(const mm::MmWorkload& workload,
+                        const join::JoinParams& params,
+                        const exec::RealBackendOptions& options)
+      : exec::RealBackend(workload, params, options), sptrs(D()) {}
+
+  void RequestSBatch(uint32_t i, const exec::SRef* refs, uint64_t n) {
+    for (uint64_t k = 0; k < n; ++k) sptrs[i].push_back(refs[k].sptr);
+    exec::RealBackend::RequestSBatch(i, refs, n);
+  }
+
+  std::vector<std::vector<uint64_t>> sptrs;
+};
+
+TEST_F(MpsmTest, RealSweepVisitsEachRunInPointerOrder) {
+  // Each sorted run sweeps S in pointer order, so partition i's sequence
+  // of S pointers falls back at most once per run boundary: at most
+  // runs_i - 1 descents. L = 64 cuts |R_i| = 1500 into 24 runs, the last
+  // one short; the default L sorts each partition as one run.
+  rel::RelationConfig rc = Shape(6000, 4, 1.1, 77);
+  rc.s_objects = 2500;
+  auto workload = mm::BuildMmWorkload(mgr_.get(), "sweep", rc);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+
+  for (const uint64_t len : {uint64_t{64}, uint64_t{0}}) {
+    join::JoinParams params;
+    if (len != 0) params.m_rproc_bytes = len * 16;
+    const uint64_t run_len = params.m_rproc_bytes / 16;
+    for (const uint32_t workers : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "L=" << run_len
+                                      << " workers=" << workers);
+      exec::RealBackendOptions options;
+      options.max_threads = workers;
+      options.morsel_tuples = kWholePartition;
+      SweepRecordingBackend ex(*workload, params, options);
+      auto run = exec::Mpsm(ex, params);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_TRUE(run->verified);
+      for (uint32_t i = 0; i < rc.num_partitions; ++i) {
+        const std::vector<uint64_t>& seen = ex.sptrs[i];
+        ASSERT_EQ(seen.size(), workload->r_count[i]) << "partition " << i;
+        const uint64_t runs = (seen.size() + run_len - 1) / run_len;
+        if (len != 0) {
+          ASSERT_GT(runs, 1u);
+        }
+        uint64_t descents = 0;
+        for (size_t k = 1; k < seen.size(); ++k) {
+          descents += seen[k] < seen[k - 1];
+        }
+        EXPECT_LE(descents, runs - 1) << "partition " << i;
+      }
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // plan operators, the plan validator and registry, and the identity
 // matrix the refactor is accountable to — every refactored join driver
 // and every built-in plan must produce bit-identical counts/checksums on
-// the simulated and real backends under both schedules.
+// the simulated and real backends.
 //
 // The per-stage tests drive operators through full plan runs with custom
 // PlanSpecs rather than poking Push() directly: the executor IS the
@@ -247,7 +247,7 @@ BucketHistogram RealHistogram(const mm::MmWorkload& w, uint32_t k,
 
 class CountBucketsTest : public OperatorDirTest {};
 
-TEST_F(CountBucketsTest, MatchesSerialReferenceAcrossWorkersSchedulesSkew) {
+TEST_F(CountBucketsTest, MatchesSerialReferenceAcrossWorkersMorselsSkew) {
   constexpr uint32_t kBuckets = 7;
   for (double theta : {0.0, 1.1}) {
     rel::RelationConfig rc = Shape(24000, 8, theta, 4242);
@@ -257,18 +257,18 @@ TEST_F(CountBucketsTest, MatchesSerialReferenceAcrossWorkersSchedulesSkew) {
     for (bool divert : {false, true}) {
       const BucketHistogram want = SerialHistogram(*w, kBuckets, divert);
       for (uint32_t workers : {1u, 2u, 4u, 8u}) {
-        for (exec::Schedule schedule :
-             {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
+        // 1000: several morsels per partition; 1 << 40: one per partition
+        // that is not hot.
+        for (uint64_t morsel : {uint64_t{1000}, uint64_t{1} << 40}) {
           exec::RealBackendOptions options;
           options.max_threads = workers;
-          options.schedule = schedule;
-          options.morsel_tuples = 1000;  // several morsels per partition
+          options.morsel_tuples = morsel;
           ExpectSameHistogram(
               want, RealHistogram(*w, kBuckets, divert, options),
               "theta=" + std::to_string(theta) +
                   " divert=" + std::to_string(divert) +
-                  " workers=" + std::to_string(workers) + " " +
-                  exec::ScheduleName(schedule));
+                  " workers=" + std::to_string(workers) +
+                  " morsel=" + std::to_string(morsel));
         }
       }
     }
@@ -582,8 +582,8 @@ TEST_F(OperatorStageTest, ProbeCollectReproducesTheJoin) {
 // Identity matrices: the refactor's accountability tests
 // ---------------------------------------------------------------------------
 
-// Every driver: sim and real, static and stealing schedules, one identical
-// count/checksum — the 6 joins × 2 backends × 2 schedules matrix.
+// Every driver: sim and real, one identical count/checksum — the
+// 6 joins × 2 backends matrix.
 class DriverIdentityTest : public ::testing::TestWithParam<join::DriverSpec> {
  protected:
   void SetUp() override {
@@ -607,38 +607,29 @@ class DriverIdentityTest : public ::testing::TestWithParam<join::DriverSpec> {
     return GetParam().sim(&env, *workload, join::JoinParams{});
   }
 
-  StatusOr<mm::MmJoinResult> RunReal(const rel::RelationConfig& rc,
-                                     exec::Schedule schedule,
-                                     const std::string& prefix) {
-    auto workload = mm::BuildMmWorkload(mgr_.get(), prefix, rc);
+  StatusOr<mm::MmJoinResult> RunReal(const rel::RelationConfig& rc) {
+    auto workload = mm::BuildMmWorkload(mgr_.get(), "ws", rc);
     if (!workload.ok()) return workload.status();
-    mm::MmJoinOptions options;
-    options.schedule = schedule;
-    return GetParam().real(*workload, options);
+    return GetParam().real(*workload, mm::MmJoinOptions{});
   }
 
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
-TEST_P(DriverIdentityTest, BackendsAndSchedulesAgree) {
+TEST_P(DriverIdentityTest, BackendsAgree) {
   const rel::RelationConfig rc = Shape(6144, 3, 0.4, 991);
 
   auto sim = RunSim(rc);
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
   ASSERT_TRUE(sim->verified);
 
-  auto real_static = RunReal(rc, exec::Schedule::kStatic, "st");
-  ASSERT_TRUE(real_static.ok()) << real_static.status().ToString();
-  auto real_stealing = RunReal(rc, exec::Schedule::kStealing, "ws");
-  ASSERT_TRUE(real_stealing.ok()) << real_stealing.status().ToString();
+  auto real = RunReal(rc);
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
 
-  EXPECT_TRUE(real_static->verified);
-  EXPECT_TRUE(real_stealing->verified);
-  EXPECT_EQ(sim->output_count, real_static->output_count);
-  EXPECT_EQ(sim->output_checksum, real_static->output_checksum);
-  EXPECT_EQ(real_static->output_count, real_stealing->output_count);
-  EXPECT_EQ(real_static->output_checksum, real_stealing->output_checksum);
+  EXPECT_TRUE(real->verified);
+  EXPECT_EQ(sim->output_count, real->output_count);
+  EXPECT_EQ(sim->output_checksum, real->output_checksum);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DriverIdentityTest,
@@ -647,8 +638,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DriverIdentityTest,
                            return DriverTestName(info.param.algorithm);
                          });
 
-// Every built-in plan: sim, real/static, real/stealing —
-// one identical result (counts, groups, checksum).
+// Every built-in plan: sim and real — one identical result (counts,
+// groups, checksum).
 class PlanIdentityTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -667,7 +658,7 @@ class PlanIdentityTest : public ::testing::TestWithParam<const char*> {
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
-TEST_P(PlanIdentityTest, BackendsSchedulesAndKernelsAgree) {
+TEST_P(PlanIdentityTest, BackendsAgree) {
   const rel::RelationConfig rc = Shape(8192, 4, 0.5, 20260808);
   const exec::op::PlanSpec* spec = exec::op::FindPlan(GetParam());
   ASSERT_NE(spec, nullptr);
@@ -685,17 +676,11 @@ TEST_P(PlanIdentityTest, BackendsSchedulesAndKernelsAgree) {
 
   auto workload = mm::BuildMmWorkload(mgr_.get(), "plan", rc);
   ASSERT_TRUE(workload.ok());
-  for (exec::Schedule schedule :
-       {exec::Schedule::kStatic, exec::Schedule::kStealing}) {
-    const char* name = exec::ScheduleName(schedule);
-    mm::MmJoinOptions options;
-    options.schedule = schedule;
-    auto real = mm::MmRunPlan(*workload, *spec, options);
-    ASSERT_TRUE(real.ok()) << name << ": " << real.status().ToString();
-    EXPECT_TRUE(real->verified) << name;
-    EXPECT_TRUE(exec::op::PlanResultsMatch(*sim, real->plan)) << name;
-    EXPECT_EQ(sim->checksum, real->plan.checksum) << name;
-  }
+  auto real = mm::MmRunPlan(*workload, *spec, mm::MmJoinOptions{});
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
+  EXPECT_TRUE(real->verified);
+  EXPECT_TRUE(exec::op::PlanResultsMatch(*sim, real->plan));
+  EXPECT_EQ(sim->checksum, real->plan.checksum);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPlans, PlanIdentityTest,

@@ -1,8 +1,8 @@
 // The real backend's execution knobs across every driver: bit-identity of
-// the join over schedule x workers x paging at uniform and Zipf-skewed
-// shapes, op::SFetch's batching at the scratch-capacity edges, the NUMA
-// option fallback on non-NUMA hosts, the kernel/numa metrics surface, and
-// the RUSAGE_THREAD per-pass fault accounting invariant (sum of per-pass
+// the join over workers x paging at uniform and Zipf-skewed shapes,
+// op::SFetch's batching at the scratch-capacity edges, the NUMA option
+// fallback on non-NUMA hosts, the kernel/numa metrics surface, and the
+// RUSAGE_THREAD per-pass fault accounting invariant (sum of per-pass
 // faults == total faults).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -17,7 +17,6 @@
 #include "exec/numa.h"
 #include "exec/op/stages.h"
 #include "exec/real_backend.h"
-#include "exec/scheduler.h"
 #include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
@@ -55,41 +54,37 @@ class RealJoinTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Identity across the real joins: every driver x schedule x workers x
-// paging combination must reproduce the workload's expected count/checksum.
+// Identity across the real joins: every driver x workers x paging
+// combination must reproduce the workload's expected count/checksum.
 // ---------------------------------------------------------------------------
 
 class RealJoinIdentityTest
     : public RealJoinTest,
       public ::testing::WithParamInterface<join::DriverSpec> {};
 
-TEST_P(RealJoinIdentityTest, ScheduleWorkerPagingMatrix) {
+TEST_P(RealJoinIdentityTest, WorkerPagingMatrix) {
   const join::DriverSpec& driver = GetParam();
   for (double theta : {0.0, 1.1}) {
     const mm::MmWorkload w = Build(theta);
-    for (Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-      for (uint32_t workers : {1u, 2u, 8u}) {
-        for (PagingMode paging :
-             {PagingMode::kNone, PagingMode::kAdvise, PagingMode::kPopulate}) {
-          mm::MmJoinOptions opt;
-          opt.schedule = schedule;
-          opt.max_threads = workers;
-          opt.paging = paging;
-          auto r = driver.real(w, opt);
-          ASSERT_TRUE(r.ok()) << r.status().ToString();
-          // verified == matched the workload's expected count/checksum,
-          // so every combination passing pins the identity (and the
-          // simulator's, via cross_backend_test).
-          EXPECT_TRUE(r->verified)
-              << "theta=" << theta << " schedule=" << ScheduleName(schedule)
-              << " workers=" << workers
-              << " paging=" << PagingModeName(paging);
-          EXPECT_EQ(r->output_count, w.expected_output_count);
-          EXPECT_EQ(r->output_checksum, w.expected_checksum);
-          // Every probe site batches on the real backend.
-          EXPECT_GT(r->run.kernel_batches, 0u);
-          EXPECT_EQ(r->run.kernel_requests, r->output_count);
-        }
+    for (uint32_t workers : {1u, 2u, 8u}) {
+      for (PagingMode paging :
+           {PagingMode::kNone, PagingMode::kAdvise, PagingMode::kPopulate}) {
+        mm::MmJoinOptions opt;
+        opt.max_threads = workers;
+        opt.paging = paging;
+        auto r = driver.real(w, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        // verified == matched the workload's expected count/checksum, so
+        // every combination passing pins the identity (and the
+        // simulator's, via cross_backend_test).
+        EXPECT_TRUE(r->verified) << "theta=" << theta
+                                 << " workers=" << workers
+                                 << " paging=" << PagingModeName(paging);
+        EXPECT_EQ(r->output_count, w.expected_output_count);
+        EXPECT_EQ(r->output_checksum, w.expected_checksum);
+        // Every probe site batches on the real backend.
+        EXPECT_GT(r->run.kernel_batches, 0u);
+        EXPECT_EQ(r->run.kernel_requests, r->output_count);
       }
     }
   }
@@ -236,7 +231,6 @@ TEST_F(RealJoinTest, PassFaultsSumToTotalFaults) {
     for (uint32_t workers : {1u, 8u}) {
       mm::MmJoinOptions opt;
       opt.max_threads = workers;
-      opt.schedule = Schedule::kStealing;
       auto r = driver.real(w, opt);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       uint64_t sum = 0;

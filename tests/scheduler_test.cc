@@ -7,8 +7,8 @@
 //   * The pool runs every morsel exactly once, keeps chained morsels in
 //     order, and actually steals under forced contention.
 //   * End to end, output count/checksum are bit-identical across worker
-//     counts and schedules — the paper's join results cannot depend on how
-//     the work was dealt — and the real stealing run still matches the
+//     counts and morsel sizes — the paper's join results cannot depend on
+//     how the work was dealt — and the real stealing run still matches the
 //     deterministic simulator on a skewed workload.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -41,7 +41,6 @@ using exec::kAnyNode;
 using exec::Morsel;
 using exec::ParallelFor;
 using exec::MorselChain;
-using exec::Schedule;
 using exec::SchedulerOptions;
 using exec::WorkStealingScheduler;
 
@@ -277,69 +276,68 @@ class SchedulerJoinTest : public ::testing::Test {
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
-TEST_F(SchedulerJoinTest, IdenticalJoinAcrossWorkersAndSchedules) {
+// A morsel larger than any partition: every partition that is not hot
+// runs as one [0, n) range, the shape of a per-partition loop.
+constexpr uint64_t kWholePartition = uint64_t{1} << 40;
+
+TEST_F(SchedulerJoinTest, IdenticalJoinAcrossWorkersAndMorselSizes) {
   // D = 8 partitions, skewed; tiny morsels so stealing actually decomposes
-  // the passes. Every (schedule, workers) combination must produce the
+  // the passes. Every (workers, morsel) combination must produce the
   // same verified count and checksum — bit-determinism is the contract.
   const rel::RelationConfig rc = Skewed(16384, 8);
   auto workload = mm::BuildMmWorkload(mgr_.get(), "det", rc);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
 
   struct Config {
-    Schedule schedule;
     uint32_t workers;
+    uint64_t morsel_tuples;
   };
   const Config configs[] = {
-      {Schedule::kStatic, 1},   {Schedule::kStatic, 8},
-      {Schedule::kStealing, 1}, {Schedule::kStealing, 2},
-      {Schedule::kStealing, 8},
+      {1, 256}, {2, 256}, {8, 256}, {1, kWholePartition}, {8, kWholePartition},
   };
 
   uint64_t count = 0, checksum = 0;
   bool first = true;
   for (const Config& cfg : configs) {
+    SCOPED_TRACE(testing::Message() << "x" << cfg.workers << " morsel="
+                                    << cfg.morsel_tuples);
     mm::MmJoinOptions options;
-    options.schedule = cfg.schedule;
     options.max_threads = cfg.workers;
-    options.morsel_tuples = 256;
+    options.morsel_tuples = cfg.morsel_tuples;
     auto result = mm::MmNestedLoops(*workload, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->verified)
-        << exec::ScheduleName(cfg.schedule) << " x" << cfg.workers;
+    EXPECT_TRUE(result->verified);
     if (first) {
       count = result->output_count;
       checksum = result->output_checksum;
       first = false;
     } else {
-      EXPECT_EQ(result->output_count, count)
-          << exec::ScheduleName(cfg.schedule) << " x" << cfg.workers;
-      EXPECT_EQ(result->output_checksum, checksum)
-          << exec::ScheduleName(cfg.schedule) << " x" << cfg.workers;
+      EXPECT_EQ(result->output_count, count);
+      EXPECT_EQ(result->output_checksum, checksum);
     }
-    if (cfg.schedule == Schedule::kStealing && cfg.workers > 1) {
-      EXPECT_GT(result->run.sched_morsels, 0u);
-    } else {
+    // One worker runs the chains inline: morsels, but nothing to steal.
+    EXPECT_GT(result->run.sched_morsels, 0u);
+    if (cfg.workers == 1) {
       EXPECT_EQ(result->run.sched_steals, 0u);
     }
   }
 }
 
-TEST_F(SchedulerJoinTest, GraceIdenticalAcrossSchedules) {
+TEST_F(SchedulerJoinTest, GraceIdenticalAcrossMorselSizes) {
   const rel::RelationConfig rc = Skewed(8192, 8);
   auto workload = mm::BuildMmWorkload(mgr_.get(), "grace", rc);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
 
-  mm::MmJoinOptions stat;
-  stat.schedule = Schedule::kStatic;
-  stat.max_threads = 4;
-  auto a = mm::MmGrace(*workload, stat);
+  mm::MmJoinOptions whole;
+  whole.max_threads = 4;
+  whole.morsel_tuples = kWholePartition;
+  auto a = mm::MmGrace(*workload, whole);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
 
-  mm::MmJoinOptions steal;
-  steal.schedule = Schedule::kStealing;
-  steal.max_threads = 4;
-  steal.morsel_tuples = 128;
-  auto b = mm::MmGrace(*workload, steal);
+  mm::MmJoinOptions small;
+  small.max_threads = 4;
+  small.morsel_tuples = 128;
+  auto b = mm::MmGrace(*workload, small);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   EXPECT_TRUE(a->verified && b->verified);
@@ -349,8 +347,8 @@ TEST_F(SchedulerJoinTest, GraceIdenticalAcrossSchedules) {
 
 TEST_F(SchedulerJoinTest, SkewedStealingRunMatchesSimulator) {
   // The stealing real run must still reproduce the deterministic costed
-  // simulator's join on a skewed D = 8 workload — the cross-backend
-  // equivalence cannot be a property of the static schedule only.
+  // simulator's join on a skewed D = 8 workload, with morsels small
+  // enough that hot partitions spread across workers.
   const rel::RelationConfig rc = Skewed(12000, 8);
 
   sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
@@ -365,7 +363,6 @@ TEST_F(SchedulerJoinTest, SkewedStealingRunMatchesSimulator) {
   auto workload = mm::BuildMmWorkload(mgr_.get(), "xval", rc);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   mm::MmJoinOptions options;
-  options.schedule = Schedule::kStealing;
   options.max_threads = 4;
   options.morsel_tuples = 512;
   auto real_result = mm::MmNestedLoops(*workload, options);
