@@ -12,7 +12,9 @@
 //   1. serial vs parallel on a uniform and a Zipf-skewed workload, with
 //      the parallel run's morsel/steal/idle telemetry. Both runs must
 //      produce the identical verified count/checksum (asserted
-//      unconditionally),
+//      unconditionally). One untimed warm-up join per driver runs first
+//      on each workload, so no column pays the temporaries arena's first
+//      fill,
 //   2. paging policy (none / advise / populate) with the join.kernel.* /
 //      join.paging.* telemetry. Every policy must produce the identical
 //      verified count/checksum (asserted unconditionally). Set
@@ -66,6 +68,21 @@ const join::DriverSpec kEntries[] = {
     join::Driver(join::Algorithm::kGrace),
     join::Driver(join::Algorithm::kHybridHash),
 };
+
+/// One untimed join per driver, so the temporaries arena's first fill
+/// (fresh mappings, first-touch faults) lands on no table's column: the
+/// serial/parallel and mpsm tables time one run per cell.
+int WarmUp(const mm::MmWorkload& workload) {
+  for (const join::DriverSpec& e : join::kDrivers) {
+    auto r = e.real(workload, mm::MmJoinOptions{});
+    if (!r.ok()) {
+      std::fprintf(stderr, "warm-up %s: %s\n", e.name,
+                   r.status().ToString().c_str());
+      return 1;
+    }
+  }
+  return 0;
+}
 
 /// One worker against `workers` on the same workload, with the parallel
 /// run's scheduler telemetry. The worker count must not change the join:
@@ -461,7 +478,8 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    rc = SerialVsParallel("uniform", *workload, workers);
+    rc = WarmUp(*workload);
+    if (rc == 0) rc = SerialVsParallel("uniform", *workload, workers);
     if (rc == 0) rc = PagingTable("uniform", *workload, reps);
     if (rc == 0) rc = MpsmTable("uniform", *workload);
     workload->r_segs.clear();
@@ -481,7 +499,8 @@ int main(int argc, char** argv) {
                    workload.status().ToString().c_str());
       return 1;
     }
-    rc = SerialVsParallel("zipf", *workload, workers);
+    rc = WarmUp(*workload);
+    if (rc == 0) rc = SerialVsParallel("zipf", *workload, workers);
     if (rc == 0) rc = PagingTable("zipf", *workload, reps);
     if (rc == 0) rc = MpsmTable("zipf", *workload);
     workload->r_segs.clear();

@@ -41,7 +41,10 @@
 //
 // Cost charging (ChargeCpu/ChargeSetup), byte access, the S fetch protocol
 // and barriers are all backend-provided; on the real backend the charges
-// are no-ops and the work itself is the cost.
+// are no-ops and the work itself is the cost. So is the tuple width of the
+// temporaries (B::Tuple): RP, RS and sort-merge's Merge/Swap areas hold
+// whole 128-byte objects on the simulator and 16-byte (r_id, sptr) refs
+// on the real backend, and every stride below is sizeof(B::Tuple).
 #ifndef MMJOIN_EXEC_JOIN_DRIVERS_H_
 #define MMJOIN_EXEC_JOIN_DRIVERS_H_
 
@@ -116,10 +119,11 @@ template <Backend B>
 StatusOr<join::JoinRunResult> SortMerge(B& ex,
                                         const join::JoinParams& params) {
   using Seg = typename B::Seg;
+  using Tuple = typename B::Tuple;
   const uint32_t d = ex.D();
   const sim::MachineConfig& mc = ex.mc();
   const bool sync = params.phase_sync.value_or(true);
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(Tuple);
 
   MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
 
@@ -128,7 +132,7 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   // RS_i and Merge_i live on disk i after R_i, S_i, RP_i.
   std::vector<Seg> rs_segs(d), merge_segs(d);
   for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t bytes = std::max<uint64_t>(rs_objects[i], 1) * r;
+    const uint64_t bytes = std::max<uint64_t>(rs_objects[i], 1) * t;
     MMJOIN_ASSIGN_OR_RETURN(
         rs_segs[i], ex.CreateSegment("RS" + std::to_string(i), i, bytes));
     MMJOIN_ASSIGN_OR_RETURN(
@@ -164,9 +168,9 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   std::vector<std::vector<uint64_t>> flat_counts(d, std::vector<uint64_t>(1));
   for (uint32_t i = 0; i < d; ++i) flat_counts[i][0] = rs_objects[i];
   op::BucketLayout layout;
-  layout.Init(flat_counts);
-  auto append_rs_run = [&](uint32_t writer, uint32_t target,
-                           const rel::RObject* run, uint64_t n) {
+  layout.Init(flat_counts, t);
+  auto append_rs_run = [&](uint32_t writer, uint32_t target, const Tuple* run,
+                           uint64_t n) {
     op::AppendRun(ex, writer, rs_segs[target], layout.Claim(target, 0, n),
                   run, n);
   };
@@ -175,8 +179,8 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   op::Partition(
       ex,
       [&](uint32_t i, uint64_t, uint64_t) {
-        return [&, i](const rel::RObject& obj, rel::SPtr) {
-          append_rs_run(i, i, &obj, 1);
+        return [&, i](const Tuple& tuple, rel::SPtr) {
+          append_rs_run(i, i, &tuple, 1);
         };
       },
       sync);
@@ -190,14 +194,15 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
           // The morsel's whole range is one contiguous RP_{i,j} run bound
           // for the fixed partner j: append it as one run.
           if (end > begin) {
-            const auto* run = static_cast<const rel::RObject*>(
-                ex.Read(i, ex.rp_seg(i), base + begin * r, (end - begin) * r));
+            const auto* run = static_cast<const Tuple*>(
+                ex.Read(i, ex.rp_seg(i), base + begin * t, (end - begin) * t));
             append_rs_run(i, j, run, end - begin);
           }
         } else {
           for (uint64_t k = begin; k < end; ++k) {
-            const auto& obj = op::LoadR(ex, i, ex.rp_seg(i), base + k * r);
-            append_rs_run(i, j, &obj, 1);
+            const auto& tuple =
+                op::LoadTuple(ex, i, ex.rp_seg(i), base + k * t);
+            append_rs_run(i, j, &tuple, 1);
           }
         }
       },
@@ -385,7 +390,7 @@ StatusOr<std::vector<typename B::Seg>> SetUpHashBuckets(
         rs_segs[i],
         ex.CreateSegment("RS" + std::to_string(i), i,
                          std::max<uint64_t>(layout.Total(i), 1) *
-                             sizeof(rel::RObject)));
+                             sizeof(typename B::Tuple)));
   }
   for (uint32_t i = 0; i < d; ++i) {
     const uint64_t rs_pages = ex.SegPages(rs_segs[i]);
@@ -503,7 +508,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   const uint32_t d = ex.D();
   const sim::MachineConfig& mc = ex.mc();
   const bool sync = params.phase_sync.value_or(true);
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(typename B::Tuple);
 
   MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
 
@@ -523,7 +528,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   for (uint32_t i = 0; i < d; ++i) {
     MMJOIN_ASSIGN_OR_RETURN(
         rs_segs[i], ex.CreateSegment("RS" + std::to_string(i), i,
-                                     std::max<uint64_t>(rs_objects[i], 1) * r));
+                                     std::max<uint64_t>(rs_objects[i], 1) * t));
     ix_layout[i].Plan(rs_objects[i]);
     MMJOIN_ASSIGN_OR_RETURN(
         ix_segs[i],
@@ -568,7 +573,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
     for (uint32_t b = 0; b < k_buckets; ++b) {
       if (b + 1 < k_buckets) {
         ex.AdviseRange(i, rs_segs[i], layout.Offset(i, b + 1),
-                       layout.Count(i, b + 1) * r, AccessIntent::kWillNeed);
+                       layout.Count(i, b + 1) * t, AccessIntent::kWillNeed);
       }
       op::SortIndexRun(ex, i, rs_segs[i], layout.Offset(i, b),
                        layout.Count(i, b), ix_segs[i], out);

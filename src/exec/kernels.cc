@@ -64,37 +64,6 @@ void ProbeRefs(const SRef* refs, uint64_t n, const rel::SObject* const* parts,
   tally->batches += 1;
 }
 
-void ProbeObjects(const rel::RObject* objs, uint64_t n,
-                  const rel::SObject* const* parts, uint32_t distance,
-                  KernelTally* tally) {
-  const uint64_t d = std::min<uint64_t>(ClampDistance(distance), n);
-  uint64_t count = 0, digest = 0;
-  for (uint64_t k = 0; k < d; ++k) {
-    __builtin_prefetch(Target(parts, objs[k].sptr), 0, 3);
-  }
-  uint64_t k = 0;
-  for (const uint64_t lim = n - d; k < lim; ++k) {
-    // Reading only (id, sptr) touches one cache line of the 128-byte
-    // object; prefetch the line of the object d ahead as well so the
-    // 128-byte stride does not outrun the hardware streamer.
-    __builtin_prefetch(&objs[k + d], 0, 0);
-    __builtin_prefetch(Target(parts, objs[k + d].sptr), 0, 3);
-    const rel::SObject* s = Target(parts, objs[k].sptr);
-    digest += rel::OutputDigest(objs[k].id, s->key);
-    ++count;
-  }
-  for (; k < n; ++k) {
-    const rel::SObject* s = Target(parts, objs[k].sptr);
-    digest += rel::OutputDigest(objs[k].id, s->key);
-    ++count;
-  }
-  tally->count += count;
-  tally->digest += digest;
-  tally->requests += n;
-  tally->prefetches += n;
-  tally->batches += 1;
-}
-
 namespace {
 
 /// Digit d < 8 is byte d of sptr (least significant first); with r_id,

@@ -9,27 +9,24 @@
 // memory-latency benchmarks are exactly what software prefetching and
 // cache-line-conscious staging fix.
 //
-// Two primitives, both batched:
+// One primitive, batched:
 //
 //   ProbeRefs     dereference an array of (r_id, packed sptr) references.
 //                 A software pipeline issues __builtin_prefetch for the
 //                 S object `distance` iterations ahead, so by the time the
 //                 payload is touched the line is (ideally) in flight or
 //                 resident — the group-prefetch/AMAC idea specialized to
-//                 the paper's fixed-size objects.
-//   ProbeObjects  same, over a contiguous run of full 128-byte RObjects
-//                 (an RP band or a sorted RS range). Only the first
-//                 16 bytes (id, sptr) of each object are read — one cache
-//                 line instead of the two a full-object copy touches —
-//                 halving the R-side memory traffic of a probe pass.
+//                 the paper's fixed-size objects. The real backend's
+//                 temporaries (RP bands, RS buckets) are SRef arrays
+//                 already, so a band is probed in place.
 //
-// Both accumulate into a KernelTally: count/digest are the join output
+// It accumulates into a KernelTally: count/digest are the join output
 // (bit-identical to a one-at-a-time loop — addition is commutative and
 // the digest per match does not depend on probe order), requests/
-// prefetches/batches feed the join.kernel.* metrics. They are the real
+// prefetches/batches feed the join.kernel.* metrics. It is the real
 // backend's only probe path (exec/backend.h, kBatchedProbe).
 //
-// One sort primitive sits next to them: RadixSortRefs, the real backend's
+// One sort primitive sits next to it: RadixSortRefs, the real backend's
 // SortRefs (exec/backend.h) — a stable LSB radix sort of 16-byte SRefs,
 // in place of the simulator's counted heapsort through a comparator.
 #ifndef MMJOIN_EXEC_KERNELS_H_
@@ -90,7 +87,7 @@ struct KernelTally {
   uint64_t digest = 0;      ///< sum of rel::OutputDigest over the matches
   uint64_t requests = 0;    ///< S dereferences performed through a kernel
   uint64_t prefetches = 0;  ///< __builtin_prefetch issued
-  uint64_t batches = 0;     ///< kernel invocations (ProbeRefs/ProbeObjects)
+  uint64_t batches = 0;     ///< kernel invocations (ProbeRefs)
 };
 
 /// Dereferences refs[0..n) against the S partitions (`parts[p]` = base of
@@ -98,12 +95,6 @@ struct KernelTally {
 void ProbeRefs(const SRef* refs, uint64_t n,
                const rel::SObject* const* parts, uint32_t distance,
                KernelTally* tally);
-
-/// Dereferences the S pointers of a contiguous run of `n` RObjects with the
-/// prefetch pipeline, reading only the 16-byte (id, sptr) prefix of each.
-void ProbeObjects(const rel::RObject* objs, uint64_t n,
-                  const rel::SObject* const* parts, uint32_t distance,
-                  KernelTally* tally);
 
 }  // namespace mmjoin::exec
 

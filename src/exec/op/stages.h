@@ -2,6 +2,12 @@
 // exec/join_drivers.h so the drivers become thin compositions and new
 // plan shapes (exec/op/operators.h) can reuse the same machinery.
 //
+// Every temporary a stage fills or reads (RP_{i,j}, RS_i, sort-merge's
+// Merge and Swap areas) holds the backend's B::Tuple: whole 128-byte
+// objects on the simulator, 16-byte (r_id, sptr) refs on the real
+// backend. Partition narrows each R object once, as it leaves the R scan;
+// every later stride is sizeof(B::Tuple).
+//
 // A stage is a template over the exec::Backend concept that owns one pass
 // shape — the morsel bracketing, staggered phase schedule, epilogue
 // placement and span emission — while the caller supplies the per-driver
@@ -20,12 +26,14 @@
 //   BucketRepartition passes 0/1 of Grace, hybrid hash and index-NL: hash
 //                    R into RS_i's K monotone buckets, retire RP
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
-//   LoadR            one R-object read: in place (real) or a copy (sim)
+//   LoadR/LoadTuple  one R-object / temporary-tuple read: in place (real)
+//                    or a copy (sim)
 //   SFetch           the S-fetch protocol of one partition: Push refs,
 //                    Finish drains them (per tuple or batched)
-//   SortRuns         sort IRUN-object runs of RS_i in place by S-pointer
-//                    (through the backend's SortRefs: counted heapsort on
-//                    the simulator, radix sort on the real backend)
+//   SortRuns         sort IRUN-tuple runs of RS_i by S-pointer through the
+//                    backend's SortRefs: a counted heapsort plus an object
+//                    permutation on the simulator, an in-place radix sort
+//                    of the SRef run on the real backend
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
@@ -44,6 +52,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <concepts>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -91,22 +100,48 @@ std::vector<uint64_t> PhaseCounts(const B& ex, uint32_t t) {
   return counts;
 }
 
-/// Reads one R object through partition i's process. The real backend's
-/// Read is a stable pointer into the mapping, so the object is returned in
-/// place: touching just (id, sptr) costs one cache line of the 128-byte
-/// object instead of the two a full copy pulls. The simulator's Read points
-/// into a page-cache frame that a later read may evict, so it is copied.
-/// Call sites bind the result with `const auto&`.
+/// Reads one T through partition i's process. The real backend's Read is a
+/// stable pointer into the mapping, so the value is returned in place: an
+/// R object's (id, sptr) then costs one cache line of the 128-byte object
+/// instead of the two a full copy pulls. The simulator's Read points into a
+/// page-cache frame that a later read may evict, so it is copied. Call
+/// sites bind the result with `const auto&`.
+template <typename T, Backend B>
+decltype(auto) LoadAs(B& ex, uint32_t i, typename B::Seg seg,
+                      uint64_t offset) {
+  const void* src = ex.Read(i, seg, offset, sizeof(T));
+  if constexpr (B::kBatchedProbe) {
+    return *static_cast<const T*>(src);
+  } else {
+    T value;
+    std::memcpy(&value, src, sizeof(value));
+    return value;
+  }
+}
+
+/// One R object of an R scan.
 template <Backend B>
 decltype(auto) LoadR(B& ex, uint32_t i, typename B::Seg seg,
                      uint64_t offset) {
-  const void* src = ex.Read(i, seg, offset, sizeof(rel::RObject));
-  if constexpr (B::kBatchedProbe) {
-    return *static_cast<const rel::RObject*>(src);
-  } else {
-    rel::RObject obj;
-    std::memcpy(&obj, src, sizeof(obj));
+  return LoadAs<rel::RObject>(ex, i, seg, offset);
+}
+
+/// One tuple of a join temporary (RP, RS, Merge, Swap).
+template <Backend B>
+decltype(auto) LoadTuple(B& ex, uint32_t i, typename B::Seg seg,
+                         uint64_t offset) {
+  return LoadAs<typename B::Tuple>(ex, i, seg, offset);
+}
+
+/// Narrows an R object to the backend's tuple as it leaves the R scan: the
+/// object itself on the simulator, its 16-byte (id, sptr) ref on the real
+/// backend. Call sites bind the result with `const auto&`.
+template <Backend B>
+decltype(auto) ToTuple(const rel::RObject& obj) {
+  if constexpr (std::same_as<typename B::Tuple, rel::RObject>) {
     return obj;
+  } else {
+    return RefOf(obj);
   }
 }
 
@@ -140,8 +175,9 @@ class SFetch {
       ex_.RequestS(i_, r_id, sptr);
     }
   }
-  void operator()(const rel::RObject& obj, rel::SPtr) {
-    Push(obj.id, obj.sptr);
+  void operator()(const typename B::Tuple& tuple, rel::SPtr) {
+    const SRef& ref = RefOf(tuple);
+    Push(ref.r_id, ref.sptr);
   }
   void Finish() {
     if constexpr (B::kBatchedProbe) {
@@ -165,18 +201,17 @@ class SFetch {
 // Append / layout primitives
 // ---------------------------------------------------------------------------
 
-/// One append of `n` objects into a laid-out region: byte movement plus
+/// One append of `n` tuples into a laid-out region: byte movement plus
 /// the per-byte move charge. Partition passes call it with n = 1 per routed
-/// object; sort-merge's real pass 1 moves a whole RP_{i,j} morsel as one
+/// tuple; sort-merge's real pass 1 moves a whole RP_{i,j} morsel as one
 /// run. The caller owns cursor bookkeeping — one writer per target within
 /// any pass/phase.
 template <Backend B>
 void AppendRun(B& ex, uint32_t writer, typename B::Seg seg, uint64_t byte_off,
-               const rel::RObject* run, uint64_t n) {
-  void* dst = ex.Write(writer, seg, byte_off, n * sizeof(rel::RObject));
-  std::memcpy(dst, run, n * sizeof(rel::RObject));
-  ex.ChargeCpu(writer, static_cast<double>(n * sizeof(rel::RObject)) *
-                           ex.mc().mt_pp_ms);
+               const typename B::Tuple* run, uint64_t n) {
+  const uint64_t bytes = n * sizeof(typename B::Tuple);
+  std::memcpy(ex.Write(writer, seg, byte_off, bytes), run, bytes);
+  ex.ChargeCpu(writer, static_cast<double>(bytes) * ex.mc().mt_pp_ms);
 }
 
 /// Contiguous bucket regions of each RS_i plus one bump cursor per region
@@ -187,32 +222,35 @@ void AppendRun(B& ex, uint32_t writer, typename B::Seg seg, uint64_t byte_off,
 /// publishes them.
 class BucketLayout {
  public:
-  /// `counts[i][b]` = objects bound for bucket b of RS_i.
-  void Init(const std::vector<std::vector<uint64_t>>& counts) {
+  /// `counts[i][b]` = tuples bound for bucket b of RS_i; `tuple_bytes` is
+  /// the backend's sizeof(Tuple).
+  void Init(const std::vector<std::vector<uint64_t>>& counts,
+            uint64_t tuple_bytes) {
     const size_t d = counts.size();
     const size_t k = d ? counts[0].size() : 0;
+    tuple_bytes_ = tuple_bytes;
     offset_.assign(d, std::vector<uint64_t>(k + 1, 0));
     cursor_.assign(d, std::vector<uint64_t>(k, 0));
     for (size_t i = 0; i < d; ++i) {
       uint64_t total = 0;
       for (size_t b = 0; b < k; ++b) {
-        offset_[i][b] = total * sizeof(rel::RObject);
+        offset_[i][b] = total * tuple_bytes;
         total += counts[i][b];
       }
-      offset_[i][k] = total * sizeof(rel::RObject);
+      offset_[i][k] = total * tuple_bytes;
     }
   }
 
   /// Byte offset of bucket b within RS_i.
   uint64_t Offset(uint32_t i, uint32_t b) const { return offset_[i][b]; }
-  /// Objects bound for bucket b of RS_i.
+  /// Tuples bound for bucket b of RS_i.
   uint64_t Count(uint32_t i, uint32_t b) const {
-    return (offset_[i][b + 1] - offset_[i][b]) / sizeof(rel::RObject);
+    return (offset_[i][b + 1] - offset_[i][b]) / tuple_bytes_;
   }
-  /// Total objects across RS_i's buckets.
+  /// Total tuples across RS_i's buckets.
   uint64_t Total(uint32_t i) const {
     const size_t k = offset_[i].size() - 1;
-    return offset_[i][k] / sizeof(rel::RObject);
+    return offset_[i][k] / tuple_bytes_;
   }
   /// Claims `n` consecutive slots of bucket b; returns the byte offset of
   /// the first within RS_i.
@@ -220,12 +258,13 @@ class BucketLayout {
     const uint64_t slot = cursor_[i][b];
     cursor_[i][b] += n;
     assert(slot + n <= Count(i, b));
-    return offset_[i][b] + slot * sizeof(rel::RObject);
+    return offset_[i][b] + slot * tuple_bytes_;
   }
 
  private:
+  uint64_t tuple_bytes_ = 1;
   std::vector<std::vector<uint64_t>> offset_;  // [i][b] bytes, [i][k] end
-  std::vector<std::vector<uint64_t>> cursor_;  // [i][b] objects claimed
+  std::vector<std::vector<uint64_t>> cursor_;  // [i][b] tuples claimed
 };
 
 /// Exact populations of the bucketed RS layout. `buckets[j][b]` counts
@@ -333,7 +372,7 @@ StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
       }
     }
   }
-  rs.layout.Init(h.buckets);
+  rs.layout.Init(h.buckets, sizeof(typename B::Tuple));
   for (uint32_t j = 0; j < d; ++j) {
     assert(rs.layout.Total(j) + h.resident[j] == rs.objects[j]);
   }
@@ -346,9 +385,10 @@ StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
 // ---------------------------------------------------------------------------
 
 /// Pass 0 of every driver but MPSM: morsel-scan R_i (chained — morsels
-/// share the partition's output cursors), append every foreign object to
-/// RP_{i, sp.partition}, and route every own-partition object to
-/// `own(obj, sp)`, the per-morsel handler `make_own(i, begin, end)`
+/// share the partition's output cursors), narrow each object to the
+/// backend's tuple (ToTuple), append every foreign tuple to
+/// RP_{i, sp.partition}, and route every own-partition tuple to
+/// `own(tuple, sp)`, the per-morsel handler `make_own(i, begin, end)`
 /// returns. The handler may expose Finish(), run at the end of the morsel.
 /// Each object is charged the map_ms of mapping its join attribute to a
 /// target.
@@ -361,12 +401,13 @@ void Partition(B& ex, OwnFactory&& make_own, bool sync) {
         const typename B::Seg r_seg = ex.r_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
           const auto& obj = LoadR(ex, i, r_seg, rel::Workload::ROffset(k));
+          const auto& tuple = ToTuple<B>(obj);
           ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute
-          const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
+          const rel::SPtr sp = rel::SPtr::Unpack(tuple.sptr);
           if (sp.partition == i) {
-            own(obj, sp);
+            own(tuple, sp);
           } else {
-            ex.AppendToRp(i, sp.partition, obj);
+            ex.AppendToRp(i, sp.partition, tuple);
           }
         }
         if constexpr (requires { own.Finish(); }) own.Finish();
@@ -442,11 +483,11 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
                          BucketLayout& layout, uint32_t k_buckets,
                          std::vector<std::vector<SRef>>* resident, bool sync) {
   const sim::MachineConfig& mc = ex.mc();
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(typename B::Tuple);
   auto bucket_append = [&](uint32_t writer, uint32_t target, uint32_t b,
-                           const rel::RObject& obj) {
-    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, 1), &obj,
-              1);
+                           const typename B::Tuple& tuple) {
+    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, 1),
+              &tuple, 1);
   };
 
   // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
@@ -454,14 +495,14 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
       ex,
       [&](uint32_t i, uint64_t, uint64_t) {
         return [&, i, bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
-                   const rel::RObject& obj, rel::SPtr sp) {
+                   const typename B::Tuple& tuple, rel::SPtr sp) {
           ex.ChargeCpu(i, mc.hash_ms);
           const uint32_t b = bmap.Of(sp.index);
           if (resident != nullptr && b == 0) {
-            (*resident)[i].push_back(SRef{obj.id, obj.sptr});
-            ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
+            (*resident)[i].push_back(RefOf(tuple));
+            ex.ChargeCpu(i, static_cast<double>(t) * mc.mt_pp_ms);
           } else {
-            bucket_append(i, i, b, obj);
+            bucket_append(i, i, b, tuple);
           }
         };
       },
@@ -477,10 +518,10 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
         const join::GraceBucketMap bmap(ex.s_count(j), k_buckets);
         const typename B::Seg rp_seg = ex.rp_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
-          const auto& obj = LoadR(ex, i, rp_seg, base + k * r);
+          const auto& tuple = LoadTuple(ex, i, rp_seg, base + k * t);
           ex.ChargeCpu(i, mc.hash_ms);
-          bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(obj.sptr).index),
-                        obj);
+          bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(tuple.sptr).index),
+                        tuple);
         }
       },
       sync);
@@ -509,7 +550,7 @@ void ProbePhases(B& ex, bool sync) {
     for (uint32_t i = 0; i < d; ++i) {
       const uint32_t j = join::PhaseOffset(i, t, d);
       ex.AdviseRange(i, ex.rp_seg(i), ex.RpSubOffset(i, j),
-                     ex.RpSubCount(i, j) * sizeof(rel::RObject),
+                     ex.RpSubCount(i, j) * sizeof(typename B::Tuple),
                      AccessIntent::kWillNeed);
     }
     ex.ForEachPartitionTuples(
@@ -520,8 +561,8 @@ void ProbePhases(B& ex, bool sync) {
           const double phase_start_ms = ex.clock_ms(i);
           // A phase only probes: hand the contiguous band slice over as
           // one run.
-          ex.ProbeRun(i, ex.rp_seg(i), base + begin * sizeof(rel::RObject),
-                      end - begin);
+          ex.ProbeRun(i, ex.rp_seg(i),
+                      base + begin * sizeof(typename B::Tuple), end - begin);
           ex.FlushSRequests(i);
           if (ex.tracing()) {
             ex.Span(i, "phase " + std::to_string(t), "phase", phase_start_ms,
@@ -539,31 +580,38 @@ void ProbePhases(B& ex, bool sync) {
 // Sort + MergeJoin (sort-merge pass 2)
 // ---------------------------------------------------------------------------
 
-/// Sorts RS_i into IRUN-object runs in place, by S-pointer: each run is
-/// read in, its (run position, sptr) refs are sorted through the backend's
-/// SortRefs — the position rides in r_id — and the objects are permuted
-/// into that order (one MTpp move per object) and written back. Returns
-/// the run count.
+/// Sorts RS_i into IRUN-tuple runs in place, by S-pointer, through the
+/// backend's SortRefs. A run of SRefs (the real backend) is sorted where it
+/// lies. A run of objects (the simulator) is read in, its (run position,
+/// sptr) refs are sorted — the position rides in r_id — and the objects
+/// are permuted into that order (one MTpp move per object) and written
+/// back. Returns the run count.
 template <Backend B>
 uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
                   uint64_t irun) {
-  const uint64_t r = sizeof(rel::RObject);
+  using Tuple = typename B::Tuple;
+  const uint64_t t = sizeof(Tuple);
   const double sort_start_ms = ex.clock_ms(i);
   for (uint64_t start = 0; start < n; start += irun) {
     const uint64_t len = std::min<uint64_t>(irun, n - start);
-    std::vector<rel::RObject> buffer(len);
-    std::vector<SRef> refs(len);
-    for (uint64_t k = 0; k < len; ++k) {
-      const void* src = ex.Read(i, seg, (start + k) * r, r);
-      std::memcpy(&buffer[k], src, r);
-      refs[k] = SRef{k, buffer[k].sptr};
+    if constexpr (std::same_as<Tuple, SRef>) {
+      ex.SortRefs(i, static_cast<SRef*>(ex.Write(i, seg, start * t, len * t)),
+                  len, SortKey::kSptr);
+    } else {
+      std::vector<Tuple> buffer(len);
+      std::vector<SRef> refs(len);
+      for (uint64_t k = 0; k < len; ++k) {
+        const void* src = ex.Read(i, seg, (start + k) * t, t);
+        std::memcpy(&buffer[k], src, t);
+        refs[k] = SRef{k, buffer[k].sptr};
+      }
+      ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
+      for (uint64_t k = 0; k < len; ++k) {
+        void* dst = ex.Write(i, seg, (start + k) * t, t);
+        std::memcpy(dst, &buffer[refs[k].r_id], t);
+      }
+      ex.ChargeCpu(i, static_cast<double>(len * t) * ex.mc().mt_pp_ms);
     }
-    ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
-    for (uint64_t k = 0; k < len; ++k) {
-      void* dst = ex.Write(i, seg, (start + k) * r, r);
-      std::memcpy(dst, &buffer[refs[k].r_id], r);
-    }
-    ex.ChargeCpu(i, static_cast<double>(len * r) * ex.mc().mt_pp_ms);
   }
   const uint64_t runs = std::max<uint64_t>(1, CeilDiv(n, irun));
   if (ex.tracing()) {
@@ -583,8 +631,9 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
                      typename B::Seg* dst, uint64_t n,
                      const join::SortMergePlan& plan, uint64_t runs_in,
                      uint64_t* npass) {
+  using Tuple = typename B::Tuple;
   const sim::MachineConfig& mc = ex.mc();
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(Tuple);
   uint64_t run_len = plan.irun;
   uint64_t runs = runs_in;
   uint64_t pass_count = 0;
@@ -600,23 +649,23 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       cur[g] = (first_run + g) * run_len;
       end[g] = std::min(n, cur[g] + run_len);
       if (cur[g] < end[g]) {
-        const auto* obj = static_cast<const rel::RObject*>(
-            ex.Read(i, *src, cur[g] * r, r));
-        heap.Insert(MergeEntry{obj->sptr, static_cast<uint32_t>(g)});
+        const auto* head =
+            static_cast<const Tuple*>(ex.Read(i, *src, cur[g] * t, t));
+        heap.Insert(MergeEntry{head->sptr, static_cast<uint32_t>(g)});
       }
     }
     uint64_t out = out_start;
     while (!heap.empty()) {
       const uint32_t g = heap.Min().run;
-      // Re-touch the popped object's page: with scarce memory it may have
+      // Re-touch the popped tuple's page: with scarce memory it may have
       // been evicted since its key entered the heap (the premature-
       // replacement anomaly of section 6.2). A copy, not a reference: its
       // loads then issue before the heap call below instead of after it.
-      const rel::RObject obj = LoadR(ex, i, *src, cur[g] * r);
+      const Tuple popped = LoadTuple(ex, i, *src, cur[g] * t);
       ++cur[g];
       if (cur[g] < end[g]) {
-        const auto* next = static_cast<const rel::RObject*>(
-            ex.Read(i, *src, cur[g] * r, r));
+        const auto* next =
+            static_cast<const Tuple*>(ex.Read(i, *src, cur[g] * t, t));
         heap.DeleteInsert(MergeEntry{next->sptr, g});
       } else {
         heap.DeleteMin();
@@ -624,11 +673,11 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
       if (fetch != nullptr) {
         // Join instead of writing: the merged stream is in S-pointer
         // order, so S_i is read sequentially through the fetch protocol.
-        fetch->Push(obj.id, obj.sptr);
+        const SRef& ref = RefOf(popped);
+        fetch->Push(ref.r_id, ref.sptr);
       } else {
-        void* dst_ptr = ex.Write(i, *dst, out * r, r);
-        std::memcpy(dst_ptr, &obj, r);
-        ex.ChargeCpu(i, static_cast<double>(r) * mc.mt_pp_ms);
+        std::memcpy(ex.Write(i, *dst, out * t, t), &popped, t);
+        ex.ChargeCpu(i, static_cast<double>(t) * mc.mt_pp_ms);
       }
       ++out;
     }
@@ -657,7 +706,7 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
         typename B::Seg fresh,
         ex.CreateSegment(
             "Swap" + std::to_string(i) + "p" + std::to_string(pass_count),
-            i, std::max<uint64_t>(n, 1) * r));
+            i, std::max<uint64_t>(n, 1) * t));
     ex.AdviseSegment(i, fresh, AccessIntent::kPopulateWrite);
     *src = *dst;  // the merged output becomes the next source
     *dst = fresh;
@@ -689,19 +738,19 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
 // Build + Probe (Grace / hybrid-hash bucket processing)
 // ---------------------------------------------------------------------------
 
-/// Build: reads a contiguous band of RObjects and hashes their (id, sptr)
+/// Build: reads a contiguous band of tuples and hashes their (id, sptr)
 /// refs into TSIZE chains — the paper's in-memory hash-table build.
 /// Identical references collide into the same chain.
 template <Backend B>
 void BuildChainTable(B& ex, uint32_t i, typename B::Seg seg, uint64_t base,
                      uint64_t count, uint64_t tsize,
                      std::vector<std::vector<SRef>>& table) {
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(typename B::Tuple);
   for (uint64_t k = 0; k < count; ++k) {
-    const auto& obj = LoadR(ex, i, seg, base + k * r);
+    const auto& tuple = LoadTuple(ex, i, seg, base + k * t);
     ex.ChargeCpu(i, ex.mc().hash_ms);
-    const rel::SPtr sp = rel::SPtr::Unpack(obj.sptr);
-    table[sp.index % tsize].push_back(SRef{obj.id, obj.sptr});
+    const rel::SPtr sp = rel::SPtr::Unpack(tuple.sptr);
+    table[sp.index % tsize].push_back(RefOf(tuple));
   }
 }
 
@@ -744,7 +793,7 @@ void ProbeResident(B& ex, uint32_t i, const std::vector<SRef>& refs,
 /// arena-owned temporary whose pages the real backend keeps. The TSIZE
 /// chain table serves the simulator only: chains give its one-at-a-time
 /// probe (and the paper's Sproc) bucket-local S locality. The batched
-/// backend probes the RS band in place, the prefetch pipeline's
+/// backend probes the RS band of SRefs in place, the prefetch pipeline's
 /// look-ahead subsuming the grouping, so the table build (one hash + one
 /// push per tuple) disappears from the real run. Empty buckets are
 /// skipped.
@@ -752,7 +801,7 @@ template <Backend B>
 void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
                        const BucketLayout& layout, uint32_t k_buckets,
                        uint64_t tsize) {
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(typename B::Tuple);
   std::vector<std::vector<SRef>> table(B::kBatchedProbe ? 0 : tsize);
   for (uint32_t b = 0; b < k_buckets; ++b) {
     const uint64_t count = layout.Count(i, b);
@@ -761,12 +810,11 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
     const double bucket_start_ms = ex.clock_ms(i);
     if (b + 1 < k_buckets) {
       ex.AdviseRange(i, rs_seg, layout.Offset(i, b + 1),
-                     layout.Count(i, b + 1) * r, AccessIntent::kWillNeed);
+                     layout.Count(i, b + 1) * t, AccessIntent::kWillNeed);
     }
     if constexpr (B::kBatchedProbe) {
-      // The bucket's entries are contiguous RObjects in RS_i: one
-      // ProbeRun stages their 16-byte (id, sptr) prefixes through the
-      // prefetch pipeline — no table, no copies.
+      // The bucket's entries are contiguous tuples in RS_i: one ProbeRun
+      // hands them to the prefetch pipeline — no table, no copies.
       ex.ProbeRun(i, rs_seg, base, count);
     } else {
       for (auto& chain : table) chain.clear();
@@ -831,7 +879,7 @@ class IndexLayout {
 };
 
 /// Packs one monotone bucket band of RS_i into the index's leaf array:
-/// reads each object's 16-byte (id, sptr) prefix, sorts the refs by
+/// reads each tuple's 16-byte (id, sptr) prefix, sorts the refs by
 /// (sptr, r_id) through the backend's SortRefs — a total order, so the
 /// leaf content is independent of arrival order and therefore of backend
 /// and worker count — and writes the run at leaf offset `out` (entries).
@@ -841,11 +889,11 @@ template <Backend B>
 void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
                   uint64_t count, typename B::Seg ix_seg, uint64_t out) {
   if (count == 0) return;
-  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t t = sizeof(typename B::Tuple);
   std::vector<SRef> refs(count);
   for (uint64_t k = 0; k < count; ++k) {
-    const void* src = ex.Read(i, rs_seg, base + k * r, sizeof(SRef));
-    std::memcpy(&refs[k], src, sizeof(SRef));  // RObject starts (id, sptr)
+    const void* src = ex.Read(i, rs_seg, base + k * t, sizeof(SRef));
+    std::memcpy(&refs[k], src, sizeof(SRef));  // a tuple starts (id, sptr)
   }
   ex.SortRefs(i, refs.data(), count, SortKey::kSptrThenRid);
   void* dst = ex.Write(i, ix_seg, out * sizeof(SRef), count * sizeof(SRef));

@@ -258,7 +258,7 @@ void RealBackend::AdviseRange(uint32_t i, Seg seg, uint64_t offset,
 }
 
 Status RealBackend::CreateRpSegments() {
-  rp_layout_.Init(workload_->counts);
+  rp_layout_.Init(workload_->counts, sizeof(Tuple));
   for (uint32_t i = 0; i < d_; ++i) {
     MMJOIN_ASSIGN_OR_RETURN(
         rp_segs_[i],

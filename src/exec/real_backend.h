@@ -8,8 +8,9 @@
 //                     IS the I/O (the kernel pages on demand)
 //   Charge*           no-ops: real work costs real time, nothing to model
 //   RequestSBatch/    batched S-pointer dereference through the prefetch
-//   ProbeRun          kernels into per-worker output tallies (no G buffer —
-//                     threads share memory)
+//   ProbeRun          kernel (ProbeRefs) into per-worker output tallies (no
+//                     G buffer — threads share memory); ProbeRun hands an
+//                     SRef band to it in place
 //   ForEachPartition* worker threads, at most min(D, max_threads or
 //                     hardware_concurrency), running morsel chains on
 //                     per-worker deques with work stealing and skew-aware
@@ -38,7 +39,10 @@
 //                     process-wide RUSAGE_SELF double-counts when passes
 //                     overlap), so real runs report the same PassMark
 //                     shape the simulator does
-//   AppendToRp        one cursor claim + one 128-byte copy straight into
+//   Tuple             SRef: RP, RS and sort-merge's runs hold 16-byte
+//                     (r_id, sptr) refs, not 128-byte objects — after R is
+//                     first read the join needs nothing else
+//   AppendToRp        one cursor claim + one 16-byte copy straight into
 //                     the RP band: the arena keeps the bands resident, so
 //                     staging would only be a second copy
 //   NUMA placement    numa=interleave mbinds freshly mapped temporaries
@@ -142,6 +146,9 @@ struct RealBackendOptions {
 class RealBackend {
  public:
   using Seg = RealSeg*;
+  /// Temporaries hold (r_id, sptr) refs, narrowed once as R leaves its
+  /// scan (op::Partition).
+  using Tuple = SRef;
 
   RealBackend(const mm::MmWorkload& workload, const join::JoinParams& params,
               const RealBackendOptions& options);
@@ -191,12 +198,12 @@ class RealBackend {
     return rp_layout_.SubCount(i, j);
   }
   uint64_t RpPages(uint32_t i) const { return SegPages(rp_segs_[i]); }
-  /// Appends one object to RP_{i,j}: one cursor claim, one copy into the
-  /// band. Partition i's pass chain has one owner at a time, so the layout
-  /// cursor needs no lock.
-  void AppendToRp(uint32_t i, uint32_t j, const rel::RObject& obj) {
-    std::memcpy(rp_segs_[i]->base + rp_layout_.NextSlot(i, j), &obj,
-                sizeof(obj));
+  /// Appends one ref to RP_{i,j}: one cursor claim, one 16-byte copy into
+  /// the band. Partition i's pass chain has one owner at a time, so the
+  /// layout cursor needs no lock.
+  void AppendToRp(uint32_t i, uint32_t j, const Tuple& ref) {
+    std::memcpy(rp_segs_[i]->base + rp_layout_.NextSlot(i, j), &ref,
+                sizeof(ref));
   }
 
   // ---- per-partition operations -------------------------------------------
@@ -235,9 +242,9 @@ class RealBackend {
               &tallies_[real_internal::worker_slot]);
   }
   void ProbeRun(uint32_t /*i*/, Seg seg, uint64_t offset, uint64_t n) {
-    ProbeObjects(reinterpret_cast<const rel::RObject*>(seg->base + offset), n,
-                 s_objs_.data(), prefetch_distance_,
-                 &tallies_[real_internal::worker_slot]);
+    ProbeRefs(reinterpret_cast<const Tuple*>(seg->base + offset), n,
+              s_objs_.data(), prefetch_distance_,
+              &tallies_[real_internal::worker_slot]);
   }
 
   /// Stable radix sort (exec/kernels.h); charges nothing.

@@ -14,46 +14,6 @@ void MergeHeap::Insert(const MergeEntry& e) {
   SiftUp(heap_.size() - 1);
 }
 
-MergeEntry MergeHeap::DeleteMin() {
-  assert(!heap_.empty());
-  MergeEntry min = heap_[0];
-  ++cost_.transfers;
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  return min;
-}
-
-MergeEntry MergeHeap::DeleteInsert(const MergeEntry& next) {
-  assert(!heap_.empty());
-  MergeEntry min = heap_[0];
-  heap_[0] = next;
-  cost_.transfers += 2;  // one element out, one element in
-  SiftDown(0);
-  return min;
-}
-
-void MergeHeap::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  for (;;) {
-    size_t smallest = i;
-    const size_t l = 2 * i + 1;
-    const size_t r = 2 * i + 2;
-    if (l < n) {
-      ++cost_.compares;
-      if (heap_[l].key < heap_[smallest].key) smallest = l;
-    }
-    if (r < n) {
-      ++cost_.compares;
-      if (heap_[r].key < heap_[smallest].key) smallest = r;
-    }
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    ++cost_.swaps;
-    i = smallest;
-  }
-}
-
 void MergeHeap::SiftUp(size_t i) {
   while (i > 0) {
     const size_t parent = (i - 1) / 2;

@@ -56,7 +56,7 @@ JoinExecution::~JoinExecution() {
 }
 
 Status JoinExecution::CreateRpSegments() {
-  rp_layout_.Init(workload_->counts);
+  rp_layout_.Init(workload_->counts, sizeof(Tuple));
   for (uint32_t i = 0; i < d_; ++i) {
     // An RP can be empty (D = 1, or pathological skew); RpLayout keeps one
     // object of width so the segment machinery has something to map.
@@ -82,14 +82,13 @@ uint64_t JoinExecution::RpPages(uint32_t i) const {
   return env_->segment(rp_segs_[i]).pages();
 }
 
-void JoinExecution::AppendToRp(uint32_t i, uint32_t j,
-                               const rel::RObject& obj) {
+void JoinExecution::AppendToRp(uint32_t i, uint32_t j, const Tuple& obj) {
   assert(j != i);
   const uint64_t off = rp_layout_.NextSlot(i, j);
-  assert(off + sizeof(rel::RObject) <= rp_layout_.SubOffset(i, j + 1));
-  void* dst = rprocs_[i]->Write(rp_segs_[i], off, sizeof(rel::RObject));
-  std::memcpy(dst, &obj, sizeof(rel::RObject));
-  rprocs_[i]->ChargeCpu(sizeof(rel::RObject) * env_->config().mt_pp_ms);
+  assert(off + sizeof(Tuple) <= rp_layout_.SubOffset(i, j + 1));
+  void* dst = rprocs_[i]->Write(rp_segs_[i], off, sizeof(Tuple));
+  std::memcpy(dst, &obj, sizeof(Tuple));
+  rprocs_[i]->ChargeCpu(sizeof(Tuple) * env_->config().mt_pp_ms);
 }
 
 void JoinExecution::ServiceSBatch(uint32_t i, uint64_t n) {
@@ -134,7 +133,7 @@ void JoinExecution::FlushSRequests(uint32_t i) {
 void JoinExecution::ProbeRun(uint32_t i, sim::SegId seg, uint64_t offset,
                              uint64_t n) {
   for (uint64_t k = 0; k < n; ++k) {
-    rel::RObject obj;
+    Tuple obj;
     std::memcpy(&obj, Read(i, seg, offset + k * sizeof(obj), sizeof(obj)),
                 sizeof(obj));
     RequestS(i, obj.id, obj.sptr);

@@ -177,6 +177,9 @@ class JoinExecution {
  public:
   /// Backend segment handle (exec::Backend requirement).
   using Seg = sim::SegId;
+  /// The temporaries hold whole 128-byte objects: moving them is the
+  /// paper's cost model (exec::Backend requirement).
+  using Tuple = rel::RObject;
 
   JoinExecution(sim::SimEnv* env, const rel::Workload& workload,
                 const JoinParams& params);
@@ -280,7 +283,7 @@ class JoinExecution {
   uint64_t RpPages(uint32_t i) const;
 
   /// Appends an R object to RP_{i,j}, charging the private->private move.
-  void AppendToRp(uint32_t i, uint32_t j, const rel::RObject& obj);
+  void AppendToRp(uint32_t i, uint32_t j, const Tuple& obj);
 
   /// Requests the S object behind `sptr` on behalf of Rproc_i through the
   /// G buffer; drained requests touch Sproc's cache and emit join output.

@@ -10,7 +10,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,26 +42,11 @@ KernelTally ScalarProbeRefs(const SRef* refs, uint64_t n,
   return t;
 }
 
-/// Scalar reference for ProbeObjects: whole-object copy, then an
-/// immediate dereference.
-KernelTally ScalarProbeObjects(const rel::RObject* objs, uint64_t n,
-                               const rel::SObject* const* parts) {
-  KernelTally t;
-  for (uint64_t k = 0; k < n; ++k) {
-    rel::RObject obj;
-    std::memcpy(&obj, &objs[k], sizeof(obj));
-    t.digest += rel::OutputDigest(obj.id, Target(parts, obj.sptr)->key);
-    ++t.count;
-  }
-  return t;
-}
-
 /// Synthetic S partitions plus a ref stream covering them with repeats.
 struct KernelFixture {
   std::vector<std::vector<rel::SObject>> parts;
   std::vector<const rel::SObject*> part_ptrs;
   std::vector<SRef> refs;
-  std::vector<rel::RObject> objs;
 
   explicit KernelFixture(uint64_t n_refs, uint32_t n_parts = 3,
                          uint64_t part_objects = 257) {
@@ -82,10 +66,6 @@ struct KernelFixture {
       const uint64_t idx = rel::Mix64(k * 31 + 7) % part_objects;
       const uint64_t sptr = rel::SPtr{p, idx}.Pack();
       refs.push_back(SRef{k, sptr});
-      rel::RObject obj;
-      obj.id = k;
-      obj.sptr = sptr;
-      objs.push_back(obj);
     }
   }
 };
@@ -107,20 +87,6 @@ TEST(KernelsTest, ProbeRefsMatchesScalarAcrossDistances) {
   }
 }
 
-TEST(KernelsTest, ProbeObjectsMatchesScalarAcrossDistances) {
-  const KernelFixture f(10000);
-  const KernelTally scalar =
-      ScalarProbeObjects(f.objs.data(), f.objs.size(), f.part_ptrs.data());
-  EXPECT_EQ(scalar.count, f.objs.size());
-  for (uint32_t distance : {0u, 1u, 7u, 32u, 256u, 100000u}) {
-    KernelTally pipelined;
-    ProbeObjects(f.objs.data(), f.objs.size(), f.part_ptrs.data(), distance,
-                 &pipelined);
-    EXPECT_EQ(pipelined.count, scalar.count) << "distance=" << distance;
-    EXPECT_EQ(pipelined.digest, scalar.digest) << "distance=" << distance;
-  }
-}
-
 TEST(KernelsTest, EmptyAndShorterThanDistanceBatches) {
   const KernelFixture f(5);
   KernelTally t;
@@ -135,9 +101,6 @@ TEST(KernelsTest, EmptyAndShorterThanDistanceBatches) {
   ProbeRefs(f.refs.data(), f.refs.size(), f.part_ptrs.data(), 32, &pipelined);
   EXPECT_EQ(pipelined.count, scalar.count);
   EXPECT_EQ(pipelined.digest, scalar.digest);
-  KernelTally o;
-  ProbeObjects(f.objs.data(), 0, f.part_ptrs.data(), 32, &o);
-  EXPECT_EQ(o.count, 0u);
 }
 
 TEST(KernelsTest, TalliesAccumulateAcrossBatches) {

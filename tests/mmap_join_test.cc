@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "exec/real_backend.h"
 #include "exec/temp_arena.h"
 #include "join/drivers.h"
 #include "mmap/mm_relation.h"
@@ -285,11 +286,20 @@ TEST_F(MmapJoinTest, DriversStayExactOnRecycledTemporaries) {
       }
     }
   }
-  // The first nested-loops run pre-faults its fresh RP blocks in setup;
-  // the second gets them back populated and skips the pre-fault.
+  // The first nested-loops run pre-faults its fresh RP blocks in setup —
+  // at least half the pages its RP bands of 16-byte refs span — and the
+  // second gets them back populated and skips the pre-fault: it takes
+  // fewer faults than a tenth of those pages.
+  uint64_t foreign = 0;
+  for (uint32_t i = 0; i < w.counts.size(); ++i) {
+    for (uint32_t j = 0; j < w.counts.size(); ++j) {
+      if (j != i) foreign += w.counts[i][j];
+    }
+  }
+  const uint64_t rp_pages = foreign * sizeof(exec::RealBackend::Tuple) / 4096;
   ASSERT_EQ(nl_setup_faults.size(), 2u);
-  EXPECT_GT(nl_setup_faults[0], 1000u);
-  EXPECT_LT(nl_setup_faults[1] * 100, nl_setup_faults[0])
+  EXPECT_GT(nl_setup_faults[0], rp_pages / 2);
+  EXPECT_LT(nl_setup_faults[1] * 10, rp_pages)
       << "first setup faults " << nl_setup_faults[0] << ", second "
       << nl_setup_faults[1];
 }

@@ -135,7 +135,7 @@ constexpr uint64_t kObj = sizeof(rel::RObject);
 
 TEST(BucketLayoutTest, OneBucketIsTheFlatLayout) {
   BucketLayout layout;
-  layout.Init({{5}, {0}, {3}});
+  layout.Init({{5}, {0}, {3}}, kObj);
   for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(layout.Offset(i, 0), 0u);
   EXPECT_EQ(layout.Count(0, 0), 5u);
   EXPECT_EQ(layout.Count(1, 0), 0u);
@@ -147,7 +147,7 @@ TEST(BucketLayoutTest, OneBucketIsTheFlatLayout) {
 
 TEST(BucketLayoutTest, EmptyBucketsTakeNoSpace) {
   BucketLayout layout;
-  layout.Init({{0, 4, 0, 2}});
+  layout.Init({{0, 4, 0, 2}}, kObj);
   EXPECT_EQ(layout.Offset(0, 0), 0u);
   EXPECT_EQ(layout.Offset(0, 1), 0u);
   EXPECT_EQ(layout.Offset(0, 2), 4 * kObj);
@@ -161,7 +161,7 @@ TEST(BucketLayoutTest, EmptyBucketsTakeNoSpace) {
 
 TEST(BucketLayoutTest, ClaimsBumpEachBucketsCursorIndependently) {
   BucketLayout layout;
-  layout.Init({{3, 2}, {1, 1}});
+  layout.Init({{3, 2}, {1, 1}}, kObj);
   EXPECT_EQ(layout.Claim(0, 1, 1), 3 * kObj);
   EXPECT_EQ(layout.Claim(0, 0, 2), 0u);
   EXPECT_EQ(layout.Claim(1, 1, 1), 1 * kObj);
@@ -174,7 +174,7 @@ TEST(BucketLayoutTest, OutlivesItsCountsVector) {
   BucketLayout layout;
   {
     const std::vector<std::vector<uint64_t>> counts{{7, 0, 9}};
-    layout.Init(counts);
+    layout.Init(counts, kObj);
   }  // the counts are gone; the layout must not refer to them
   const BucketLayout moved = std::move(layout);
   EXPECT_EQ(moved.Count(0, 0), 7u);

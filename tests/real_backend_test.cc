@@ -1,5 +1,7 @@
 // The real backend's execution knobs across every driver: bit-identity of
-// the join over workers x paging at uniform and Zipf-skewed shapes,
+// the join over workers x paging at uniform and Zipf-skewed shapes, the
+// width of the join temporaries against the simulator's (16-byte refs
+// against 128-byte objects, with the same join on both),
 // op::SFetch's batching at the scratch-capacity edges, the NUMA option
 // fallback on non-NUMA hosts, the kernel/numa metrics surface, and the
 // RUSAGE_THREAD per-pass fault accounting invariant (sum of per-pass
@@ -9,18 +11,24 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "driver_test_name.h"
 #include "exec/kernels.h"
 #include "exec/numa.h"
+#include "exec/join_drivers.h"
 #include "exec/op/stages.h"
 #include "exec/real_backend.h"
 #include "join/drivers.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "obs/metrics.h"
+#include "rel/generator.h"
+#include "sim/sim_env.h"
 
 namespace mmjoin::exec {
 namespace {
@@ -91,6 +99,161 @@ TEST_P(RealJoinIdentityTest, WorkerPagingMatrix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RealJoinIdentityTest,
+                         ::testing::ValuesIn(join::kDrivers),
+                         [](const auto& info) {
+                           return DriverTestName(info.param.algorithm);
+                         });
+
+// ---------------------------------------------------------------------------
+// Tuple width: every RP_i and RS_i (and sort-merge's Merge and Swap areas)
+// holds 16 bytes per tuple on the real backend and 128 on the simulator,
+// and both backends produce the same join and the same plan.
+// ---------------------------------------------------------------------------
+
+/// A backend that records the bytes each temporary is created with, by
+/// name, and the laid-out bytes of every RP_i.
+template <typename Base>
+class RecordingBackend : public Base {
+ public:
+  using Base::Base;
+
+  StatusOr<typename Base::Seg> CreateSegment(const std::string& name,
+                                             uint32_t disk, uint64_t bytes) {
+    {
+      // Sort-merge creates its Swap areas on the worker threads.
+      std::lock_guard<std::mutex> lock(mu_);
+      created_[name] = bytes;
+    }
+    return Base::CreateSegment(name, disk, bytes);
+  }
+  Status CreateRpSegments() {
+    MMJOIN_RETURN_NOT_OK(Base::CreateRpSegments());
+    rp_bytes_.clear();
+    for (uint32_t i = 0; i < this->D(); ++i) {
+      rp_bytes_.push_back(this->RpSubOffset(i, this->D()));
+    }
+    return Status::OK();
+  }
+
+  const std::map<std::string, uint64_t>& created() const { return created_; }
+  const std::vector<uint64_t>& rp_bytes() const { return rp_bytes_; }
+
+ private:
+  std::mutex mu_;
+  std::map<std::string, uint64_t> created_;
+  std::vector<uint64_t> rp_bytes_;
+};
+
+using RecordingReal = RecordingBackend<RealBackend>;
+using RecordingSim = RecordingBackend<join::JoinExecution>;
+static_assert(Backend<RecordingReal> && Backend<RecordingSim>);
+static_assert(sizeof(RecordingReal::Tuple) == 16);
+static_assert(sizeof(RecordingSim::Tuple) == 128);
+
+template <Backend B>
+StatusOr<join::JoinRunResult> Drive(join::Algorithm a, B& ex,
+                                    const join::JoinParams& params) {
+  switch (a) {
+    case join::Algorithm::kNestedLoops:
+      return NestedLoops(ex, params);
+    case join::Algorithm::kSortMerge:
+      return SortMerge(ex, params);
+    case join::Algorithm::kMpsm:
+      return Mpsm(ex, params);
+    case join::Algorithm::kGrace:
+      return Grace(ex, params);
+    case join::Algorithm::kHybridHash:
+      return HybridHash(ex, params);
+    case join::Algorithm::kIndexNestedLoops:
+      return IndexNestedLoops(ex, params);
+  }
+  return Status::InvalidArgument("unknown driver");
+}
+
+/// True for the temporaries that hold join tuples: RS_i and sort-merge's
+/// Merge_i and Swap areas (RP_i is checked through its layout).
+bool HoldsTuples(const std::string& name) {
+  return name.rfind("RS", 0) == 0 || name.rfind("Merge", 0) == 0 ||
+         name.rfind("Swap", 0) == 0;
+}
+
+class TupleWidthTest
+    : public RealJoinTest,
+      public ::testing::WithParamInterface<join::DriverSpec> {};
+
+TEST_P(TupleWidthTest, RealTemporariesHoldRefsSimulatorObjects) {
+  const join::Algorithm algorithm = GetParam().algorithm;
+  for (uint32_t d : {1u, 8u}) {
+    for (double theta : {0.0, 1.1}) {
+      SCOPED_TRACE("D=" + std::to_string(d) +
+                   " theta=" + std::to_string(theta));
+      rel::RelationConfig rc;
+      rc.r_objects = 3000;
+      rc.s_objects = 5000;  // |S| != |R|
+      rc.num_partitions = d;
+      rc.zipf_theta = theta;
+      join::JoinParams params;
+      // A budget of four pages: sort-merge merges its runs through Swap
+      // areas, and Grace spreads RS_i over several buckets.
+      params.m_rproc_bytes = 4 * 4096;
+      params.m_sproc_bytes = params.m_rproc_bytes;
+
+      sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+      mc.num_disks = d;
+      sim::SimEnv env(mc);
+      auto sim_workload = rel::BuildWorkload(&env, rc);
+      ASSERT_TRUE(sim_workload.ok()) << sim_workload.status().ToString();
+      RecordingSim sim(&env, *sim_workload, params);
+      auto sim_run = Drive(algorithm, sim, params);
+      ASSERT_TRUE(sim_run.ok()) << sim_run.status().ToString();
+
+      auto real_workload = mm::BuildMmWorkload(
+          mgr_.get(), "w" + std::to_string(builds_++), rc);
+      ASSERT_TRUE(real_workload.ok()) << real_workload.status().ToString();
+      RecordingReal real(*real_workload, params, RealBackendOptions{});
+      auto real_run = Drive(algorithm, real, params);
+      ASSERT_TRUE(real_run.ok()) << real_run.status().ToString();
+
+      // RP_i: every foreign R_i object as one tuple of the backend's width.
+      ASSERT_EQ(real.rp_bytes().size(), sim.rp_bytes().size());
+      for (uint32_t i = 0; i < real.rp_bytes().size(); ++i) {
+        uint64_t foreign = 0;
+        for (uint32_t j = 0; j < d; ++j) {
+          if (j != i) foreign += real_workload->counts[i][j];
+        }
+        EXPECT_EQ(real.rp_bytes()[i], foreign * 16) << "RP" << i;
+        EXPECT_EQ(sim.rp_bytes()[i], foreign * 128) << "RP" << i;
+      }
+      // RS_i, Merge_i, Swap: the same tuples on both backends, 16 bytes
+      // each on the real one and 128 on the simulator. Every other
+      // temporary (MPSM's MR_i, index-NL's IX_i) holds refs on both.
+      EXPECT_EQ(real.created().size(), sim.created().size());
+      for (const auto& [name, sim_bytes] : sim.created()) {
+        ASSERT_EQ(real.created().count(name), 1u) << name;
+        const uint64_t real_bytes = real.created().at(name);
+        if (!HoldsTuples(name)) {
+          EXPECT_EQ(real_bytes, sim_bytes) << name;
+          continue;
+        }
+        EXPECT_EQ(real_bytes % 16, 0u) << name;
+        EXPECT_EQ(sim_bytes % 128, 0u) << name;
+        EXPECT_EQ(real_bytes / 16, sim_bytes / 128) << name;
+      }
+
+      // The same join and the same plan.
+      EXPECT_TRUE(sim_run->verified);
+      EXPECT_TRUE(real_run->verified);
+      EXPECT_EQ(real_run->output_count, sim_run->output_count);
+      EXPECT_EQ(real_run->output_checksum, sim_run->output_checksum);
+      EXPECT_EQ(real_run->irun, sim_run->irun);
+      EXPECT_EQ(real_run->k_buckets, sim_run->k_buckets);
+      EXPECT_EQ(real_run->tsize, sim_run->tsize);
+      EXPECT_EQ(real_run->npass, sim_run->npass);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDrivers, TupleWidthTest,
                          ::testing::ValuesIn(join::kDrivers),
                          [](const auto& info) {
                            return DriverTestName(info.param.algorithm);

@@ -1,7 +1,7 @@
 // The real backend's sort: exec::RadixSortRefs against std::stable_sort on
 // adversarial key shapes, and the sort stages (op::SortRuns, MPSM's pass 1
 // of concurrent SortRefs over 16-byte ref runs, op::SortIndexRun) on the
-// real backend.
+// real backend's temporaries, which hold 16-byte SRefs (RealBackend::Tuple).
 //
 // The stage checks matter because the join oracle cannot see an unsorted
 // sort-merge run: the final merge still emits every ref into commutative
@@ -11,9 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -143,28 +143,30 @@ class RealSortStageTest : public ::testing::Test {
                                               options);
   }
 
-  /// A fresh temporary holding every R object, partition by partition: a
-  /// band whose keys span all S partitions, as MPSM's one-node band does.
+  /// A fresh temporary holding the ref of every R object, partition by
+  /// partition, as the real backend's RS bands hold them: a band whose keys
+  /// span all S partitions, as MPSM's one-node band does.
   exec::RealBackend::Seg AllOfR(uint64_t* n) {
+    static_assert(std::is_same_v<exec::RealBackend::Tuple, SRef>);
     *n = 0;
     for (uint32_t i = 0; i < ex_->D(); ++i) *n += ex_->r_count(i);
-    auto seg = ex_->CreateSegment("band", 0, *n * sizeof(rel::RObject));
+    auto seg = ex_->CreateSegment("band", 0, *n * sizeof(SRef));
     EXPECT_TRUE(seg.ok());
-    uint64_t at = 0;
+    auto* band = static_cast<SRef*>(ex_->Write(0, *seg, 0, *n * sizeof(SRef)));
     for (uint32_t i = 0; i < ex_->D(); ++i) {
-      const uint64_t c = ex_->r_count(i);
-      std::memcpy(ex_->Write(0, *seg, at * sizeof(rel::RObject),
-                             c * sizeof(rel::RObject)),
-                  ex_->RawR(i), c * sizeof(rel::RObject));
-      at += c;
+      const rel::RObject* objs = ex_->RawR(i);
+      for (uint64_t k = 0; k < ex_->r_count(i); ++k) {
+        *band++ = exec::RefOf(objs[k]);
+      }
     }
     return *seg;
   }
 
-  static std::vector<SRef> Prefixes(const rel::RObject* objs, uint64_t n) {
-    std::vector<SRef> refs(n);
-    for (uint64_t k = 0; k < n; ++k) refs[k] = SRef{objs[k].id, objs[k].sptr};
-    return refs;
+  /// A copy of the n refs of `seg`.
+  std::vector<SRef> Refs(exec::RealBackend::Seg seg, uint64_t n) {
+    const auto* refs =
+        static_cast<const SRef*>(ex_->Read(0, seg, 0, n * sizeof(SRef)));
+    return std::vector<SRef>(refs, refs + n);
   }
 
   /// Every IRUN-long run of `after` is non-decreasing in sptr and holds
@@ -200,13 +202,11 @@ class RealSortStageTest : public ::testing::Test {
 TEST_F(RealSortStageTest, SortRunsLeavesEveryRunSorted) {
   uint64_t n = 0;
   const auto seg = AllOfR(&n);
-  const auto* objs = static_cast<const rel::RObject*>(
-      ex_->Read(0, seg, 0, n * sizeof(rel::RObject)));
-  const std::vector<SRef> before = Prefixes(objs, n);
+  const std::vector<SRef> before = Refs(seg, n);
   const uint64_t irun = 1500;  // does not divide n: a short last run
   EXPECT_EQ(exec::op::SortRuns(*ex_, 0, seg, n, irun),
             exec::op::CeilDiv(n, irun));
-  ExpectRunsSorted(before, Prefixes(objs, n), irun);
+  ExpectRunsSorted(before, Refs(seg, n), irun);
   ASSERT_TRUE(ex_->DeleteSegment(seg).ok());
 }
 
@@ -216,10 +216,7 @@ TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
   // the worker threads.
   uint64_t n = 0;
   const auto band = AllOfR(&n);
-  const std::vector<SRef> before = Prefixes(
-      static_cast<const rel::RObject*>(
-          ex_->Read(0, band, 0, n * sizeof(rel::RObject))),
-      n);
+  const std::vector<SRef> before = Refs(band, n);
   auto seg = ex_->CreateSegment("MR", 0, n * sizeof(SRef));
   ASSERT_TRUE(seg.ok());
   auto* refs = static_cast<SRef*>(ex_->Write(0, *seg, 0, n * sizeof(SRef)));
@@ -251,16 +248,14 @@ TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
 TEST_F(RealSortStageTest, SortIndexRunPacksLeavesBySptrThenRid) {
   uint64_t n = 0;
   const auto rs = AllOfR(&n);
-  const auto* objs = static_cast<const rel::RObject*>(
-      ex_->Read(0, rs, 0, n * sizeof(rel::RObject)));
-  std::vector<SRef> want = Prefixes(objs, n);
+  std::vector<SRef> want = Refs(rs, n);
   auto ix = ex_->CreateSegment("ix", 0, n * sizeof(SRef));
   ASSERT_TRUE(ix.ok());
   // Two bands packed back to back, as the index-nl build loop does.
   const uint64_t half = n / 2;
   exec::op::SortIndexRun(*ex_, 0, rs, 0, half, *ix, 0);
-  exec::op::SortIndexRun(*ex_, 0, rs, half * sizeof(rel::RObject), n - half,
-                         *ix, half);
+  exec::op::SortIndexRun(*ex_, 0, rs, half * sizeof(SRef), n - half, *ix,
+                         half);
   const auto* leaves =
       static_cast<const SRef*>(ex_->Read(0, *ix, 0, n * sizeof(SRef)));
   std::sort(want.begin(), want.begin() + half, LessSptrRid);
