@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,8 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.SubCount(i, j) } -> std::convertible_to<uint64_t>;
   /// Uncharged metadata scan of R_i (planning only, never the join path).
   { cb.RawR(i) } -> std::convertible_to<const rel::RObject*>;
+  /// The workload's memo of bucket populations per K (rel/bucket_memo.h).
+  { cb.bucket_memo() } -> std::same_as<rel::BucketMemo&>;
 
   // ---- segments ----------------------------------------------------------
   { b.CreateSegment(label, i, len) } -> std::same_as<StatusOr<typename B::Seg>>;
@@ -95,8 +98,11 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.RpSubCount(i, j) } -> std::convertible_to<uint64_t>;
   { cb.RpPages(i) } -> std::convertible_to<uint64_t>;
   /// One cursor claim + one tuple copy: partition passes append each
-  /// routed tuple straight to its band (DESIGN.md §7.3).
-  { b.AppendToRp(i, j, tuple) };
+  /// routed tuple straight to its band (DESIGN.md §7.3). False, with
+  /// nothing written, when RP_{i,j} already holds its |R_{i,j}| tuples.
+  { b.AppendToRp(i, j, tuple) } -> std::same_as<bool>;
+  /// True when every RP_{i,j} holds exactly its |R_{i,j}| tuples.
+  { cb.RpFilled() } -> std::same_as<bool>;
 
   // ---- per-partition process operations ----------------------------------
   { b.Read(i, seg, off, len) } -> std::convertible_to<const void*>;
@@ -188,8 +194,8 @@ inline const SRef& RefOf(const SRef& ref) { return ref; }
 /// Exact layout of the RP_i temporaries shared by both backends: RP_i holds
 /// one contiguous sub-partition RP_{i,j} per remote target j (j != i),
 /// sized from the workload's |R_{i,j}| counts, with a bump cursor per
-/// sub-partition. Pure bookkeeping — byte movement and cost charging stay
-/// with the backend.
+/// sub-partition that never passes its band's end. Pure bookkeeping — byte
+/// movement and cost charging stay with the backend.
 class RpLayout {
  public:
   /// `counts[i][j]` = |R_{i,j}|; `tuple_bytes` is the backend's
@@ -199,7 +205,6 @@ class RpLayout {
             uint64_t tuple_bytes) {
     const uint32_t d = static_cast<uint32_t>(counts.size());
     sub_offset_.assign(d, std::vector<uint64_t>(d + 1, 0));
-    cursor_.assign(d, std::vector<uint64_t>(d, 0));
     counts_ = &counts;
     tuple_bytes_ = tuple_bytes;
     for (uint32_t i = 0; i < d; ++i) {
@@ -210,6 +215,7 @@ class RpLayout {
       }
       sub_offset_[i][d] = total * tuple_bytes;
     }
+    cursor_ = sub_offset_;
   }
 
   /// Byte offset of sub-partition RP_{i,j} within RP_i.
@@ -223,15 +229,31 @@ class RpLayout {
     const uint64_t d = sub_offset_[i].size() - 1;
     return std::max<uint64_t>(sub_offset_[i][d], tuple_bytes_);
   }
-  /// Claims the next slot of RP_{i,j}; returns its byte offset within RP_i.
-  uint64_t NextSlot(uint32_t i, uint32_t j) {
-    const uint64_t slot = cursor_[i][j]++;
-    return sub_offset_[i][j] + slot * tuple_bytes_;
+  /// Claims the next slot of RP_{i,j}; returns its byte offset within RP_i,
+  /// or nullopt once the band is full (always for j == i): R then holds
+  /// more pointers into S_j than the counts metadata says.
+  [[nodiscard]] std::optional<uint64_t> NextSlot(uint32_t i, uint32_t j) {
+    const uint64_t off = cursor_[i][j];
+    if (off >= sub_offset_[i][j + 1]) return std::nullopt;
+    cursor_[i][j] = off + tuple_bytes_;
+    return off;
+  }
+  /// True when every band is exactly full. A pass that leaves one short
+  /// met fewer pointers than the metadata promised; the band's tail would
+  /// be read as tuples.
+  bool Filled() const {
+    for (size_t i = 0; i < cursor_.size(); ++i) {
+      for (size_t j = 0; j + 1 < cursor_[i].size(); ++j) {
+        if (cursor_[i][j] != sub_offset_[i][j + 1]) return false;
+      }
+    }
+    return true;
   }
 
  private:
   std::vector<std::vector<uint64_t>> sub_offset_;  // [i][j] bytes, [i][d] end
-  std::vector<std::vector<uint64_t>> cursor_;      // [i][j] objects claimed
+  /// [i][j] byte offset of RP_{i,j}'s next free slot; [i][d] unused.
+  std::vector<std::vector<uint64_t>> cursor_;
   const std::vector<std::vector<uint64_t>>* counts_ = nullptr;
   uint64_t tuple_bytes_ = 0;
 };

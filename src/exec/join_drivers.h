@@ -52,6 +52,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,12 +98,12 @@ StatusOr<join::JoinRunResult> NestedLoops(B& ex,
   // ---- Pass 0: partition R_i; join the R_{i,i} objects immediately. ----
   // Foreign objects land in RP_{i,dest}; own-partition refs go straight
   // into the morsel's S fetch.
-  op::Partition(
+  MMJOIN_RETURN_NOT_OK(op::Partition(
       ex,
       [&ex](uint32_t i, uint64_t begin, uint64_t end) {
         return op::SFetch<B>(ex, i, end - begin);
       },
-      sync);
+      sync));
 
   // ---- Pass 1: D-1 staggered probe-only phases over the RP_{i,j}. ----
   op::ProbePhases(ex, sync);
@@ -169,44 +170,48 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   for (uint32_t i = 0; i < d; ++i) flat_counts[i][0] = rs_objects[i];
   op::BucketLayout layout;
   layout.Init(flat_counts, t);
+  // A full RS_target refuses the run (false): R disagrees with the counts.
   auto append_rs_run = [&](uint32_t writer, uint32_t target, const Tuple* run,
                            uint64_t n) {
-    op::AppendRun(ex, writer, rs_segs[target], layout.Claim(target, 0, n),
-                  run, n);
+    const std::optional<uint64_t> off = layout.Claim(target, 0, n);
+    if (!off) return false;
+    op::AppendRun(ex, writer, rs_segs[target], *off, run, n);
+    return true;
   };
 
   // ---- Pass 0: partition R_i into RS_i (own pointers) and RP_{i,j}. ----
-  op::Partition(
+  MMJOIN_RETURN_NOT_OK(op::Partition(
       ex,
       [&](uint32_t i, uint64_t, uint64_t) {
         return [&, i](const Tuple& tuple, rel::SPtr) {
-          append_rs_run(i, i, &tuple, 1);
+          return append_rs_run(i, i, &tuple, 1);
         };
       },
-      sync);
+      sync));
 
   // ---- Pass 1: staggered phases move RP_{i,j} into RS_j. ----
-  op::PhasedRepartition(
+  MMJOIN_RETURN_NOT_OK(op::PhasedRepartition(
       ex, rs_segs,
       [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
           uint64_t end) {
         if constexpr (B::kBatchedProbe) {
           // The morsel's whole range is one contiguous RP_{i,j} run bound
           // for the fixed partner j: append it as one run.
-          if (end > begin) {
-            const auto* run = static_cast<const Tuple*>(
-                ex.Read(i, ex.rp_seg(i), base + begin * t, (end - begin) * t));
-            append_rs_run(i, j, run, end - begin);
-          }
+          if (end == begin) return true;
+          const auto* run = static_cast<const Tuple*>(
+              ex.Read(i, ex.rp_seg(i), base + begin * t, (end - begin) * t));
+          return append_rs_run(i, j, run, end - begin);
         } else {
           for (uint64_t k = begin; k < end; ++k) {
             const auto& tuple =
                 op::LoadTuple(ex, i, ex.rp_seg(i), base + k * t);
-            append_rs_run(i, j, &tuple, 1);
+            if (!append_rs_run(i, j, &tuple, 1)) return false;
           }
+          return true;
         }
       },
-      sync);
+      sync));
+  if (!layout.Filled()) return op::RsLeftShort();
   MMJOIN_RETURN_NOT_OK(op::DropRpSegments(ex));
   ex.MarkPass("pass1");
 
@@ -300,12 +305,21 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
   ex.MarkPass("setup");
 
   // ---- Pass 0: each morsel writes its R objects' refs at its own slots. --
+  // A pointer into no S partition ends the join with Corruption before the
+  // sweep would dereference it; every packed pointer below `limit` names
+  // one of the D partitions.
+  const uint64_t limit = rel::SPtr{d, 0}.Pack();
+  op::PassError error;
   ex.ForEachPartitionTuples(
       r_counts,
       [&](uint32_t i, uint64_t begin, uint64_t end) {
         const Seg r_seg = ex.r_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
           const auto& obj = op::LoadR(ex, i, r_seg, rel::Workload::ROffset(k));
+          if (obj.sptr >= limit) {
+            error.Fail(op::NoSuchPartition(i, obj.id, d));
+            break;
+          }
           const SRef out{obj.id, obj.sptr};
           std::memcpy(ex.Write(i, mr_segs[i], k * ref, ref), &out, ref);
         }
@@ -315,6 +329,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
       /*independent=*/true);
   if (sync) ex.SyncClocks();
   ex.MarkPass("pass0");
+  MMJOIN_RETURN_NOT_OK(error.status());
 
   // ---- Pass 1: sort MR_i in place as runs of L refs. ----
   // L is sized off M_Rproc, so no run sorts in more than private memory.
@@ -442,6 +457,7 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
   join::JoinRunResult result = ex.Finish();
   result.k_buckets = k_buckets;
   result.tsize = rs.plan.tsize;
+  result.histogram_scans = rs.histogram_scans;
   return result;
 }
 
@@ -494,6 +510,7 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
   join::JoinRunResult result = ex.Finish();
   result.k_buckets = k_buckets;
   result.tsize = rs.plan.tsize;
+  result.histogram_scans = rs.histogram_scans;
   return result;
 }
 
@@ -619,6 +636,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
 
   join::JoinRunResult result = ex.Finish();
   result.k_buckets = k_buckets;
+  result.histogram_scans = rs.histogram_scans;
   uint64_t entries = 0, levels = 0;
   for (uint32_t i = 0; i < d; ++i) {
     entries += rs_objects[i];

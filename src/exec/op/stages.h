@@ -40,8 +40,12 @@
 //   ProbeResident    hybrid hash's in-memory bucket 0 through the protocol
 //   BuildProbeBuckets per-bucket build+probe loop over RS_i bands
 //   BucketLayout     contiguous bucket regions + one-writer bump cursors
-//   CountBuckets     per-worker histogram of the RS bucket populations,
-//                    checked against the counts metadata (PlanBucketedRs)
+//                    that refuse a claim past their region's end
+//   PassError        the first corruption a pass met, from any worker
+//   CountBuckets     per-worker histogram of the RS bucket populations
+//   PlanBucketedRs   K/TSIZE plan + bucket layout from the workload's
+//                    memoized histogram, counted on its first use per K
+//                    and checked against the counts metadata every join
 //   IndexLayout      implicit static B+-tree over a sorted SRef leaf array
 //   SortIndexRun     per-bucket leaf packing of the index-NL driver
 //                    (SortRefs by (sptr, r_id))
@@ -54,6 +58,9 @@
 #include <cassert>
 #include <concepts>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +70,7 @@
 #include "join/grace.h"
 #include "join/join_common.h"
 #include "join/sort_merge.h"
+#include "rel/bucket_memo.h"
 
 namespace mmjoin::exec::op {
 
@@ -157,7 +165,7 @@ inline constexpr uint64_t kProbeScratch = 8192;
 /// a caller-local scratch of kProbeScratch refs, sent with RequestSBatch;
 /// `expect` (the refs the caller will push, if known) only sizes it. It is
 /// also an own-partition handler for Partition, which calls Finish at the
-/// end of each morsel.
+/// end of each morsel; as a handler it never refuses a tuple.
 template <Backend B>
 class SFetch {
  public:
@@ -175,9 +183,10 @@ class SFetch {
       ex_.RequestS(i_, r_id, sptr);
     }
   }
-  void operator()(const typename B::Tuple& tuple, rel::SPtr) {
+  bool operator()(const typename B::Tuple& tuple, rel::SPtr) {
     const SRef& ref = RefOf(tuple);
     Push(ref.r_id, ref.sptr);
+    return true;
   }
   void Finish() {
     if constexpr (B::kBatchedProbe) {
@@ -219,7 +228,9 @@ void AppendRun(B& ex, uint32_t writer, typename B::Seg seg, uint64_t byte_off,
 /// bookkeeping: byte movement and cost charging stay with AppendRun. The
 /// cursors need no synchronization — within any pass/phase exactly one
 /// worker writes a given target, and the backend barrier between phases
-/// publishes them.
+/// publishes them. A cursor never passes its region's end: the regions are
+/// sized from metadata and filled from R, so R that disagrees with the
+/// metadata is refused instead of overrunning a band.
 class BucketLayout {
  public:
   /// `counts[i][b]` = tuples bound for bucket b of RS_i; `tuple_bytes` is
@@ -230,7 +241,6 @@ class BucketLayout {
     const size_t k = d ? counts[0].size() : 0;
     tuple_bytes_ = tuple_bytes;
     offset_.assign(d, std::vector<uint64_t>(k + 1, 0));
-    cursor_.assign(d, std::vector<uint64_t>(k, 0));
     for (size_t i = 0; i < d; ++i) {
       uint64_t total = 0;
       for (size_t b = 0; b < k; ++b) {
@@ -239,6 +249,7 @@ class BucketLayout {
       }
       offset_[i][k] = total * tuple_bytes;
     }
+    cursor_ = offset_;
   }
 
   /// Byte offset of bucket b within RS_i.
@@ -253,43 +264,72 @@ class BucketLayout {
     return offset_[i][k] / tuple_bytes_;
   }
   /// Claims `n` consecutive slots of bucket b; returns the byte offset of
-  /// the first within RS_i.
-  uint64_t Claim(uint32_t i, uint32_t b, uint64_t n) {
-    const uint64_t slot = cursor_[i][b];
-    cursor_[i][b] += n;
-    assert(slot + n <= Count(i, b));
-    return offset_[i][b] + slot * tuple_bytes_;
+  /// the first within RS_i, or nullopt, claiming nothing, when fewer than
+  /// `n` slots are left.
+  [[nodiscard]] std::optional<uint64_t> Claim(uint32_t i, uint32_t b,
+                                              uint64_t n) {
+    const uint64_t off = cursor_[i][b];
+    const uint64_t bytes = n * tuple_bytes_;
+    if (bytes > offset_[i][b + 1] - off) return std::nullopt;
+    cursor_[i][b] = off + bytes;
+    return off;
+  }
+  /// True when every bucket region is exactly full.
+  bool Filled() const {
+    for (size_t i = 0; i < cursor_.size(); ++i) {
+      for (size_t b = 0; b + 1 < cursor_[i].size(); ++b) {
+        if (cursor_[i][b] != offset_[i][b + 1]) return false;
+      }
+    }
+    return true;
   }
 
  private:
   uint64_t tuple_bytes_ = 1;
   std::vector<std::vector<uint64_t>> offset_;  // [i][b] bytes, [i][k] end
-  std::vector<std::vector<uint64_t>> cursor_;  // [i][b] tuples claimed
+  /// [i][b] byte offset of bucket b's next free slot; [i][k] unused.
+  std::vector<std::vector<uint64_t>> cursor_;
 };
 
-/// Exact populations of the bucketed RS layout. `buckets[j][b]` counts
-/// the objects bound for bucket b of RS_j; `resident[i]` the own-partition
-/// bucket-0 objects hybrid hash keeps in memory instead (all zero without
-/// the diversion); `routed[i][j]` the R_i objects pointing into S_j, which
-/// must equal the workload's |R_{i,j}| (SubCount) metadata.
-struct BucketHistogram {
-  std::vector<std::vector<uint64_t>> buckets;
-  std::vector<uint64_t> resident;
-  std::vector<std::vector<uint64_t>> routed;
+/// The first corruption a pass met. Any worker may call Fail; only the
+/// failure path takes the lock. Read status() after the pass's barrier.
+class PassError {
+ public:
+  void Fail(Status st) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (status_.ok()) status_ = std::move(st);
+  }
+  Status status() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return status_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Status status_;  ///< guarded by mu_
 };
 
-/// Counts the BucketHistogram from the raw R partitions as a parallel
-/// pre-pass: independent morsels of every R_i add into a per-worker-slot
-/// histogram, and the slots are reduced in slot order after the barrier.
-/// Metadata, not charged: the simulator's ForEachPartitionTuples is a
-/// serial uncharged loop with one slot. Each destination's bucket divisor
-/// is a GraceBucketMap, the reciprocal multiply passes 0 and 1 use. With
-/// `divert_resident` (hybrid hash), own-partition bucket-0 objects count
-/// in `resident` instead of bucket 0. An object whose pointer names no
-/// partition is counted in no cell, so the totals cannot match.
+/// The corruption of an R object whose pointer names no S partition.
+inline Status NoSuchPartition(uint32_t i, uint64_t r_id, uint32_t d) {
+  return Status::Corruption("R_" + std::to_string(i) + " object " +
+                            std::to_string(r_id) +
+                            " points past the last S partition (D = " +
+                            std::to_string(d) + ")");
+}
+
+/// Counts the rel::BucketHistogram of one K from the raw R partitions as a
+/// parallel pre-pass: independent morsels of every R_i add into a
+/// per-worker-slot histogram, and the slots are reduced in slot order
+/// after the barrier. Metadata, not charged: the simulator's
+/// ForEachPartitionTuples is a serial uncharged loop with one slot. Each
+/// destination's bucket divisor is a GraceBucketMap, the reciprocal
+/// multiply passes 0 and 1 use. Own-partition bucket-0 objects always
+/// count in `resident`, so one histogram serves hybrid hash and, folded
+/// back into bucket 0, Grace and index-NL. An object whose pointer names no
+/// partition is counted in no cell, so the routed totals cannot match the
+/// counts metadata. PlanBucketedRs runs this once per workload and K.
 template <Backend B>
-BucketHistogram CountBuckets(B& ex, uint32_t k_buckets,
-                             bool divert_resident) {
+rel::BucketHistogram CountBuckets(B& ex, uint32_t k_buckets) {
   const uint32_t d = ex.D();
   std::vector<join::GraceBucketMap> maps;
   maps.reserve(d);
@@ -311,14 +351,14 @@ BucketHistogram CountBuckets(B& ex, uint32_t k_buckets,
           const rel::SPtr sp = rel::SPtr::Unpack(objs[k].sptr);
           if (sp.partition >= d) continue;
           uint32_t b = maps[sp.partition].Of(sp.index);
-          if (divert_resident && b == 0 && sp.partition == i) b = k_buckets;
+          if (b == 0 && sp.partition == i) b = k_buckets;
           ++hist[sp.partition * cols + b];
           ++routed[sp.partition];
         }
       },
       /*independent=*/true);
 
-  BucketHistogram h;
+  rel::BucketHistogram h;
   h.buckets.assign(d, std::vector<uint64_t>(k_buckets, 0));
   h.resident.assign(d, 0);
   h.routed.assign(d, std::vector<uint64_t>(d, 0));
@@ -337,20 +377,30 @@ BucketHistogram CountBuckets(B& ex, uint32_t k_buckets,
 }
 
 /// RS_i of Grace, hybrid hash and index-NL: |RS_i|, the K/TSIZE plan sized
-/// off the largest RS_i, and the bucket layout.
+/// off the largest RS_i, the bucket layout, and whether this join read R
+/// to count it (1) or took it from the workload's memo (0).
 struct BucketedRs {
   std::vector<uint64_t> objects;  // |RS_i|
   join::GracePlan plan;
   BucketLayout layout;
+  uint32_t histogram_scans = 0;
 };
 
 /// Plans BucketedRs. With `resident` non-null (hybrid hash), own bucket-0
-/// objects stay out of the layout and resident[i] receives their count.
-/// Returns Corruption, before any RP or RS write, when R disagrees with
-/// the workload's counts metadata: the RP and RS bands are sized from the
-/// metadata and filled from R, so a mismatch would overrun a band. Every
-/// counted object lands in one routed cell and one bucket (or resident)
-/// cell of the same RS_j, so routed == SubCount also pins every RS_j total.
+/// objects stay out of the layout and resident[i] receives their count;
+/// otherwise they fold back into bucket 0.
+///
+/// The bucket populations come from the workload's memo (rel/bucket_memo.h)
+/// and are counted by CountBuckets only on the first join with this K, so a
+/// warm join lays RS out without reading R. Every join, hit or miss, checks
+/// the histogram's routed counts against the workload's current counts
+/// metadata (D² compares) and returns Corruption, before any RP or RS
+/// write, when they differ; a miss stores its histogram only after that
+/// check passes. Every counted object lands in one routed cell and one
+/// bucket (or resident) cell of the same RS_j, so routed == SubCount also
+/// pins every RS_j total. R edited after the count is caught where it is
+/// read: Partition refuses a pointer into no partition, and the RP and RS
+/// cursors refuse to pass or fall short of their bands' ends.
 template <Backend B>
 StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
                                     std::vector<uint64_t>* resident) {
@@ -360,23 +410,42 @@ StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
   const uint64_t max_rs =
       *std::max_element(rs.objects.begin(), rs.objects.end());
   rs.plan = join::PlanGrace(params.m_rproc_bytes, max_rs, params);
-  BucketHistogram h = CountBuckets(ex, rs.plan.k_buckets, resident != nullptr);
+  const uint32_t k = rs.plan.k_buckets;
+
+  std::shared_ptr<const rel::BucketHistogram> h = ex.bucket_memo().Find(k);
+  const bool miss = h == nullptr;
+  if (miss) {
+    h = std::make_shared<const rel::BucketHistogram>(CountBuckets(ex, k));
+  }
+  assert(h->buckets.size() == d && h->buckets[0].size() == k);
   for (uint32_t i = 0; i < d; ++i) {
     for (uint32_t j = 0; j < d; ++j) {
-      if (h.routed[i][j] != ex.SubCount(i, j)) {
+      if (h->routed[i][j] != ex.SubCount(i, j)) {
         return Status::Corruption(
             "R_" + std::to_string(i) + " holds " +
-            std::to_string(h.routed[i][j]) + " pointers into S_" +
+            std::to_string(h->routed[i][j]) + " pointers into S_" +
             std::to_string(j) + ", its counts metadata says " +
             std::to_string(ex.SubCount(i, j)));
       }
     }
   }
-  rs.layout.Init(h.buckets, sizeof(typename B::Tuple));
-  for (uint32_t j = 0; j < d; ++j) {
-    assert(rs.layout.Total(j) + h.resident[j] == rs.objects[j]);
+  if (miss) {
+    ex.bucket_memo().Insert(k, h);
+    rs.histogram_scans = 1;
   }
-  if (resident != nullptr) *resident = std::move(h.resident);
+
+  if (resident != nullptr) {
+    rs.layout.Init(h->buckets, sizeof(typename B::Tuple));
+    *resident = h->resident;
+  } else {
+    std::vector<std::vector<uint64_t>> buckets = h->buckets;
+    for (uint32_t j = 0; j < d; ++j) buckets[j][0] += h->resident[j];
+    rs.layout.Init(buckets, sizeof(typename B::Tuple));
+  }
+  for (uint32_t j = 0; j < d; ++j) {
+    assert(rs.layout.Total(j) + (resident ? (*resident)[j] : 0) ==
+           rs.objects[j]);
+  }
   return rs;
 }
 
@@ -389,11 +458,18 @@ StatusOr<BucketedRs> PlanBucketedRs(B& ex, const join::JoinParams& params,
 /// backend's tuple (ToTuple), append every foreign tuple to
 /// RP_{i, sp.partition}, and route every own-partition tuple to
 /// `own(tuple, sp)`, the per-morsel handler `make_own(i, begin, end)`
-/// returns. The handler may expose Finish(), run at the end of the morsel.
-/// Each object is charged the map_ms of mapping its join attribute to a
-/// target.
+/// returns. The handler returns false when its band refuses the tuple, and
+/// may expose Finish(), run at the end of the morsel. Each object is
+/// charged the map_ms of mapping its join attribute to a target.
+///
+/// Returns Corruption when R disagrees with the metadata the bands were
+/// sized from: a pointer into no partition, a full RP_{i,j} or own band,
+/// or an RP_{i,j} left short. The morsel that meets one stops there; no
+/// band is written past its end.
 template <Backend B, typename OwnFactory>
-void Partition(B& ex, OwnFactory&& make_own, bool sync) {
+Status Partition(B& ex, OwnFactory&& make_own, bool sync) {
+  const uint32_t d = ex.D();
+  PassError error;
   ex.ForEachPartitionTuples(
       RCounts(ex),
       [&](uint32_t i, uint64_t begin, uint64_t end) {
@@ -405,9 +481,22 @@ void Partition(B& ex, OwnFactory&& make_own, bool sync) {
           ex.ChargeCpu(i, ex.mc().map_ms);  // map the join attribute
           const rel::SPtr sp = rel::SPtr::Unpack(tuple.sptr);
           if (sp.partition == i) {
-            own(tuple, sp);
-          } else {
-            ex.AppendToRp(i, sp.partition, tuple);
+            if (!own(tuple, sp)) {
+              error.Fail(Status::Corruption(
+                  "R_" + std::to_string(i) + " holds more own-partition "
+                  "objects than its band of RS_" + std::to_string(i) +
+                  " was sized for"));
+              break;
+            }
+          } else if (sp.partition >= d) {
+            error.Fail(NoSuchPartition(i, RefOf(tuple).r_id, d));
+            break;
+          } else if (!ex.AppendToRp(i, sp.partition, tuple)) {
+            error.Fail(Status::Corruption(
+                "R_" + std::to_string(i) + " holds more pointers into S_" +
+                std::to_string(sp.partition) +
+                " than its counts metadata says"));
+            break;
           }
         }
         if constexpr (requires { own.Finish(); }) own.Finish();
@@ -415,6 +504,13 @@ void Partition(B& ex, OwnFactory&& make_own, bool sync) {
       /*independent=*/false);
   if (sync) ex.SyncClocks();
   ex.MarkPass("pass0");
+  MMJOIN_RETURN_NOT_OK(error.status());
+  if (!ex.RpFilled()) {
+    return Status::Corruption(
+        "an RP band was left short: R holds fewer pointers into some S_j "
+        "than its counts metadata says");
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -426,11 +522,13 @@ void Partition(B& ex, OwnFactory&& make_own, bool sync) {
 /// epilogue — publishing RS_j's pages back to their owner's disk image and
 /// the phase span — runs on the final morsel (end == count; an empty
 /// partition still gets one [0,0) morsel). `route(i, j, base, begin, end)`
-/// appends the morsel's tuples to RS_j.
+/// appends the morsel's tuples to RS_j and returns false when RS_j's band
+/// refuses one; the phases then end with Corruption.
 template <Backend B, typename RouteFn>
-void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
-                       RouteFn&& route, bool sync) {
+Status PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
+                         RouteFn&& route, bool sync) {
   const uint32_t d = ex.D();
+  PassError error;
   for (uint32_t t = 1; t < d; ++t) {
     const std::vector<uint64_t> phase_counts = PhaseCounts(ex, t);
     ex.ForEachPartitionTuples(
@@ -439,7 +537,12 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
           const uint32_t j = join::PhaseOffset(i, t, d);
           const uint64_t base = ex.RpSubOffset(i, j);
           const double phase_start_ms = ex.clock_ms(i);
-          route(i, j, base, begin, end);
+          if (!route(i, j, base, begin, end)) {
+            error.Fail(Status::Corruption(
+                "RP_" + std::to_string(i) + "," + std::to_string(j) +
+                " overflows its band of RS_" + std::to_string(j) +
+                ": R disagrees with the metadata RS was sized from"));
+          }
           if (end == phase_counts[i]) {
             // Hand the written RS_j pages back to their owner's disk image.
             ex.DropSegment(i, rs_segs[j], /*discard=*/false);
@@ -453,7 +556,16 @@ void PhasedRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
         },
         /*independent=*/false);
     if (sync) ex.SyncClocks();
+    MMJOIN_RETURN_NOT_OK(error.status());
   }
+  return Status::OK();
+}
+
+/// The corruption of an RS band that passes 0 and 1 left short.
+inline Status RsLeftShort() {
+  return Status::Corruption(
+      "an RS band was left short: R disagrees with the metadata RS was "
+      "sized from");
 }
 
 /// Retires the RP temporaries: they are scratch, so deleteMap discards
@@ -477,7 +589,9 @@ Status DropRpSegments(B& ex) {
 /// hash RP_{i,j} into RS_j's K buckets. With `resident` non-null (hybrid
 /// hash), own bucket-0 objects go to resident[i] instead, one private move
 /// each; `layout` must then come from PlanBucketedRs with the same
-/// diversion.
+/// diversion. Returns Corruption, as Partition and PhasedRepartition do,
+/// when R disagrees with the layout: a bucket that refuses a tuple, or one
+/// left short after pass 1.
 template <Backend B>
 Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
                          BucketLayout& layout, uint32_t k_buckets,
@@ -486,12 +600,14 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
   const uint64_t t = sizeof(typename B::Tuple);
   auto bucket_append = [&](uint32_t writer, uint32_t target, uint32_t b,
                            const typename B::Tuple& tuple) {
-    AppendRun(ex, writer, rs_segs[target], layout.Claim(target, b, 1),
-              &tuple, 1);
+    const std::optional<uint64_t> off = layout.Claim(target, b, 1);
+    if (!off) return false;
+    AppendRun(ex, writer, rs_segs[target], *off, &tuple, 1);
+    return true;
   };
 
   // ---- Pass 0: partition R_i; own-partition objects hash into RS_i. ----
-  Partition(
+  MMJOIN_RETURN_NOT_OK(Partition(
       ex,
       [&](uint32_t i, uint64_t, uint64_t) {
         return [&, i, bmap = join::GraceBucketMap(ex.s_count(i), k_buckets)](
@@ -501,15 +617,15 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
           if (resident != nullptr && b == 0) {
             (*resident)[i].push_back(RefOf(tuple));
             ex.ChargeCpu(i, static_cast<double>(t) * mc.mt_pp_ms);
-          } else {
-            bucket_append(i, i, b, tuple);
+            return true;
           }
+          return bucket_append(i, i, b, tuple);
         };
       },
-      sync);
+      sync));
 
   // ---- Pass 1: staggered phases hash RP_{i,j} into RS_j's buckets. ----
-  PhasedRepartition(
+  MMJOIN_RETURN_NOT_OK(PhasedRepartition(
       ex, rs_segs,
       [&](uint32_t i, uint32_t j, uint64_t base, uint64_t begin,
           uint64_t end) {
@@ -520,11 +636,16 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
         for (uint64_t k = begin; k < end; ++k) {
           const auto& tuple = LoadTuple(ex, i, rp_seg, base + k * t);
           ex.ChargeCpu(i, mc.hash_ms);
-          bucket_append(i, j, bmap.Of(rel::SPtr::Unpack(tuple.sptr).index),
-                        tuple);
+          if (!bucket_append(
+                  i, j, bmap.Of(rel::SPtr::Unpack(tuple.sptr).index),
+                  tuple)) {
+            return false;
+          }
         }
+        return true;
       },
-      sync);
+      sync));
+  if (!layout.Filled()) return RsLeftShort();
 
   MMJOIN_RETURN_NOT_OK(DropRpSegments(ex));
   ex.MarkPass("pass1");

@@ -42,9 +42,9 @@
 //   Tuple             SRef: RP, RS and sort-merge's runs hold 16-byte
 //                     (r_id, sptr) refs, not 128-byte objects — after R is
 //                     first read the join needs nothing else
-//   AppendToRp        one cursor claim + one 16-byte copy straight into
-//                     the RP band: the arena keeps the bands resident, so
-//                     staging would only be a second copy
+//   AppendToRp        one bounded cursor claim + one 16-byte copy straight
+//                     into the RP band: the arena keeps the bands resident,
+//                     so staging would only be a second copy
 //   NUMA placement    numa=interleave mbinds freshly mapped temporaries
 //                     round-robin across nodes before first touch; numa=local
 //                     pre-faults each RP band on its owning worker
@@ -64,6 +64,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,6 +177,7 @@ class RealBackend {
   const rel::RObject* RawR(uint32_t i) const {
     return workload_->RObjects(i);
   }
+  rel::BucketMemo& bucket_memo() const { return workload_->bucket_memo; }
 
   // ---- segments -----------------------------------------------------------
   /// A temporaries-arena block of at least `bytes`; its contents are
@@ -198,13 +200,17 @@ class RealBackend {
     return rp_layout_.SubCount(i, j);
   }
   uint64_t RpPages(uint32_t i) const { return SegPages(rp_segs_[i]); }
-  /// Appends one ref to RP_{i,j}: one cursor claim, one 16-byte copy into
-  /// the band. Partition i's pass chain has one owner at a time, so the
-  /// layout cursor needs no lock.
-  void AppendToRp(uint32_t i, uint32_t j, const Tuple& ref) {
-    std::memcpy(rp_segs_[i]->base + rp_layout_.NextSlot(i, j), &ref,
-                sizeof(ref));
+  /// Appends one ref to RP_{i,j}: one bounded cursor claim, one 16-byte
+  /// copy into the band; false, with nothing written, when the band is
+  /// full. Partition i's pass chain has one owner at a time, so the layout
+  /// cursor needs no lock.
+  [[nodiscard]] bool AppendToRp(uint32_t i, uint32_t j, const Tuple& ref) {
+    const std::optional<uint64_t> off = rp_layout_.NextSlot(i, j);
+    if (!off) return false;
+    std::memcpy(rp_segs_[i]->base + *off, &ref, sizeof(ref));
+    return true;
   }
+  bool RpFilled() const { return rp_layout_.Filled(); }
 
   // ---- per-partition operations -------------------------------------------
   const void* Read(uint32_t /*i*/, Seg seg, uint64_t offset,

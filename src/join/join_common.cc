@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "heap/heapsort.h"
 
@@ -82,13 +83,13 @@ uint64_t JoinExecution::RpPages(uint32_t i) const {
   return env_->segment(rp_segs_[i]).pages();
 }
 
-void JoinExecution::AppendToRp(uint32_t i, uint32_t j, const Tuple& obj) {
-  assert(j != i);
-  const uint64_t off = rp_layout_.NextSlot(i, j);
-  assert(off + sizeof(Tuple) <= rp_layout_.SubOffset(i, j + 1));
-  void* dst = rprocs_[i]->Write(rp_segs_[i], off, sizeof(Tuple));
+bool JoinExecution::AppendToRp(uint32_t i, uint32_t j, const Tuple& obj) {
+  const std::optional<uint64_t> off = rp_layout_.NextSlot(i, j);
+  if (!off) return false;
+  void* dst = rprocs_[i]->Write(rp_segs_[i], *off, sizeof(Tuple));
   std::memcpy(dst, &obj, sizeof(Tuple));
   rprocs_[i]->ChargeCpu(sizeof(Tuple) * env_->config().mt_pp_ms);
+  return true;
 }
 
 void JoinExecution::ServiceSBatch(uint32_t i, uint64_t n) {
@@ -251,6 +252,11 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->counter("join.paging.advise_calls").Inc(paging_advise_calls);
     registry->counter("join.paging.advise_bytes").Inc(paging_advise_bytes);
     registry->counter("join.paging.advise_errors").Inc(paging_advise_errors);
+  }
+  if (k_buckets > 0) {
+    // Bucketed drivers only: 1 when the join read R to count its bucket
+    // populations, 0 when the workload's memo served them.
+    registry->counter("join.histogram_scans").Inc(histogram_scans);
   }
   if (index_entries > 0) {
     // Index nested-loops driver only; absent from the partitioning

@@ -111,6 +111,10 @@ struct JoinRunResult {
   // Echoes of the derived algorithm parameters, for reporting.
   uint64_t irun = 0, nrun_abl = 0, nrun_last = 0, npass = 0, lrun = 0;
   uint32_t k_buckets = 0, tsize = 0;
+  /// Full reads of R that counted the bucket populations (Grace, hybrid
+  /// hash, index-NL): 1 when this join counted them, 0 when it laid RS
+  /// out from the workload's memo (rel/bucket_memo.h) or does not bucket.
+  uint32_t histogram_scans = 0;
 
   // Scheduler telemetry (real backend; all zero on the simulator). Summed
   // over workers and passes; per-worker detail lives on the trace's
@@ -208,6 +212,7 @@ class JoinExecution {
     return reinterpret_cast<const rel::RObject*>(
         env_->segment(workload_->r_segs[i]).raw());
   }
+  rel::BucketMemo& bucket_memo() const { return workload_->bucket_memo; }
 
   // ---- Backend segment operations -----------------------------------------
   /// Creates a newMap-style (zero-fill) temporary of `bytes` on disk `i`.
@@ -283,7 +288,10 @@ class JoinExecution {
   uint64_t RpPages(uint32_t i) const;
 
   /// Appends an R object to RP_{i,j}, charging the private->private move.
-  void AppendToRp(uint32_t i, uint32_t j, const Tuple& obj);
+  /// False, with nothing written or charged, when RP_{i,j} is full.
+  [[nodiscard]] bool AppendToRp(uint32_t i, uint32_t j, const Tuple& obj);
+  /// True when every RP_{i,j} holds exactly its |R_{i,j}| objects.
+  bool RpFilled() const { return rp_layout_.Filled(); }
 
   /// Requests the S object behind `sptr` on behalf of Rproc_i through the
   /// G buffer; drained requests touch Sproc's cache and emit join output.

@@ -32,6 +32,9 @@ struct MmWorkload {
   std::vector<uint64_t> s_base;
   /// counts[i][j] = |R_{i,j}|, as in the simulated workload.
   std::vector<std::vector<uint64_t>> counts;
+  /// Bucket populations per K, as in the simulated workload: filled by the
+  /// first bucketed join with a given K, never by build, persist or open.
+  mutable rel::BucketMemo bucket_memo;
   uint64_t expected_output_count = 0;
   uint64_t expected_checksum = 0;
 

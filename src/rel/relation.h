@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "rel/bucket_memo.h"
 #include "sim/sim_env.h"
 #include "util/status.h"
 
@@ -91,6 +92,10 @@ struct Workload {
   /// counts[i][j] = |R_{i,j}|: objects of R_i whose pointer lands in S_j.
   std::vector<std::vector<uint64_t>> counts;
   double skew = 1.0;  ///< max_{i,j} |R_{i,j}| / (|R_i| / D)
+  /// Bucket populations per K, counted by the first bucketed join that
+  /// needs them (exec::op::PlanBucketedRs). A cache over R: joins on a
+  /// const workload fill it.
+  mutable BucketMemo bucket_memo;
 
   uint64_t expected_output_count = 0;
   uint64_t expected_checksum = 0;  ///< sum of OutputDigest over the join

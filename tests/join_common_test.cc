@@ -57,7 +57,7 @@ TEST(JoinExecutionTest, AppendToRpMovesBytes) {
   rel::RObject obj;
   obj.id = 777;
   obj.sptr = rel::SPtr{1, 5}.Pack();
-  ex.AppendToRp(0, 1, obj);
+  ASSERT_TRUE(ex.AppendToRp(0, 1, obj));
   const auto* stored = reinterpret_cast<const rel::RObject*>(
       f.env.segment(ex.rp_seg(0)).raw() + ex.RpSubOffset(0, 1));
   EXPECT_EQ(stored->id, 777u);

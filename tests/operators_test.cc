@@ -188,7 +188,7 @@ TEST(BucketLayoutTest, OutlivesItsCountsVector) {
 // CountBuckets: the parallel bucket histogram against a serial reference
 // ---------------------------------------------------------------------------
 
-using exec::op::BucketHistogram;
+using rel::BucketHistogram;
 
 // A per-test segment directory for real workloads.
 class OperatorDirTest : public ::testing::Test {
@@ -207,8 +207,9 @@ class OperatorDirTest : public ::testing::Test {
 };
 
 // One GraceBucketOf divide per object, in partition order on one thread.
-BucketHistogram SerialHistogram(const mm::MmWorkload& w, uint32_t k,
-                                bool divert) {
+// Own-partition bucket-0 objects count as resident, as CountBuckets counts
+// them.
+BucketHistogram SerialHistogram(const mm::MmWorkload& w, uint32_t k) {
   const uint32_t d = static_cast<uint32_t>(w.r_count.size());
   BucketHistogram h;
   h.buckets.assign(d, std::vector<uint64_t>(k, 0));
@@ -220,7 +221,7 @@ BucketHistogram SerialHistogram(const mm::MmWorkload& w, uint32_t k,
       const rel::SPtr sp = rel::SPtr::Unpack(objs[n].sptr);
       const uint32_t b =
           join::GraceBucketOf(sp.index, w.s_count[sp.partition], k);
-      if (divert && b == 0 && sp.partition == i) {
+      if (b == 0 && sp.partition == i) {
         ++h.resident[i];
       } else {
         ++h.buckets[sp.partition][b];
@@ -239,10 +240,9 @@ void ExpectSameHistogram(const BucketHistogram& want,
 }
 
 BucketHistogram RealHistogram(const mm::MmWorkload& w, uint32_t k,
-                              bool divert,
                               const exec::RealBackendOptions& options) {
   exec::RealBackend ex(w, join::JoinParams{}, options);
-  return exec::op::CountBuckets(ex, k, divert);
+  return exec::op::CountBuckets(ex, k);
 }
 
 class CountBucketsTest : public OperatorDirTest {};
@@ -254,22 +254,18 @@ TEST_F(CountBucketsTest, MatchesSerialReferenceAcrossWorkersMorselsSkew) {
     rc.s_objects = 20000;
     auto w = mm::BuildMmWorkload(mgr_.get(), theta == 0 ? "u" : "z", rc);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (bool divert : {false, true}) {
-      const BucketHistogram want = SerialHistogram(*w, kBuckets, divert);
-      for (uint32_t workers : {1u, 2u, 4u, 8u}) {
-        // 1000: several morsels per partition; 1 << 40: one per partition
-        // that is not hot.
-        for (uint64_t morsel : {uint64_t{1000}, uint64_t{1} << 40}) {
-          exec::RealBackendOptions options;
-          options.max_threads = workers;
-          options.morsel_tuples = morsel;
-          ExpectSameHistogram(
-              want, RealHistogram(*w, kBuckets, divert, options),
-              "theta=" + std::to_string(theta) +
-                  " divert=" + std::to_string(divert) +
-                  " workers=" + std::to_string(workers) +
-                  " morsel=" + std::to_string(morsel));
-        }
+    const BucketHistogram want = SerialHistogram(*w, kBuckets);
+    for (uint32_t workers : {1u, 2u, 4u, 8u}) {
+      // 1000: several morsels per partition; 1 << 40: one per partition
+      // that is not hot.
+      for (uint64_t morsel : {uint64_t{1000}, uint64_t{1} << 40}) {
+        exec::RealBackendOptions options;
+        options.max_threads = workers;
+        options.morsel_tuples = morsel;
+        ExpectSameHistogram(want, RealHistogram(*w, kBuckets, options),
+                            "theta=" + std::to_string(theta) +
+                                " workers=" + std::to_string(workers) +
+                                " morsel=" + std::to_string(morsel));
       }
     }
   }
@@ -282,10 +278,8 @@ TEST_F(CountBucketsTest, DegenerateShapes) {
   // D = 1: every object is own-partition.
   auto one = mm::BuildMmWorkload(mgr_.get(), "one", Shape(5000, 1, 0.0, 3));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  for (bool divert : {false, true}) {
-    ExpectSameHistogram(SerialHistogram(*one, 5, divert),
-                        RealHistogram(*one, 5, divert, options), "D=1");
-  }
+  ExpectSameHistogram(SerialHistogram(*one, 5), RealHistogram(*one, 5, options),
+                      "D=1");
 
   // |S| != |R|, both ways, with K = 1 (the flat layout) and K = 9.
   for (uint64_t s_objects : {uint64_t{600}, uint64_t{17000}}) {
@@ -295,8 +289,7 @@ TEST_F(CountBucketsTest, DegenerateShapes) {
                                  rc);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
     for (uint32_t k : {1u, 9u}) {
-      ExpectSameHistogram(SerialHistogram(*w, k, true),
-                          RealHistogram(*w, k, true, options),
+      ExpectSameHistogram(SerialHistogram(*w, k), RealHistogram(*w, k, options),
                           "|S|=" + std::to_string(s_objects));
     }
   }
@@ -319,8 +312,8 @@ TEST_F(CountBucketsTest, DegenerateShapes) {
   }
   w->s_count[2] = 0;
   for (uint32_t k : {1u, 4u}) {
-    const BucketHistogram got = RealHistogram(*w, k, false, options);
-    ExpectSameHistogram(SerialHistogram(*w, k, false), got, "empty S_2");
+    const BucketHistogram got = RealHistogram(*w, k, options);
+    ExpectSameHistogram(SerialHistogram(*w, k), got, "empty S_2");
     EXPECT_EQ(got.buckets[2], std::vector<uint64_t>(k, 0));
   }
 
@@ -329,8 +322,8 @@ TEST_F(CountBucketsTest, DegenerateShapes) {
     w->r_count[i] = 0;
     w->counts[i].assign(3, 0);
   }
-  const BucketHistogram empty = RealHistogram(*w, 4, true, options);
-  ExpectSameHistogram(SerialHistogram(*w, 4, true), empty, "|R|=0");
+  const BucketHistogram empty = RealHistogram(*w, 4, options);
+  ExpectSameHistogram(SerialHistogram(*w, 4), empty, "|R|=0");
   EXPECT_EQ(empty.resident, std::vector<uint64_t>(3, 0));
 }
 
@@ -342,10 +335,8 @@ TEST_F(CountBucketsTest, SharedPoolMatchesSerialReference) {
   options.pool = &pool;
   options.priority = exec::QueryPriority::kHigh;
   options.morsel_tuples = 1000;
-  for (bool divert : {false, true}) {
-    ExpectSameHistogram(SerialHistogram(*w, 6, divert),
-                        RealHistogram(*w, 6, divert, options), "pool");
-  }
+  ExpectSameHistogram(SerialHistogram(*w, 6), RealHistogram(*w, 6, options),
+                      "pool");
 }
 
 TEST_F(CountBucketsTest, SimulatorMatchesRealBackend) {
@@ -360,11 +351,9 @@ TEST_F(CountBucketsTest, SimulatorMatchesRealBackend) {
     join::JoinExecution sim_ex(&env, *sim_w, join::JoinParams{});
     auto w = mm::BuildMmWorkload(mgr_.get(), theta == 0 ? "u" : "z", rc);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (bool divert : {false, true}) {
-      ExpectSameHistogram(exec::op::CountBuckets(sim_ex, 5, divert),
-                          RealHistogram(*w, 5, divert, {}),
-                          "theta=" + std::to_string(theta));
-    }
+    ExpectSameHistogram(exec::op::CountBuckets(sim_ex, 5),
+                        RealHistogram(*w, 5, {}),
+                        "theta=" + std::to_string(theta));
   }
 }
 
@@ -415,6 +404,98 @@ TEST_F(CountBucketsTest, CorruptCountsAreRefusedByEveryBucketedDriver) {
     EXPECT_EQ(real.status().code(), StatusCode::kCorruption)
         << real.status().ToString();
   }
+}
+
+// After a join has filled the workload's bucket memo, a bucketed join lays
+// RS out without reading R, so the bands themselves must refuse R that
+// disagrees with the metadata. Every driver does, on both backends: a
+// swapped counts cell is refused by the five drivers that size bands from
+// the counts (MPSM sizes MR_i from |R_i| and still joins exactly), and a
+// pointer past the last partition by all six.
+TEST_F(CountBucketsTest, BandsRefuseDisagreeingRAfterTheMemoFills) {
+  const rel::RelationConfig rc = Shape(8000, 4, 0.0, 13);
+  auto w = mm::BuildMmWorkload(mgr_.get(), "memo", rc);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+  mc.num_disks = rc.num_partitions;
+  sim::SimEnv env(mc);
+  auto sim_w = rel::BuildWorkload(&env, rc);
+  ASSERT_TRUE(sim_w.ok()) << sim_w.status().ToString();
+  ASSERT_EQ(w->counts, sim_w->counts);
+
+  // Fill both memos with a successful bucketed join.
+  const join::DriverSpec& grace = join::Driver(join::Algorithm::kGrace);
+  auto real_first = grace.real(*w, {});
+  ASSERT_TRUE(real_first.ok()) << real_first.status().ToString();
+  EXPECT_TRUE(real_first->verified);
+  EXPECT_EQ(real_first->run.histogram_scans, 1u);
+  auto sim_first = grace.sim(&env, *sim_w, join::JoinParams{});
+  ASSERT_TRUE(sim_first.ok()) << sim_first.status().ToString();
+  EXPECT_TRUE(sim_first->verified);
+  EXPECT_EQ(sim_first->histogram_scans, 1u);
+
+  // Runs every driver; MPSM must join exactly when `mpsm_exact`, every
+  // other driver must return Corruption whose message holds `names`.
+  auto expect_refused = [&](bool mpsm_exact, const std::string& what,
+                            const std::string& names = "") {
+    for (const join::DriverSpec& driver : join::kDrivers) {
+      const bool exact =
+          mpsm_exact && driver.algorithm == join::Algorithm::kMpsm;
+      auto real = driver.real(*w, {});
+      auto simulated = driver.sim(&env, *sim_w, join::JoinParams{});
+      if (exact) {
+        ASSERT_TRUE(real.ok()) << what << real.status().ToString();
+        EXPECT_TRUE(real->verified) << what;
+        ASSERT_TRUE(simulated.ok()) << what << simulated.status().ToString();
+        EXPECT_TRUE(simulated->verified) << what;
+        continue;
+      }
+      for (const Status& st : {real.status(), simulated.status()}) {
+        EXPECT_EQ(st.code(), StatusCode::kCorruption)
+            << what << driver.name << ": " << st.ToString();
+        EXPECT_NE(st.ToString().find(names), std::string::npos)
+            << what << driver.name << ": " << st.ToString();
+      }
+    }
+  };
+
+  // Swapped counts cells: two foreign cells of one row (some RP band
+  // overflows), and an own cell with a smaller foreign one (that RP band
+  // is left short, and the own band of RS overflows).
+  // Row `row` has a foreign cell `small` below both its own cell and its
+  // largest foreign cell `large`.
+  uint32_t row = rc.num_partitions, small = 0, large = 0;
+  for (uint32_t i = 0; i < rc.num_partitions && row == rc.num_partitions;
+       ++i) {
+    small = large = (i + 1) % rc.num_partitions;
+    for (uint32_t j = 0; j < rc.num_partitions; ++j) {
+      if (j == i) continue;
+      if (w->counts[i][j] < w->counts[i][small]) small = j;
+      if (w->counts[i][j] > w->counts[i][large]) large = j;
+    }
+    if (w->counts[i][i] > w->counts[i][small]) row = i;
+  }
+  ASSERT_LT(row, rc.num_partitions) << "no own cell above a foreign one";
+  ASSERT_GT(w->counts[row][large], w->counts[row][small]);
+  for (uint32_t cell : {large, row}) {
+    const std::string what = "counts[" + std::to_string(row) + "][" +
+                             std::to_string(cell) + "] <-> [" +
+                             std::to_string(small) + "]: ";
+    std::swap(w->counts[row][cell], w->counts[row][small]);
+    std::swap(sim_w->counts[row][cell], sim_w->counts[row][small]);
+    expect_refused(/*mpsm_exact=*/true, what);
+    std::swap(w->counts[row][cell], w->counts[row][small]);
+    std::swap(sim_w->counts[row][cell], sim_w->counts[row][small]);
+  }
+
+  // Consistent counts, but one R_0 object points past the last partition.
+  rel::RObject* real_r0 = const_cast<rel::RObject*>(w->RObjects(0));
+  auto* sim_r0 = reinterpret_cast<rel::RObject*>(
+      env.segment(sim_w->r_segs[0]).raw());
+  real_r0[0].sptr = rel::SPtr{rc.num_partitions, 0}.Pack();
+  sim_r0[0].sptr = real_r0[0].sptr;
+  expect_refused(/*mpsm_exact=*/false, "pointer past partition D: ",
+                 "points past the last S partition");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 // op::SFetch's batching at the scratch-capacity edges, the NUMA option
 // fallback on non-NUMA hosts, the kernel/numa metrics surface, and the
 // RUSAGE_THREAD per-pass fault accounting invariant (sum of per-pass
-// faults == total faults).
+// faults == total faults), and the per-workload bucket memo (one count per
+// K, exact hits, a race-free first fill).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "driver_test_name.h"
@@ -258,6 +260,193 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, TupleWidthTest,
                          [](const auto& info) {
                            return DriverTestName(info.param.algorithm);
                          });
+
+// ---------------------------------------------------------------------------
+// Bucket memo: Grace, hybrid hash and index-NL count the bucket populations
+// once per workload and K (join.histogram_scans = 1), then lay RS out from
+// the workload's memo without reading R (0). Count, checksum and plan never
+// depend on which.
+// ---------------------------------------------------------------------------
+
+constexpr join::Algorithm kBucketed[] = {join::Algorithm::kGrace,
+                                         join::Algorithm::kHybridHash,
+                                         join::Algorithm::kIndexNestedLoops};
+
+class BucketMemoTest : public RealJoinTest {
+ protected:
+  /// |R| = 3000 and |S| = 5000.
+  mm::MmWorkload BuildShape(uint32_t d, double theta) {
+    rel::RelationConfig rc;
+    rc.r_objects = 3000;
+    rc.s_objects = 5000;
+    rc.num_partitions = d;
+    rc.zipf_theta = theta;
+    auto w = mm::BuildMmWorkload(mgr_.get(), "w" + std::to_string(builds_++),
+                                 rc);
+    EXPECT_TRUE(w.ok()) << w.status().ToString();
+    return std::move(w).value();
+  }
+
+  /// A four-page M_Rproc, so RS_i spreads over several buckets.
+  static mm::MmJoinOptions SmallBudget() {
+    mm::MmJoinOptions opt;
+    opt.m_rproc_bytes = 4 * 4096;
+    return opt;
+  }
+
+  /// Runs `a`, asserts an exact join, and returns its histogram scans
+  /// after checking that the join.histogram_scans metric reports them.
+  static StatusOr<mm::MmJoinResult> Run(join::Algorithm a,
+                                        const mm::MmWorkload& w,
+                                        const mm::MmJoinOptions& opt,
+                                        uint32_t* scans) {
+    auto r = join::Driver(a).real(w, opt);
+    if (!r.ok()) return r;
+    EXPECT_TRUE(r->verified) << join::AlgorithmName(a);
+    obs::MetricsRegistry reg;
+    r->ExportMetrics(&reg);
+    EXPECT_EQ(reg.counters().count("join.histogram_scans"), 1u);
+    EXPECT_EQ(reg.counter("join.histogram_scans").value(),
+              r->run.histogram_scans);
+    *scans = r->run.histogram_scans;
+    return r;
+  }
+};
+
+TEST_F(BucketMemoTest, HitsMatchMissesAndEveryKCountsOnce) {
+  for (uint32_t d : {1u, 8u}) {
+    for (double theta : {0.0, 1.1}) {
+      for (join::Algorithm a : kBucketed) {
+        SCOPED_TRACE(std::string(join::AlgorithmName(a)) +
+                     " D=" + std::to_string(d) +
+                     " theta=" + std::to_string(theta));
+        const mm::MmWorkload w = BuildShape(d, theta);
+        uint32_t scans = 0;
+        auto miss = Run(a, w, SmallBudget(), &scans);
+        ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+        EXPECT_EQ(scans, 1u);
+        auto hit = Run(a, w, SmallBudget(), &scans);
+        ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+        EXPECT_EQ(scans, 0u);
+        EXPECT_EQ(hit->output_count, miss->output_count);
+        EXPECT_EQ(hit->output_checksum, miss->output_checksum);
+        EXPECT_EQ(hit->run.k_buckets, miss->run.k_buckets);
+        EXPECT_EQ(hit->run.tsize, miss->run.tsize);
+
+        // Another K through k_buckets, then through m_rproc_bytes: each
+        // counts once and joins exactly.
+        mm::MmJoinOptions by_k = SmallBudget();
+        by_k.k_buckets = miss->run.k_buckets + 3;
+        mm::MmJoinOptions by_budget = SmallBudget();
+        by_budget.m_rproc_bytes = 64 * 4096;
+        std::vector<uint32_t> ks{miss->run.k_buckets};
+        for (const mm::MmJoinOptions& opt : {by_k, by_budget}) {
+          auto first = Run(a, w, opt, &scans);
+          ASSERT_TRUE(first.ok()) << first.status().ToString();
+          EXPECT_EQ(scans, 1u);
+          EXPECT_EQ(std::count(ks.begin(), ks.end(), first->run.k_buckets), 0)
+              << "K=" << first->run.k_buckets << " was joined before";
+          ks.push_back(first->run.k_buckets);
+          auto again = Run(a, w, opt, &scans);
+          ASSERT_TRUE(again.ok()) << again.status().ToString();
+          EXPECT_EQ(scans, 0u);
+          EXPECT_EQ(again->output_checksum, first->output_checksum);
+        }
+        EXPECT_EQ(w.bucket_memo.size(), 3u);
+      }
+    }
+  }
+}
+
+TEST_F(BucketMemoTest, OneCountServesAllThreeDrivers) {
+  const mm::MmWorkload w = BuildShape(8, 1.1);
+  for (join::Algorithm a : kBucketed) {
+    uint32_t scans = 0;
+    auto r = Run(a, w, SmallBudget(), &scans);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(scans, a == join::Algorithm::kGrace ? 1u : 0u)
+        << join::AlgorithmName(a);
+  }
+  EXPECT_EQ(w.bucket_memo.size(), 1u);
+}
+
+TEST_F(BucketMemoTest, SurvivesAMoveAndAResetWorkloadStartsEmpty) {
+  mm::MmWorkload w = BuildShape(8, 0.0);
+  uint32_t scans = 0;
+  ASSERT_TRUE(Run(join::Algorithm::kGrace, w, {}, &scans).ok());
+  EXPECT_EQ(scans, 1u);
+  std::vector<mm::MmWorkload> moved;
+  moved.push_back(std::move(w));
+  ASSERT_TRUE(Run(join::Algorithm::kHybridHash, moved[0], {}, &scans).ok());
+  EXPECT_EQ(scans, 0u);
+  moved[0] = mm::MmWorkload{};
+  EXPECT_EQ(moved[0].bucket_memo.size(), 0u);
+}
+
+TEST(BucketMemoUnitTest, KeepsTheNewestEntriesAndTheFirstInsertPerK) {
+  rel::BucketMemo memo;
+  const uint32_t n = rel::BucketMemo::kMaxEntries + 1;
+  for (uint32_t k = 1; k <= n; ++k) {
+    memo.Insert(k, std::make_shared<const rel::BucketHistogram>());
+  }
+  EXPECT_EQ(memo.size(), rel::BucketMemo::kMaxEntries);
+  EXPECT_EQ(memo.Find(1), nullptr);
+  const auto kept = memo.Find(n);
+  ASSERT_NE(kept, nullptr);
+  memo.Insert(n, std::make_shared<const rel::BucketHistogram>());
+  EXPECT_EQ(memo.Find(n), kept);
+  const rel::BucketMemo copy = memo;
+  EXPECT_EQ(copy.Find(n), kept);
+  EXPECT_EQ(copy.size(), memo.size());
+}
+
+// Four threads run the three bucketed drivers at once on one fresh
+// workload, so the memo's first fill races; every join must match the
+// serial join of the same shape.
+TEST_F(BucketMemoTest, ConcurrentFirstJoinsMatchTheSerialJoins) {
+  constexpr uint32_t kThreads = 4;
+  mm::MmJoinOptions opt = SmallBudget();
+  opt.max_threads = 2;
+  const mm::MmWorkload serial_w = BuildShape(8, 1.1);
+  std::vector<mm::MmJoinResult> serial;
+  for (join::Algorithm a : kBucketed) {
+    auto r = join::Driver(a).real(serial_w, opt);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    serial.push_back(std::move(r).value());
+  }
+
+  const mm::MmWorkload w = BuildShape(8, 1.1);
+  std::vector<std::vector<StatusOr<mm::MmJoinResult>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t n = 0; n < std::size(kBucketed); ++n) {
+        got[t].push_back(join::Driver(kBucketed[(t + n) % 3]).real(w, opt));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  uint32_t scans = 0;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    for (uint32_t n = 0; n < std::size(kBucketed); ++n) {
+      const uint32_t a = (t + n) % 3;
+      SCOPED_TRACE(std::string(join::AlgorithmName(kBucketed[a])) +
+                   " thread " + std::to_string(t));
+      const StatusOr<mm::MmJoinResult>& r = got[t][n];
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r->verified);
+      EXPECT_EQ(r->output_count, serial[a].output_count);
+      EXPECT_EQ(r->output_checksum, serial[a].output_checksum);
+      EXPECT_EQ(r->run.k_buckets, serial[a].run.k_buckets);
+      EXPECT_EQ(r->run.tsize, serial[a].run.tsize);
+      scans += r->run.histogram_scans;
+    }
+  }
+  EXPECT_GE(scans, 1u);
+  EXPECT_LE(scans, kThreads);
+  EXPECT_EQ(w.bucket_memo.size(), 1u);
+}
 
 // ---------------------------------------------------------------------------
 // op::SFetch: every pushed ref is dereferenced exactly once, in
