@@ -306,9 +306,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
 
   // ---- Pass 0: each morsel writes its R objects' refs at its own slots. --
   // A pointer into no S partition ends the join with Corruption before the
-  // sweep would dereference it; every packed pointer below `limit` names
-  // one of the D partitions.
-  const uint64_t limit = rel::SPtr{d, 0}.Pack();
+  // sweep would dereference it.
   op::PassError error;
   ex.ForEachPartitionTuples(
       r_counts,
@@ -316,7 +314,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
         const Seg r_seg = ex.r_seg(i);
         for (uint64_t k = begin; k < end; ++k) {
           const auto& obj = op::LoadR(ex, i, r_seg, rel::Workload::ROffset(k));
-          if (obj.sptr >= limit) {
+          if (rel::SPtr::Unpack(obj.sptr).partition >= d) {
             error.Fail(op::NoSuchPartition(i, obj.id, d));
             break;
           }
