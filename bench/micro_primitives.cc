@@ -24,9 +24,7 @@
 #include "opt/calibration.h"
 #include "util/random.h"
 #include "vm/page_cache.h"
-#include "mmap/btree.h"
 
-#include <unistd.h>
 #include <string>
 
 namespace mmjoin {
@@ -124,47 +122,6 @@ void BM_SstfWriteQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SstfWriteQueue)->Arg(8)->Arg(32)->Arg(128);
-
-
-void BM_BTreeInsert(benchmark::State& state) {
-  const std::string path =
-      "/tmp/mmjoin_bench_btree_" + std::to_string(::getpid()) + ".seg";
-  for (auto _ : state) {
-    state.PauseTiming();
-    (void)mmjoin::mm::Segment::Delete(path);
-    auto seg = mmjoin::mm::Segment::Create(path, 64 << 20);
-    auto tree = mmjoin::mm::BTree::Create(&*seg);
-    Rng rng(7);
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      benchmark::DoNotOptimize(tree->Insert(rng.Next(), i).ok());
-    }
-  }
-  (void)mmjoin::mm::Segment::Delete(path);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1 << 12)->Arg(1 << 15);
-
-void BM_BTreeFind(benchmark::State& state) {
-  const std::string path =
-      "/tmp/mmjoin_bench_btreef_" + std::to_string(::getpid()) + ".seg";
-  (void)mmjoin::mm::Segment::Delete(path);
-  auto seg = mmjoin::mm::Segment::Create(path, 64 << 20);
-  auto tree = mmjoin::mm::BTree::Create(&*seg);
-  Rng rng(7);
-  std::vector<uint64_t> keys(1 << 15);
-  for (auto& k : keys) {
-    k = rng.Next();
-    (void)tree->Insert(k, 1).ok();
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree->Find(keys[i++ % keys.size()]).ok());
-  }
-  (void)mmjoin::mm::Segment::Delete(path);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BTreeFind);
 
 }  // namespace
 }  // namespace mmjoin

@@ -244,11 +244,12 @@ int MpsmTable(const char* label, const mm::MmWorkload& workload) {
 // ---------------------------------------------------------------------------
 // Index-NL vs partitioning across |R|/|S| ratio and skew (EXT-8, NOCAP's
 // "where does index probing beat partitioning" question). Each config
-// persists the workload once (PersistMmWorkload bulk-builds the join-key
-// B+-tree — the build-once half of the store's bargain) and then times
-// four per-query paths: grace, hybrid-hash, cold index-NL (per-query
-// index build) and the warm MmIndexProbe straight off the persisted tree
-// (the query-many half). Identity across all four is asserted
+// persists the workload once (PersistMmWorkload runs index-NL's build
+// stage and stores its sorted leaf arrays — the build-once half of the
+// store's bargain) and then times four per-query paths: grace,
+// hybrid-hash, cold index-NL (per-query index build) and the warm
+// MmIndexProbe, index-NL's probe stage straight off the persisted leaf
+// arrays (the query-many half). Identity across all four is asserted
 // unconditionally: same verified count and checksum.
 //
 // MMJOIN_INDEX_REPS=<n> takes the best of n per cell;
@@ -271,7 +272,7 @@ int IndexTable(mm::SegmentManager* mgr, uint64_t objects,
       {objects, std::max<uint64_t>(objects / 8, 1024), 1.1},  // + skew
   };
   std::printf("# index-NL vs partitioning (best of %d; warm = persisted "
-              "B+-tree probe)\n",
+              "leaf-array probe)\n",
               reps);
   std::printf("r\ts\ttheta\tgrace_ms\thybrid_ms\tindexnl_ms\twarm_ms\t"
               "probes\tmatches\twarm_win\tsame_join\n");
@@ -303,9 +304,9 @@ int IndexTable(mm::SegmentManager* mgr, uint64_t objects,
     }
     // Persist again with a shared worker pool (the daemon's path): the
     // store drops and rebuilds _ix/_meta, so the second persist is a pure
-    // build-time A/B of the parallel per-partition collect+sort (EXT-9).
-    // The store is byte-identical either way; queries below run against
-    // the pooled build.
+    // build-time A/B of the index build on the pool against the backend's
+    // own workers. The store is byte-identical either way; queries below
+    // run against the pooled build.
     {
       exec::SharedWorkerPool pool(std::min<uint32_t>(partitions, 4));
       t0 = now_ms();

@@ -26,7 +26,6 @@
 #include "join/oracle.h"           // reference join for verification
 #include "join/sort_merge.h"       // parallel pointer-based sort-merge
 #include "mmap/segment.h"          // real mmap single-level store
-#include "mmap/btree.h"        // persistent B+-tree on the store
 #include "mmap/mm_relation.h"     // relations in real mapped segments
 #include "mmap/mmap_join.h"        // real parallel mmap joins
 #include "mmap/segment_manager.h"  // named-segment catalogue

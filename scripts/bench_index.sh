@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Index-join acceptance bench: a Release build of the real-backend join
 # bench, index table only, with the warm-probe gate armed — the run fails
-# unless the warm index probe (MmIndexProbe over the persisted store's
-# B+-tree, no partition passes, no build) beats the best partitioning
+# unless the warm index probe (MmIndexProbe: index-NL's probe stage over
+# the persisted store's leaf array, no partition passes, no build) beats
+# the best partitioning
 # driver (min of Grace and hybrid hash) on at least one SELECTIVE
 # configuration (|S| < |R|: most R tuples are never asked for, the
 # index-join case from the paper). The table sweeps |R|/|S| ratio and

@@ -3,11 +3,11 @@
 #include <csignal>
 #include <cstdlib>
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
-#include "mmap/btree.h"
+#include "exec/op/stages.h"
+#include "exec/real_backend.h"
 #include "util/random.h"
 
 namespace mmjoin::mm {
@@ -152,101 +152,41 @@ Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
   }
   const uint32_t d = workload->config.num_partitions;
 
-  // Join-key index: one entry per distinct packed S-pointer in R, valued
-  // with the segment offset of its postings run — `[count][r_id...]`,
-  // r_ids ascending — so a probe can reconstruct the exact join output
-  // (MmIndexProbe) instead of just a reference count. Sorted (sptr, r_id)
-  // input doubles as the bulk leaf build's ordering and the postings'
-  // determinism: byte-identical stores for identical workloads.
-  //
-  // The collect+sort is per source partition — one independent unit each,
-  // run on the shared pool when one is given — followed by a serial D-way
-  // merge. r_ids are globally unique, so (sptr, r_id) pairs have exactly
-  // one total order: the merged result is byte-for-byte the global sort.
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> part_pairs(d);
-  const auto collect_one = [&](uint32_t i) {
-    const rel::RObject* objs = workload->RObjects(i);
-    auto& out = part_pairs[i];
-    out.reserve(workload->r_count[i]);
-    for (uint64_t k = 0; k < workload->r_count[i]; ++k) {
-      out.emplace_back(objs[k].sptr, objs[k].id);
-    }
-    std::sort(out.begin(), out.end());
-  };
-  if (pool != nullptr && d > 1) {
-    std::vector<exec::MorselChain> chains;
-    chains.reserve(d);
-    for (uint32_t i = 0; i < d; ++i) {
-      chains.push_back(exec::MorselChain{
-          i, std::max<uint64_t>(1, workload->r_count[i]), exec::kAnyNode,
-          {exec::Morsel{i, 0, workload->r_count[i]}}});
-    }
-    pool->RunChainSet(
-        std::move(chains),
-        [&](uint32_t, const exec::Morsel& m) { collect_one(m.partition); },
-        nullptr, exec::QueryPriority::kNormal, nullptr);
-  } else {
-    for (uint32_t i = 0; i < d; ++i) collect_one(i);
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;  // (sptr, r_id)
-  pairs.reserve(workload->config.r_objects);
-  {
-    std::vector<size_t> cur(d, 0);
-    for (;;) {
-      uint32_t best = d;
-      for (uint32_t i = 0; i < d; ++i) {
-        if (cur[i] >= part_pairs[i].size()) continue;
-        if (best == d || part_pairs[i][cur[i]] < part_pairs[best][cur[best]]) {
-          best = i;
-        }
-      }
-      if (best == d) break;
-      pairs.push_back(part_pairs[best][cur[best]++]);
-    }
-    part_pairs.clear();
-  }
-  std::vector<uint64_t> keys;
-  std::vector<size_t> run_start;  // index into `pairs` of each key's run
-  for (size_t k = 0; k < pairs.size();) {
-    size_t run = k + 1;
-    while (run < pairs.size() && pairs[run].first == pairs[k].first) ++run;
-    keys.push_back(pairs[k].first);
-    run_start.push_back(k);
-    k = run;
-  }
-  run_start.push_back(pairs.size());
+  // Join-key index: index-NL's build stage, whose IX_i are copied into
+  // `_ix` after the root table, in partition order.
+  const join::JoinParams params;
+  exec::RealBackendOptions options;
+  options.pool = pool;
+  exec::RealBackend backend(*workload, params, options);
+  MMJOIN_ASSIGN_OR_RETURN(exec::op::PartitionIndexes<exec::RealBackend> ix,
+                          exec::op::BuildIndex(backend, params));
   const std::string ix_name = prefix + "_ix";
   if (manager->Exists(ix_name)) {
     MMJOIN_RETURN_NOT_OK(manager->DeleteSegment(ix_name));
   }
-  const uint64_t postings_bytes =
-      (pairs.size() + keys.size()) * sizeof(uint64_t);
+  const uint64_t table_bytes =
+      sizeof(StoreIndexRoot) + uint64_t{d} * sizeof(StoreIndexPartition);
+  uint64_t data_bytes = 0;
+  for (const exec::op::IndexLayout& layout : ix.layouts) {
+    data_bytes += layout.total_bytes();
+  }
   MMJOIN_ASSIGN_OR_RETURN(
       Segment ix_seg,
       manager->CreateSegment(ix_name, sizeof(SegmentHeader) + 64 +
-                                          postings_bytes +
-                                          BTree::BulkBuildBytes(keys.size())));
-  // Postings land before the tree nodes so their offsets are known when
-  // the leaves are packed (BulkBuild consumes the values up front).
-  std::vector<uint64_t> values(keys.size());
-  if (postings_bytes > 0) {
-    MMJOIN_ASSIGN_OR_RETURN(uint64_t post_off,
-                            ix_seg.Allocate(postings_bytes));
-    auto* post = static_cast<uint64_t*>(ix_seg.Resolve(post_off));
-    uint64_t w = 0;
-    for (size_t k = 0; k < keys.size(); ++k) {
-      values[k] = post_off + w * sizeof(uint64_t);
-      const uint64_t n = run_start[k + 1] - run_start[k];
-      post[w++] = n;
-      for (size_t p = run_start[k]; p < run_start[k + 1]; ++p) {
-        post[w++] = pairs[p].second;
-      }
-    }
+                                          table_bytes + data_bytes));
+  MMJOIN_ASSIGN_OR_RETURN(uint64_t root_off, ix_seg.Allocate(table_bytes));
+  MMJOIN_ASSIGN_OR_RETURN(uint64_t data_off, ix_seg.Allocate(data_bytes));
+  auto* root = new (ix_seg.Resolve(root_off)) StoreIndexRoot();
+  root->num_partitions = d;
+  auto* parts = reinterpret_cast<StoreIndexPartition*>(root + 1);
+  for (uint32_t i = 0; i < d; ++i) {
+    const uint64_t bytes = ix.layouts[i].total_bytes();
+    parts[i] = StoreIndexPartition{ix.layouts[i].entries(), data_off};
+    std::memcpy(ix_seg.Resolve(data_off), ix.segs[i]->base, bytes);
+    data_off += bytes;
+    MMJOIN_RETURN_NOT_OK(backend.DeleteSegment(ix.segs[i]));
   }
-  MMJOIN_ASSIGN_OR_RETURN(
-      BTree tree,
-      BTree::BulkBuild(&ix_seg, keys.data(), values.data(), keys.size()));
-  MMJOIN_RETURN_NOT_OK(tree.Validate());
+  ix_seg.set_root(root_off);
 
   // Manifest segment: fixed fields plus the per-partition count arrays.
   const std::string meta_name = prefix + "_meta";
@@ -419,9 +359,61 @@ StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
   return w;
 }
 
-StatusOr<Segment> OpenMmWorkloadIndexSegment(SegmentManager* manager,
-                                             const std::string& prefix) {
-  return manager->OpenSealedSegment(prefix + "_ix");
+StatusOr<MmWorkloadIndex> OpenMmWorkloadIndex(SegmentManager* manager,
+                                              const std::string& prefix,
+                                              const MmWorkload& workload) {
+  MmWorkloadIndex index;
+  MMJOIN_ASSIGN_OR_RETURN(index.segment,
+                          manager->OpenSealedSegment(prefix + "_ix"));
+  // Sealed is not enough: the index may be another format's or another
+  // store's, so every record is checked before a probe reads through it.
+  const Segment& seg = index.segment;
+  const uint64_t bump = seg.header()->bump;
+  const auto in_ix = [&](uint64_t off, uint64_t bytes) {
+    return off >= sizeof(SegmentHeader) && off % alignof(uint64_t) == 0 &&
+           off <= bump && bytes <= bump - off;
+  };
+  if (!in_ix(seg.root(), sizeof(StoreIndexRoot))) {
+    return Status::IOError("store index root out of range: " + prefix);
+  }
+  const auto* root =
+      static_cast<const StoreIndexRoot*>(seg.Resolve(seg.root()));
+  if (root->magic != StoreIndexRoot::kMagic ||
+      root->version != StoreIndexRoot::kVersion) {
+    return Status::IOError(
+        "store index is not in this version's layout (persist the store "
+        "again): " + prefix);
+  }
+  const uint32_t d = workload.config.num_partitions;
+  if (root->num_partitions != d ||
+      !in_ix(seg.root(), sizeof(StoreIndexRoot) +
+                             uint64_t{d} * sizeof(StoreIndexPartition))) {
+    return Status::IOError("store index has " +
+                           std::to_string(root->num_partitions) +
+                           " partitions, the workload " + std::to_string(d) +
+                           ": " + prefix);
+  }
+  const auto* parts = reinterpret_cast<const StoreIndexPartition*>(root + 1);
+  for (uint32_t i = 0; i < d; ++i) {
+    uint64_t refs = 0;
+    for (uint32_t j = 0; j < d; ++j) refs += workload.counts[j][i];
+    if (parts[i].entries != refs) {
+      return Status::IOError(
+          "store index holds " + std::to_string(parts[i].entries) +
+          " refs into S_" + std::to_string(i) + ", the counts say " +
+          std::to_string(refs) + ": " + prefix);
+    }
+    exec::op::IndexLayout layout;
+    layout.Plan(refs);
+    if (!in_ix(parts[i].byte_off, layout.total_bytes())) {
+      return Status::IOError("store index partition " + std::to_string(i) +
+                             " lies outside the segment: " + prefix);
+    }
+    index.entries.push_back(refs);
+    index.bytes.push_back(static_cast<const uint8_t*>(seg.base()) +
+                          parts[i].byte_off);
+  }
+  return index;
 }
 
 bool MmWorkloadStoreExists(const SegmentManager& manager,

@@ -83,26 +83,45 @@ struct StoreManifest {
   uint64_t counts_off = 0;   ///< uint64_t[d*d], row-major counts[i][j]
 };
 
-/// Persists a built workload as a durable store: writes the
-/// `<prefix>_meta` manifest segment, bulk-builds the `<prefix>_ix`
-/// B+-tree over R's join keys (packed S-pointer -> segment offset of a
-/// `[count][r_id...]` postings run, r_ids ascending — enough to replay
-/// the exact join output), then Seal()s every segment — data first, manifest
-/// LAST, so a crash at any point leaves the manifest unsealed and the
-/// whole store refused on load. `policy` is the msync policy each seal
-/// flushes under.
+/// Root object of the `<prefix>_ix` segment. The store's join-key index is
+/// index-NL's own (exec/op/stages.h, op::IndexLayout): per S partition i,
+/// the (sptr, r_id)-sorted 16-byte SRef leaf array of every R object that
+/// points into S_i, followed by its implicit key levels. The root is
+/// followed by `num_partitions` StoreIndexPartition records; partition i's
+/// layout is re-derived from its entry count with IndexLayout::Plan. All
+/// positions are segment offsets, so the index attaches anywhere, in any
+/// process, with no relocation.
+struct StoreIndexRoot {
+  static constexpr uint64_t kMagic = 0x6d6d6a6978303031ULL;  // "mmjix001"
+  static constexpr uint32_t kVersion = 1;
+  uint64_t magic = kMagic;
+  uint32_t version = kVersion;
+  uint32_t num_partitions = 0;
+};
+
+/// One partition's record in the `_ix` root table.
+struct StoreIndexPartition {
+  uint64_t entries = 0;   ///< leaf refs: sum_j counts[j][i]
+  uint64_t byte_off = 0;  ///< segment offset of the leaf array
+};
+
+/// Persists a built workload as a durable store: writes the `<prefix>_ix`
+/// join-key index and the `<prefix>_meta` manifest segment, then Seal()s
+/// every segment — data first, manifest LAST, so a crash at any point
+/// leaves the manifest unsealed and the whole store refused on load.
+/// `policy` is the msync policy each seal flushes under.
+///
+/// The index is built by index-NL's build stage (op::BuildIndex) on a
+/// RealBackend over the workload: on `pool` when one is given, on the
+/// backend's own workers otherwise. Its leaves are in (sptr, r_id) order,
+/// a total order, so `_ix` is byte-identical with or without the pool and
+/// for any worker count. The stage runs op::Partition, so R holding an
+/// S-pointer that names no S object is refused with Corruption before any
+/// seal. It fills the workload's bucket memo for the K it plans.
 ///
 /// Crash-test hook: with MMJOIN_PERSIST_CRASH=N in the environment the
 /// process raises SIGKILL after the N-th successful seal, leaving a
 /// deterministically torn store for the recovery tests and CI job.
-///
-/// `pool`, when non-null, parallelizes the bulk build's dominant stage —
-/// collecting and sorting R's (sptr, r_id) pairs — across the source
-/// partitions as one chain set on the shared workers; a serial D-way
-/// merge then restores the global order. Every r_id is globally unique,
-/// so the merged sequence is the one total order a global sort would
-/// produce: the persisted store is byte-identical with or without the
-/// pool.
 Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
                          MmWorkload* workload,
                          MsyncPolicy policy = MsyncPolicy::kNone,
@@ -116,10 +135,25 @@ Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
 StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
                                     const std::string& prefix);
 
-/// Opens the store's `<prefix>_ix` join-key index segment (sealed path).
-/// Attach with BTree::Attach(&seg); the segment must outlive the tree.
-StatusOr<Segment> OpenMmWorkloadIndexSegment(SegmentManager* manager,
-                                             const std::string& prefix);
+/// The store's join-key index, attached and checked against a workload:
+/// the sealed `<prefix>_ix` segment and, per S partition i, its entry
+/// count and the start of its leaf array (op::IndexLayout::Plan(entries[i])
+/// lays out the bytes from there).
+struct MmWorkloadIndex {
+  Segment segment;
+  std::vector<uint64_t> entries;
+  std::vector<const void*> bytes;
+};
+
+/// Opens `<prefix>_ix` through the sealed path (checksums verified) and
+/// validates its root against `workload`: magic and version (an index of
+/// another format, such as an older store's, is refused), D, every
+/// partition's entry count against the workload's counts, and every
+/// partition's bytes inside the allocated part of the segment. Each
+/// refusal is an IOError naming the store.
+StatusOr<MmWorkloadIndex> OpenMmWorkloadIndex(SegmentManager* manager,
+                                              const std::string& prefix,
+                                              const MmWorkload& workload);
 
 /// True if `<prefix>_meta` exists under the manager — the cheap "is there
 /// a store here?" probe used by warm-restart scans.

@@ -19,7 +19,8 @@ constexpr double kSObjBytes = static_cast<double>(sizeof(rel::SObject));
 constexpr double kPageBytes = 4096.0;
 constexpr double kNsToMs = 1e-6;
 
-// Index-entry bytes: packed S-pointer + postings ref (see mmap/btree.h).
+// Index-entry bytes: one 16-byte SRef leaf (r_id, sptr) of index-NL's
+// sorted leaf array (exec/op/stages.h, op::IndexLayout).
 constexpr double kIndexEntryBytes = 16.0;
 // B+-tree fan-out estimate for probe-depth prediction.
 constexpr double kIndexFanout = 64.0;
@@ -197,11 +198,9 @@ WallCost PredictGrace(const Ctx& c, bool hybrid) {
   return wc;
 }
 
-// Index nested-loops: with a warm persisted index the partition and build
-// passes vanish (the store's build-once bargain) and the join is one
-// sequential S sweep of point probes. Cold, it pays a Grace-style R scan
-// and ref scatter plus the (sptr, r_id) pair sort and leaf writes of the
-// bulk build.
+// Index nested-loops: a Grace-style R scan and ref scatter, the
+// (sptr, r_id) pair sort and leaf writes of the bulk build, then one
+// sequential S sweep of point probes.
 WallCost PredictInl(const Ctx& c) {
   WallCost wc;
   const double levels =
@@ -209,12 +208,6 @@ WallCost PredictInl(const Ctx& c) {
                               std::log(kIndexFanout)));
   const double probe_ns =
       levels * c.mc.index_probe_ns_per_level * c.rand_remote;
-  if (c.in.warm_index) {
-    wc.setup_ms = c.SetupMs(1);
-    wc.probe_ms = c.Par(c.sb * c.seq + c.ns * probe_ns) * c.stretch;
-    wc.fault_ms = c.ColdFaultMs(c.sb + c.nr * kIndexEntryBytes);
-    return wc;
-  }
   wc.setup_ms = c.SetupMs(2 + c.phases);
   wc.partition_ms = c.Par(c.rb * c.seq + c.nr * kRefBytes * c.copy);
   wc.build_ms = c.Par(c.nr * Log2AtLeast1(c.nr / c.d) *

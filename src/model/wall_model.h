@@ -85,9 +85,6 @@ struct WallInputs {
   double residency = 1.0;
   uint32_t workers = 1;     ///< effective worker threads
   uint32_t numa_nodes = 1;  ///< host nodes (shapes the remote factors)
-  /// A persisted, sealed B+-tree over R's join keys exists (the store's
-  /// build-once bargain): index-NL can skip partitioning and building.
-  bool warm_index = false;
 };
 
 /// One driver's predicted wall-clock cost, decomposed the way the drivers

@@ -44,7 +44,6 @@ model::WallInputs ToWallInputs(const PlannerInputs& in) {
                   ? in.workers
                   : exec::EffectiveWorkers(w.partitions, /*max_threads=*/0);
   w.numa_nodes = in.numa_nodes ? in.numa_nodes : exec::DetectNumaNodes();
-  w.warm_index = in.warm_index;
   return w;
 }
 

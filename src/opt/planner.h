@@ -51,8 +51,6 @@ struct PlannerInputs {
   /// Host NUMA nodes (shapes the cost model's remote-access terms);
   /// 0 = detect.
   uint32_t numa_nodes = 0;
-  /// A persisted, sealed B+-tree over R's join keys is attachable.
-  bool warm_index = false;
 };
 
 /// One ranked candidate (all six appear in the decision, best first).

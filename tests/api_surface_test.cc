@@ -55,7 +55,7 @@ TEST(ApiSurfaceTest, EveryModuleReachableFromUmbrella) {
   EXPECT_GT(model::Ylru(1000, 100, 1000, 10, 500), 0.0);
   EXPECT_GT(model::ProbEmptyUrnsAtMost(10, 5, 9), 0.0);
 
-  // mmap: segments, relations, joins, btree
+  // mmap: segments, relations, joins, the durable store's index probe
   const std::string dir =
       ::testing::TempDir() + "api_surface_" + std::to_string(::getpid());
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
@@ -67,16 +67,12 @@ TEST(ApiSurfaceTest, EveryModuleReachableFromUmbrella) {
     ASSERT_TRUE(mm_run.ok());
     EXPECT_TRUE(mm_run->verified);
 
-    auto idx_seg = mgr.CreateSegment("api_tree", 4 << 20);
-    ASSERT_TRUE(idx_seg.ok());
-    auto tree = mm::BTree::Create(&*idx_seg);
-    ASSERT_TRUE(tree.ok());
-    ASSERT_TRUE(tree->Insert(1, 2).ok());
-    EXPECT_EQ(*tree->Find(1), 2u);
-    EXPECT_TRUE(tree->Validate().ok());
+    ASSERT_TRUE(mm::PersistMmWorkload(&mgr, "api", &*w).ok());
+    auto probe = mm::MmIndexProbe(&mgr, "api", *w);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_TRUE(probe->verified);
   }
   (void)mm::DeleteMmWorkload(&mgr, "api", relation.num_partitions);
-  (void)mgr.DeleteSegment("api_tree");
 
   // heap
   std::vector<uint64_t> v{3, 1, 2};

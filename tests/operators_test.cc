@@ -498,6 +498,53 @@ TEST_F(CountBucketsTest, BandsRefuseDisagreeingRAfterTheMemoFills) {
                  "points past the last S partition");
 }
 
+// One S-pointer check, as the pointer leaves the R scan (op::SPtrCheck):
+// an R object pointing one past the end of its own S partition keeps the
+// counts consistent, so only that check can refuse it. Every driver
+// does, on both backends, whether the join counts the bucket populations
+// itself (memo empty) or takes them from the memo.
+TEST_F(CountBucketsTest, PointerPastItsSPartitionRefusedByEveryDriver) {
+  const rel::RelationConfig rc = Shape(8000, 4, 0.0, 17);
+  sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+  mc.num_disks = rc.num_partitions;
+  for (const bool memo_filled : {false, true}) {
+    const std::string prefix = memo_filled ? "filled" : "empty";
+    SCOPED_TRACE(prefix);
+    auto w = mm::BuildMmWorkload(mgr_.get(), prefix, rc);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    sim::SimEnv env(mc);
+    auto sim_w = rel::BuildWorkload(&env, rc);
+    ASSERT_TRUE(sim_w.ok()) << sim_w.status().ToString();
+    if (memo_filled) {
+      const join::DriverSpec& grace = join::Driver(join::Algorithm::kGrace);
+      auto real = grace.real(*w, {});
+      ASSERT_TRUE(real.ok() && real->verified);
+      auto simulated = grace.sim(&env, *sim_w, join::JoinParams{});
+      ASSERT_TRUE(simulated.ok() && simulated->verified);
+    }
+
+    rel::RObject* real_r1 = const_cast<rel::RObject*>(w->RObjects(1));
+    auto* sim_r1 = reinterpret_cast<rel::RObject*>(
+        env.segment(sim_w->r_segs[1]).raw());
+    const uint32_t p = rel::SPtr::Unpack(real_r1[5].sptr).partition;
+    real_r1[5].sptr = rel::SPtr{p, w->s_count[p]}.Pack();
+    sim_r1[5].sptr = real_r1[5].sptr;
+    const std::string names = "R_1 object " + std::to_string(real_r1[5].id) +
+                              " points past the end of S_" +
+                              std::to_string(p);
+    for (const join::DriverSpec& driver : join::kDrivers) {
+      auto real = driver.real(*w, {});
+      auto simulated = driver.sim(&env, *sim_w, join::JoinParams{});
+      for (const Status& st : {real.status(), simulated.status()}) {
+        EXPECT_EQ(st.code(), StatusCode::kCorruption)
+            << driver.name << ": " << st.ToString();
+        EXPECT_NE(st.ToString().find(names), std::string::npos)
+            << driver.name << ": " << st.ToString();
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-stage behavior through full plan runs (sim + real, reference oracle)
 // ---------------------------------------------------------------------------

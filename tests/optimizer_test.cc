@@ -69,20 +69,6 @@ TEST(PlannerGoldenTest, BigUniformPicksMpsmThenHybridHash) {
   EXPECT_EQ(d.candidates[2].algorithm, join::Algorithm::kGrace);
 }
 
-TEST(PlannerGoldenTest, SelectiveJoinWithWarmIndexPicksIndexNl) {
-  PlannerInputs in;
-  in.r_objects = 1ull << 22;
-  in.s_objects = 1ull << 16;  // |S| = |R|/64: most of R is never matched
-  in.partitions = 8;
-  in.workers = 8;
-  in.numa_nodes = 1;
-  in.warm_index = true;
-  const PlannerDecision d =
-      PlanJoin(in, Calibration::ColdStoreReference());
-  EXPECT_EQ(d.algorithm, join::Algorithm::kIndexNestedLoops)
-      << d.explanation;
-}
-
 TEST(PlannerGoldenTest, MultiNodeRaisesEveryCandidatesPrediction) {
   // The node term: on four nodes a share of every sequential read, scatter
   // and random dereference is remote, so each driver's raw prediction must

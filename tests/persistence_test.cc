@@ -14,14 +14,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "mmap/btree.h"
+#include "exec/op/stages.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment.h"
@@ -30,6 +32,40 @@
 
 namespace mmjoin {
 namespace {
+
+/// True when partition i of a persisted index is index-NL's layout over
+/// S_i: leaves strictly ascending in (sptr, r_id), every sptr inside S_i,
+/// and each level key the first sptr of its fanout window one level down.
+bool ValidIndexPartition(const mm::MmWorkloadIndex& index,
+                         const mm::MmWorkload& w, uint32_t i) {
+  exec::op::IndexLayout layout;
+  layout.Plan(index.entries[i]);
+  const auto* base = static_cast<const uint8_t*>(index.bytes[i]);
+  const auto* leaves = reinterpret_cast<const exec::SRef*>(base);
+  for (uint64_t k = 0; k < layout.entries(); ++k) {
+    const rel::SPtr sp = rel::SPtr::Unpack(leaves[k].sptr);
+    if (sp.partition != i || sp.index >= w.s_count[i]) return false;
+    if (k > 0 && std::pair(leaves[k - 1].sptr, leaves[k - 1].r_id) >=
+                     std::pair(leaves[k].sptr, leaves[k].r_id)) {
+      return false;
+    }
+  }
+  const uint64_t f = exec::op::IndexLayout::kFanout;
+  const auto& levels = layout.levels();
+  for (size_t l = 0; l < levels.size(); ++l) {
+    const auto* keys =
+        reinterpret_cast<const uint64_t*>(base + levels[l].byte_off);
+    const auto* below =
+        l == 0 ? nullptr
+               : reinterpret_cast<const uint64_t*>(base +
+                                                   levels[l - 1].byte_off);
+    for (uint64_t j = 0; j < levels[l].count; ++j) {
+      const uint64_t first = l == 0 ? leaves[j * f].sptr : below[j * f];
+      if (keys[j] != first) return false;
+    }
+  }
+  return true;
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -139,8 +175,9 @@ TEST_F(PersistenceTest, ReopenedStoreRunsEveryDriver) {
     EXPECT_EQ(result->output_count, w->expected_output_count);
     EXPECT_EQ(result->output_checksum, w->expected_checksum);
   }
-  // The warm probe — straight off the store's persisted B+-tree, no
-  // partition passes — must produce the same verified join.
+  // The warm probe — index-NL's probe stage straight off the store's
+  // persisted leaf arrays, no partition passes — must produce the same
+  // verified join.
   auto warm = mm::MmIndexProbe(mgr_.get(), "drv", *w);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_TRUE(warm->verified);
@@ -151,48 +188,44 @@ TEST_F(PersistenceTest, ReopenedStoreRunsEveryDriver) {
 }
 
 TEST_F(PersistenceTest, JoinKeyIndexAttachesAndCovers) {
-  // The persisted B+-tree maps every distinct packed S-pointer in R to
-  // the offset of its `[count][r_id...]` postings run; the counts sum
-  // back to |R| and every R object appears in its own key's run.
+  // The persisted index is index-NL's: per S partition, the sorted leaf
+  // array of every R object pointing into it plus its key levels. Its
+  // entries match the counts, and its leaves are exactly R's (sptr, id)
+  // pairs.
   const rel::RelationConfig rc = Shape(3000, 3, 0.8, 55);
   auto built = BuildStore(rc, "ix", mm::MsyncPolicy::kNone);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  auto ix_seg = mm::OpenMmWorkloadIndexSegment(mgr_.get(), "ix");
-  ASSERT_TRUE(ix_seg.ok()) << ix_seg.status().ToString();
-  auto tree = mm::BTree::Attach(&*ix_seg);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  ASSERT_TRUE(tree->Validate().ok());
-
-  uint64_t ref_sum = 0;
-  tree->Scan(0, ~0ULL, [&](uint64_t, uint64_t off) {
-    const auto* post = static_cast<const uint64_t*>(ix_seg->Resolve(off));
-    ref_sum += post[0];
-  });
-  EXPECT_EQ(ref_sum, rc.r_objects);
-
-  // Every R object's pointer must be found, with its own id in the run.
-  for (uint32_t i = 0; i < rc.num_partitions; ++i) {
+  auto index = mm::OpenMmWorkloadIndex(mgr_.get(), "ix", *built);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const uint32_t d = rc.num_partitions;
+  ASSERT_EQ(index->entries.size(), d);
+  std::vector<std::pair<uint64_t, uint64_t>> leaves, objects;
+  for (uint32_t i = 0; i < d; ++i) {
+    SCOPED_TRACE(i);
+    uint64_t into_i = 0;
+    for (uint32_t j = 0; j < d; ++j) into_i += built->counts[j][i];
+    EXPECT_EQ(index->entries[i], into_i);
+    EXPECT_TRUE(ValidIndexPartition(*index, *built, i));
+    const auto* refs = static_cast<const exec::SRef*>(index->bytes[i]);
+    for (uint64_t k = 0; k < index->entries[i]; ++k) {
+      leaves.emplace_back(refs[k].sptr, refs[k].r_id);
+    }
     const rel::RObject* r = built->RObjects(i);
     for (uint64_t k = 0; k < built->r_count[i]; ++k) {
-      auto found = tree->Find(r[k].sptr);
-      ASSERT_TRUE(found.ok()) << "missing sptr at partition " << i;
-      const auto* post =
-          static_cast<const uint64_t*>(ix_seg->Resolve(*found));
-      ASSERT_GE(post[0], 1u);
-      bool present = false;
-      for (uint64_t p = 1; p <= post[0]; ++p) {
-        present |= post[p] == r[k].id;
-      }
-      EXPECT_TRUE(present) << "r_id missing from postings run";
+      objects.emplace_back(r[k].sptr, r[k].id);
     }
   }
+  // Every R object is present, once: the leaves concatenate to R's pairs
+  // in sorted order.
+  std::sort(objects.begin(), objects.end());
+  EXPECT_EQ(leaves, objects);
 }
 
 TEST_F(PersistenceTest, IndexSurvivesProcessBoundary) {
-  // Attach the persisted tree in a fork()ed child — a genuinely different
-  // process image — and validate it there. Segment-relative VPtrs make
-  // this work with zero relocation.
+  // Attach the persisted index in a fork()ed child — a genuinely different
+  // process image — and validate it there. Segment offsets make this work
+  // with zero relocation.
   const rel::RelationConfig rc = Shape(2000, 2, 0.3, 66);
   auto built = BuildStore(rc, "fork", mm::MsyncPolicy::kSync);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -204,14 +237,18 @@ TEST_F(PersistenceTest, IndexSurvivesProcessBoundary) {
   if (pid == 0) {
     // Child: exit code communicates the failure site (0 = all good).
     mm::SegmentManager child_mgr(dir_);
-    auto seg = mm::OpenMmWorkloadIndexSegment(&child_mgr, "fork");
-    if (!seg.ok()) ::_exit(2);
-    auto tree = mm::BTree::Attach(&*seg);
-    if (!tree.ok()) ::_exit(3);
-    if (!tree->Validate().ok()) ::_exit(4);
-    if (tree->size() == 0) ::_exit(5);
     auto w = mm::OpenMmWorkload(&child_mgr, "fork");
-    if (!w.ok()) ::_exit(6);
+    if (!w.ok()) ::_exit(2);
+    auto index = mm::OpenMmWorkloadIndex(&child_mgr, "fork", *w);
+    if (!index.ok()) ::_exit(3);
+    uint64_t entries = 0;
+    for (uint32_t i = 0; i < rc.num_partitions; ++i) {
+      if (!ValidIndexPartition(*index, *w, i)) ::_exit(4);
+      entries += index->entries[i];
+    }
+    if (entries != rc.r_objects) ::_exit(5);
+    auto probe = mm::MmIndexProbe(&child_mgr, "fork", *w);
+    if (!probe.ok() || !probe->verified) ::_exit(6);
     auto join = mm::MmIndexNestedLoops(*w);
     if (!join.ok() || !join->verified) ::_exit(7);
     ::_exit(0);
@@ -220,6 +257,32 @@ TEST_F(PersistenceTest, IndexSurvivesProcessBoundary) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+TEST_F(PersistenceTest, PointerPastItsSPartitionRefusedBeforeAnySeal) {
+  // Persist builds the index through op::Partition, whose S-pointer check
+  // refuses an R object pointing one past the end of its S partition —
+  // the counts still agree — before a single segment seals.
+  const rel::RelationConfig rc = Shape(4096, 4, 0.0, 111);
+  auto w = mm::BuildMmWorkload(mgr_.get(), "bad", rc);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  auto* r1 = const_cast<rel::RObject*>(w->RObjects(1));
+  const uint32_t p = rel::SPtr::Unpack(r1[7].sptr).partition;
+  r1[7].sptr = rel::SPtr{p, w->s_count[p]}.Pack();
+
+  const Status st = mm::PersistMmWorkload(mgr_.get(), "bad", &*w);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.ToString().find("R_1 object " + std::to_string(r1[7].id) +
+                               " points past the end of S_" +
+                               std::to_string(p)),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(mgr_->Exists("bad_ix"));
+  EXPECT_FALSE(mgr_->Exists("bad_meta"));
+  for (uint32_t i = 0; i < rc.num_partitions; ++i) {
+    EXPECT_FALSE(w->r_segs[i].sealed()) << i;
+    EXPECT_FALSE(w->s_segs[i].sealed()) << i;
+  }
 }
 
 TEST_F(PersistenceTest, HeaderCorruptionRejected) {

@@ -1,12 +1,16 @@
-// Warm restart of the durable store: the batch sealed open and the
-// leaf-chain merge probe.
+// Warm restart of the durable store: the batch sealed open and the warm
+// index probe.
 //
 // The contract under test (segment_manager.h, mm_relation.h, mmap_join.h):
 //
-//   * MmIndexProbe is one BTree::Scan per S partition, run on the
-//     partitions in parallel. Count, checksum and every index counter are
-//     identical serial, on one or two threads and at the defaults, and
-//     index_matches equals the hits of one Find per S tuple.
+//   * MmIndexProbe runs index-NL's probe stage over the persisted leaf
+//     arrays. Count, checksum and every index counter are identical
+//     serial, on two threads and at the defaults, and index_matches equals
+//     the distinct S-pointers of R.
+//   * The persisted index is byte-identical with and without a shared
+//     pool and for any worker count, and an index that does not match the
+//     store — another format's root, entries that disagree with the
+//     counts, bytes outside the segment — is refused with a Status.
 //   * OpenMmWorkload verifies all data segments as one batch. Every torn
 //     segment is refused with a checksum error, and with several torn
 //     segments the error always names the first in open order, however
@@ -22,13 +26,15 @@
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "exec/kernels.h"
 #include "exec/scheduler.h"
-#include "mmap/btree.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment.h"
@@ -110,23 +116,17 @@ class StoreRestartTest : public ::testing::Test {
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
 
-/// Index entries hit by one BTree::Find per S tuple: the reference for
-/// index_matches.
-uint64_t FindHits(mm::SegmentManager* mgr, const std::string& prefix,
-                  const mm::MmWorkload& w) {
-  auto seg = mm::OpenMmWorkloadIndexSegment(mgr, prefix);
-  EXPECT_TRUE(seg.ok()) << seg.status().ToString();
-  if (!seg.ok()) return 0;
-  auto tree = mm::BTree::Attach(&*seg);
-  EXPECT_TRUE(tree.ok());
-  if (!tree.ok()) return 0;
-  uint64_t hits = 0;
+/// The distinct S-pointers of R, counted from the R objects: the
+/// reference for index_matches.
+uint64_t DistinctSPtrs(const mm::MmWorkload& w) {
+  std::vector<uint64_t> sptrs;
   for (uint32_t i = 0; i < w.config.num_partitions; ++i) {
-    for (uint64_t k = 0; k < w.s_count[i]; ++k) {
-      hits += tree->Find(rel::SPtr{i, k}.Pack()).ok();
-    }
+    const rel::RObject* r = w.RObjects(i);
+    for (uint64_t k = 0; k < w.r_count[i]; ++k) sptrs.push_back(r[k].sptr);
   }
-  return hits;
+  std::sort(sptrs.begin(), sptrs.end());
+  return static_cast<uint64_t>(
+      std::unique(sptrs.begin(), sptrs.end()) - sptrs.begin());
 }
 
 TEST_F(StoreRestartTest, ProbeIdenticalAcrossWorkerCounts) {
@@ -154,7 +154,7 @@ TEST_F(StoreRestartTest, ProbeIdenticalAcrossWorkerCounts) {
       for (uint32_t i = 0; i < d; ++i) into_last += w->counts[i][d - 1];
       ASSERT_EQ(into_last, 0u) << "S_" << d - 1 << " is referenced";
     }
-    const uint64_t hits = FindHits(mgr_.get(), cell.prefix, *w);
+    const uint64_t hits = DistinctSPtrs(*w);
 
     mm::MmJoinOptions serial, two, defaults;
     serial.max_threads = 1;
@@ -277,6 +277,86 @@ TEST_F(StoreRestartTest, ForeignSegmentRefusedOrCaughtByOracle) {
   auto join = mm::MmNestedLoops(*swapped);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_FALSE(join->verified);
+}
+
+TEST_F(StoreRestartTest, IndexBytesIdenticalForEveryWorkerCount) {
+  // The leaves are in (sptr, r_id) order, a total order, so `_ix` is the
+  // same file whether persist runs on its own workers or on a shared pool
+  // of one, two or four.
+  const rel::RelationConfig rc = Shape(16384, 16384, 4, 1.1, 71);
+  auto w = mm::BuildMmWorkload(mgr_.get(), "det", rc);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const auto ix_bytes = [&] {
+    std::ifstream in(Path("det_ix"), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  ASSERT_TRUE(mm::PersistMmWorkload(mgr_.get(), "det", &*w).ok());
+  const std::string reference = ix_bytes();
+  ASSERT_GT(reference.size(), rc.r_objects * sizeof(exec::SRef));
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    exec::SharedWorkerPool pool(workers);
+    ASSERT_TRUE(mm::PersistMmWorkload(mgr_.get(), "det", &*w,
+                                      mm::MsyncPolicy::kNone, &pool)
+                    .ok());
+    EXPECT_TRUE(ix_bytes() == reference);
+  }
+  auto probe = mm::MmIndexProbe(mgr_.get(), "det", *w);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_TRUE(probe->verified);
+}
+
+TEST_F(StoreRestartTest, IndexRootRefusedUnlessItMatchesTheStore) {
+  // Each edit below is sealed again, so the checksum passes and only the
+  // root's own validation can refuse it — with a Status naming the store,
+  // never a read outside the segment.
+  const uint32_t d = 4;
+  Persist(Shape(8192, 8192, d, 0.5, 81), "root");
+  auto w = mm::OpenMmWorkload(mgr_.get(), "root");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const auto edit_and_probe = [&](const std::string& what, auto&& edit) {
+    SCOPED_TRACE(what);
+    {
+      auto seg = mgr_->OpenSegment("root_ix");
+      ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+      auto* root = static_cast<mm::StoreIndexRoot*>(seg->Resolve(seg->root()));
+      edit(root, reinterpret_cast<mm::StoreIndexPartition*>(root + 1),
+           seg->header()->bump);
+      ASSERT_TRUE(seg->Seal().ok());
+    }
+    auto probe = mm::MmIndexProbe(mgr_.get(), "root", *w);
+    ASSERT_FALSE(probe.ok());
+    EXPECT_EQ(probe.status().code(), StatusCode::kIOError)
+        << probe.status().ToString();
+    EXPECT_NE(probe.status().ToString().find("root"), std::string::npos)
+        << probe.status().ToString();
+    // Persist again for the next edit.
+    w = Status::NotFound("dropped");
+    ASSERT_TRUE(mm::DeleteMmWorkload(mgr_.get(), "root", d).ok());
+    Persist(Shape(8192, 8192, d, 0.5, 81), "root");
+    w = mm::OpenMmWorkload(mgr_.get(), "root");
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+  };
+  // A store persisted before this layout: its root was a B+-tree meta
+  // block, which starts with the tree's own magic ("btreemm1").
+  edit_and_probe("old-format root",
+                 [](mm::StoreIndexRoot* root, mm::StoreIndexPartition*,
+                    uint64_t) { root->magic = 0x62747265656d6d31ULL; });
+  edit_and_probe("entries disagree with the counts",
+                 [](mm::StoreIndexRoot*, mm::StoreIndexPartition* parts,
+                    uint64_t) { ++parts[1].entries; });
+  edit_and_probe("partition bytes past the bump",
+                 [](mm::StoreIndexRoot*, mm::StoreIndexPartition* parts,
+                    uint64_t bump) {
+                   parts[d - 1].byte_off = (bump + 8) & ~uint64_t{7};
+                 });
+  edit_and_probe("partition count disagrees",
+                 [](mm::StoreIndexRoot* root, mm::StoreIndexPartition*,
+                    uint64_t) { root->num_partitions = d + 1; });
+  // Untouched, the same store probes correctly.
+  auto probe = mm::MmIndexProbe(mgr_.get(), "root", *w);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_TRUE(probe->verified);
 }
 
 }  // namespace
