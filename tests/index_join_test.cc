@@ -3,7 +3,8 @@
 //
 // The driver repartitions exactly like Grace, then bulk-builds a static
 // per-partition B+-tree over the repartitioned references and probes it
-// once per S morsel: one descent, then a scan of the morsel's leaf range.
+// once per morsel of leaves: one descent, then a scan of the morsel's key
+// range.
 // Like every other driver it is ONE template over the backend concept, so
 // sim and real runs — at any morsel size — must produce the identical
 // verified join.
