@@ -19,7 +19,7 @@
 #include "join/drivers.h"          // the driver table: names + entries
 #include "join/grace.h"            // parallel pointer-based Grace join
 #include "join/hybrid_hash.h"      // pointer-based hybrid-hash (EXT-5)
-#include "join/index_nl.h"         // index nested-loops over B+-tree (EXT-8)
+#include "join/index_nl.h"         // index nested-loops, sorted leaves (EXT-8)
 #include "join/join_common.h"      // parameters / results / execution core
 #include "join/mpsm.h"             // massively-parallel sort-merge (EXT-9)
 #include "join/nested_loops.h"     // parallel pointer-based nested loops

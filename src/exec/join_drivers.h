@@ -5,10 +5,12 @@
 //
 // Since the operator-layer refactor each driver is a thin composition of
 // the reusable pass stages in exec/op/stages.h — Partition,
-// PhasedRepartition, BucketRepartition, ProbePhases, SortRuns,
-// MergeJoinRuns, BuildProbeBuckets — plus the driver's own setup charges,
-// segment layout and routing policy. The stages are an exact structural
-// lift of the historical monolithic drivers: for each driver the sequence
+// PhasedRepartition, BucketRepartition, SetUpHashBuckets, ProbePhases,
+// SortRuns, MergeJoinRuns, BuildProbeBuckets, BuildIndex, ProbeIndex —
+// plus the driver's own setup charges, segment layout and routing policy.
+// The stages are an exact structural lift of the historical monolithic
+// drivers (index-NL's excepted: its index became RS_i sorted in place, and
+// its simulator costs were re-recorded): for each driver the sequence
 // of backend operations is bit-identical to the pre-refactor code, on both
 // backends (asserted by tests/cross_backend_test.cc, tests/operators_test.cc
 // and, for the simulator's costs, tests/sim_golden_test.cc).
@@ -27,11 +29,11 @@
 //   HybridHash (EXT-5): Grace, except each worker keeps its own bucket-0
 //     objects in a resident in-memory table, skipping one disk round trip.
 //   IndexNestedLoops (EXT-8): op::BuildIndex repartitions R exactly like
-//     Grace (monotone buckets) and packs each RS_i into a per-partition
-//     static B+-tree over the packed S-pointer (sorted SRef leaves +
-//     implicit key levels); op::ProbeIndex probes it with one leaf-range
-//     scan per morsel of leaves — S's identity IS the key, so unmatched S
-//     is never touched. The durable store persists the built IX_i and its warm
+//     Grace (monotone buckets) and sorts each bucket of RS_i in place by
+//     the packed S-pointer, so RS_i becomes one sorted leaf array;
+//     op::ProbeIndex sweeps it in pointer order, one forward scan per
+//     morsel of leaves — S's identity IS the key, so unmatched S is never
+//     touched. The durable store persists the sorted RS_i and its warm
 //     probe runs the same probe stage (mmap/mmap_join.h, MmIndexProbe).
 //   Mpsm (EXT-9, after Albutiu/Kemper/Neumann): pass 0 writes each R_i
 //     object's 16-byte (id, sptr) ref into a private MR_i; pass 1 sorts
@@ -385,43 +387,6 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
 // Grace (§7)
 // ---------------------------------------------------------------------------
 
-/// Setup of Grace and hybrid hash: creates RS_i with `layout`'s K
-/// contiguous bucket regions, charges openMap(R_i) + openMap(S_i) +
-/// newMap(RS_i + RP_i) + openMap(RS_i) (the re-attachment for the
-/// bucket-processing pass) serialized over D, and declares the access
-/// pattern: R scans once sequentially, S_i is probed by hash-clustered
-/// chains (probe-heavy), the RS/RP temporaries are about to be filled.
-template <Backend B>
-StatusOr<std::vector<typename B::Seg>> SetUpHashBuckets(
-    B& ex, const op::BucketLayout& layout) {
-  const uint32_t d = ex.D();
-  const sim::MachineConfig& mc = ex.mc();
-  std::vector<typename B::Seg> rs_segs(d);
-  for (uint32_t i = 0; i < d; ++i) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        rs_segs[i],
-        ex.CreateSegment("RS" + std::to_string(i), i,
-                         std::max<uint64_t>(layout.Total(i), 1) *
-                             sizeof(typename B::Tuple)));
-  }
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t rs_pages = ex.SegPages(rs_segs[i]);
-    const double per_proc = mc.OpenMapMs(ex.SegPages(ex.r_seg(i))) +
-                            mc.OpenMapMs(ex.SegPages(ex.s_seg(i))) +
-                            mc.NewMapMs(rs_pages + ex.RpPages(i)) +
-                            mc.OpenMapMs(rs_pages);
-    ex.ChargeSetupAll(per_proc / d);
-  }
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
-    ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kRandom);
-    ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
-    ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
-  }
-  ex.MarkPass("setup");
-  return rs_segs;
-}
-
 template <Backend B>
 StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
   const uint32_t d = ex.D();
@@ -433,7 +398,8 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
       op::PlanBucketedRs(ex, params, /*resident=*/nullptr));
   const uint32_t k_buckets = rs.plan.k_buckets;
   MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
-                          SetUpHashBuckets(ex, rs.layout));
+                          op::SetUpHashBuckets(ex, rs.layout,
+                                               AccessIntent::kRandom));
 
   // ---- Passes 0/1: hash R into RS_i's K monotone buckets. ----
   MMJOIN_RETURN_NOT_OK(op::BucketRepartition(ex, rs_segs, rs.layout,
@@ -477,7 +443,8 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
                           op::PlanBucketedRs(ex, params, &resident_count));
   const uint32_t k_buckets = rs.plan.k_buckets;
   MMJOIN_ASSIGN_OR_RETURN(std::vector<typename B::Seg> rs_segs,
-                          SetUpHashBuckets(ex, rs.layout));
+                          op::SetUpHashBuckets(ex, rs.layout,
+                                               AccessIntent::kRandom));
 
   // The resident tables: per process, (r_id, sptr) entries of its own
   // bucket-0 objects. Table memory is part of M_Rproc (the Grace K rule
@@ -521,7 +488,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   MMJOIN_ASSIGN_OR_RETURN(op::PartitionIndexes<B> ix,
                           op::BuildIndex(ex, params));
   const op::IndexProbeCounts counts = op::ProbeIndex(
-      ex, ix.segs, ix.layouts, params.phase_sync.value_or(true));
+      ex, ix.segs, ix.entries, params.phase_sync.value_or(true));
   for (uint32_t i = 0; i < ex.D(); ++i) {
     ex.DropSegment(i, ix.segs[i], /*discard=*/true);
     MMJOIN_RETURN_NOT_OK(ex.DeleteSegment(ix.segs[i]));

@@ -30,10 +30,11 @@
 //                    or a copy (sim)
 //   SFetch           the S-fetch protocol of one partition: Push refs,
 //                    Finish drains them (per tuple or batched)
-//   SortRuns         sort IRUN-tuple runs of RS_i by S-pointer through the
+//   SortRun          sort one run of a temporary in place through the
 //                    backend's SortRefs: a counted heapsort plus an object
 //                    permutation on the simulator, an in-place radix sort
 //                    of the SRef run on the real backend
+//   SortRuns         SortRun over RS_i's IRUN-tuple runs, by S-pointer
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
@@ -47,15 +48,14 @@
 //   PlanBucketedRs   K/TSIZE plan + bucket layout from the workload's
 //                    memoized histogram, counted on its first use per K
 //                    and checked against the counts metadata every join
-//   IndexLayout      implicit static B+-tree over a sorted SRef leaf array
-//   SortIndexRun     per-bucket leaf packing of the index-NL driver
-//                    (SortRefs by (sptr, r_id))
-//   BuildIndexLevels derive the internal key levels bottom-up
-//   ProbeIndexRange  one descent + leaf-range scan per probe morsel
-//   BuildIndex       index-NL's build stage: passes 0/1 + index-build,
-//                    yielding the IX_i segments (the store persists them)
-//   ProbeIndex       index-NL's probe stage: ProbeIndexRange -> SFetch per
-//                    morsel of leaves (the store's warm probe runs it, too)
+//   SetUpHashBuckets RS_i's bucket regions, the setup charges and access
+//                    intents of Grace, hybrid hash and index-NL
+//   BuildIndex       index-NL's build stage: passes 0/1, then index-build
+//                    sorts each RS_i bucket in place by (sptr, r_id), so
+//                    RS_i is the sorted leaf array (the store persists it)
+//   ProbeIndex       index-NL's probe stage: a forward leaf scan -> SFetch
+//                    per morsel of leaves, cut at key changes (the store's
+//                    warm probe runs it, too)
 #ifndef MMJOIN_EXEC_OP_STAGES_H_
 #define MMJOIN_EXEC_OP_STAGES_H_
 
@@ -632,6 +632,45 @@ Status DropRpSegments(B& ex) {
 // BucketRepartition (passes 0 and 1 of Grace / hybrid hash / index-NL)
 // ---------------------------------------------------------------------------
 
+/// Setup of Grace, hybrid hash and index-NL: creates RS_i with `layout`'s K
+/// contiguous bucket regions, charges openMap(R_i) + openMap(S_i) +
+/// newMap(RS_i + RP_i) + openMap(RS_i) (the re-attachment for the pass
+/// that reads the buckets back) serialized over D, declares the access
+/// pattern — R scans once sequentially, S_i is read with `s_intent`, the
+/// RS/RP temporaries are about to be filled — and marks "setup". Grace and
+/// hybrid hash probe S_i by hash-clustered chains (kRandom); index-NL
+/// sweeps it in pointer order (kSequential).
+template <Backend B>
+StatusOr<std::vector<typename B::Seg>> SetUpHashBuckets(
+    B& ex, const BucketLayout& layout, AccessIntent s_intent) {
+  const uint32_t d = ex.D();
+  const sim::MachineConfig& mc = ex.mc();
+  std::vector<typename B::Seg> rs_segs(d);
+  for (uint32_t i = 0; i < d; ++i) {
+    MMJOIN_ASSIGN_OR_RETURN(
+        rs_segs[i],
+        ex.CreateSegment("RS" + std::to_string(i), i,
+                         std::max<uint64_t>(layout.Total(i), 1) *
+                             sizeof(typename B::Tuple)));
+  }
+  for (uint32_t i = 0; i < d; ++i) {
+    const uint64_t rs_pages = ex.SegPages(rs_segs[i]);
+    const double per_proc = mc.OpenMapMs(ex.SegPages(ex.r_seg(i))) +
+                            mc.OpenMapMs(ex.SegPages(ex.s_seg(i))) +
+                            mc.NewMapMs(rs_pages + ex.RpPages(i)) +
+                            mc.OpenMapMs(rs_pages);
+    ex.ChargeSetupAll(per_proc / d);
+  }
+  for (uint32_t i = 0; i < d; ++i) {
+    ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
+    ex.AdviseSegment(i, ex.s_seg(i), s_intent);
+    ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
+    ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
+  }
+  ex.MarkPass("setup");
+  return rs_segs;
+}
+
 /// Hashes all of R into RS_i's K monotone buckets (laid out by `layout`),
 /// retires RP and marks "pass1". Pass 0 appends foreign objects to
 /// RP_{i,dest} and hashes own ones into RS_i's buckets; pass 1's phases
@@ -750,38 +789,47 @@ void ProbePhases(B& ex, bool sync) {
 // Sort + MergeJoin (sort-merge pass 2)
 // ---------------------------------------------------------------------------
 
-/// Sorts RS_i into IRUN-tuple runs in place, by S-pointer, through the
-/// backend's SortRefs. A run of SRefs (the real backend) is sorted where it
-/// lies. A run of objects (the simulator) is read in, its (run position,
-/// sptr) refs are sorted — the position rides in r_id — and the objects
-/// are permuted into that order (one MTpp move per object) and written
-/// back. Returns the run count.
+/// Sorts the `len` tuples of `seg` from tuple `start` in place by `key`,
+/// through the backend's SortRefs. A run of SRefs (the real backend) is
+/// sorted where it lies. A run of objects (the simulator) is read in, its
+/// (run position, sptr) refs are sorted — the position rides in r_id, so
+/// kSptrThenRid breaks sptr ties by arrival — and the objects are permuted
+/// into that order (one MTpp move per object) and written back.
+template <Backend B>
+void SortRun(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
+             uint64_t len, SortKey key) {
+  if (len == 0) return;
+  using Tuple = typename B::Tuple;
+  const uint64_t t = sizeof(Tuple);
+  if constexpr (std::same_as<Tuple, SRef>) {
+    ex.SortRefs(i, static_cast<SRef*>(ex.Write(i, seg, start * t, len * t)),
+                len, key);
+  } else {
+    std::vector<Tuple> buffer(len);
+    std::vector<SRef> refs(len);
+    for (uint64_t k = 0; k < len; ++k) {
+      const void* src = ex.Read(i, seg, (start + k) * t, t);
+      std::memcpy(&buffer[k], src, t);
+      refs[k] = SRef{k, buffer[k].sptr};
+    }
+    ex.SortRefs(i, refs.data(), len, key);
+    for (uint64_t k = 0; k < len; ++k) {
+      void* dst = ex.Write(i, seg, (start + k) * t, t);
+      std::memcpy(dst, &buffer[refs[k].r_id], t);
+    }
+    ex.ChargeCpu(i, static_cast<double>(len * t) * ex.mc().mt_pp_ms);
+  }
+}
+
+/// Sorts RS_i into IRUN-tuple runs in place, by S-pointer (SortRun).
+/// Returns the run count.
 template <Backend B>
 uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
                   uint64_t irun) {
-  using Tuple = typename B::Tuple;
-  const uint64_t t = sizeof(Tuple);
   const double sort_start_ms = ex.clock_ms(i);
   for (uint64_t start = 0; start < n; start += irun) {
-    const uint64_t len = std::min<uint64_t>(irun, n - start);
-    if constexpr (std::same_as<Tuple, SRef>) {
-      ex.SortRefs(i, static_cast<SRef*>(ex.Write(i, seg, start * t, len * t)),
-                  len, SortKey::kSptr);
-    } else {
-      std::vector<Tuple> buffer(len);
-      std::vector<SRef> refs(len);
-      for (uint64_t k = 0; k < len; ++k) {
-        const void* src = ex.Read(i, seg, (start + k) * t, t);
-        std::memcpy(&buffer[k], src, t);
-        refs[k] = SRef{k, buffer[k].sptr};
-      }
-      ex.SortRefs(i, refs.data(), len, SortKey::kSptr);
-      for (uint64_t k = 0; k < len; ++k) {
-        void* dst = ex.Write(i, seg, (start + k) * t, t);
-        std::memcpy(dst, &buffer[refs[k].r_id], t);
-      }
-      ex.ChargeCpu(i, static_cast<double>(len * t) * ex.mc().mt_pp_ms);
-    }
+    SortRun(ex, i, seg, start, std::min<uint64_t>(irun, n - start),
+            SortKey::kSptr);
   }
   const uint64_t runs = std::max<uint64_t>(1, CeilDiv(n, irun));
   if (ex.tracing()) {
@@ -1000,270 +1048,60 @@ void BuildProbeBuckets(B& ex, uint32_t i, typename B::Seg rs_seg,
 }
 
 // ---------------------------------------------------------------------------
-// Index nested-loops (static per-partition B+-tree over R's join keys)
+// Index nested-loops (RS_i sorted in place is the index)
 // ---------------------------------------------------------------------------
 
-/// Byte layout of one partition's probe index: a flat, globally sorted
-/// SRef leaf array (16 bytes per R reference into S_i) followed by the
-/// internal key levels of an implicit static B+-tree — level l key j is
-/// the first sptr of the j-th fanout-window of the level below, so a
-/// descent needs one ≤-fanout window scan per level instead of a binary
-/// search across the whole leaf array. The tree is "implicit" because
-/// child positions are pure
-/// arithmetic (window j of the level below), so no child offsets are
-/// stored and the whole structure bulk-builds in one bottom-up sweep.
-/// n <= fanout needs no internal levels; n == 0 is an empty index.
-class IndexLayout {
- public:
-  static constexpr uint64_t kFanout = 16;
-
-  struct Level {
-    uint64_t count = 0;     ///< keys in this level
-    uint64_t byte_off = 0;  ///< byte offset of the key array
-  };
-
-  void Plan(uint64_t n) {
-    entries_ = n;
-    levels_.clear();
-    uint64_t below = n;
-    uint64_t off = n * sizeof(SRef);
-    while (below > kFanout) {
-      const uint64_t count = CeilDiv(below, kFanout);
-      levels_.push_back(Level{count, off});
-      off += count * sizeof(uint64_t);
-      below = count;
-    }
-    total_bytes_ = off;
-  }
-
-  uint64_t entries() const { return entries_; }
-  uint64_t total_bytes() const { return total_bytes_; }
-  /// Internal levels, bottom-up: levels()[0] indexes leaf windows,
-  /// levels().back() is the root level (<= fanout keys).
-  const std::vector<Level>& levels() const { return levels_; }
-
- private:
-  uint64_t entries_ = 0;
-  uint64_t total_bytes_ = 0;
-  std::vector<Level> levels_;
-};
-
-/// Packs one monotone bucket band of RS_i into the index's leaf array:
-/// reads each tuple's 16-byte (id, sptr) prefix, sorts the refs by
-/// (sptr, r_id) through the backend's SortRefs — a total order, so the
-/// leaf content is independent of arrival order and therefore of backend
-/// and worker count — and writes the run at leaf offset `out` (entries).
-/// Monotone buckets concatenate into a globally sorted leaf array, exactly
-/// like the Grace bucket map guarantees for the partitioning drivers.
-template <Backend B>
-void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
-                  uint64_t count, typename B::Seg ix_seg, uint64_t out) {
-  if (count == 0) return;
-  const uint64_t t = sizeof(typename B::Tuple);
-  std::vector<SRef> refs(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    const void* src = ex.Read(i, rs_seg, base + k * t, sizeof(SRef));
-    std::memcpy(&refs[k], src, sizeof(SRef));  // a tuple starts (id, sptr)
-  }
-  ex.SortRefs(i, refs.data(), count, SortKey::kSptrThenRid);
-  void* dst = ex.Write(i, ix_seg, out * sizeof(SRef), count * sizeof(SRef));
-  std::memcpy(dst, refs.data(), count * sizeof(SRef));
-  ex.ChargeCpu(i, static_cast<double>(count * sizeof(SRef)) *
-                      ex.mc().mt_pp_ms);
-}
-
-/// Derives the internal key levels from the packed leaf array, bottom-up:
-/// one read of the first entry of every window below, one write per key.
-template <Backend B>
-void BuildIndexLevels(B& ex, uint32_t i, typename B::Seg ix_seg,
-                      const IndexLayout& layout) {
-  const auto& levels = layout.levels();
-  for (size_t l = 0; l < levels.size(); ++l) {
-    for (uint64_t j = 0; j < levels[l].count; ++j) {
-      uint64_t key = 0;
-      if (l == 0) {
-        const void* src = ex.Read(
-            i, ix_seg, j * IndexLayout::kFanout * sizeof(SRef), sizeof(SRef));
-        SRef first;
-        std::memcpy(&first, src, sizeof(SRef));
-        key = first.sptr;
-      } else {
-        const void* src = ex.Read(
-            i, ix_seg,
-            levels[l - 1].byte_off +
-                j * IndexLayout::kFanout * sizeof(uint64_t),
-            sizeof(uint64_t));
-        std::memcpy(&key, src, sizeof(uint64_t));
-      }
-      void* dst = ex.Write(i, ix_seg,
-                           levels[l].byte_off + j * sizeof(uint64_t),
-                           sizeof(uint64_t));
-      std::memcpy(dst, &key, sizeof(uint64_t));
-    }
-    ex.ChargeCpu(i, static_cast<double>(levels[l].count * sizeof(uint64_t)) *
-                        ex.mc().mt_pp_ms);
-  }
-}
-
-/// Range probe of one morsel: emits the leaf range [lower_bound(lo_key),
-/// lower_bound(hi_key)) through `emit` in (sptr, r_id) order. One descent
-/// (window scan per level, picking the last separator strictly below
-/// lo_key) lands in the window that holds the lower bound: every earlier
-/// window ends below lo_key. The leaves are read forward in page-bounded
-/// chunks, skipping entries below lo_key, so the simulator faults only
-/// pages of visited entries plus the stop entry's. Only entries inside
-/// [lo_key, hi_key) are emitted, so a corrupt leaf can shorten the answer
-/// but never send a key outside it. Returns the number of distinct sptr
-/// seen: morsels split the keys, so no key crosses one.
-template <Backend B, typename EmitFn>
-uint64_t ProbeIndexRange(B& ex, uint32_t i, typename B::Seg ix_seg,
-                         const IndexLayout& layout, uint64_t lo_key,
-                         uint64_t hi_key, EmitFn&& emit) {
-  const uint64_t n = layout.entries();
-  if (n == 0 || lo_key >= hi_key) return 0;
-  const auto& levels = layout.levels();
-  const uint64_t f = IndexLayout::kFanout;
-
-  // Descend: at the root the window is the whole level; below, the window
-  // is the children of the chosen parent key.
-  uint64_t pos = 0;
-  for (size_t l = levels.size(); l-- > 0;) {
-    const uint64_t begin = (l + 1 == levels.size()) ? 0 : pos * f;
-    const uint64_t end = std::min(begin + f, levels[l].count);
-    const void* src =
-        ex.Read(i, ix_seg, levels[l].byte_off + begin * sizeof(uint64_t),
-                (end - begin) * sizeof(uint64_t));
-    const auto* keys = static_cast<const uint64_t*>(src);
-    uint64_t c = 0;
-    for (uint64_t k = 1; k < end - begin; ++k) {
-      if (keys[k] < lo_key) c = k;
-    }
-    pos = begin + c;
-  }
-
-  // Scan forward, skipping the landing window's entries below lo_key.
-  uint64_t p = levels.empty() ? 0 : pos * f;
-  const uint64_t per_page = ex.mc().page_size / sizeof(SRef);
-  uint64_t distinct = 0;
-  uint64_t last = hi_key;  // no emitted entry equals it
-  while (p < n) {
-    const uint64_t stop = std::min(n, (p / per_page + 1) * per_page);
-    const auto* chunk = static_cast<const SRef*>(
-        ex.Read(i, ix_seg, p * sizeof(SRef), (stop - p) * sizeof(SRef)));
-    for (uint64_t k = 0; k < stop - p; ++k) {
-      const SRef& e = chunk[k];
-      if (e.sptr < lo_key) continue;
-      if (e.sptr >= hi_key) return distinct;
-      if (e.sptr != last) {
-        ++distinct;
-        last = e.sptr;
-      }
-      emit(e);
-    }
-    p = stop;
-  }
-  return distinct;
-}
-
-/// Index-NL's per-partition indexes: IX_i holds partition i's sorted leaf
-/// array and key levels, laid out by layouts[i]. The segments are the
-/// backend's: temporaries from BuildIndex, or views of a persisted store.
+/// Index-NL's per-partition indexes: segs[i] holds the entries[i] tuples of
+/// every R reference into S_i, sorted by (sptr, r_id). The segments are the
+/// backend's: RS_i temporaries from BuildIndex, or views of a persisted
+/// store's leaves.
 template <Backend B>
 struct PartitionIndexes {
   std::vector<typename B::Seg> segs;
-  std::vector<IndexLayout> layouts;
+  std::vector<uint64_t> entries;
   uint32_t k_buckets = 0;
   uint32_t histogram_scans = 0;  ///< as BucketedRs
 };
 
-/// Index-NL's build stage: setup, passes 0/1 (Grace's repartition into
-/// RS_i's monotone buckets, so the per-bucket sorts concatenate into one
-/// globally sorted leaf array within the same M_Rproc bucket budget), then
-/// "index-build" packs each RS_i into IX_i and derives its key levels.
-/// Marks "setup", "pass0", "pass1" and "index-build". The caller owns the
-/// IX_i segments it returns. Leaves are in (sptr, r_id) order, a total
-/// order, so IX_i's bytes are the same on every backend, schedule and
-/// worker count.
+/// Index-NL's build stage: Grace's setup and passes 0/1 hash R into RS_i's
+/// K monotone buckets within the M_Rproc bucket budget, then "index-build"
+/// sorts each bucket in place by (sptr, r_id) (SortRun) with the bucket
+/// loop's kWillNeed look-ahead. Monotone buckets in bucket order make RS_i
+/// one globally sorted run: the index, with no copy and no key levels.
+/// Marks "setup", "pass0", "pass1" and "index-build"; the caller owns the
+/// RS_i segments it returns. On the real backend a tuple is the 16-byte
+/// SRef and (sptr, r_id) is a total order, so RS_i's bytes are the same
+/// for every schedule and worker count.
 template <Backend B>
 StatusOr<PartitionIndexes<B>> BuildIndex(B& ex,
                                          const join::JoinParams& params) {
-  using Seg = typename B::Seg;
-  const uint32_t d = ex.D();
-  const sim::MachineConfig& mc = ex.mc();
-  const bool sync = params.phase_sync.value_or(true);
   const uint64_t t = sizeof(typename B::Tuple);
-
   MMJOIN_RETURN_NOT_OK(ex.CreateRpSegments());
   MMJOIN_ASSIGN_OR_RETURN(BucketedRs rs,
                           PlanBucketedRs(ex, params, /*resident=*/nullptr));
-  const std::vector<uint64_t>& rs_objects = rs.objects;
   const BucketLayout& layout = rs.layout;
   const uint32_t k_buckets = rs.plan.k_buckets;
-
   PartitionIndexes<B> ix;
+  MMJOIN_ASSIGN_OR_RETURN(
+      ix.segs, SetUpHashBuckets(ex, layout, AccessIntent::kSequential));
+  ix.entries = rs.objects;
   ix.k_buckets = k_buckets;
   ix.histogram_scans = rs.histogram_scans;
-  ix.segs.resize(d);
-  ix.layouts.resize(d);
-  std::vector<Seg> rs_segs(d);
-  for (uint32_t i = 0; i < d; ++i) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        rs_segs[i], ex.CreateSegment("RS" + std::to_string(i), i,
-                                     std::max<uint64_t>(rs_objects[i], 1) * t));
-    ix.layouts[i].Plan(rs_objects[i]);
-    MMJOIN_ASSIGN_OR_RETURN(
-        ix.segs[i],
-        ex.CreateSegment("IX" + std::to_string(i), i,
-                         std::max<uint64_t>(ix.layouts[i].total_bytes(), 1)));
-  }
 
-  // Setup: openMap(R_i) + openMap(S_i) + newMap(RS_i + RP_i + IX_i)
-  // + openMap(IX_i) (the re-attachment for the probe pass), over D.
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t ix_pages = ex.SegPages(ix.segs[i]);
-    const double per_proc = mc.OpenMapMs(ex.SegPages(ex.r_seg(i))) +
-                            mc.OpenMapMs(ex.SegPages(ex.s_seg(i))) +
-                            mc.NewMapMs(ex.SegPages(rs_segs[i]) +
-                                        ex.RpPages(i) + ix_pages) +
-                            mc.OpenMapMs(ix_pages);
-    ex.ChargeSetupAll(per_proc / d);
-  }
-  // R scans once sequentially; the probe sweeps S in ascending pointer
-  // order (only matched objects are touched); temporaries pre-fault.
-  for (uint32_t i = 0; i < d; ++i) {
-    ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
-    ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kSequential);
-    ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
-    ex.AdviseSegment(i, ix.segs[i], AccessIntent::kPopulateWrite);
-    ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
-  }
-  ex.MarkPass("setup");
+  MMJOIN_RETURN_NOT_OK(BucketRepartition(ex, ix.segs, rs.layout, k_buckets,
+                                         /*resident=*/nullptr,
+                                         params.phase_sync.value_or(true)));
 
-  MMJOIN_RETURN_NOT_OK(BucketRepartition(ex, rs_segs, rs.layout, k_buckets,
-                                         /*resident=*/nullptr, sync));
-
-  // ---- Index build: pack RS_i's buckets into the sorted leaf array, ----
-  // then derive the key levels. Per-bucket sorts keyed by (sptr, r_id) —
-  // a total order, so the leaf content (and with it the probe behavior)
-  // is identical on every backend and schedule. The RS bands stream with
-  // the same kWillNeed look-ahead as the Grace bucket loop.
-  std::vector<Status> partition_status(d);
-  ex.ForEachPartition(rs_objects, [&](uint32_t i) {
-    uint64_t out = 0;
+  ex.ForEachPartition(rs.objects, [&](uint32_t i) {
     for (uint32_t b = 0; b < k_buckets; ++b) {
       if (b + 1 < k_buckets) {
-        ex.AdviseRange(i, rs_segs[i], layout.Offset(i, b + 1),
+        ex.AdviseRange(i, ix.segs[i], layout.Offset(i, b + 1),
                        layout.Count(i, b + 1) * t, AccessIntent::kWillNeed);
       }
-      SortIndexRun(ex, i, rs_segs[i], layout.Offset(i, b), layout.Count(i, b),
-                   ix.segs[i], out);
-      out += layout.Count(i, b);
+      SortRun(ex, i, ix.segs[i], layout.Offset(i, b) / t, layout.Count(i, b),
+              SortKey::kSptrThenRid);
     }
-    BuildIndexLevels(ex, i, ix.segs[i], ix.layouts[i]);
-    ex.DropSegment(i, rs_segs[i], /*discard=*/true);
-    partition_status[i] = ex.DeleteSegment(rs_segs[i]);
   });
-  for (const Status& st : partition_status) MMJOIN_RETURN_NOT_OK(st);
   ex.MarkPass("index-build");
   return ix;
 }
@@ -1273,67 +1111,83 @@ struct IndexProbeCounts {
   uint64_t entries = 0;  ///< leaf refs across the partitions
   uint64_t probes = 0;   ///< S tuples probed
   uint64_t matches = 0;  ///< distinct S-pointers found
-  uint64_t levels = 0;   ///< deepest internal-level count
 
   void ExportTo(join::JoinRunResult* r) const {
     r->index_entries = entries;
     r->index_probes = probes;
     r->index_matches = matches;
-    r->index_levels = levels;
   }
 };
 
-/// Index-NL's probe stage: one descent plus one leaf-range scan per
-/// morsel. Morsels split each partition's leaf array, not S, so a skewed
-/// partition — many refs into few S objects — spreads over workers. A
-/// morsel of leaves [begin, end) probes the S keys from its first leaf's
-/// key up to the next morsel's first leaf's key (the whole of S_i at the
-/// partition's ends), so every key is probed by exactly one morsel, and no
-/// S read happens unless the index holds an R reference to it. The bounds
-/// are clamped to [SPtr{i,0}, SPtr{i,|S_i|}) and only keys inside them are
-/// dereferenced, so a corrupt leaf can give a wrong answer but never a
-/// read outside S_i.
+/// Index-NL's probe stage: one forward scan of each partition's sorted
+/// leaves, every in-bounds leaf pushed through the S fetch, so no S object
+/// is read unless the index holds an R reference to it. Morsels split the
+/// leaves, not S, so a skewed partition — many refs into few S objects —
+/// spreads over workers. A morsel [b, e) owns the leaves [cut(b), cut(e)),
+/// where cut(x) is the first leaf q >= x whose key differs from leaf
+/// q-1's (cut(0) = 0, cut(n) = n). The cuts tile every partition's leaves,
+/// sorted or not, and on sorted leaves no key crosses one, so the
+/// per-morsel distinct-key counts sum to the matches. Each morsel scans
+/// its leaves once, in page-bounded chunks. Only keys inside
+/// [SPtr{i,0}, SPtr{i,|S_i|}) are pushed, so a corrupt leaf can give a
+/// wrong answer but never a read outside S_i. The simulator runs one
+/// morsel per partition: a plain scan.
 template <Backend B>
 IndexProbeCounts ProbeIndex(B& ex, const std::vector<typename B::Seg>& segs,
-                            const std::vector<IndexLayout>& layouts,
-                            bool sync) {
-  const uint32_t d = ex.D();
-  const sim::MachineConfig& mc = ex.mc();
+                            const std::vector<uint64_t>& entries, bool sync) {
+  using Tuple = typename B::Tuple;
+  const uint64_t t = sizeof(Tuple);
+  const uint64_t per_page = ex.mc().page_size / t;
   const std::vector<uint64_t> s_counts = SCounts(ex);
-  std::vector<uint64_t> entries(d);
-  for (uint32_t i = 0; i < d; ++i) entries[i] = layouts[i].entries();
   std::atomic<uint64_t> total_matches{0};
   ex.ForEachPartitionTuples(
       entries,
       [&](uint32_t i, uint64_t begin, uint64_t end) {
-        const IndexLayout& lay = layouts[i];
+        const uint64_t n = entries[i];
         const uint64_t first = rel::SPtr{i, 0}.Pack();
         const uint64_t last = rel::SPtr{i, s_counts[i]}.Pack();
-        const auto key_of = [&](uint64_t leaf) {
-          const auto& e = LoadAs<SRef>(ex, i, segs[i], leaf * sizeof(SRef));
-          return std::clamp(e.sptr, first, last);
+        const auto key = [&](uint64_t leaf) {
+          return RefOf(LoadTuple(ex, i, segs[i], leaf * t)).sptr;
         };
-        const uint64_t lo = begin == 0 ? first : key_of(begin);
-        const uint64_t hi = end == lay.entries() ? last : key_of(end);
-        // ~log_f(n) window scans for the descent, ~4 compares each.
-        ex.ChargeCpu(i, static_cast<double>(4 * (lay.levels().size() + 1)) *
-                            mc.compare_ms);
-        SFetch<B> fetch(ex, i, end - begin);
-        const uint64_t matched = ProbeIndexRange(
-            ex, i, segs[i], lay, lo, hi,
-            [&](const SRef& e) { fetch.Push(e.r_id, e.sptr); });
+        // The cuts. Leaves that repeat leaf begin-1's key belong to the
+        // morsel before; when they fill [begin, end) this morsel owns
+        // nothing. Leaves after end that repeat leaf end-1's key are its.
+        uint64_t from = begin;
+        if (begin > 0) {
+          const uint64_t before = key(begin - 1);
+          while (from < end && key(from) == before) ++from;
+        }
+        uint64_t to = end;
+        if (from < end && end < n) {
+          const uint64_t before = key(end - 1);
+          while (to < n && key(to) == before) ++to;
+        }
+        uint64_t distinct = 0;
+        uint64_t prev = last;  // never pushed
+        SFetch<B> fetch(ex, i, to - from);
+        for (uint64_t p = from; p < to;) {
+          const uint64_t stop = std::min(to, (p / per_page + 1) * per_page);
+          const auto* chunk = static_cast<const Tuple*>(
+              ex.Read(i, segs[i], p * t, (stop - p) * t));
+          for (uint64_t k = 0; k < stop - p; ++k) {
+            const SRef e = RefOf(chunk[k]);
+            if (e.sptr < first || e.sptr >= last) continue;
+            distinct += e.sptr != prev;
+            prev = e.sptr;
+            fetch.Push(e.r_id, e.sptr);
+          }
+          p = stop;
+        }
         fetch.Finish();
-        total_matches.fetch_add(matched, std::memory_order_relaxed);
+        total_matches.fetch_add(distinct, std::memory_order_relaxed);
       },
       /*independent=*/true);
   if (sync) ex.SyncClocks();
 
   IndexProbeCounts counts;
-  for (uint32_t i = 0; i < d; ++i) {
-    counts.entries += layouts[i].entries();
+  for (uint32_t i = 0; i < ex.D(); ++i) {
+    counts.entries += entries[i];
     counts.probes += s_counts[i];
-    counts.levels =
-        std::max<uint64_t>(counts.levels, layouts[i].levels().size());
   }
   counts.matches = total_matches.load(std::memory_order_relaxed);
   return counts;

@@ -71,7 +71,7 @@ uint32_t EffectiveWorkers(uint32_t partitions, uint32_t max_threads);
 /// than units) — handing units out through one atomic counter, and
 /// returns once every unit has run and every spawned thread is joined.
 /// For short fan-outs of independent units outside the join drivers: the
-/// durable store's batch checksum verify and its warm index probe. Bodies
+/// durable store's batch checksum verify. Bodies
 /// that fill per-unit slots need no further synchronization; the joins
 /// order their writes before the caller's reads.
 void ParallelFor(uint32_t units, uint32_t workers,

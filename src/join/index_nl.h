@@ -2,14 +2,12 @@
 //
 // Passes 0/1 repartition R exactly as Grace does (monotone coarse hash
 // into K bucket sub-partitions of RS_i). Instead of per-bucket hash
-// tables, pass 2 bulk-builds one static B+-tree per partition over the
-// repartitioned references — each bucket's run is sorted by (S-pointer,
-// R id) and the monotone hash makes their concatenation globally sorted,
-// so the leaf level is written left-to-right and the key levels derive
-// bottom-up with no rebalancing. The probe pass then walks S_i
-// *sequentially* and looks each S object's own packed pointer up in the
-// index: S objects with no referencing R are never dereferenced, which is
-// what makes this the selective-join driver.
+// tables, pass 2 sorts each bucket of RS_i in place by (S-pointer, R id);
+// the monotone hash makes their concatenation one globally sorted run, so
+// RS_i itself is the index: a sorted leaf array with no key levels. The
+// probe pass then sweeps the leaves forward and dereferences each
+// referenced S object in pointer order: S objects with no referencing R
+// are never read, which is what makes this the selective-join driver.
 #ifndef MMJOIN_JOIN_INDEX_NL_H_
 #define MMJOIN_JOIN_INDEX_NL_H_
 

@@ -264,7 +264,6 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->counter("join.index.entries").Inc(index_entries);
     registry->counter("join.index.probes").Inc(index_probes);
     registry->counter("join.index.matches").Inc(index_matches);
-    registry->counter("join.index.levels").Inc(index_levels);
   }
   if (numa_nodes > 0) {
     // Real-backend NUMA placement only; absent under numa=none. On a

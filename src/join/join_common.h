@@ -135,12 +135,10 @@ struct JoinRunResult {
   uint64_t paging_advise_errors = 0;  ///< madvise failures (also Status)
 
   // Index nested-loops telemetry (index-nl driver only; all zero for the
-  // partitioning drivers). The level count is the max over partitions —
-  // the probe path length of the per-partition static B+-tree.
+  // partitioning drivers).
   uint64_t index_entries = 0;  ///< leaf refs across all partition indexes
   uint64_t index_probes = 0;   ///< S tuples probed against an index
   uint64_t index_matches = 0;  ///< probes that found at least one R ref
-  uint64_t index_levels = 0;   ///< deepest internal-level count built
 
   // NUMA placement telemetry (real backend with numa!=none; all zero
   // otherwise). On single-node hosts the mode degrades to counted no-ops:

@@ -152,8 +152,8 @@ Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
   }
   const uint32_t d = workload->config.num_partitions;
 
-  // Join-key index: index-NL's build stage, whose IX_i are copied into
-  // `_ix` after the root table, in partition order.
+  // Join-key index: index-NL's build stage, whose sorted RS_i are copied
+  // into `_ix` after the root table, in partition order.
   const join::JoinParams params;
   exec::RealBackendOptions options;
   options.pool = pool;
@@ -167,8 +167,8 @@ Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
   const uint64_t table_bytes =
       sizeof(StoreIndexRoot) + uint64_t{d} * sizeof(StoreIndexPartition);
   uint64_t data_bytes = 0;
-  for (const exec::op::IndexLayout& layout : ix.layouts) {
-    data_bytes += layout.total_bytes();
+  for (const uint64_t entries : ix.entries) {
+    data_bytes += entries * sizeof(exec::SRef);
   }
   MMJOIN_ASSIGN_OR_RETURN(
       Segment ix_seg,
@@ -180,8 +180,8 @@ Status PersistMmWorkload(SegmentManager* manager, const std::string& prefix,
   root->num_partitions = d;
   auto* parts = reinterpret_cast<StoreIndexPartition*>(root + 1);
   for (uint32_t i = 0; i < d; ++i) {
-    const uint64_t bytes = ix.layouts[i].total_bytes();
-    parts[i] = StoreIndexPartition{ix.layouts[i].entries(), data_off};
+    const uint64_t bytes = ix.entries[i] * sizeof(exec::SRef);
+    parts[i] = StoreIndexPartition{ix.entries[i], data_off};
     std::memcpy(ix_seg.Resolve(data_off), ix.segs[i]->base, bytes);
     data_off += bytes;
     MMJOIN_RETURN_NOT_OK(backend.DeleteSegment(ix.segs[i]));
@@ -403,9 +403,7 @@ StatusOr<MmWorkloadIndex> OpenMmWorkloadIndex(SegmentManager* manager,
           " refs into S_" + std::to_string(i) + ", the counts say " +
           std::to_string(refs) + ": " + prefix);
     }
-    exec::op::IndexLayout layout;
-    layout.Plan(refs);
-    if (!in_ix(parts[i].byte_off, layout.total_bytes())) {
+    if (!in_ix(parts[i].byte_off, refs * sizeof(exec::SRef))) {
       return Status::IOError("store index partition " + std::to_string(i) +
                              " lies outside the segment: " + prefix);
     }

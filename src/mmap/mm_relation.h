@@ -84,16 +84,16 @@ struct StoreManifest {
 };
 
 /// Root object of the `<prefix>_ix` segment. The store's join-key index is
-/// index-NL's own (exec/op/stages.h, op::IndexLayout): per S partition i,
-/// the (sptr, r_id)-sorted 16-byte SRef leaf array of every R object that
-/// points into S_i, followed by its implicit key levels. The root is
-/// followed by `num_partitions` StoreIndexPartition records; partition i's
-/// layout is re-derived from its entry count with IndexLayout::Plan. All
-/// positions are segment offsets, so the index attaches anywhere, in any
-/// process, with no relocation.
+/// index-NL's own (exec/op/stages.h, op::BuildIndex): per S partition i,
+/// RS_i sorted in place — the (sptr, r_id)-ordered 16-byte SRef leaves of
+/// every R object that points into S_i, entries × 16 bytes with no key
+/// levels. The root is followed by `num_partitions` StoreIndexPartition
+/// records. All positions are segment offsets, so the index attaches
+/// anywhere, in any process, with no relocation. Version 1 followed each
+/// leaf array with implicit key levels; it is refused.
 struct StoreIndexRoot {
   static constexpr uint64_t kMagic = 0x6d6d6a6978303031ULL;  // "mmjix001"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
   uint64_t magic = kMagic;
   uint32_t version = kVersion;
   uint32_t num_partitions = 0;
@@ -113,11 +113,12 @@ struct StoreIndexPartition {
 ///
 /// The index is built by index-NL's build stage (op::BuildIndex) on a
 /// RealBackend over the workload: on `pool` when one is given, on the
-/// backend's own workers otherwise. Its leaves are in (sptr, r_id) order,
-/// a total order, so `_ix` is byte-identical with or without the pool and
-/// for any worker count. The stage runs op::Partition, so R holding an
-/// S-pointer that names no S object is refused with Corruption before any
-/// seal. It fills the workload's bucket memo for the K it plans.
+/// backend's own workers otherwise; each sorted RS_i is copied into `_ix`.
+/// Its leaves are in (sptr, r_id) order, a total order, so `_ix` is
+/// byte-identical with or without the pool and for any worker count. The
+/// stage runs op::Partition, so R holding an S-pointer that names no S
+/// object is refused with Corruption before any seal. It fills the
+/// workload's bucket memo for the K it plans.
 ///
 /// Crash-test hook: with MMJOIN_PERSIST_CRASH=N in the environment the
 /// process raises SIGKILL after the N-th successful seal, leaving a
@@ -137,8 +138,7 @@ StatusOr<MmWorkload> OpenMmWorkload(SegmentManager* manager,
 
 /// The store's join-key index, attached and checked against a workload:
 /// the sealed `<prefix>_ix` segment and, per S partition i, its entry
-/// count and the start of its leaf array (op::IndexLayout::Plan(entries[i])
-/// lays out the bytes from there).
+/// count and the start of its entries[i] × 16-byte leaf array.
 struct MmWorkloadIndex {
   Segment segment;
   std::vector<uint64_t> entries;
@@ -149,8 +149,8 @@ struct MmWorkloadIndex {
 /// validates its root against `workload`: magic and version (an index of
 /// another format, such as an older store's, is refused), D, every
 /// partition's entry count against the workload's counts, and every
-/// partition's bytes inside the allocated part of the segment. Each
-/// refusal is an IOError naming the store.
+/// partition's entries × 16 bytes inside the allocated part of the
+/// segment. Each refusal is an IOError naming the store.
 StatusOr<MmWorkloadIndex> OpenMmWorkloadIndex(SegmentManager* manager,
                                               const std::string& prefix,
                                               const MmWorkload& workload);

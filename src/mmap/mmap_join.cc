@@ -204,19 +204,17 @@ StatusOr<MmJoinResult> MmIndexProbe(SegmentManager* manager,
         const uint32_t d = backend.D();
         std::vector<exec::RealSeg> views(d);
         std::vector<exec::RealSeg*> segs(d);
-        std::vector<exec::op::IndexLayout> layouts(d);
         for (uint32_t i = 0; i < d; ++i) {
-          layouts[i].Plan(index.entries[i]);
           views[i].name = "IX" + std::to_string(i);
           views[i].base = const_cast<uint8_t*>(
               static_cast<const uint8_t*>(index.bytes[i]));
-          views[i].bytes = layouts[i].total_bytes();
+          views[i].bytes = index.entries[i] * sizeof(exec::SRef);
           segs[i] = &views[i];
         }
         backend.MarkPass("setup");
 
         const exec::op::IndexProbeCounts counts = exec::op::ProbeIndex(
-            backend, segs, layouts, params.phase_sync.value_or(true));
+            backend, segs, index.entries, params.phase_sync.value_or(true));
         backend.MarkPass("index-probe");
         join::JoinRunResult run = backend.Finish();
         counts.ExportTo(&run);

@@ -175,10 +175,10 @@ StatusOr<MmJoinResult> MmGrace(const MmWorkload& workload,
 StatusOr<MmJoinResult> MmHybridHash(const MmWorkload& workload,
                                     const MmJoinOptions& options = {});
 
-/// Index nested-loops: Grace-style repartition, then a bulk-built static
-/// B+-tree per partition over R's join keys (a sorted leaf array plus
-/// implicit key levels), probed with one leaf-range scan per morsel of
-/// leaves — unmatched S objects are never read.
+/// Index nested-loops: Grace-style repartition, then each partition's RS_i
+/// sorted in place by R's join keys into one sorted leaf array, swept in
+/// pointer order with one forward scan per morsel of leaves — unmatched S
+/// objects are never read.
 StatusOr<MmJoinResult> MmIndexNestedLoops(const MmWorkload& workload,
                                           const MmJoinOptions& options = {});
 
@@ -186,8 +186,8 @@ StatusOr<MmJoinResult> MmIndexNestedLoops(const MmWorkload& workload,
 /// index, which is index-NL's own (mm_relation.h, StoreIndexRoot). Setup
 /// attaches the sealed segment (checksums verified, root validated against
 /// `workload`) and views each partition's leaf array in place; then
-/// index-NL's probe stage (op::ProbeIndex) runs — one descent and one leaf
-/// range per morsel of leaves, only keys inside S dereferenced.
+/// index-NL's probe stage (op::ProbeIndex) runs — one forward leaf scan
+/// per morsel of leaves, only keys inside S dereferenced.
 /// No partition passes and no index build: the build was paid once at
 /// PersistMmWorkload time, which is the store's build-once/query-many
 /// bargain. Pass labels "setup" and "index-probe". Runs on the RealBackend

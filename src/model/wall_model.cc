@@ -20,7 +20,7 @@ constexpr double kPageBytes = 4096.0;
 constexpr double kNsToMs = 1e-6;
 
 // Index-entry bytes: one 16-byte SRef leaf (r_id, sptr) of index-NL's
-// sorted leaf array (exec/op/stages.h, op::IndexLayout).
+// sorted leaf array (exec/op/stages.h, op::BuildIndex).
 constexpr double kIndexEntryBytes = 16.0;
 // B+-tree fan-out estimate for probe-depth prediction.
 constexpr double kIndexFanout = 64.0;

@@ -7,6 +7,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "scratch_dir.h"
+
 namespace {
 
 using namespace mmjoin;
@@ -56,10 +58,9 @@ TEST(ApiSurfaceTest, EveryModuleReachableFromUmbrella) {
   EXPECT_GT(model::ProbEmptyUrnsAtMost(10, 5, 9), 0.0);
 
   // mmap: segments, relations, joins, the durable store's index probe
-  const std::string dir =
-      ::testing::TempDir() + "api_surface_" + std::to_string(::getpid());
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  mm::SegmentManager mgr(dir);
+  const ScratchDir scratch("api_surface");
+  ASSERT_TRUE(scratch.created()) << scratch.path();
+  mm::SegmentManager mgr(scratch.path());
   {
     auto w = mm::BuildMmWorkload(&mgr, "api", relation);
     ASSERT_TRUE(w.ok());

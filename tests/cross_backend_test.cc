@@ -20,6 +20,7 @@
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
@@ -28,16 +29,8 @@ namespace {
 class CrossBackendTest : public ::testing::TestWithParam<join::DriverSpec> {
  protected:
   void SetUp() override {
-    // The parameterized test name contains '/', which cannot appear in a
-    // directory name — flatten it.
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "xbackend_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -69,6 +62,7 @@ class CrossBackendTest : public ::testing::TestWithParam<join::DriverSpec> {
     return GetParam().real(*workload, options);
   }
 
+  ScratchDir scratch_{"xbackend"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };

@@ -1,10 +1,10 @@
 // Index nested-loops driver (EXT-8): identity across every execution
 // configuration, selective-join behavior, and the index telemetry.
 //
-// The driver repartitions exactly like Grace, then bulk-builds a static
-// per-partition B+-tree over the repartitioned references and probes it
-// once per morsel of leaves: one descent, then a scan of the morsel's key
-// range.
+// The driver repartitions exactly like Grace, sorts each RS_i in place into
+// one sorted leaf array, and probes it with one forward scan per morsel of
+// leaves, each morsel cut where the key changes; ProbeIndex is also driven
+// directly over hand-built leaves, sorted and not.
 // Like every other driver it is ONE template over the backend concept, so
 // sim and real runs — at any morsel size — must produce the identical
 // verified join.
@@ -12,17 +12,22 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "exec/op/stages.h"
+#include "exec/real_backend.h"
 #include "join/index_nl.h"
 #include "join/join_common.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
@@ -31,14 +36,8 @@ namespace {
 class IndexJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "ixjoin_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -63,6 +62,7 @@ class IndexJoinTest : public ::testing::Test {
     return join::RunIndexNestedLoops(&env, *workload, params);
   }
 
+  ScratchDir scratch_{"ixjoin"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
@@ -106,9 +106,8 @@ TEST_F(IndexJoinTest, SelectiveJoinProbesEverySButMatchesFew) {
 
 TEST_F(IndexJoinTest, SkewAndDuplicatesStillExact) {
   // Heavy zipf skew concentrates many R references on few S objects —
-  // duplicate key runs in the leaf level, including runs that span leaf
-  // windows. When a morsel starts at such a run, the descent must land in
-  // the run's first window, below every separator equal to the low key.
+  // long duplicate key runs in the sorted leaves. A run that crosses a
+  // morsel boundary belongs to the morsel it starts in.
   const rel::RelationConfig rc = Shape(12000, 2000, 2, 1.1, 404);
   auto sim_result = RunSim(rc, join::JoinParams{});
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
@@ -125,11 +124,11 @@ TEST_F(IndexJoinTest, SkewAndDuplicatesStillExact) {
 }
 
 TEST_F(IndexJoinTest, RangeProbeExactAtMorselBoundaries) {
-  // θ=1.1 with |R| > |S| makes duplicate runs span leaf windows. Morsel
-  // sizes around the leaf window (16 entries) put morsel starts inside and
-  // at the edges of those runs, and a size of 1 probes every S tuple as
-  // its own range. Every run must match the simulator's join, and count
-  // each referenced S object as one match.
+  // θ=1.1 with |R| > |S| makes long duplicate key runs in the leaves.
+  // Small morsel sizes put morsel starts inside and at the edges of those
+  // runs, and a size of 1 makes every leaf its own morsel. Every run must
+  // match the simulator's join, and count each referenced S object as one
+  // match.
   const rel::RelationConfig rc = Shape(12000, 2000, 2, 1.1, 404);
   auto sim_result = RunSim(rc, join::JoinParams{});
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
@@ -156,6 +155,84 @@ TEST_F(IndexJoinTest, RangeProbeExactAtMorselBoundaries) {
     EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
     EXPECT_EQ(result->run.index_matches, referenced.size());
     EXPECT_EQ(result->run.index_probes, rc.s_objects);
+  }
+}
+
+/// One partition's hand-built leaves: every key of S_i in ascending order
+/// with runs of 1 to 19 refs, some keys left out, plus leaves outside S_i —
+/// a pointer into S_{i-1}, one one past the end of S_i and one into the
+/// next partition — that sort before and after the rest.
+std::vector<exec::SRef> HandBuiltLeaves(uint32_t i, uint64_t s_count) {
+  std::vector<exec::SRef> leaves;
+  uint64_t r_id = uint64_t{i} << 32;
+  if (i > 0) leaves.push_back({r_id++, rel::SPtr{i - 1, 5}.Pack()});
+  for (uint64_t k = 0; k < s_count; k += 1 + k % 3) {
+    for (uint64_t run = 1 + (k * 7) % 19; run > 0; --run) {
+      leaves.push_back({r_id++, rel::SPtr{i, k}.Pack()});
+    }
+  }
+  leaves.push_back({r_id++, rel::SPtr{i, s_count}.Pack()});
+  leaves.push_back({r_id++, rel::SPtr{i + 1, 0}.Pack()});
+  return leaves;
+}
+
+TEST_F(IndexJoinTest, ProbeIndexPushesEveryInBoundsLeafOnce) {
+  // op::ProbeIndex over hand-built leaf views. The probe's output tally
+  // counts every push, so count and checksum equal the in-bounds leaves'
+  // exactly when each is pushed once and no other leaf is. Morsel sizes
+  // around the run lengths cut runs at every offset; partition 2 is empty.
+  const uint32_t d = 3;
+  auto workload =
+      mm::BuildMmWorkload(mgr_.get(), "leaves", Shape(64, 3 * 64, d, 0.0, 7));
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  for (const bool sorted : {true, false}) {
+    std::vector<std::vector<exec::SRef>> leaves(d);
+    uint64_t want_count = 0, want_checksum = 0;
+    std::set<uint64_t> keys;
+    for (uint32_t i = 0; i + 1 < d; ++i) {
+      leaves[i] = HandBuiltLeaves(i, workload->s_count[i]);
+      if (!sorted) {
+        std::mt19937_64 rng(i);
+        std::shuffle(leaves[i].begin(), leaves[i].end(), rng);
+      }
+      for (const exec::SRef& leaf : leaves[i]) {
+        const rel::SPtr sp = rel::SPtr::Unpack(leaf.sptr);
+        if (sp.partition != i || sp.index >= workload->s_count[i]) continue;
+        ++want_count;
+        want_checksum +=
+            rel::OutputDigest(leaf.r_id, rel::SKeyFor(i, sp.index));
+        keys.insert(leaf.sptr);
+      }
+    }
+    for (uint64_t morsel : {1, 2, 7, 16, 17, 0}) {
+      SCOPED_TRACE(testing::Message()
+                   << (sorted ? "sorted" : "unsorted")
+                   << " morsel_tuples=" << morsel);
+      exec::RealBackendOptions options;
+      options.max_threads = 4;
+      options.morsel_tuples = morsel;
+      exec::RealBackend backend(*workload, join::JoinParams{}, options);
+      std::vector<exec::RealSeg> views(d);
+      std::vector<exec::RealSeg*> segs(d);
+      std::vector<uint64_t> entries(d);
+      for (uint32_t i = 0; i < d; ++i) {
+        views[i].name = "IX" + std::to_string(i);
+        views[i].base = reinterpret_cast<uint8_t*>(leaves[i].data());
+        views[i].bytes = leaves[i].size() * sizeof(exec::SRef);
+        segs[i] = &views[i];
+        entries[i] = leaves[i].size();
+      }
+      const exec::op::IndexProbeCounts counts =
+          exec::op::ProbeIndex(backend, segs, entries, /*sync=*/true);
+      const join::JoinRunResult run = backend.Finish();
+      EXPECT_EQ(run.output_count, want_count);
+      EXPECT_EQ(run.output_checksum, want_checksum);
+      EXPECT_EQ(counts.probes, workload->config.s_objects);
+      // On sorted leaves no key crosses a cut, so every key counts once.
+      if (sorted) {
+        EXPECT_EQ(counts.matches, keys.size());
+      }
+    }
   }
 }
 

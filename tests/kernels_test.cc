@@ -17,6 +17,7 @@
 #include "mmap/mmap_join.h"
 #include "mmap/segment.h"
 #include "rel/relation.h"
+#include "scratch_dir.h"
 
 namespace mmjoin::exec {
 namespace {
@@ -124,10 +125,8 @@ TEST(KernelsTest, TalliesAccumulateAcrossBatches) {
 class KernelJoinIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "kernels_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -142,6 +141,7 @@ class KernelJoinIdentityTest : public ::testing::Test {
     return std::move(w).value();
   }
 
+  ScratchDir scratch_{"kernels"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
   int builds_ = 0;
@@ -217,11 +217,10 @@ TEST(SegmentAdviseTest, OutOfRangeIsInvalidArgument) {
 class SegmentAdviseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "advise_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
   }
+  ScratchDir scratch_{"advise"};
   std::string dir_;
 };
 

@@ -17,6 +17,7 @@
 #include "mmap/mm_relation.h"
 #include "obs/trace.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin::mm {
@@ -25,10 +26,8 @@ namespace {
 class MmapJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "mmjoin_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<SegmentManager>(dir_);
   }
 
@@ -42,6 +41,7 @@ class MmapJoinTest : public ::testing::Test {
     return std::move(w).value();
   }
 
+  ScratchDir scratch_{"mmjoin"};
   std::string dir_;
   std::unique_ptr<SegmentManager> mgr_;
 };

@@ -30,6 +30,7 @@
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
@@ -52,17 +53,12 @@ rel::RelationConfig Shape(uint64_t n, uint32_t d, double theta,
 class MpsmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "mpsm_" + std::to_string(::getpid()) + "_" +
-           test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
+  ScratchDir scratch_{"mpsm"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };

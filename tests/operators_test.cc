@@ -29,6 +29,7 @@
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
@@ -194,14 +195,12 @@ using rel::BucketHistogram;
 class OperatorDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    dir_ = ::testing::TempDir() + "opdir_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
+  ScratchDir scratch_{"opdir"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
@@ -715,14 +714,8 @@ TEST_F(OperatorStageTest, ProbeCollectReproducesTheJoin) {
 class DriverIdentityTest : public ::testing::TestWithParam<join::DriverSpec> {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "oplayer_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -741,6 +734,7 @@ class DriverIdentityTest : public ::testing::TestWithParam<join::DriverSpec> {
     return GetParam().real(*workload, mm::MmJoinOptions{});
   }
 
+  ScratchDir scratch_{"oplayer"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
@@ -771,17 +765,12 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DriverIdentityTest,
 class PlanIdentityTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "plan_" + std::to_string(::getpid()) + "_" +
-           test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
+  ScratchDir scratch_{"plan"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };

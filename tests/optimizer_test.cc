@@ -22,6 +22,7 @@
 #include "opt/adaptive.h"
 #include "opt/calibration.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin::opt {
@@ -371,11 +372,11 @@ TEST(AdaptiveControllerTest, PersistsAcrossInstances) {
 class AutoIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "mmjoin_opt_" + std::to_string(::getpid());
-    ::mkdir(dir_.c_str(), 0755);
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
+  ScratchDir scratch_{"mmjoin_opt"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };

@@ -23,45 +23,28 @@
 #include <utility>
 #include <vector>
 
-#include "exec/op/stages.h"
+#include "exec/kernels.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 
 namespace mmjoin {
 namespace {
 
 /// True when partition i of a persisted index is index-NL's layout over
-/// S_i: leaves strictly ascending in (sptr, r_id), every sptr inside S_i,
-/// and each level key the first sptr of its fanout window one level down.
+/// S_i: leaves strictly ascending in (sptr, r_id), every sptr inside S_i.
 bool ValidIndexPartition(const mm::MmWorkloadIndex& index,
                          const mm::MmWorkload& w, uint32_t i) {
-  exec::op::IndexLayout layout;
-  layout.Plan(index.entries[i]);
-  const auto* base = static_cast<const uint8_t*>(index.bytes[i]);
-  const auto* leaves = reinterpret_cast<const exec::SRef*>(base);
-  for (uint64_t k = 0; k < layout.entries(); ++k) {
+  const auto* leaves = static_cast<const exec::SRef*>(index.bytes[i]);
+  for (uint64_t k = 0; k < index.entries[i]; ++k) {
     const rel::SPtr sp = rel::SPtr::Unpack(leaves[k].sptr);
     if (sp.partition != i || sp.index >= w.s_count[i]) return false;
     if (k > 0 && std::pair(leaves[k - 1].sptr, leaves[k - 1].r_id) >=
                      std::pair(leaves[k].sptr, leaves[k].r_id)) {
       return false;
-    }
-  }
-  const uint64_t f = exec::op::IndexLayout::kFanout;
-  const auto& levels = layout.levels();
-  for (size_t l = 0; l < levels.size(); ++l) {
-    const auto* keys =
-        reinterpret_cast<const uint64_t*>(base + levels[l].byte_off);
-    const auto* below =
-        l == 0 ? nullptr
-               : reinterpret_cast<const uint64_t*>(base +
-                                                   levels[l - 1].byte_off);
-    for (uint64_t j = 0; j < levels[l].count; ++j) {
-      const uint64_t first = l == 0 ? leaves[j * f].sptr : below[j * f];
-      if (keys[j] != first) return false;
     }
   }
   return true;
@@ -70,14 +53,8 @@ bool ValidIndexPartition(const mm::MmWorkloadIndex& index,
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string test_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : test_name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = ::testing::TempDir() + "persist_" + std::to_string(::getpid()) +
-           "_" + test_name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -116,6 +93,7 @@ class PersistenceTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  ScratchDir scratch_{"persist"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
@@ -189,7 +167,7 @@ TEST_F(PersistenceTest, ReopenedStoreRunsEveryDriver) {
 
 TEST_F(PersistenceTest, JoinKeyIndexAttachesAndCovers) {
   // The persisted index is index-NL's: per S partition, the sorted leaf
-  // array of every R object pointing into it plus its key levels. Its
+  // array of every R object pointing into it (RS_i sorted in place). Its
   // entries match the counts, and its leaves are exactly R's (sptr, id)
   // pairs.
   const rel::RelationConfig rc = Shape(3000, 3, 0.8, 55);

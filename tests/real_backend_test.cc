@@ -30,6 +30,7 @@
 #include "mmap/mmap_join.h"
 #include "obs/metrics.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin::exec {
@@ -38,12 +39,8 @@ namespace {
 class RealJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
-    dir_ = ::testing::TempDir() + "real_backend_" +
-           std::to_string(::getpid()) + "_" + name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -58,6 +55,7 @@ class RealJoinTest : public ::testing::Test {
     return std::move(w).value();
   }
 
+  ScratchDir scratch_{"real_backend"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
   int builds_ = 0;
@@ -228,7 +226,7 @@ TEST_P(TupleWidthTest, RealTemporariesHoldRefsSimulatorObjects) {
       }
       // RS_i, Merge_i, Swap: the same tuples on both backends, 16 bytes
       // each on the real one and 128 on the simulator. Every other
-      // temporary (MPSM's MR_i, index-NL's IX_i) holds refs on both.
+      // temporary (MPSM's MR_i) holds refs on both.
       EXPECT_EQ(real.created().size(), sim.created().size());
       for (const auto& [name, sim_bytes] : sim.created()) {
         ASSERT_EQ(real.created().count(name), 1u) << name;

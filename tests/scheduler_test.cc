@@ -31,6 +31,7 @@
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
 #include "rel/generator.h"
+#include "scratch_dir.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
@@ -255,11 +256,8 @@ TEST(WorkStealingSchedulerTest, SingleWorkerRunsInlineLargestFirst) {
 class SchedulerJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    dir_ = ::testing::TempDir() + "sched_" + std::to_string(::getpid()) +
-           "_" + name;
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -272,6 +270,7 @@ class SchedulerJoinTest : public ::testing::Test {
     return rc;
   }
 
+  ScratchDir scratch_{"sched"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };

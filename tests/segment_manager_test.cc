@@ -6,18 +6,19 @@
 
 #include <string>
 
+#include "scratch_dir.h"
+
 namespace mmjoin::mm {
 namespace {
 
 class SegmentManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "segmgr_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
   }
 
+  ScratchDir scratch_{"segmgr"};
   std::string dir_;
 };
 

@@ -8,20 +8,21 @@
 #include <cstring>
 #include <string>
 
+#include "scratch_dir.h"
+
 namespace mmjoin::mm {
 namespace {
 
 class SegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "seg_test_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
   }
 
   std::string Path(const std::string& name) { return dir_ + "/" + name; }
 
+  ScratchDir scratch_{"seg_test"};
   std::string dir_;
 };
 

@@ -16,6 +16,7 @@
 
 #include "join/drivers.h"
 #include "mmap/segment_manager.h"
+#include "scratch_dir.h"
 #include "service/admission.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -343,10 +344,8 @@ TEST(AdmissionTest, DrainWakesWaitersAndRejectsNewWork) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "mmsvc_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
   }
 
@@ -402,6 +401,7 @@ class ServiceTest : public ::testing::Test {
     return req;
   }
 
+  ScratchDir scratch_{"mmsvc"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
   std::unique_ptr<Server> server_;

@@ -128,24 +128,24 @@ const std::vector<Golden>& GoldenTable() {
       {"pass0", 22027.098350222259, 1287},
       {"pass1", 62941.211087542149, 2903},
       {"bucket-join", 3938.0390307507332, 484}}},
-    {"index-nl", "uniform", 6987.3644381486465, 1319, 710, 8192, 4932698774064551625ull,
-     {{"setup", 1199.7, 0},
-      {"pass0", 2797.8262018918604, 496},
-      {"pass1", 1442.6247759461694, 274},
-      {"index-build", 775.90373039958467, 293},
-      {"index-probe", 771.30972991103226, 256}}},
-    {"index-nl", "zipf09", 37868.669191088324, 2952, 2289, 8192, 6846131787780569536ull,
-     {{"setup", 1198.25, 0},
-      {"pass0", 10828.838516222449, 919},
-      {"pass1", 21328.633204754173, 1462},
-      {"index-build", 2456.9938885395386, 289},
-      {"index-probe", 2055.9535815721611, 282}}},
-    {"index-nl", "zipf11_k512", 92024.075759436877, 4786, 4160, 8192, 5105510070544261679ull,
-     {{"setup", 1198.25, 0},
-      {"pass0", 23082.478661984787, 1326},
-      {"pass1", 62875.362338448627, 2895},
-      {"index-build", 2656.3360094775126, 289},
-      {"index-probe", 2211.6487495259498, 276}}},
+    {"index-nl", "uniform", 9321.6492185566294, 1568, 935, 8192, 4932698774064551625ull,
+     {{"setup", 1289.4000000000001, 0},
+      {"pass0", 2797.826201891859, 496},
+      {"pass1", 1442.6247759461721, 274},
+      {"index-build", 1642.3663359400607, 284},
+      {"index-probe", 2149.4319047785375, 514}}},
+    {"index-nl", "zipf09", 43693.113307511347, 3288, 2506, 8192, 6846131787780569536ull,
+     {{"setup", 1289.4000000000001, 0},
+      {"pass0", 10828.838516222453, 919},
+      {"pass1", 21328.633204754209, 1462},
+      {"index-build", 6336.6868340673755, 405},
+      {"index-probe", 3909.5547524673093, 502}}},
+    {"index-nl", "zipf11_k512", 98068.202723129187, 5078, 4363, 8192, 5105510070544261679ull,
+     {{"setup", 1289.4000000000001, 0},
+      {"pass0", 23082.478661984809, 1326},
+      {"pass1", 62875.362338448569, 2895},
+      {"index-build", 6831.4370999933308, 376},
+      {"index-probe", 3989.5246227024763, 481}}},
     {"mpsm", "uniform", 3170.3333518911204, 1308, 28, 8192, 4932698774064551625ull,
      {{"setup", 670.40000000000009, 0},
       {"pass0", 379.54560000000288, 256},

@@ -1,7 +1,8 @@
 // The real backend's sort: exec::RadixSortRefs against std::stable_sort on
 // adversarial key shapes, and the sort stages (op::SortRuns, MPSM's pass 1
-// of concurrent SortRefs over 16-byte ref runs, op::SortIndexRun) on the
-// real backend's temporaries, which hold 16-byte SRefs (RealBackend::Tuple).
+// of concurrent SortRefs over 16-byte ref runs, op::SortRun by (sptr, r_id)
+// as index-NL's build runs it) on the real backend's temporaries, which
+// hold 16-byte SRefs (RealBackend::Tuple).
 //
 // The stage checks matter because the join oracle cannot see an unsorted
 // sort-merge run: the final merge still emits every ref into commutative
@@ -24,6 +25,7 @@
 #include "mmap/mm_relation.h"
 #include "mmap/segment_manager.h"
 #include "rel/relation.h"
+#include "scratch_dir.h"
 #include "util/random.h"
 
 namespace mmjoin {
@@ -125,10 +127,8 @@ INSTANTIATE_TEST_SUITE_P(KeysAndSizes, RadixSortRefsTest,
 class RealSortStageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "sort_refs_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
     rel::RelationConfig rc;
     rc.r_objects = rc.s_objects = 20000;
@@ -193,6 +193,7 @@ class RealSortStageTest : public ::testing::Test {
     }
   }
 
+  ScratchDir scratch_{"sort_refs"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
   std::unique_ptr<mm::MmWorkload> workload_;
@@ -245,26 +246,21 @@ TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
   ASSERT_TRUE(ex_->DeleteSegment(band).ok());
 }
 
-TEST_F(RealSortStageTest, SortIndexRunPacksLeavesBySptrThenRid) {
+TEST_F(RealSortStageTest, SortRunSortsBucketsInPlaceBySptrThenRid) {
   uint64_t n = 0;
   const auto rs = AllOfR(&n);
   std::vector<SRef> want = Refs(rs, n);
-  auto ix = ex_->CreateSegment("ix", 0, n * sizeof(SRef));
-  ASSERT_TRUE(ix.ok());
-  // Two bands packed back to back, as the index-nl build loop does.
+  // Two buckets sorted in place, as the index-nl build loop does.
   const uint64_t half = n / 2;
-  exec::op::SortIndexRun(*ex_, 0, rs, 0, half, *ix, 0);
-  exec::op::SortIndexRun(*ex_, 0, rs, half * sizeof(SRef), n - half, *ix,
-                         half);
-  const auto* leaves =
-      static_cast<const SRef*>(ex_->Read(0, *ix, 0, n * sizeof(SRef)));
+  exec::op::SortRun(*ex_, 0, rs, 0, half, SortKey::kSptrThenRid);
+  exec::op::SortRun(*ex_, 0, rs, half, n - half, SortKey::kSptrThenRid);
+  const std::vector<SRef> leaves = Refs(rs, n);
   std::sort(want.begin(), want.begin() + half, LessSptrRid);
   std::sort(want.begin() + half, want.end(), LessSptrRid);
   for (uint64_t k = 0; k < n; ++k) {
     ASSERT_EQ(leaves[k].sptr, want[k].sptr) << "at " << k;
     ASSERT_EQ(leaves[k].r_id, want[k].r_id) << "at " << k;
   }
-  ASSERT_TRUE(ex_->DeleteSegment(*ix).ok());
   ASSERT_TRUE(ex_->DeleteSegment(rs).ok());
 }
 

@@ -40,6 +40,7 @@
 #include "mmap/segment.h"
 #include "mmap/segment_manager.h"
 #include "rel/relation.h"
+#include "scratch_dir.h"
 
 namespace mmjoin {
 namespace {
@@ -47,16 +48,9 @@ namespace {
 class StoreRestartTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "restart_" + std::to_string(::getpid()) +
-           "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+    ASSERT_TRUE(scratch_.created()) << scratch_.path();
+    dir_ = scratch_.path();
     mgr_ = std::make_unique<mm::SegmentManager>(dir_);
-  }
-
-  void TearDown() override {
-    mgr_.reset();
-    std::filesystem::remove_all(dir_);
   }
 
   static rel::RelationConfig Shape(uint64_t r, uint64_t s, uint32_t d,
@@ -112,6 +106,7 @@ class StoreRestartTest : public ::testing::Test {
     EXPECT_NE(error.find(Path(name)), std::string::npos) << error;
   }
 
+  ScratchDir scratch_{"restart"};
   std::string dir_;
   std::unique_ptr<mm::SegmentManager> mgr_;
 };
@@ -342,6 +337,11 @@ TEST_F(StoreRestartTest, IndexRootRefusedUnlessItMatchesTheStore) {
   edit_and_probe("old-format root",
                  [](mm::StoreIndexRoot* root, mm::StoreIndexPartition*,
                     uint64_t) { root->magic = 0x62747265656d6d31ULL; });
+  // A version-1 root: its leaf arrays were followed by key levels. Every
+  // other field still matches the store, so only the version refuses it.
+  edit_and_probe("version-1 root",
+                 [](mm::StoreIndexRoot* root, mm::StoreIndexPartition*,
+                    uint64_t) { root->version = 1; });
   edit_and_probe("entries disagree with the counts",
                  [](mm::StoreIndexRoot*, mm::StoreIndexPartition* parts,
                     uint64_t) { ++parts[1].entries; });

@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
                     plan_rows->number);
       queries_col = buf;
     }
-    // Index column: B+-tree probe traffic (probes/matches) when the dump
+    // Index column: index probe traffic (probes/matches) when the dump
     // carries index-join telemetry, "-" for benches that never probe.
     const mmjoin::obs::JsonValue* ix_probes =
         counters && counters->is_object()
