@@ -15,7 +15,7 @@
 //      unconditionally). One untimed warm-up join per driver runs first
 //      on each workload, so no column pays the temporaries arena's first
 //      fill,
-//   2. paging policy (none / advise / populate) with the join.kernel.* /
+//   2. paging policy (none / advise) with the join.kernel.* /
 //      join.paging.* telemetry. Every policy must produce the identical
 //      verified count/checksum (asserted unconditionally). Set
 //      MMJOIN_PAGING_REPS=<n> to run each policy n times and keep the
@@ -130,9 +130,8 @@ int SerialVsParallel(const char* label, const mm::MmWorkload& workload,
   return 0;
 }
 
-constexpr exec::PagingMode kPagingModes[] = {
-    exec::PagingMode::kNone, exec::PagingMode::kAdvise,
-    exec::PagingMode::kPopulate};
+constexpr exec::PagingMode kPagingModes[] = {exec::PagingMode::kNone,
+                                             exec::PagingMode::kAdvise};
 
 /// Best-of-`reps` wall clock for one algorithm x paging mode. Every rep's
 /// result must verify; the returned result carries the best rep's timing.

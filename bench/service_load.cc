@@ -193,6 +193,16 @@ int main(int argc, char** argv) {
   ::mkdir(root.c_str(), 0755);
   const std::string seg_dir = root + "/segments";
   ::mkdir(seg_dir.c_str(), 0755);
+  // Both directories go at every exit, after the server (declared below,
+  // so destroyed first) has removed its socket and the relations' segments.
+  struct RemoveDirs {
+    const std::string& root;
+    const std::string& seg_dir;
+    ~RemoveDirs() {
+      ::rmdir(seg_dir.c_str());
+      ::rmdir(root.c_str());
+    }
+  } remove_dirs{root, seg_dir};
   options.socket_path = root + "/svc.sock";
   options.workers =
       static_cast<uint32_t>(EnvU64("MMJOIN_SERVICE_WORKERS", 4));

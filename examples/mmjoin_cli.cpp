@@ -6,37 +6,7 @@
 //   ./build/examples/mmjoin_cli --algorithm=grace --r=102400 --s=102400
 //       --disks=4 --theta=0.0 --mem-frac=0.05 --model --passes
 //
-// Flags (all optional):
-//   --algorithm=DRIVER|auto|all   which join                   [all]
-//                                 (DRIVER is a name from join::kDrivers,
-//                                 as the usage text lists; --algo is an
-//                                 alias; auto lets the adaptive planner
-//                                 pick the driver)
-//   --calibration=PATH            planner calibration file for
-//                                 --algorithm=auto (real backend)
-//   --backend=sim|real            costed simulator or real mmap [sim]
-//   --r=N --s=N                   relation sizes in objects    [102400]
-//   --disks=D                     partitions/disks             [4]
-//   --theta=T                     Zipf skew of S-pointers      [0.0]
-//   --mem-frac=X                  M_Rproc as fraction of |R|r  [0.05]
-//   --mem-bytes=N                 M_Rproc in bytes (overrides)
-//   --g=N                         G buffer bytes (sim only)    [page]
-//   --policy=lru|clock|fifo       replacement policy (sim)     [lru]
-//   --sync=auto|on|off            phase synchronization (sim)  [auto]
-//   --seed=N                      workload seed
-//   --dir=PATH                    segment directory (real)     [tmp]
-//   --store=DIR                   durable store root (real): persist on
-//                                 first run, warm-reopen thereafter
-//   --msync=none|async|sync       msync policy for --store seals [none]
-//   --threads=N                   worker-thread cap (real)     [cores]
-//   --morsel-tuples=N             tuples per morsel (real)     [16384]
-//   --skew-split=K                hot-partition split factor (real) [4]
-//   --prefetch-distance=N         in-flight S derefs (real)    [32]
-//   --paging=none|advise|populate mmap paging policy (real)    [advise]
-//   --huge-pages                  MADV_HUGEPAGE on temps (real)
-//   --numa=none|interleave|local  temp placement (real)        [none]
-//   --model                       also print the model's prediction
-//   --passes                      print the per-pass breakdown
+// `mmjoin_cli --help` lists every flag with its default.
 //
 // Both backends run the identical driver templates (exec/join_drivers.h);
 // --backend only selects what "time" and "memory" mean.
@@ -74,10 +44,7 @@ constexpr char kFlagsUsage[] =
     "  --dir=PATH                    segment directory (real)     [tmp]\n"
     "  --threads=N                   worker-thread cap (real)     [cores]\n"
     "  --morsel-tuples=N             tuples per morsel (real)     [16384]\n"
-    "  --skew-split=K                hot-partition split (real)   [4]\n"
-    "  --prefetch-distance=N         in-flight S derefs (real)    [32]\n"
-    "  --paging=none|advise|populate mmap paging policy (real)    [advise]\n"
-    "  --huge-pages                  MADV_HUGEPAGE on temps (real)\n"
+    "  --paging=none|advise          mmap paging policy (real)    [advise]\n"
     "  --numa=none|interleave|local  temp placement (real)        [none]\n"
     "  --model                       also print the model's prediction\n"
     "  --passes                      print the per-pass breakdown\n"
@@ -101,10 +68,7 @@ struct Flags {
   std::string dir;
   uint32_t threads = 0;
   uint64_t morsel_tuples = 0;
-  double skew_split = 0;
-  uint32_t prefetch_distance = 0;
   std::string paging = "advise";
-  bool huge_pages = false;
   std::string numa = "none";
   bool show_model = false;
   bool show_passes = false;
@@ -146,15 +110,8 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--morsel-tuples", &v)) {
       flags->morsel_tuples = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--skew-split", &v)) {
-      flags->skew_split = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--prefetch-distance", &v)) {
-      flags->prefetch_distance =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--paging", &v)) {
       flags->paging = v;
-    } else if (std::strcmp(argv[i], "--huge-pages") == 0) {
-      flags->huge_pages = true;
     } else if (ParseFlag(argv[i], "--numa", &v)) {
       flags->numa = v;
     } else if (ParseFlag(argv[i], "--r", &v)) {
@@ -243,7 +200,6 @@ int RunOne(join::Algorithm a, const Flags& flags,
 /// value.
 bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
   options->morsel_tuples = flags.morsel_tuples;
-  options->skew_split_factor = flags.skew_split;
   if (flags.numa == "none") {
     options->numa = exec::NumaMode::kNone;
   } else if (flags.numa == "interleave") {
@@ -258,14 +214,10 @@ bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
     options->paging = exec::PagingMode::kNone;
   } else if (flags.paging == "advise") {
     options->paging = exec::PagingMode::kAdvise;
-  } else if (flags.paging == "populate") {
-    options->paging = exec::PagingMode::kPopulate;
   } else {
     std::fprintf(stderr, "bad --paging\n");
     return false;
   }
-  options->prefetch_distance = flags.prefetch_distance;
-  options->huge_pages = flags.huge_pages;
   return true;
 }
 
@@ -432,19 +384,11 @@ int RunReal(const std::vector<join::Algorithm>& algorithms, const Flags& flags,
             const join::JoinParams& params) {
   mm::MmJoinOptions real_options;
   if (!ResolveRealOptions(flags, &real_options)) return 2;
-  std::printf("real backend: morsel-tuples=%llu skew-split=%.1f "
-              "prefetch-distance=%u paging=%s huge-pages=%s numa=%s\n",
+  std::printf("real backend: morsel-tuples=%llu paging=%s numa=%s\n",
               static_cast<unsigned long long>(
                   real_options.morsel_tuples ? real_options.morsel_tuples
                                              : exec::kDefaultMorselTuples),
-              real_options.skew_split_factor
-                  ? real_options.skew_split_factor
-                  : exec::kDefaultSkewSplitFactor,
-              real_options.prefetch_distance
-                  ? real_options.prefetch_distance
-                  : exec::kDefaultPrefetchDistance,
               exec::PagingModeName(real_options.paging),
-              real_options.huge_pages ? "on" : "off",
               exec::NumaModeName(real_options.numa));
   std::printf("topology: %s\n\n",
               exec::NumaTopologySummary(exec::QueryNumaTopology()).c_str());

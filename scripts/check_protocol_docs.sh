@@ -6,9 +6,13 @@
 # request-side `auto` — together the query.algorithm vocabulary — and
 # every built-in plan name in src/exec/op/plan.h (kPlanNames — the
 # run_plan vocabulary) must appear in docs/PROTOCOL.md, and the operator
-# docs must exist at all.
-# Wired into ctest as `check_protocol_docs` so adding a message without
-# documenting it fails the tier-1 suite, not a reviewer's memory.
+# docs must exist at all. The same goes for the join options: every field
+# of `struct MmJoinOptions` (src/mmap/mmap_join.h) must be a row of the
+# `mm::MmJoinOptions` table in docs/PARAMETERS.md, and every row must name
+# a field.
+# Wired into ctest as `check_protocol_docs` so adding a message or an
+# option without documenting it, or deleting an option and keeping its
+# row, fails the tier-1 suite, not a reviewer's memory.
 #
 #   scripts/check_protocol_docs.sh [repo_root]
 set -euo pipefail
@@ -79,7 +83,53 @@ check_token auto kAutoAlgorithmName
 # The run_plan op's plan-name vocabulary lives with the operator layer.
 check_table kPlanNames src/exec/op/plan.h
 
+# Field names declared in `struct MmJoinOptions`: one declaration per
+# line, comments and default values stripped.
+option_fields() {
+  awk '
+    /^struct MmJoinOptions \{/ { in_struct = 1; next }
+    in_struct && /^};/ { exit }
+    in_struct {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      sub(/=.*/, ";", line)
+      if (match(line, /[A-Za-z_][A-Za-z0-9_]*[ \t]*;/)) {
+        name = substr(line, RSTART, RLENGTH)
+        sub(/[ \t]*;$/, "", name)
+        print name
+      }
+    }
+  ' src/mmap/mmap_join.h | sort
+}
+
+# First-column names of the table under the `mm::MmJoinOptions` heading.
+option_rows() {
+  awk '
+    /^## `mm::MmJoinOptions`/ { in_section = 1; next }
+    in_section && /^## / { exit }
+    in_section && /^\| `[^`]+` \|/ {
+      split($0, cell, "`")
+      print cell[2]
+    }
+  ' docs/PARAMETERS.md | sort
+}
+
+fields=$(option_fields)
+rows=$(option_rows)
+if [ -z "$fields" ] || [ -z "$rows" ]; then
+  echo "check_protocol_docs: could not extract MmJoinOptions fields or rows"
+  missing=1
+fi
+for f in $(comm -23 <(echo "$fields") <(echo "$rows")); do
+  echo "check_protocol_docs: MmJoinOptions::$f has no row in docs/PARAMETERS.md"
+  missing=1
+done
+for r in $(comm -13 <(echo "$fields") <(echo "$rows")); do
+  echo "check_protocol_docs: docs/PARAMETERS.md row '$r' names no MmJoinOptions field"
+  missing=1
+done
+
 if [ "$missing" -ne 0 ]; then
   exit 1
 fi
-echo "check_protocol_docs: OK (every wire string documented)"
+echo "check_protocol_docs: OK (every wire string and join option documented)"

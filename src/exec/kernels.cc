@@ -14,8 +14,6 @@ const char* PagingModeName(PagingMode paging) {
       return "none";
     case PagingMode::kAdvise:
       return "advise";
-    case PagingMode::kPopulate:
-      return "populate";
   }
   return "?";
 }

@@ -40,19 +40,17 @@ namespace mmjoin::exec {
 
 /// How aggressively the real backend advises the kernel about paging.
 enum class PagingMode : uint8_t {
-  kNone,      ///< no hints: the kernel sees naked faults (the A/B baseline)
-  kAdvise,    ///< madvise intents: SEQUENTIAL/RANDOM per pass, WILLNEED
-              ///< ahead of a band, POPULATE_WRITE pre-fault of temporaries
-              ///< about to be filled (skipped once a block is populated)
-  kPopulate,  ///< kAdvise plus MAP_POPULATE when a temporary's block is
-              ///< freshly mapped
+  kNone,    ///< no hints: the kernel sees naked faults (the A/B baseline)
+  kAdvise,  ///< madvise intents: SEQUENTIAL/RANDOM per pass, WILLNEED
+            ///< ahead of a band, POPULATE_WRITE pre-fault of temporaries
+            ///< about to be filled (skipped once a block is populated)
 };
 
 const char* PagingModeName(PagingMode paging);
 
-/// Prefetch distance (in-flight S dereferences) when none is configured.
-/// Chosen empirically: deep enough to cover DRAM latency at ~45 ns/probe,
-/// shallow enough that the staged refs stay in L1.
+/// Prefetch distance (in-flight S dereferences) of the real backend's
+/// probe sites. Chosen empirically: deep enough to cover DRAM latency at
+/// ~45 ns/probe, shallow enough that the staged refs stay in L1.
 inline constexpr uint32_t kDefaultPrefetchDistance = 32;
 /// Upper bound on the configurable distance (size of the staging window).
 inline constexpr uint32_t kMaxPrefetchDistance = 256;

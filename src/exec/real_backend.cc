@@ -33,9 +33,6 @@ SchedulerOptions ResolveScheduler(uint32_t workers,
   so.workers = workers;
   so.morsel_tuples =
       options.morsel_tuples ? options.morsel_tuples : kDefaultMorselTuples;
-  so.skew_split_factor = options.skew_split_factor > 0
-                             ? options.skew_split_factor
-                             : kDefaultSkewSplitFactor;
   return so;
 }
 
@@ -50,11 +47,7 @@ RealBackend::RealBackend(const mm::MmWorkload& workload,
       workers_(ResolveWorkers(static_cast<uint32_t>(workload.r_segs.size()),
                               options)),
       sched_options_(ResolveScheduler(workers_, options)),
-      prefetch_distance_(options.prefetch_distance
-                             ? options.prefetch_distance
-                             : kDefaultPrefetchDistance),
       paging_(options.paging),
-      huge_pages_(options.huge_pages),
       numa_(options.numa),
       pool_(options.pool),
       priority_(options.priority),
@@ -136,12 +129,11 @@ RealBackend::~RealBackend() {
 StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
                                                       uint32_t disk,
                                                       uint64_t bytes) {
-  // paging=populate pre-faults a fresh block at map time; paging=advise
-  // instead leaves pre-faulting to the drivers' POPULATE_WRITE intents so
-  // only temporaries that are about to be filled pay for their pages up
-  // front. A reused block comes back as it was released.
-  StatusOr<TempBlock> acquired = TempArena::Global().Acquire(
-      bytes, paging_ == PagingMode::kPopulate);
+  // A fresh block is mapped unpopulated: paging=advise leaves pre-faulting
+  // to the drivers' POPULATE_WRITE intents, so only temporaries that are
+  // about to be filled pay for their pages up front. A reused block comes
+  // back as it was released.
+  StatusOr<TempBlock> acquired = TempArena::Global().Acquire(bytes);
   if (!acquired.ok()) {
     return Status::IOError("segment " + name + ": " +
                            acquired.status().message());
@@ -149,14 +141,10 @@ StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
   const TempBlock block = *acquired;
   void* base = block.base;
   const uint64_t map_bytes = block.bytes;
-  // Interleave and huge-page advice shape a block's first touch, so they
-  // apply to fresh blocks only: a reused block's pages are already placed.
+  // Interleave shapes a block's first touch, so it applies to fresh blocks
+  // only: a reused block's pages are already placed.
   if (block.fresh && numa_ == NumaMode::kInterleave) {
-    // mbind on an already-populated range would need MPOL_MF_MOVE: with
-    // the arena's MAP_POPULATE the pages land per the pre-set policy only
-    // on kernels honoring it at fault time, so interleave composes best
-    // with paging=none|advise. Single-node hosts: applied=false, a counted
-    // no-op, never an error.
+    // Single-node hosts: applied=false, a counted no-op, never an error.
     bool applied = false;
     const Status st =
         BindInterleaved(base, map_bytes, detected_nodes_, &applied);
@@ -165,20 +153,6 @@ StatusOr<RealBackend::Seg> RealBackend::CreateSegment(const std::string& name,
       mbind_errors_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(paging_mu_);
       if (numa_status_.ok()) numa_status_ = st;
-    }
-  }
-  if (block.fresh && huge_pages_) {
-    // Effective only under THP mode `madvise`; failure (e.g. THP compiled
-    // out) is telemetry, never an error on the join path.
-    uint64_t advised = 0;
-    const Status st = mm::AdviseMappedRange(base, map_bytes, 0, map_bytes,
-                                            AccessIntent::kHugePage, &advised);
-    advise_calls_.fetch_add(1, std::memory_order_relaxed);
-    advise_bytes_.fetch_add(advised, std::memory_order_relaxed);
-    if (!st.ok()) {
-      advise_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(paging_mu_);
-      if (paging_status_.ok()) paging_status_ = st;
     }
   }
   auto seg = std::make_unique<RealSeg>();

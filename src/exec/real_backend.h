@@ -114,18 +114,10 @@ struct RealBackendOptions {
   /// share the partitions' morsel chains through stealing; 1 runs every
   /// chain on the calling thread.
   uint32_t max_threads = 0;
-  uint64_t morsel_tuples = 0;     ///< tuples per morsel; 0 = default (16 Ki)
-  double skew_split_factor = 0;   ///< hot-partition threshold/factor; 0 = 4
-  /// S-pointer prefetch distance of the probe kernels; 0 = default (32).
-  /// Clamped to [1, kMaxPrefetchDistance] by the kernels.
-  uint32_t prefetch_distance = 0;
+  uint64_t morsel_tuples = 0;  ///< tuples per morsel; 0 = default (16 Ki)
   /// mmap paging policy (DESIGN.md §7.2): kNone issues no hints, kAdvise
-  /// maps driver AccessIntents onto madvise(2), kPopulate additionally maps
-  /// fresh temporaries with MAP_POPULATE.
+  /// maps driver AccessIntents onto madvise(2).
   PagingMode paging = PagingMode::kAdvise;
-  /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
-  /// when the system THP mode is `madvise`); independent of `paging`.
-  bool huge_pages = false;
   /// NUMA placement of owned temporaries (exec/numa.h); degrades to
   /// counted no-ops on single-node hosts.
   NumaMode numa = NumaMode::kNone;
@@ -244,12 +236,12 @@ class RealBackend {
   // algorithm once the page cache is warm — 0.83–0.96x vs the unsorted
   // pipeline's 1.05–1.46x against scalar.)
   void RequestSBatch(uint32_t /*i*/, const SRef* refs, uint64_t n) {
-    ProbeRefs(refs, n, s_objs_.data(), prefetch_distance_,
+    ProbeRefs(refs, n, s_objs_.data(), kDefaultPrefetchDistance,
               &tallies_[real_internal::worker_slot]);
   }
   void ProbeRun(uint32_t /*i*/, Seg seg, uint64_t offset, uint64_t n) {
     ProbeRefs(reinterpret_cast<const Tuple*>(seg->base + offset), n,
-              s_objs_.data(), prefetch_distance_,
+              s_objs_.data(), kDefaultPrefetchDistance,
               &tallies_[real_internal::worker_slot]);
   }
 
@@ -382,9 +374,7 @@ class RealBackend {
   uint32_t d_;
   uint32_t workers_;
   SchedulerOptions sched_options_;
-  uint32_t prefetch_distance_;
   PagingMode paging_;
-  bool huge_pages_;
   NumaMode numa_;
   uint32_t detected_nodes_ = 1;  ///< nodes the host really has
   /// True when node-affine scheduling is armed: numa=local on an own

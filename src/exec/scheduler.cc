@@ -69,23 +69,20 @@ std::vector<MorselChain> BuildChains(const std::vector<uint64_t>& counts,
   const uint64_t total =
       std::accumulate(counts.begin(), counts.end(), uint64_t{0});
   const uint64_t mean = std::max<uint64_t>(1, d ? total / d : 0);
-  const double threshold =
-      std::max(1.0, options.skew_split_factor) * static_cast<double>(mean);
+  const uint64_t threshold = kDefaultSkewSplitFactor * mean;
   const uint64_t base_morsel = std::max<uint64_t>(1, options.morsel_tuples);
-  const uint64_t split_factor = std::max<uint64_t>(
-      1, static_cast<uint64_t>(options.skew_split_factor));
   const uint64_t workers = std::max<uint32_t>(1, options.workers);
+  const uint64_t hot_units = workers * kDefaultSkewSplitFactor;
 
   std::vector<MorselChain> chains;
   chains.reserve(d);
   for (uint32_t i = 0; i < d; ++i) {
     const uint64_t n = counts[i];
     uint64_t morsel = base_morsel;
-    if (static_cast<double>(n) > threshold) {
+    if (n > threshold) {
       // Hot partition: over-split so it decomposes into at least
-      // workers * skew_split_factor units.
-      morsel = std::min(morsel,
-                        std::max<uint64_t>(1, CeilDiv(n, workers * split_factor)));
+      // workers * kDefaultSkewSplitFactor units.
+      morsel = std::min(morsel, std::max<uint64_t>(1, CeilDiv(n, hot_units)));
     }
     std::vector<Morsel> morsels;
     if (n == 0) {

@@ -55,9 +55,10 @@ namespace mmjoin::exec {
 /// partition decomposes into many units.
 inline constexpr uint64_t kDefaultMorselTuples = uint64_t{1} << 14;
 
-/// Default skew threshold/factor: a partition whose tuple count exceeds
-/// skew_split_factor times the mean is considered hot and over-split.
-inline constexpr double kDefaultSkewSplitFactor = 4.0;
+/// Skew threshold/factor: a partition whose tuple count exceeds this many
+/// times the mean is hot, and is over-split into at least workers times
+/// this many morsels.
+inline constexpr uint64_t kDefaultSkewSplitFactor = 4;
 
 /// Worker threads a run over `partitions` partitions will use:
 /// min(partitions, max_threads or hardware_concurrency); one worker runs
@@ -81,7 +82,6 @@ void ParallelFor(uint32_t units, uint32_t workers,
 struct SchedulerOptions {
   uint32_t workers = 1;
   uint64_t morsel_tuples = kDefaultMorselTuples;
-  double skew_split_factor = kDefaultSkewSplitFactor;
   /// NUMA home node per worker slot (empty = no affinity). When set (to
   /// `workers` entries), chains carrying a node tag are dealt to a worker
   /// of that node and stealing prefers same-node victims. Affinity shapes
@@ -143,9 +143,10 @@ uint64_t ThreadFaults();
 /// - Every partition is covered by morsels [0, counts[i]) in order; a
 ///   zero-count partition still gets one empty morsel [0, 0) so per-
 ///   partition epilogues (flushes, segment drops) run exactly once.
-/// - A partition whose count exceeds skew_split_factor * mean(counts) is
-///   *over-split*: its morsel size shrinks so the partition yields at
-///   least workers * skew_split_factor morsels (bounded below by 1 tuple).
+/// - A partition whose count exceeds kDefaultSkewSplitFactor * mean(counts)
+///   is *over-split*: its morsel size shrinks so the partition yields at
+///   least workers * kDefaultSkewSplitFactor morsels (bounded below by 1
+///   tuple).
 /// - independent=false: one chain per partition (morsels share an output
 ///   target and stay chained to one owner).
 ///   independent=true: every morsel becomes its own single-morsel chain

@@ -36,7 +36,7 @@ TempArena::TempArena(uint64_t idle_cap_bytes) : cap_(idle_cap_bytes) {}
 
 TempArena::~TempArena() { Trim(0); }
 
-StatusOr<TempBlock> TempArena::Acquire(uint64_t bytes, bool populate) {
+StatusOr<TempBlock> TempArena::Acquire(uint64_t bytes) {
   const uint64_t page = OsPageSize();
   const uint64_t len = std::max<uint64_t>(1, (bytes + page - 1) / page) * page;
   {
@@ -52,9 +52,8 @@ StatusOr<TempBlock> TempArena::Acquire(uint64_t bytes, bool populate) {
       return block;
     }
   }
-  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
-  if (populate) flags |= MAP_POPULATE;
-  void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, flags, -1, 0);
+  void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) {
     return Status::IOError("mmap of " + std::to_string(len) +
                            " bytes failed: " + std::strerror(errno));
@@ -63,7 +62,7 @@ StatusOr<TempBlock> TempArena::Acquire(uint64_t bytes, bool populate) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.maps;
   }
-  return TempBlock{static_cast<uint8_t*>(base), len, populate, true};
+  return TempBlock{static_cast<uint8_t*>(base), len, false, true};
 }
 
 void TempArena::Release(const TempBlock& block) {

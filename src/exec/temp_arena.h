@@ -66,9 +66,9 @@ class TempArena {
   TempArena& operator=(const TempArena&) = delete;
 
   /// A block of at least `bytes` (rounded up to whole pages, at least one).
-  /// `populate` maps a fresh block with MAP_POPULATE; a reused block is
-  /// returned as it is. A failing mmap is an IOError.
-  StatusOr<TempBlock> Acquire(uint64_t bytes, bool populate);
+  /// A fresh block starts unpopulated; a reused block is returned as it
+  /// was released. A failing mmap is an IOError.
+  StatusOr<TempBlock> Acquire(uint64_t bytes);
 
   /// Returns a block from Acquire to the idle list, pages resident, then
   /// evicts down to the cap.

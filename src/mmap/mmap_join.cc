@@ -29,10 +29,7 @@ exec::RealBackendOptions ToBackendOptions(const MmJoinOptions& options) {
   exec::RealBackendOptions bo;
   bo.max_threads = options.max_threads;
   bo.morsel_tuples = options.morsel_tuples;
-  bo.skew_split_factor = options.skew_split_factor;
-  bo.prefetch_distance = options.prefetch_distance;
   bo.paging = options.paging;
-  bo.huge_pages = options.huge_pages;
   bo.numa = options.numa;
   bo.trace = options.trace;
   bo.pool = options.pool;
@@ -127,7 +124,6 @@ StatusOr<MmJoinResult> MmJoin(const MmWorkload& workload,
   // identity (pool, priority, trace, threads) and NUMA placement, which
   // this host cannot measure, stay the caller's.
   MmJoinOptions resolved = options;
-  resolved.prefetch_distance = decision.prefetch_distance;
   resolved.paging = decision.paging;
   resolved.k_buckets = decision.k_buckets;
   resolved.tsize = decision.tsize;

@@ -43,10 +43,9 @@ struct MmJoinOptions {
   /// the adaptive planner (src/opt/planner.h) picks it: relation stats, a
   /// mincore residency probe and the machine calibration rank all six
   /// drivers by corrected wall-clock cost. The planner then also
-  /// overwrites the performance-knob fields (prefetch_distance, paging,
-  /// k_buckets, tsize) with its derived vector — results are
-  /// knob-invariant by contract, so auto output stays bit-identical to
-  /// any explicit-knob run. A set value runs that driver's entry point
+  /// overwrites the performance-knob fields (paging, k_buckets, tsize)
+  /// with its derived vector — results are knob-invariant by contract, so
+  /// auto output stays bit-identical to any explicit-knob run. A set value runs that driver's entry point
   /// unchanged: MmJoin(algorithm=X) is MmX().
   std::optional<join::Algorithm> algorithm;
   /// Planner state when `algorithm` is unset: calibration + learned EWMA
@@ -61,28 +60,20 @@ struct MmJoinOptions {
   /// count/checksum are identical for every bound — only wall-clock and
   /// scheduler telemetry differ.
   uint32_t max_threads = 0;
-  uint64_t morsel_tuples = 0;    ///< tuples per morsel; 0 = default (16 Ki)
-  double skew_split_factor = 0;  ///< hot-partition threshold/factor; 0 = 4
+  uint64_t morsel_tuples = 0;  ///< tuples per morsel; 0 = default (16 Ki)
   /// Private memory per partition used to SHAPE plans (sort-merge IRUN /
   /// NRUN, Grace K, MPSM's run length); 0 = the JoinParams default (4 MiB). It does not limit
   /// real memory use — the kernel pages as it pleases.
   uint64_t m_rproc_bytes = 0;
   uint32_t k_buckets = 0;  ///< Grace/hybrid K (0: derive from memory)
   uint32_t tsize = 0;      ///< Grace/hybrid chain count (0: ~4 per chain)
-  /// In-flight S dereferences per prefetch pipeline of the probe sites
-  /// (exec/kernels.h); 0 = 32.
-  uint32_t prefetch_distance = 0;
   /// mmap paging policy: `kNone` issues no hints; `kAdvise` (default) maps
   /// the drivers' declared access intents onto madvise(2) — SEQUENTIAL
   /// scans, RANDOM probes, POPULATE_WRITE pre-faulting of temporaries,
   /// WILLNEED one band ahead (bands are never retired with DONTNEED: the
-  /// process-wide arena keeps the temporaries' pages); `kPopulate`
-  /// additionally maps fresh temporaries with MAP_POPULATE. Hints never
-  /// affect results.
+  /// process-wide arena keeps the temporaries' pages). Hints never affect
+  /// results.
   exec::PagingMode paging = exec::PagingMode::kAdvise;
-  /// Request MADV_HUGEPAGE on freshly mapped temporaries (effective only
-  /// when the system THP mode is `madvise`); independent of `paging`.
-  bool huge_pages = false;
   /// NUMA placement of the RP/RS temporaries: `kNone` (default) leaves
   /// placement to the kernel; `kInterleave` mbind(2)s new segments across
   /// all nodes; `kLocal` first-touches each worker's RP band from its

@@ -114,8 +114,6 @@ const char* AccessIntentName(AccessIntent intent) {
       return "dontneed";
     case AccessIntent::kPopulateWrite:
       return "populate-write";
-    case AccessIntent::kHugePage:
-      return "hugepage";
   }
   return "?";
 }
@@ -158,13 +156,6 @@ Status AdviseMappedRange(void* map_base, uint64_t map_bytes, uint64_t offset,
     case AccessIntent::kPopulateWrite:
       advice = MADV_POPULATE_WRITE;
       break;
-    case AccessIntent::kHugePage:
-#ifdef MADV_HUGEPAGE
-      advice = MADV_HUGEPAGE;
-      break;
-#else
-      return Status::OK();  // THP not known to this libc: best-effort no-op
-#endif
   }
 
   // madvise requires a page-aligned start. Hints widen outward — a mapping

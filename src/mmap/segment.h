@@ -72,16 +72,12 @@ struct MapTimings {
 ///                  zero-fill cost in one bulk operation instead of one
 ///                  minor fault per first-touched page. Degrades to a
 ///                  no-op on kernels without support (< 5.14).
-///   kHugePage      back the range with transparent huge pages if the
-///                  system allows (MADV_HUGEPAGE) — fewer TLB entries for
-///                  large randomly-probed ranges
 enum class AccessIntent {
   kSequential,
   kRandom,
   kWillNeed,
   kDontNeed,
   kPopulateWrite,
-  kHugePage,
 };
 
 const char* AccessIntentName(AccessIntent intent);

@@ -73,20 +73,11 @@ void DeriveKnobs(const model::WallInputs& w, const Calibration& cal,
     d->irun = join::PlanSortMerge(p.m_rproc_bytes, 4096, rs_objects, p).irun;
   }
 
-  // Prefetch distance: a probed S band that outruns the cache needs a
-  // deeper pipeline to cover DRAM latency.
-  d->prefetch_distance = s_band > llc ? 48 : 0;  // 0 = default (32)
-
-  // Paging: cold inputs want bulk pre-faulting over demand paging; warm
-  // cache-resident runs don't need hints at all; everything else keeps the
-  // default intent-driven madvise mapping.
-  if (w.residency < 0.5) {
-    d->paging = exec::PagingMode::kPopulate;
-  } else if (w.residency >= 0.99 && r_bytes + s_band * w.partitions <= llc) {
-    d->paging = exec::PagingMode::kNone;
-  } else {
-    d->paging = exec::PagingMode::kAdvise;
-  }
+  // Paging: warm cache-resident runs don't need hints at all; everything
+  // else keeps the default intent-driven madvise mapping.
+  d->paging = w.residency >= 0.99 && r_bytes + s_band * w.partitions <= llc
+                  ? exec::PagingMode::kNone
+                  : exec::PagingMode::kAdvise;
 }
 
 }  // namespace

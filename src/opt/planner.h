@@ -2,8 +2,8 @@
 // machine calibration, rank the six drivers by corrected wall-clock cost
 // (model::PredictWall x the calibration's learned per-driver EWMA factor)
 // and derive the knob vector the winner should run with — Grace /
-// hybrid K and TSIZE, the sort-merge run shape, and the prefetch_distance
-// and paging execution knobs. NUMA placement is not derived: it cannot be
+// hybrid K and TSIZE, the sort-merge run shape, and the paging execution
+// knob. NUMA placement is not derived: it cannot be
 // measured on a single-node host, so it stays the caller's choice.
 //
 // The planner is pure and deterministic: same inputs + same calibration =>
@@ -77,8 +77,7 @@ struct PlannerDecision {
   uint32_t tsize = 0;      ///< Grace/hybrid chain count
   uint64_t irun = 0;       ///< sort-merge initial run length, objects
 
-  // Execution knobs.
-  uint32_t prefetch_distance = 0;
+  // Execution knob.
   exec::PagingMode paging = exec::PagingMode::kAdvise;
 
   /// All six candidates, sorted best-first by corrected cost.

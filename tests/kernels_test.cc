@@ -155,8 +155,7 @@ constexpr MmJoinFn kJoins[] = {mm::MmNestedLoops, mm::MmSortMerge,
 TEST_F(KernelJoinIdentityTest, PagingModeSweep) {
   const mm::MmWorkload w = Build(1.1);
   for (MmJoinFn join : kJoins) {
-    for (PagingMode paging :
-         {PagingMode::kNone, PagingMode::kAdvise, PagingMode::kPopulate}) {
+    for (PagingMode paging : {PagingMode::kNone, PagingMode::kAdvise}) {
       mm::MmJoinOptions opt;
       opt.paging = paging;
       auto r = join(w, opt);
@@ -166,23 +165,12 @@ TEST_F(KernelJoinIdentityTest, PagingModeSweep) {
       EXPECT_EQ(r->output_checksum, w.expected_checksum);
       if (paging == PagingMode::kNone) {
         EXPECT_EQ(r->run.paging_advise_calls, 0u);
-      } else if (paging == PagingMode::kAdvise) {
+      } else {
         EXPECT_GT(r->run.paging_advise_calls, 0u);
         EXPECT_TRUE(r->paging_status.ok())
             << r->paging_status.ToString();
       }
     }
-  }
-}
-
-TEST_F(KernelJoinIdentityTest, PrefetchDistanceDoesNotChangeResults) {
-  const mm::MmWorkload w = Build(0.0);
-  for (uint32_t distance : {1u, 4u, 256u}) {
-    mm::MmJoinOptions opt;
-    opt.prefetch_distance = distance;
-    auto r = mm::MmNestedLoops(w, opt);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->verified) << "distance=" << distance;
   }
 }
 

@@ -75,8 +75,7 @@ TEST_P(RealJoinIdentityTest, WorkerPagingMatrix) {
   for (double theta : {0.0, 1.1}) {
     const mm::MmWorkload w = Build(theta);
     for (uint32_t workers : {1u, 2u, 8u}) {
-      for (PagingMode paging :
-           {PagingMode::kNone, PagingMode::kAdvise, PagingMode::kPopulate}) {
+      for (PagingMode paging : {PagingMode::kNone, PagingMode::kAdvise}) {
         mm::MmJoinOptions opt;
         opt.max_threads = workers;
         opt.paging = paging;

@@ -6,6 +6,8 @@
 //     single-morsel chains.
 //   * The pool runs every morsel exactly once, keeps chained morsels in
 //     order, and actually steals under forced contention.
+//   * The shared pool does the same for concurrent chain sets, and shares
+//     one worker between priorities in their PriorityWeight ratio.
 //   * End to end, output count/checksum are bit-identical across worker
 //     counts and morsel sizes — the paper's join results cannot depend on
 //     how the work was dealt — and the real stealing run still matches the
@@ -15,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,14 +46,13 @@ using exec::Morsel;
 using exec::ParallelFor;
 using exec::MorselChain;
 using exec::SchedulerOptions;
+using exec::WorkerRunStats;
 using exec::WorkStealingScheduler;
 
-SchedulerOptions Opts(uint32_t workers, uint64_t morsel_tuples,
-                      double factor = exec::kDefaultSkewSplitFactor) {
+SchedulerOptions Opts(uint32_t workers, uint64_t morsel_tuples) {
   SchedulerOptions so;
   so.workers = workers;
   so.morsel_tuples = morsel_tuples;
-  so.skew_split_factor = factor;
   return so;
 }
 
@@ -108,7 +110,7 @@ TEST(BuildChainsTest, HotPartitionIsOverSplit) {
   // though the base morsel would swallow it whole.
   std::vector<uint64_t> counts = {8000, 100, 100, 100, 100, 100, 100, 100};
   const auto chains =
-      BuildChains(counts, Opts(4, /*morsel_tuples=*/1 << 20, 4.0),
+      BuildChains(counts, Opts(4, /*morsel_tuples=*/1 << 20),
                   /*independent=*/false);
   ASSERT_EQ(chains.size(), 8u);
   EXPECT_EQ(chains[0].morsels.size(), 16u);  // 8000 / 500
@@ -247,6 +249,118 @@ TEST(WorkStealingSchedulerTest, SingleWorkerRunsInlineLargestFirst) {
   });
   EXPECT_EQ(order, (std::vector<uint32_t>{1, 2, 0}));
   EXPECT_EQ(sched.worker_stats()[0].steals, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared worker pool
+// ---------------------------------------------------------------------------
+
+TEST(SharedWorkerPoolTest, ConcurrentSetsRunEveryMorselOnceInChainOrder) {
+  // Two chain sets submitted at once to three workers. The pool re-queues
+  // a chain after every morsel, so a chain's morsels may run on different
+  // workers; they must still run one at a time, in order, exactly once.
+  const std::vector<uint64_t> counts = {40, 7, 0, 25, 13};
+  constexpr int kSets = 2;
+  exec::SharedWorkerPool pool(3);
+
+  std::mutex mu;
+  std::map<uint32_t, std::vector<std::pair<uint64_t, uint64_t>>> seen[kSets];
+  std::atomic<int> running[kSets][5] = {};
+  std::atomic<int> overlaps{0};
+  std::vector<WorkerRunStats> stats[kSets];
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSets; ++s) {
+    submitters.emplace_back([&, s] {
+      pool.RunChainSet(
+          BuildChains(counts, Opts(3, 4), /*independent=*/false),
+          [&, s](uint32_t, const Morsel& m) {
+            if (running[s][m.partition].fetch_add(1) != 0) ++overlaps;
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              seen[s][m.partition].push_back({m.begin, m.end});
+            }
+            std::this_thread::yield();
+            running[s][m.partition].fetch_sub(1);
+          },
+          nullptr,
+          s == 0 ? exec::QueryPriority::kNormal : exec::QueryPriority::kLow,
+          &stats[s]);
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(pool.active_sets(), 0u);
+  EXPECT_EQ(pool.total_sets(), static_cast<uint64_t>(kSets));
+  for (int s = 0; s < kSets; ++s) {
+    uint64_t expected_morsels = 0;
+    for (uint32_t i = 0; i < counts.size(); ++i) {
+      const auto& ranges = seen[s][i];
+      ASSERT_FALSE(ranges.empty()) << "set " << s << " partition " << i;
+      // In order, no duplicate, no gap: the ranges tile [0, counts[i]).
+      uint64_t expect_begin = 0;
+      for (const auto& [b, e] : ranges) {
+        EXPECT_EQ(b, expect_begin) << "set " << s << " partition " << i;
+        expect_begin = e;
+      }
+      EXPECT_EQ(expect_begin, counts[i]) << "set " << s << " partition " << i;
+      expected_morsels += ranges.size();
+    }
+    ASSERT_EQ(stats[s].size(), 3u);
+    uint64_t morsels = 0, chains_run = 0;
+    for (const WorkerRunStats& st : stats[s]) {
+      morsels += st.morsels;
+      chains_run += st.chains;
+    }
+    EXPECT_EQ(morsels, expected_morsels) << "set " << s;
+    EXPECT_EQ(chains_run, counts.size()) << "set " << s;
+  }
+}
+
+TEST(SharedWorkerPoolTest, OneWorkerAlternatesPrioritiesByWeight) {
+  // One worker, a kHigh and a kLow set both runnable: weighted round robin
+  // gives the high set PriorityWeight(kHigh) = 4 picks for every
+  // PriorityWeight(kLow) = 1 of the low set. The high set's first morsel
+  // holds the worker until the low set is active, so every later pick is
+  // made with both sets runnable.
+  ASSERT_EQ(exec::PriorityWeight(exec::QueryPriority::kHigh), 4u);
+  ASSERT_EQ(exec::PriorityWeight(exec::QueryPriority::kLow), 1u);
+  exec::SharedWorkerPool pool(1);
+  std::mutex mu;
+  std::string picks;
+  std::atomic<bool> high_started{false};
+  std::atomic<bool> low_seen{true};
+
+  std::thread high([&] {
+    pool.RunChainSet(
+        BuildChains({12}, Opts(1, 1), /*independent=*/true),
+        [&](uint32_t, const Morsel&) {
+          if (!high_started.exchange(true)) {
+            int waited_ms = 0;
+            while (pool.active_sets() < 2 && waited_ms < 10000) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              ++waited_ms;
+            }
+            low_seen = pool.active_sets() == 2;
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          picks += 'H';
+        },
+        nullptr, exec::QueryPriority::kHigh, nullptr);
+  });
+  while (!high_started.load()) std::this_thread::yield();
+  pool.RunChainSet(
+      BuildChains({6}, Opts(1, 1), /*independent=*/true),
+      [&](uint32_t, const Morsel&) {
+        std::lock_guard<std::mutex> lock(mu);
+        picks += 'L';
+      },
+      nullptr, exec::QueryPriority::kLow, nullptr);
+  high.join();
+
+  ASSERT_TRUE(low_seen.load()) << "the low set never became active";
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(picks, "HHHHL" "HHHHL" "HHHHL" "LLL");
 }
 
 // ---------------------------------------------------------------------------

@@ -34,16 +34,16 @@ bool Resident(const TempBlock& b) {
   return true;
 }
 
-TempBlock MustAcquire(TempArena& arena, uint64_t bytes, bool populate) {
-  StatusOr<TempBlock> b = arena.Acquire(bytes, populate);
+TempBlock MustAcquire(TempArena& arena, uint64_t bytes) {
+  StatusOr<TempBlock> b = arena.Acquire(bytes);
   EXPECT_TRUE(b.ok()) << b.status().ToString();
   return b.ok() ? *b : TempBlock{};
 }
 
 TEST(TempArenaTest, BestFitReuseReturnsRetainedBase) {
   TempArena arena(1 << 20);
-  const TempBlock small = MustAcquire(arena, 4 * kPage, false);
-  const TempBlock large = MustAcquire(arena, 16 * kPage, false);
+  const TempBlock small = MustAcquire(arena, 4 * kPage);
+  const TempBlock large = MustAcquire(arena, 16 * kPage);
   ASSERT_NE(small.base, nullptr);
   ASSERT_NE(large.base, nullptr);
   EXPECT_TRUE(small.fresh);
@@ -55,14 +55,14 @@ TEST(TempArenaTest, BestFitReuseReturnsRetainedBase) {
 
   // 3 pages: both idle blocks fit, the 4-page one fits best. It comes back
   // with its pages still resident and its old bytes in place.
-  const TempBlock again = MustAcquire(arena, 3 * kPage, false);
+  const TempBlock again = MustAcquire(arena, 3 * kPage);
   EXPECT_EQ(again.base, small.base);
   EXPECT_EQ(again.bytes, small.bytes);
   EXPECT_FALSE(again.fresh);
   EXPECT_TRUE(Resident(again));
   EXPECT_EQ(again.base[0], 7);
   // 5 pages: only the 16-page block fits.
-  const TempBlock big_again = MustAcquire(arena, 5 * kPage, false);
+  const TempBlock big_again = MustAcquire(arena, 5 * kPage);
   EXPECT_EQ(big_again.base, large.base);
 
   const TempArenaStats st = arena.stats();
@@ -75,9 +75,9 @@ TEST(TempArenaTest, BestFitReuseReturnsRetainedBase) {
 
 TEST(TempArenaTest, RequestLargerThanEveryIdleBlockMapsFresh) {
   TempArena arena(1 << 20);
-  const TempBlock a = MustAcquire(arena, 4 * kPage, false);
+  const TempBlock a = MustAcquire(arena, 4 * kPage);
   arena.Release(a);
-  const TempBlock b = MustAcquire(arena, 4 * kPage + 1, false);
+  const TempBlock b = MustAcquire(arena, 4 * kPage + 1);
   EXPECT_TRUE(b.fresh);
   EXPECT_NE(b.base, a.base);
   EXPECT_EQ(b.bytes, 5 * kPage);
@@ -93,15 +93,22 @@ TEST(TempArenaTest, RequestLargerThanEveryIdleBlockMapsFresh) {
 
 TEST(TempArenaTest, PopulatedFlagTravelsWithTheBlock) {
   TempArena arena(1 << 20);
-  const TempBlock a = MustAcquire(arena, 8 * kPage, /*populate=*/true);
-  EXPECT_TRUE(a.populated);
-  EXPECT_TRUE(Resident(a));
+  TempBlock a = MustAcquire(arena, 8 * kPage);
+  EXPECT_TRUE(a.fresh);
+  EXPECT_FALSE(a.populated);
+  // The holder fills every page and hands the block back marked, as
+  // RealBackend::DeleteSegment does after a POPULATE_WRITE intent.
+  for (uint64_t off = 0; off < a.bytes; off += kPage) a.base[off] = 1;
+  a.populated = true;
   arena.Release(a);
-  const TempBlock b = MustAcquire(arena, 8 * kPage, /*populate=*/false);
+  const TempBlock b = MustAcquire(arena, 8 * kPage);
   EXPECT_EQ(b.base, a.base);
+  EXPECT_FALSE(b.fresh);
   EXPECT_TRUE(b.populated);
+  EXPECT_TRUE(Resident(b));
   arena.Release(b);
-  const TempBlock c = MustAcquire(arena, 9 * kPage, /*populate=*/false);
+  const TempBlock c = MustAcquire(arena, 9 * kPage);
+  EXPECT_TRUE(c.fresh);
   EXPECT_FALSE(c.populated);
   arena.Release(c);
 }
@@ -109,9 +116,9 @@ TEST(TempArenaTest, PopulatedFlagTravelsWithTheBlock) {
 TEST(TempArenaTest, IdleBytesNeverExceedCapAndEvictionUnmaps) {
   const uint64_t cap = 10 * kPage;
   TempArena arena(cap);
-  const TempBlock b2 = MustAcquire(arena, 2 * kPage, false);
-  const TempBlock b4 = MustAcquire(arena, 4 * kPage, false);
-  const TempBlock b6 = MustAcquire(arena, 6 * kPage, false);
+  const TempBlock b2 = MustAcquire(arena, 2 * kPage);
+  const TempBlock b4 = MustAcquire(arena, 4 * kPage);
+  const TempBlock b6 = MustAcquire(arena, 6 * kPage);
   arena.Release(b2);
   arena.Release(b4);
   EXPECT_EQ(arena.stats().idle_bytes, 6 * kPage);
@@ -128,7 +135,7 @@ TEST(TempArenaTest, IdleBytesNeverExceedCapAndEvictionUnmaps) {
   EXPECT_TRUE(Mapped(b4));
 
   // A block larger than the cap is never retained.
-  const TempBlock huge = MustAcquire(arena, 11 * kPage, false);
+  const TempBlock huge = MustAcquire(arena, 11 * kPage);
   arena.Release(huge);
   EXPECT_FALSE(Mapped(huge));
   EXPECT_LE(arena.stats().idle_bytes, cap);
@@ -152,7 +159,7 @@ TEST(TempArenaTest, ConcurrentAcquireReleaseNeverSharesABlock) {
     threads.emplace_back([&, t] {
       for (int k = 0; k < kRounds; ++k) {
         const uint64_t pages = 1 + (t * 7 + k) % 16;
-        StatusOr<TempBlock> b = arena.Acquire(pages * kPage, k % 3 == 0);
+        StatusOr<TempBlock> b = arena.Acquire(pages * kPage);
         if (!b.ok()) {
           ++bad[t];
           continue;
