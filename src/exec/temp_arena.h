@@ -1,6 +1,7 @@
 // Process-wide arena of anonymous mappings for the real backend's join
-// temporaries: RP/RS/Merge areas, the sort-merge swap areas, MPSM's node
-// bands and index-nl's index arrays.
+// temporaries: RP/RS/Merge areas (index-NL sorts its RS_i in place, so
+// its index needs no other), the sort-merge swap areas and MPSM's node
+// bands.
 //
 // The paper charges every join a newMap/deleteMap per temporary. On a real
 // host a fresh anonymous mapping costs an mmap(2), one fault per page and

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
@@ -12,6 +13,8 @@
 #include <cstring>
 #include <utility>
 #include <vector>
+
+#include "exec/scheduler.h"
 
 namespace mmjoin::mm {
 
@@ -28,7 +31,7 @@ Status Errno(const std::string& what) {
 }
 
 /// SplitMix64 finalizer — the same mixer rel::Mix64 uses, local so the
-/// mmap layer stays dependency-free.
+/// mmap layer does not depend on rel.
 uint64_t Mix(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -36,6 +39,70 @@ uint64_t Mix(uint64_t x) {
   x *= 0x94d049bb133111ebULL;
   x ^= x >> 31;
   return x;
+}
+
+constexpr uint64_t kChecksumSeed = 0x6d6d6a6f696e6373ULL;  // "mmjoincs"
+constexpr uint32_t kLanes = 8;
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+/// One chunk (at most kChecksumChunkBytes) through Checksum64's 8 lanes.
+/// The lanes are independent dependency chains, so a core overlaps their
+/// multiplies instead of waiting on one chain.
+uint64_t DigestChunk(const ByteRange& chunk) {
+  const auto* p = static_cast<const unsigned char*>(chunk.data);
+  uint64_t bytes = chunk.bytes;
+  uint64_t lane[kLanes];
+  for (uint32_t l = 0; l < kLanes; ++l) lane[l] = kChecksumSeed + l;
+  for (; bytes >= 8 * kLanes; p += 8 * kLanes, bytes -= 8 * kLanes) {
+#pragma GCC unroll 8
+    for (uint32_t l = 0; l < kLanes; ++l) {
+      lane[l] = Mix(lane[l] ^ LoadWord(p + 8 * l));
+    }
+  }
+  uint64_t acc = kChecksumSeed;
+  for (uint32_t l = 0; l < kLanes; ++l) acc = Mix(acc ^ lane[l]);
+  for (; bytes >= 8; p += 8, bytes -= 8) acc = Mix(acc ^ LoadWord(p));
+  if (bytes > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, bytes);
+    acc = Mix(acc ^ word);
+  }
+  return acc;
+}
+
+/// Every chunk of every range, in range and chunk order.
+std::vector<ByteRange> Chunks(const std::vector<ByteRange>& ranges) {
+  std::vector<ByteRange> chunks;
+  for (const ByteRange& range : ranges) {
+    const auto* p = static_cast<const unsigned char*>(range.data);
+    for (uint64_t at = 0; at < range.bytes; at += kChecksumChunkBytes) {
+      chunks.push_back(
+          {p + at, std::min(kChecksumChunkBytes, range.bytes - at)});
+    }
+  }
+  return chunks;
+}
+
+/// Each range's checksum from the digests of Chunks(ranges): its chunk
+/// digests folded in chunk order, then its byte count.
+std::vector<uint64_t> FoldRanges(const std::vector<ByteRange>& ranges,
+                                 const std::vector<uint64_t>& digests) {
+  std::vector<uint64_t> sums;
+  sums.reserve(ranges.size());
+  auto digest = digests.begin();
+  for (const ByteRange& range : ranges) {
+    uint64_t acc = kChecksumSeed;
+    for (uint64_t at = 0; at < range.bytes; at += kChecksumChunkBytes) {
+      acc = Mix(acc ^ *digest++);
+    }
+    sums.push_back(Mix(acc ^ range.bytes));
+  }
+  return sums;
 }
 
 /// The header checksum covers every field before `header_checksum` itself.
@@ -46,21 +113,22 @@ uint64_t HeaderChecksum(const SegmentHeader& h) {
 }  // namespace
 
 uint64_t Checksum64(const void* data, uint64_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t acc = 0x6d6d6a6f696e6373ULL;  // "mmjoincs"
-  uint64_t word = 0;
-  while (bytes >= 8) {
-    std::memcpy(&word, p, 8);
-    acc = Mix(acc ^ word);
-    p += 8;
-    bytes -= 8;
+  const std::vector<ByteRange> ranges = {{data, bytes}};
+  std::vector<uint64_t> digests;
+  for (const ByteRange& chunk : Chunks(ranges)) {
+    digests.push_back(DigestChunk(chunk));
   }
-  if (bytes > 0) {
-    word = 0;
-    std::memcpy(&word, p, bytes);
-    acc = Mix(acc ^ word);
-  }
-  return Mix(acc);
+  return FoldRanges(ranges, digests).front();
+}
+
+std::vector<uint64_t> ChecksumRanges(const std::vector<ByteRange>& ranges,
+                                     uint32_t max_threads) {
+  const std::vector<ByteRange> chunks = Chunks(ranges);
+  std::vector<uint64_t> digests(chunks.size());
+  const auto units = static_cast<uint32_t>(chunks.size());
+  exec::ParallelFor(units, exec::EffectiveWorkers(units, max_threads),
+                    [&](uint32_t u) { digests[u] = DigestChunk(chunks[u]); });
+  return FoldRanges(ranges, digests);
 }
 
 double ResidentFraction(const void* base, uint64_t bytes) {
@@ -347,19 +415,29 @@ Status Segment::Seal(MsyncPolicy policy) {
     return Status::IOError("segment bump out of range, refusing to seal: " +
                            path_);
   }
-  h->payload_checksum =
-      Checksum64(reinterpret_cast<const char*>(base_) + sizeof(SegmentHeader),
-                 h->bump - sizeof(SegmentHeader));
+  h->payload_checksum = ChecksumRanges({Payload()}).front();
   ++h->generation;
   h->clean = 1;
   h->header_checksum = HeaderChecksum(*h);
   return Sync(policy);
 }
 
-Status Segment::VerifySealed() const {
+ByteRange Segment::Payload() const {
+  return {static_cast<const char*>(base_) + sizeof(SegmentHeader),
+          header()->bump - sizeof(SegmentHeader)};
+}
+
+Status Segment::VerifySealedHeader() const {
   assert(mapped());
   const SegmentHeader* h = header();
-  // The header checksum vouches for magic and size, so it goes first: a
+  // A v2 header verifies only under v2's checksum, so its magic is read
+  // before the header checksum: the answer is "old format", not "torn".
+  if (h->magic == SegmentHeader::kMagicV2) {
+    return Status::IOError(
+        "segment is in store format v2 (\"mmjoin02\"), which this build "
+        "does not read; persist the store again: " + path_);
+  }
+  // The header checksum vouches for magic and size, so it goes next: a
   // truncated file keeps a verifying header that no longer matches it.
   if (h->header_checksum != HeaderChecksum(*h)) {
     return Status::IOError("segment header checksum mismatch (torn write?): " +
@@ -381,13 +459,28 @@ Status Segment::VerifySealed() const {
   if (h->bump < sizeof(SegmentHeader) || h->bump > size_) {
     return Status::IOError("sealed segment bump out of range: " + path_);
   }
-  const uint64_t payload =
-      Checksum64(static_cast<const char*>(base_) + sizeof(SegmentHeader),
-                 h->bump - sizeof(SegmentHeader));
-  if (payload != h->payload_checksum) {
-    return Status::IOError("segment payload checksum mismatch: " + path_);
-  }
   return Status::OK();
+}
+
+Status Segment::VerifySealed() const { return VerifySealed({this}); }
+
+Status Segment::VerifySealed(const std::vector<const Segment*>& segments) {
+  // Only the segments before the first bad header can fail earlier.
+  Status header_error;
+  std::vector<ByteRange> payloads;
+  for (const Segment* seg : segments) {
+    header_error = seg->VerifySealedHeader();
+    if (!header_error.ok()) break;
+    payloads.push_back(seg->Payload());
+  }
+  const std::vector<uint64_t> sums = ChecksumRanges(payloads);
+  for (size_t i = 0; i < sums.size(); ++i) {
+    if (sums[i] != segments[i]->header()->payload_checksum) {
+      return Status::IOError("segment payload checksum mismatch: " +
+                             segments[i]->path_);
+    }
+  }
+  return header_error;
 }
 
 Status Segment::Advise(AccessIntent intent, uint64_t* advised_bytes) {

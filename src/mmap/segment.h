@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/status.h"
 
@@ -133,8 +134,13 @@ StatusOr<MsyncPolicy> ParseMsyncPolicy(const std::string& name);
 /// or payload checksum does not verify or whose `clean` flag is down —
 /// which is exactly the state a crash mid-write leaves behind, so torn
 /// stores are detected at attach time instead of corrupting a join.
+///
+/// Format v3. The layout is v2's; only the checksum changed (v2 ran one
+/// serial Mix chain over the bytes, v3 is Checksum64 below), so a v2
+/// segment is recognised by its magic and refused: persist it again.
 struct SegmentHeader {
-  static constexpr uint64_t kMagic = 0x6d6d6a6f696e3032ULL;  // "mmjoin02"
+  static constexpr uint64_t kMagic = 0x6d6d6a6f696e3033ULL;    // "mmjoin03"
+  static constexpr uint64_t kMagicV2 = 0x6d6d6a6f696e3032ULL;  // "mmjoin02"
   uint64_t magic = kMagic;
   uint64_t size_bytes = 0;   ///< total mapped size including header
   uint64_t bump = 0;         ///< next free offset (allocator state)
@@ -145,9 +151,35 @@ struct SegmentHeader {
   uint64_t header_checksum = 0;   ///< Checksum64 over the preceding fields
 };
 
-/// 8-byte-stride mixing checksum over an arbitrary byte range (trailing
-/// partial word zero-padded). Not cryptographic — a torn-write detector.
+/// The checksum's unit of work: Checksum64 cuts its input into chunks of
+/// this many bytes (the last one may be shorter), each digested on its
+/// own, so one range spreads over every core. A format constant, not a
+/// tunable: changing it changes every sealed checksum.
+inline constexpr uint64_t kChecksumChunkBytes = uint64_t{1} << 20;
+
+/// A byte range to checksum.
+struct ByteRange {
+  const void* data = nullptr;
+  uint64_t bytes = 0;
+};
+
+/// Mixing checksum over an arbitrary byte range. Not cryptographic — a
+/// torn-write detector. Each kChecksumChunkBytes chunk is digested by 8
+/// independent lanes of the SplitMix64 finalizer (lane l takes the chunk's
+/// 8-byte words l, l+8, …); the lanes are then folded in lane order, and
+/// the words after the last 64-byte block (the trailing partial word
+/// zero-padded) after them. The chunk digests are folded in chunk order,
+/// and the byte count last, so moving a chunk or growing a zero tail
+/// changes the result. This is the serial evaluation; ChecksumRanges
+/// computes the same value on every core.
 uint64_t Checksum64(const void* data, uint64_t bytes);
+
+/// Checksum64 of every range in `ranges`, in order: every chunk of every
+/// range is one unit of a single exec::ParallelFor on up to `max_threads`
+/// threads (0 = one per core, never more than there are chunks), and each
+/// range's chunk digests are then folded on the calling thread.
+std::vector<uint64_t> ChecksumRanges(const std::vector<ByteRange>& ranges,
+                                     uint32_t max_threads = 0);
 
 /// One mapped file. Movable, not copyable; unmaps on destruction.
 class Segment {
@@ -175,17 +207,24 @@ class Segment {
   /// openMap without header checks: maps an existing segment file that is
   /// at least one header long and validates nothing else. The durable
   /// attach path (SegmentManager::OpenSealedSegments) maps a batch this way
-  /// and then runs VerifySealed() on every segment before trusting a byte.
+  /// and then runs VerifySealed() over the batch before trusting a byte.
   static StatusOr<Segment> Map(const std::string& path,
                                MapTimings* timings = nullptr);
 
   /// The durable-store check: requires the mapped segment to be SEALED —
-  /// header checksum verifying, magic and size matching the file, `clean`
-  /// up, payload checksum matching a fresh recomputation. A torn segment
-  /// (crash mid-write, bit rot, truncation) is refused with an IOError
-  /// naming the failing checksum. Read-only, so distinct segments can be
-  /// verified concurrently.
+  /// a v3 header whose checksum verifies, magic and size matching the
+  /// file, `clean` up, payload checksum matching a fresh recomputation. A
+  /// torn segment (crash mid-write, bit rot, truncation) is refused with an
+  /// IOError naming the failing checksum; a v2 segment is refused before
+  /// its header checksum, with an IOError naming the format.
   Status VerifySealed() const;
+
+  /// VerifySealed over a batch, returning the first failure in `segments`
+  /// order. The header checks run in order up to the first failing one;
+  /// the payloads of the segments before it are then checksummed in one
+  /// ChecksumRanges pass, chunk by chunk on every core — so the same torn
+  /// batch reports the same segment whichever thread finishes first.
+  static Status VerifySealed(const std::vector<const Segment*>& segments);
 
   /// deleteMap: destroys a segment file (and its data).
   static Status Delete(const std::string& path,
@@ -231,9 +270,10 @@ class Segment {
   Status Sync(MsyncPolicy policy);
 
   /// Seals the segment for durable attach: checksums the payload
-  /// ([header end, bump)), bumps the generation, raises `clean`, checksums
-  /// the header, then syncs under `policy`. After a successful Seal the
-  /// file passes VerifySealed until the next mutation.
+  /// ([header end, bump)) through ChecksumRanges, on every core, bumps the
+  /// generation, raises `clean`, checksums the header, then syncs under
+  /// `policy`. After a successful Seal the file passes VerifySealed until
+  /// the next mutation.
   Status Seal(MsyncPolicy policy = MsyncPolicy::kNone);
 
   /// Explicitly invalidates the seal (payload mutated through raw
@@ -254,6 +294,11 @@ class Segment {
   Status Close();
 
  private:
+  /// VerifySealed's header half: every check but the payload checksum.
+  Status VerifySealedHeader() const;
+  /// The bytes the payload checksum covers, [header end, bump).
+  ByteRange Payload() const;
+
   void* base_ = nullptr;
   uint64_t size_ = 0;
   std::string path_;

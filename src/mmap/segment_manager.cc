@@ -4,8 +4,6 @@
 
 #include <utility>
 
-#include "exec/scheduler.h"
-
 namespace mmjoin::mm {
 
 SegmentManager::SegmentManager(std::string root_dir)
@@ -41,24 +39,24 @@ StatusOr<std::vector<Segment>> SegmentManager::OpenSealedSegments(
   const uint32_t n = static_cast<uint32_t>(names.size());
   std::vector<Segment> segs;
   std::vector<MapTimings> timings(n);
-  std::vector<Status> errors(n);
   segs.reserve(n);
   // Map serially up to the first file that cannot be mapped; only the
   // segments before it can still produce an earlier error.
+  Status map_error;
   for (uint32_t i = 0; i < n; ++i) {
     auto seg = Segment::Map(PathFor(names[i]), &timings[i]);
     if (!seg.ok()) {
-      errors[i] = seg.status();
+      map_error = seg.status();
       break;
     }
     segs.push_back(std::move(seg).value());
   }
-  const uint32_t mapped = static_cast<uint32_t>(segs.size());
-  exec::ParallelFor(mapped, exec::EffectiveWorkers(mapped, 0),
-                    [&](uint32_t i) { errors[i] = segs[i].VerifySealed(); });
+  std::vector<const Segment*> batch;
+  batch.reserve(segs.size());
+  for (const Segment& seg : segs) batch.push_back(&seg);
+  MMJOIN_RETURN_NOT_OK(Segment::VerifySealed(batch));
+  MMJOIN_RETURN_NOT_OK(map_error);
   for (uint32_t i = 0; i < n; ++i) {
-    // Every segment before the first error was mapped and verified.
-    if (!errors[i].ok()) return errors[i];
     samples_.push_back(MapSample{segs[i].size(), 0, timings[i].open_map_s, 0});
     sizes_[names[i]] = segs[i].size();
   }

@@ -39,10 +39,12 @@ class SegmentManager {
   /// requires each to be sealed with verifying checksums
   /// (Segment::VerifySealed) — the attach path of warm restarts, where a
   /// torn file must be refused. The files are mapped one after another
-  /// (the timing bookkeeping is single-threaded), then verified in
-  /// parallel, one segment per unit on up to one thread per core. On
-  /// failure the error is the first one in `names` order — the same error
-  /// a serial open would report, whichever thread finishes first.
+  /// (the timing bookkeeping is single-threaded), then verified as one
+  /// batch (Segment::VerifySealed): every header in order, then one
+  /// chunk-parallel checksum pass over all the payloads, a 1 MiB chunk
+  /// per unit on up to one thread per core. On failure the error is the
+  /// first one in `names` order — the same error a serial open would
+  /// report, whichever thread finishes first.
   StatusOr<std::vector<Segment>> OpenSealedSegments(
       const std::vector<std::string>& names);
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <vector>
 
 #include "scratch_dir.h"
 
@@ -61,6 +62,41 @@ TEST_F(SegmentManagerTest, OpenMissingFails) {
   SegmentManager mgr(dir_);
   EXPECT_EQ(mgr.OpenSegment("ghost").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(mgr.DeleteSegment("ghost").code(), StatusCode::kNotFound);
+}
+
+TEST_F(SegmentManagerTest, SealedBatchVerifiesEveryChunkOfEverySegment) {
+  // Three sealed segments of 1, 2.5 and 3 chunks of payload, opened as one
+  // batch: their chunks spread over the worker threads. A byte flipped in
+  // the last chunk of the middle one is refused, naming it.
+  SegmentManager mgr(dir_);
+  const uint64_t chunk = kChecksumChunkBytes;
+  const std::vector<std::string> names = {"a", "b", "c"};
+  const uint64_t payloads[] = {chunk, 5 * chunk / 2, 3 * chunk};
+  for (size_t i = 0; i < names.size(); ++i) {
+    auto seg = mgr.CreateSegment(names[i], sizeof(SegmentHeader) + payloads[i]);
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    auto off = seg->Allocate(payloads[i]);
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    auto* bytes = static_cast<unsigned char*>(seg->Resolve(*off));
+    for (uint64_t k = 0; k < payloads[i]; ++k) bytes[k] = (k * 31 + i) >> 3;
+    ASSERT_TRUE(seg->Seal().ok());
+  }
+  auto segs = mgr.OpenSealedSegments(names);
+  ASSERT_TRUE(segs.ok()) << segs.status().ToString();
+  ASSERT_EQ(segs->size(), 3u);
+
+  auto* victim = static_cast<unsigned char*>(
+      (*segs)[1].Resolve(sizeof(SegmentHeader) + 2 * chunk + 7));
+  *victim ^= 0x10;
+  auto torn = mgr.OpenSealedSegments(names);
+  ASSERT_FALSE(torn.ok());
+  EXPECT_NE(torn.status().ToString().find("payload checksum"),
+            std::string::npos)
+      << torn.status().ToString();
+  EXPECT_NE(torn.status().ToString().find(mgr.PathFor("b")), std::string::npos)
+      << torn.status().ToString();
+  *victim ^= 0x10;
+  EXPECT_TRUE(mgr.OpenSealedSegments(names).ok());
 }
 
 TEST_F(SegmentManagerTest, PathForIsStable) {
