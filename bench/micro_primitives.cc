@@ -45,8 +45,9 @@ void BM_HeapSort(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapSort)->Range(1 << 10, 1 << 16);
 
-// The real backend's run sort: (position, packed sptr) refs of one
-// partition's run, as op::SortRuns hands them to SortRefs.
+// The real backend's run sort: one run of (r_id, packed sptr) refs into
+// one S partition, as op::SortRuns hands a run of sort-merge's RS_i or of
+// MPSM's MR_i to SortRefs.
 void BM_RadixSortRefs(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   Rng rng(1);

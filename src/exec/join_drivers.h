@@ -6,8 +6,9 @@
 // Since the operator-layer refactor each driver is a thin composition of
 // the reusable pass stages in exec/op/stages.h — Partition,
 // PhasedRepartition, BucketRepartition, SetUpHashBuckets, ProbePhases,
-// SortRuns, MergeJoinRuns, BuildProbeBuckets, BuildIndex, ProbeIndex —
-// plus the driver's own setup charges, segment layout and routing policy.
+// SortRuns, MergeJoinRuns, SweepRun, BuildProbeBuckets, BuildIndex,
+// ProbeIndex — plus the driver's own setup charges, segment layout and
+// routing policy.
 // The stages are an exact structural lift of the historical monolithic
 // drivers (index-NL's excepted: its index became RS_i sorted in place, and
 // its simulator costs were re-recorded): for each driver the sequence
@@ -37,10 +38,10 @@
 //     probe runs the same probe stage (mmap/mmap_join.h, MmIndexProbe).
 //   Mpsm (EXT-9, after Albutiu/Kemper/Neumann): pass 0 writes each R_i
 //     object's 16-byte (id, sptr) ref into a private MR_i; pass 1 sorts
-//     MR_i in place as runs of M_Rproc / 16 refs (the backend's SortRefs:
-//     counted heapsort on the simulator, radix sort on the real backend);
-//     the final pass pushes every run, in order, through the S fetch
-//     protocol. S's placement IS its sort key, so S is only swept, never
+//     MR_i in place as runs of M_Rproc / 16 refs through op::SortRuns,
+//     sort-merge's run sorter, one call per morsel of runs; the final pass
+//     streams every run, in order, through op::SweepRun, index-NL's
+//     sweep. S's placement IS its sort key, so S is only swept, never
 //     sorted, and there is no merge.
 //
 // Cost charging (ChargeCpu/ChargeSetup), byte access, the S fetch protocol
@@ -234,7 +235,8 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
     const uint64_t n = rs_objects[i];
     const join::SortMergePlan plan =
         join::PlanSortMerge(params.m_rproc_bytes, mc.page_size, n, params);
-    const uint64_t runs = op::SortRuns(ex, i, src_seg[i], n, plan.irun);
+    const uint64_t runs = std::max<uint64_t>(1, op::CeilDiv(n, plan.irun));
+    op::SortRuns(ex, i, src_seg[i], n, plan.irun, 0, runs);
     partition_status[i] = op::MergeJoinRuns(ex, i, &src_seg[i], &dst_seg[i],
                                             n, plan, runs, &npass_per[i]);
   });
@@ -268,9 +270,9 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
 /// already its sort order. Pass 0 writes each R_i object's 16-byte
 /// (id, sptr) ref into MR_i; pass 1 sorts MR_i in place as runs of
 /// L = M_Rproc / 16 refs (one run per partition whenever R_i fits); the
-/// final pass pushes every run, in its sorted order, through the S fetch
-/// protocol, so each run sweeps S once in pointer order. With several runs
-/// per partition S is swept once per run — MPSM's trade-off, which the
+/// final pass sweeps every run, in its sorted order, into the S fetch, so
+/// each run sweeps S once in pointer order. With several runs per
+/// partition S is swept once per run — MPSM's trade-off, which the
 /// simulator prices as faults. Output is bit-identical to SortMerge: the
 /// same (r_id, sptr) pairs are fetched and the tallies are commutative.
 template <Backend B>
@@ -340,33 +342,17 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
   ex.ForEachPartitionTuples(
       run_counts,
       [&](uint32_t i, uint64_t rb, uint64_t re) {
-        const double sort_start_ms = ex.clock_ms(i);
-        for (uint64_t t = rb; t < re; ++t) {
-          const uint64_t start = t * run_len;
-          const uint64_t len = std::min(run_len, r_counts[i] - start);
-          void* run = ex.Write(i, mr_segs[i], start * ref, len * ref);
-          ex.SortRefs(i, static_cast<SRef*>(run), len, SortKey::kSptr);
-        }
-        if (ex.tracing()) {
-          ex.Span(i, "sort-runs", "heap", sort_start_ms,
-                  {obs::Arg("runs", re - rb), obs::Arg("irun", run_len)});
-        }
+        op::SortRuns<B, SRef>(ex, i, mr_segs[i], r_counts[i], run_len, rb, re);
       },
       /*independent=*/true);
   if (sync) ex.SyncClocks();
   ex.MarkPass("pass1");
 
-  // ---- Sweep: push each run's refs, in order, through the S fetch. ----
+  // ---- Sweep: each run's refs, in order, through the S fetch. ----
   ex.ForEachPartitionTuples(
       r_counts,
       [&](uint32_t i, uint64_t begin, uint64_t end) {
-        op::SFetch<B> fetch(ex, i, end - begin);
-        for (uint64_t k = begin; k < end; ++k) {
-          SRef in{};
-          std::memcpy(&in, ex.Read(i, mr_segs[i], k * ref, ref), ref);
-          fetch.Push(in.r_id, in.sptr);
-        }
-        fetch.Finish();
+        op::SweepRun<B, SRef>(ex, i, mr_segs[i], begin, end);
       },
       /*independent=*/true);
   ex.MarkPass("sort+merge+join");

@@ -3,10 +3,10 @@
 // plan shapes (exec/op/operators.h) can reuse the same machinery.
 //
 // Every temporary a stage fills or reads (RP_{i,j}, RS_i, sort-merge's
-// Merge and Swap areas) holds the backend's B::Tuple: whole 128-byte
-// objects on the simulator, 16-byte (r_id, sptr) refs on the real
-// backend. Partition narrows each R object once, as it leaves the R scan;
-// every later stride is sizeof(B::Tuple).
+// Merge and Swap areas; not MPSM's MR_i, which holds SRefs) holds the
+// backend's B::Tuple: whole 128-byte objects on the simulator, 16-byte
+// (r_id, sptr) refs on the real backend. Partition narrows each R object
+// once, as it leaves the R scan; every later stride is sizeof(B::Tuple).
 //
 // A stage is a template over the exec::Backend concept that owns one pass
 // shape — the morsel bracketing, staggered phase schedule, epilogue
@@ -30,11 +30,13 @@
 //                    or a copy (sim)
 //   SFetch           the S-fetch protocol of one partition: Push refs,
 //                    Finish drains them (per tuple or batched)
-//   SortRun          sort one run of a temporary in place through the
-//                    backend's SortRefs: a counted heapsort plus an object
-//                    permutation on the simulator, an in-place radix sort
-//                    of the SRef run on the real backend
-//   SortRuns         SortRun over RS_i's IRUN-tuple runs, by S-pointer
+//   SweepRun         the fan-in-1 sweep of a run into SFetch, or in place
+//                    through ProbeRun (ProbePhases, MPSM, ProbeIndex)
+//   SortRun          sort one run in place through the backend's SortRefs:
+//                    a counted heapsort plus an object permutation for the
+//                    simulator's objects, in place for a run of SRefs
+//   SortRuns         SortRun by S-pointer over a range of a partition's
+//                    runs: sort-merge's RS_i, MPSM's MR_i
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
@@ -53,9 +55,9 @@
 //   BuildIndex       index-NL's build stage: passes 0/1, then index-build
 //                    sorts each RS_i bucket in place by (sptr, r_id), so
 //                    RS_i is the sorted leaf array (the store persists it)
-//   ProbeIndex       index-NL's probe stage: a forward leaf scan -> SFetch
-//                    per morsel of leaves, cut at key changes (the store's
-//                    warm probe runs it, too)
+//   ProbeIndex       index-NL's probe stage: one SweepRun per morsel of
+//                    leaves, cut at key changes (the store's warm probe
+//                    runs it, too)
 #ifndef MMJOIN_EXEC_OP_STAGES_H_
 #define MMJOIN_EXEC_OP_STAGES_H_
 
@@ -220,6 +222,46 @@ class SFetch {
   uint32_t i_;
   std::vector<SRef> scratch_;
 };
+
+/// What SweepRun does with one element of a run.
+enum class SweepStep { kPush, kSkip, kStop };
+
+/// SweepRun's default step: push every element.
+struct PushAll {
+  SweepStep operator()(uint64_t, const SRef&) const { return SweepStep::kPush; }
+};
+
+/// The fan-in-1 sweep: streams elements [begin, end) of a run of Elem in
+/// `seg`, in order, into partition i's S fetch, in page-bounded chunks, and
+/// drains it; `step(p, ref)` pushes, skips or stops at element p. On a
+/// batching backend a PushAll run of B::Tuple goes to ProbeRun in place.
+template <Backend B, typename Elem = typename B::Tuple,
+          typename Step = PushAll>
+void SweepRun(B& ex, uint32_t i, typename B::Seg seg, uint64_t begin,
+              uint64_t end, Step step = {}) {
+  const uint64_t t = sizeof(Elem);
+  if constexpr (B::kBatchedProbe && std::same_as<Elem, typename B::Tuple> &&
+                std::same_as<Step, PushAll>) {
+    ex.ProbeRun(i, seg, begin * t, end - begin);
+    ex.FlushSRequests(i);
+  } else {
+    const uint64_t per_page = ex.mc().page_size / t;
+    SFetch<B> fetch(ex, i, end - begin);
+    for (uint64_t p = begin; p < end;) {
+      const uint64_t chunk_end = std::min(end, (p / per_page + 1) * per_page);
+      const auto* e = static_cast<const Elem*>(
+          ex.Read(i, seg, p * t, (chunk_end - p) * t));
+      for (; p < chunk_end; ++p, ++e) {
+        const SRef& ref = RefOf(*e);
+        const SweepStep s = step(p, ref);
+        if (s == SweepStep::kStop) break;
+        if (s == SweepStep::kPush) fetch.Push(ref.r_id, ref.sptr);
+      }
+      if (p < chunk_end) break;  // a step stopped the sweep
+    }
+    fetch.Finish();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Append / layout primitives
@@ -745,7 +787,7 @@ Status BucketRepartition(B& ex, const std::vector<typename B::Seg>& rs_segs,
 // ---------------------------------------------------------------------------
 
 /// D-1 staggered probe-only phases over the RP_{i,j}: each morsel is one
-/// backend ProbeRun over its slice of the band. Probes touch no shared
+/// SweepRun over its slice of the band. Probes touch no shared
 /// output target (the real backend tallies per worker), so morsels are
 /// independent and one hot partner — a Zipf-skewed RP_{i,j} — spreads
 /// across every worker instead of serializing the phase. Each
@@ -766,13 +808,10 @@ void ProbePhases(B& ex, bool sync) {
         PhaseCounts(ex, t),
         [&](uint32_t i, uint64_t begin, uint64_t end) {
           const uint32_t j = join::PhaseOffset(i, t, d);
-          const uint64_t base = ex.RpSubOffset(i, j);
+          const uint64_t base =
+              ex.RpSubOffset(i, j) / sizeof(typename B::Tuple);
           const double phase_start_ms = ex.clock_ms(i);
-          // A phase only probes: hand the contiguous band slice over as
-          // one run.
-          ex.ProbeRun(i, ex.rp_seg(i),
-                      base + begin * sizeof(typename B::Tuple), end - begin);
-          ex.FlushSRequests(i);
+          SweepRun(ex, i, ex.rp_seg(i), base + begin, base + end);
           if (ex.tracing()) {
             ex.Span(i, "phase " + std::to_string(t), "phase", phase_start_ms,
                     {obs::Arg("partner", uint64_t{j}),
@@ -789,27 +828,25 @@ void ProbePhases(B& ex, bool sync) {
 // Sort + MergeJoin (sort-merge pass 2)
 // ---------------------------------------------------------------------------
 
-/// Sorts the `len` tuples of `seg` from tuple `start` in place by `key`,
-/// through the backend's SortRefs. A run of SRefs (the real backend) is
-/// sorted where it lies. A run of objects (the simulator) is read in, its
-/// (run position, sptr) refs are sorted — the position rides in r_id, so
-/// kSptrThenRid breaks sptr ties by arrival — and the objects are permuted
-/// into that order (one MTpp move per object) and written back.
-template <Backend B>
+/// Sorts the `len` Elem elements of `seg` from element `start` in place by
+/// `key`, through the backend's SortRefs. A run of SRefs is sorted where it
+/// lies. A run of objects (the simulator) is read in, its (run position,
+/// sptr) refs are sorted — the position rides in r_id, so kSptrThenRid
+/// breaks sptr ties by arrival — and the objects are permuted into that
+/// order (one MTpp move per object) and written back.
+template <Backend B, typename Elem = typename B::Tuple>
 void SortRun(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
              uint64_t len, SortKey key) {
   if (len == 0) return;
-  using Tuple = typename B::Tuple;
-  const uint64_t t = sizeof(Tuple);
-  if constexpr (std::same_as<Tuple, SRef>) {
+  const uint64_t t = sizeof(Elem);
+  if constexpr (std::same_as<Elem, SRef>) {
     ex.SortRefs(i, static_cast<SRef*>(ex.Write(i, seg, start * t, len * t)),
                 len, key);
   } else {
-    std::vector<Tuple> buffer(len);
+    std::vector<Elem> buffer(len);
     std::vector<SRef> refs(len);
     for (uint64_t k = 0; k < len; ++k) {
-      const void* src = ex.Read(i, seg, (start + k) * t, t);
-      std::memcpy(&buffer[k], src, t);
+      buffer[k] = LoadAs<Elem>(ex, i, seg, (start + k) * t);
       refs[k] = SRef{k, buffer[k].sptr};
     }
     ex.SortRefs(i, refs.data(), len, key);
@@ -821,22 +858,23 @@ void SortRun(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
   }
 }
 
-/// Sorts RS_i into IRUN-tuple runs in place, by S-pointer (SortRun).
-/// Returns the run count.
-template <Backend B>
-uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
-                  uint64_t irun) {
+/// The one run sorter: sorts runs [first_run, end_run) of the `n` Elem
+/// elements of partition i's `seg`, cut into `run_len`-element runs, in
+/// place by S-pointer (SortRun) under one "sort-runs" span.
+template <Backend B, typename Elem = typename B::Tuple>
+void SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
+              uint64_t run_len, uint64_t first_run, uint64_t end_run) {
   const double sort_start_ms = ex.clock_ms(i);
-  for (uint64_t start = 0; start < n; start += irun) {
-    SortRun(ex, i, seg, start, std::min<uint64_t>(irun, n - start),
-            SortKey::kSptr);
+  for (uint64_t r = first_run; r < end_run; ++r) {
+    const uint64_t start = r * run_len;
+    SortRun<B, Elem>(ex, i, seg, start, std::min(run_len, n - start),
+                     SortKey::kSptr);
   }
-  const uint64_t runs = std::max<uint64_t>(1, CeilDiv(n, irun));
   if (ex.tracing()) {
     ex.Span(i, "sort-runs", "heap", sort_start_ms,
-            {obs::Arg("runs", runs), obs::Arg("irun", irun)});
+            {obs::Arg("runs", end_run - first_run),
+             obs::Arg("irun", run_len)});
   }
-  return runs;
 }
 
 /// K-way merges partition i's sorted runs with deleteMap/newMap area swaps
@@ -1125,60 +1163,48 @@ struct IndexProbeCounts {
 /// leaves, not S, so a skewed partition — many refs into few S objects —
 /// spreads over workers. A morsel [b, e) owns the leaves [cut(b), cut(e)),
 /// where cut(x) is the first leaf q >= x whose key differs from leaf
-/// q-1's (cut(0) = 0, cut(n) = n). The cuts tile every partition's leaves,
-/// sorted or not, and on sorted leaves no key crosses one, so the
-/// per-morsel distinct-key counts sum to the matches. Each morsel scans
-/// its leaves once, in page-bounded chunks. Only keys inside
-/// [SPtr{i,0}, SPtr{i,|S_i|}) are pushed, so a corrupt leaf can give a
-/// wrong answer but never a read outside S_i. The simulator runs one
-/// morsel per partition: a plain scan.
+/// q-1's (cut(0) = 0, cut(n) = n). The cuts tile every partition's
+/// leaves, sorted or not, and on sorted leaves no key crosses one, so the
+/// per-morsel distinct-key counts sum to the matches. Each morsel is one
+/// SweepRun from cut(b) that stops at cut(e), so a key run that crosses e
+/// is read once by its owner. Only keys inside [SPtr{i,0}, SPtr{i,|S_i|}) are pushed, so a
+/// corrupt leaf can give a wrong answer but never a read outside S_i. The
+/// simulator runs one morsel per partition: a plain scan.
 template <Backend B>
 IndexProbeCounts ProbeIndex(B& ex, const std::vector<typename B::Seg>& segs,
                             const std::vector<uint64_t>& entries, bool sync) {
-  using Tuple = typename B::Tuple;
-  const uint64_t t = sizeof(Tuple);
-  const uint64_t per_page = ex.mc().page_size / t;
+  const uint64_t t = sizeof(typename B::Tuple);
   const std::vector<uint64_t> s_counts = SCounts(ex);
   std::atomic<uint64_t> total_matches{0};
   ex.ForEachPartitionTuples(
       entries,
       [&](uint32_t i, uint64_t begin, uint64_t end) {
-        const uint64_t n = entries[i];
         const uint64_t first = rel::SPtr{i, 0}.Pack();
         const uint64_t last = rel::SPtr{i, s_counts[i]}.Pack();
         const auto key = [&](uint64_t leaf) {
           return RefOf(LoadTuple(ex, i, segs[i], leaf * t)).sptr;
         };
-        // The cuts. Leaves that repeat leaf begin-1's key belong to the
-        // morsel before; when they fill [begin, end) this morsel owns
-        // nothing. Leaves after end that repeat leaf end-1's key are its.
+        // cut(begin): leaves that repeat leaf begin-1's key are the morsel
+        // before's; when they fill [begin, end) this morsel owns nothing.
         uint64_t from = begin;
         if (begin > 0) {
           const uint64_t before = key(begin - 1);
           while (from < end && key(from) == before) ++from;
         }
-        uint64_t to = end;
-        if (from < end && end < n) {
-          const uint64_t before = key(end - 1);
-          while (to < n && key(to) == before) ++to;
-        }
+        // The sweep runs on to cut(end): leaves past end that repeat leaf
+        // end-1's key are this morsel's.
+        const bool crosses = from < end && end < entries[i];
+        const uint64_t tail = crosses ? key(end - 1) : 0;
         uint64_t distinct = 0;
         uint64_t prev = last;  // never pushed
-        SFetch<B> fetch(ex, i, to - from);
-        for (uint64_t p = from; p < to;) {
-          const uint64_t stop = std::min(to, (p / per_page + 1) * per_page);
-          const auto* chunk = static_cast<const Tuple*>(
-              ex.Read(i, segs[i], p * t, (stop - p) * t));
-          for (uint64_t k = 0; k < stop - p; ++k) {
-            const SRef e = RefOf(chunk[k]);
-            if (e.sptr < first || e.sptr >= last) continue;
-            distinct += e.sptr != prev;
-            prev = e.sptr;
-            fetch.Push(e.r_id, e.sptr);
-          }
-          p = stop;
-        }
-        fetch.Finish();
+        const auto step = [&](uint64_t p, const SRef& e) {
+          if (p >= end && e.sptr != tail) return SweepStep::kStop;
+          if (e.sptr < first || e.sptr >= last) return SweepStep::kSkip;
+          distinct += e.sptr != prev;
+          prev = e.sptr;
+          return SweepStep::kPush;
+        };
+        SweepRun(ex, i, segs[i], from, crosses ? entries[i] : end, step);
         total_matches.fetch_add(distinct, std::memory_order_relaxed);
       },
       /*independent=*/true);

@@ -131,16 +131,6 @@ void JoinExecution::FlushSRequests(uint32_t i) {
   assert(pending_[i].empty());
 }
 
-void JoinExecution::ProbeRun(uint32_t i, sim::SegId seg, uint64_t offset,
-                             uint64_t n) {
-  for (uint64_t k = 0; k < n; ++k) {
-    Tuple obj;
-    std::memcpy(&obj, Read(i, seg, offset + k * sizeof(obj), sizeof(obj)),
-                sizeof(obj));
-    RequestS(i, obj.id, obj.sptr);
-  }
-}
-
 void JoinExecution::SortRefs(uint32_t i, exec::SRef* refs, uint64_t n,
                              exec::SortKey key) {
   std::vector<uint64_t> idx(n);

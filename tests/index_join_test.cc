@@ -176,61 +176,90 @@ std::vector<exec::SRef> HandBuiltLeaves(uint32_t i, uint64_t s_count) {
   return leaves;
 }
 
+/// One partition's leaves around a hot key: a pointer into S_{i-1}, keys
+/// 0-4 with 3 refs each, then key |S_i|-2 with 600 refs — more than two
+/// pages of leaves — then one ref to key |S_i|-1, one leaf before the
+/// out-of-bounds tail HandBuiltLeaves ends with.
+std::vector<exec::SRef> HotKeyLeaves(uint32_t i, uint64_t s_count) {
+  std::vector<exec::SRef> leaves;
+  uint64_t r_id = uint64_t{i} << 32;
+  if (i > 0) leaves.push_back({r_id++, rel::SPtr{i - 1, 5}.Pack()});
+  for (uint64_t k = 0; k < 5; ++k) {
+    for (int run = 0; run < 3; ++run) {
+      leaves.push_back({r_id++, rel::SPtr{i, k}.Pack()});
+    }
+  }
+  for (int run = 0; run < 600; ++run) {
+    leaves.push_back({r_id++, rel::SPtr{i, s_count - 2}.Pack()});
+  }
+  leaves.push_back({r_id++, rel::SPtr{i, s_count - 1}.Pack()});
+  leaves.push_back({r_id++, rel::SPtr{i, s_count}.Pack()});
+  leaves.push_back({r_id++, rel::SPtr{i + 1, 0}.Pack()});
+  return leaves;
+}
+
 TEST_F(IndexJoinTest, ProbeIndexPushesEveryInBoundsLeafOnce) {
   // op::ProbeIndex over hand-built leaf views. The probe's output tally
   // counts every push, so count and checksum equal the in-bounds leaves'
   // exactly when each is pushed once and no other leaf is. Morsel sizes
   // around the run lengths cut runs at every offset; partition 2 is empty.
+  // The hot-key input's run starts mid-morsel and crosses page-bounded
+  // chunk edges, so the morsel that owns it must stop mid-chunk, before
+  // the in-bounds leaf that follows it.
   const uint32_t d = 3;
   auto workload =
       mm::BuildMmWorkload(mgr_.get(), "leaves", Shape(64, 3 * 64, d, 0.0, 7));
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
-  for (const bool sorted : {true, false}) {
-    std::vector<std::vector<exec::SRef>> leaves(d);
-    uint64_t want_count = 0, want_checksum = 0;
-    std::set<uint64_t> keys;
-    for (uint32_t i = 0; i + 1 < d; ++i) {
-      leaves[i] = HandBuiltLeaves(i, workload->s_count[i]);
-      if (!sorted) {
-        std::mt19937_64 rng(i);
-        std::shuffle(leaves[i].begin(), leaves[i].end(), rng);
+  for (const bool hot : {false, true}) {
+    for (const bool sorted : {true, false}) {
+      std::vector<std::vector<exec::SRef>> leaves(d);
+      uint64_t want_count = 0, want_checksum = 0;
+      std::set<uint64_t> keys;
+      for (uint32_t i = 0; i + 1 < d; ++i) {
+        leaves[i] = hot ? HotKeyLeaves(i, workload->s_count[i])
+                        : HandBuiltLeaves(i, workload->s_count[i]);
+        if (!sorted) {
+          std::mt19937_64 rng(i);
+          std::shuffle(leaves[i].begin(), leaves[i].end(), rng);
+        }
+        for (const exec::SRef& leaf : leaves[i]) {
+          const rel::SPtr sp = rel::SPtr::Unpack(leaf.sptr);
+          if (sp.partition != i || sp.index >= workload->s_count[i]) continue;
+          ++want_count;
+          want_checksum +=
+              rel::OutputDigest(leaf.r_id, rel::SKeyFor(i, sp.index));
+          keys.insert(leaf.sptr);
+        }
       }
-      for (const exec::SRef& leaf : leaves[i]) {
-        const rel::SPtr sp = rel::SPtr::Unpack(leaf.sptr);
-        if (sp.partition != i || sp.index >= workload->s_count[i]) continue;
-        ++want_count;
-        want_checksum +=
-            rel::OutputDigest(leaf.r_id, rel::SKeyFor(i, sp.index));
-        keys.insert(leaf.sptr);
-      }
-    }
-    for (uint64_t morsel : {1, 2, 7, 16, 17, 0}) {
-      SCOPED_TRACE(testing::Message()
-                   << (sorted ? "sorted" : "unsorted")
-                   << " morsel_tuples=" << morsel);
-      exec::RealBackendOptions options;
-      options.max_threads = 4;
-      options.morsel_tuples = morsel;
-      exec::RealBackend backend(*workload, join::JoinParams{}, options);
-      std::vector<exec::RealSeg> views(d);
-      std::vector<exec::RealSeg*> segs(d);
-      std::vector<uint64_t> entries(d);
-      for (uint32_t i = 0; i < d; ++i) {
-        views[i].name = "IX" + std::to_string(i);
-        views[i].base = reinterpret_cast<uint8_t*>(leaves[i].data());
-        views[i].bytes = leaves[i].size() * sizeof(exec::SRef);
-        segs[i] = &views[i];
-        entries[i] = leaves[i].size();
-      }
-      const exec::op::IndexProbeCounts counts =
-          exec::op::ProbeIndex(backend, segs, entries, /*sync=*/true);
-      const join::JoinRunResult run = backend.Finish();
-      EXPECT_EQ(run.output_count, want_count);
-      EXPECT_EQ(run.output_checksum, want_checksum);
-      EXPECT_EQ(counts.probes, workload->config.s_objects);
-      // On sorted leaves no key crosses a cut, so every key counts once.
-      if (sorted) {
-        EXPECT_EQ(counts.matches, keys.size());
+      for (uint64_t morsel : {1, 2, 7, 16, 17, 0}) {
+        SCOPED_TRACE(testing::Message()
+                     << (hot ? "hot key, " : "")
+                     << (sorted ? "sorted" : "unsorted")
+                     << " morsel_tuples=" << morsel);
+        exec::RealBackendOptions options;
+        options.max_threads = 4;
+        options.morsel_tuples = morsel;
+        exec::RealBackend backend(*workload, join::JoinParams{}, options);
+        std::vector<exec::RealSeg> views(d);
+        std::vector<exec::RealSeg*> segs(d);
+        std::vector<uint64_t> entries(d);
+        for (uint32_t i = 0; i < d; ++i) {
+          views[i].name = "IX" + std::to_string(i);
+          views[i].base = reinterpret_cast<uint8_t*>(leaves[i].data());
+          views[i].bytes = leaves[i].size() * sizeof(exec::SRef);
+          segs[i] = &views[i];
+          entries[i] = leaves[i].size();
+        }
+        const exec::op::IndexProbeCounts counts =
+            exec::op::ProbeIndex(backend, segs, entries, /*sync=*/true);
+        const join::JoinRunResult run = backend.Finish();
+        EXPECT_EQ(run.output_count, want_count);
+        EXPECT_EQ(run.output_checksum, want_checksum);
+        EXPECT_EQ(counts.probes, workload->config.s_objects);
+        // On sorted leaves no key crosses a cut, so every key counts once.
+        if (sorted) {
+          EXPECT_EQ(counts.matches, keys.size());
+        }
       }
     }
   }

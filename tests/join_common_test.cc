@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "exec/op/stages.h"
 #include "join/drivers.h"
 #include "rel/generator.h"
 
@@ -88,17 +89,17 @@ TEST(JoinExecutionTest, RequestSBatchesThroughGBuffer) {
   EXPECT_EQ(ex.rproc(0).stats().context_switches, 4u);
 }
 
-// ProbeRun over a contiguous run of R objects is the per-object Read +
-// RequestS loop: the same output, virtual clocks and faults.
-TEST(JoinExecutionTest, ProbeRunMatchesPerObjectLoop) {
+// op::SweepRun over a contiguous run of R objects, read in page-bounded
+// chunks, costs what the per-object Read + RequestS loop costs: the same
+// output, virtual clocks and faults.
+TEST(JoinExecutionTest, SweepRunMatchesPerObjectLoop) {
   Fixture run_fix, loop_fix;
   JoinParams p;
   JoinExecution run(&run_fix.env, run_fix.workload, p);
   JoinExecution loop(&loop_fix.env, loop_fix.workload, p);
   const uint64_t r = sizeof(rel::RObject);
   for (uint32_t i = 0; i < 4; ++i) {
-    run.ProbeRun(i, run.r_seg(i), 0, run.r_count(i));
-    run.FlushSRequests(i);
+    exec::op::SweepRun(run, i, run.r_seg(i), 0, run.r_count(i));
     for (uint64_t k = 0; k < loop.r_count(i); ++k) {
       rel::RObject obj;
       std::memcpy(&obj, loop.Read(i, loop.r_seg(i), k * r, r), r);

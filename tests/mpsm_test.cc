@@ -207,8 +207,8 @@ TEST_F(MpsmTest, MultiRunMatchesSortMergeOnBothBackends) {
 }
 
 /// A real backend that records, per partition, the S pointers the driver
-/// hands to RequestSBatch, in the order it hands them over, and then
-/// dereferences them as usual. Each partition's refs must arrive from one
+/// hands to RequestSBatch or to ProbeRun (a run probed in place), in the
+/// order it hands them over, and then dereferences them as usual. Each partition's refs must arrive from one
 /// morsel at a time (one worker, or whole-partition morsels).
 class SweepRecordingBackend : public exec::RealBackend {
  public:
@@ -218,11 +218,21 @@ class SweepRecordingBackend : public exec::RealBackend {
       : exec::RealBackend(workload, params, options), sptrs(D()) {}
 
   void RequestSBatch(uint32_t i, const exec::SRef* refs, uint64_t n) {
-    for (uint64_t k = 0; k < n; ++k) sptrs[i].push_back(refs[k].sptr);
+    Record(i, refs, n);
     exec::RealBackend::RequestSBatch(i, refs, n);
+  }
+  // The sweep probes each run in place: record the refs of the range.
+  void ProbeRun(uint32_t i, Seg seg, uint64_t offset, uint64_t n) {
+    Record(i, reinterpret_cast<const exec::SRef*>(seg->base + offset), n);
+    exec::RealBackend::ProbeRun(i, seg, offset, n);
   }
 
   std::vector<std::vector<uint64_t>> sptrs;
+
+ private:
+  void Record(uint32_t i, const exec::SRef* refs, uint64_t n) {
+    for (uint64_t k = 0; k < n; ++k) sptrs[i].push_back(refs[k].sptr);
+  }
 };
 
 TEST_F(MpsmTest, RealSweepVisitsEachRunInPointerOrder) {

@@ -1,8 +1,9 @@
 // The real backend's sort: exec::RadixSortRefs against std::stable_sort on
-// adversarial key shapes, and the sort stages (op::SortRuns, MPSM's pass 1
-// of concurrent SortRefs over 16-byte ref runs, op::SortRun by (sptr, r_id)
-// as index-NL's build runs it) on the real backend's temporaries, which
-// hold 16-byte SRefs (RealBackend::Tuple).
+// adversarial key shapes, and the sort stages on the real backend's
+// temporaries, which hold 16-byte SRefs (RealBackend::Tuple): op::SortRuns
+// over all of a band's runs, as sort-merge runs it, and over run ranges in
+// concurrent independent morsels, as MPSM's pass 1 runs it on MR_i; and
+// op::SortRun by (sptr, r_id), as index-NL's build runs it.
 //
 // The stage checks matter because the join oracle cannot see an unsorted
 // sort-merge run: the final merge still emits every ref into commutative
@@ -205,16 +206,15 @@ TEST_F(RealSortStageTest, SortRunsLeavesEveryRunSorted) {
   const auto seg = AllOfR(&n);
   const std::vector<SRef> before = Refs(seg, n);
   const uint64_t irun = 1500;  // does not divide n: a short last run
-  EXPECT_EQ(exec::op::SortRuns(*ex_, 0, seg, n, irun),
-            exec::op::CeilDiv(n, irun));
+  exec::op::SortRuns(*ex_, 0, seg, n, irun, 0, exec::op::CeilDiv(n, irun));
   ExpectRunsSorted(before, Refs(seg, n), irun);
   ASSERT_TRUE(ex_->DeleteSegment(seg).ok());
 }
 
 TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
-  // MPSM pass 1: a 16-byte ref segment cut into runs of L refs, each run
-  // sorted in place by SortRefs in independent morsels, concurrently on
-  // the worker threads.
+  // MPSM pass 1: a 16-byte ref segment cut into runs of L refs, each
+  // morsel of runs sorted in place by op::SortRuns, the morsels
+  // independent and concurrent on the worker threads.
   uint64_t n = 0;
   const auto band = AllOfR(&n);
   const std::vector<SRef> before = Refs(band, n);
@@ -234,11 +234,8 @@ TEST_F(RealSortStageTest, MpsmShapedConcurrentRunSortsLeaveEveryRunSorted) {
   ex_->ForEachPartitionTuples(
       count,
       [&](uint32_t q, uint64_t rb, uint64_t re) {
-        for (uint64_t t = first[q] + rb; t < first[q] + re; ++t) {
-          const uint64_t start = t * run_len;
-          ex_->SortRefs(q, refs + start, std::min(run_len, n - start),
-                        SortKey::kSptr);
-        }
+        exec::op::SortRuns<exec::RealBackend, SRef>(
+            *ex_, q, *seg, n, run_len, first[q] + rb, first[q] + re);
       },
       /*independent=*/true);
   ExpectRunsSorted(before, std::vector<SRef>(refs, refs + n), run_len);
